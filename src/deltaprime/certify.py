@@ -38,6 +38,12 @@ _RAMP = Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
 _RAMP_INT = _RAMP.integ()            # int_0^u s
 _RAMP_SQ_INT = (_RAMP * _RAMP).integ()   # int_0^u s^2
 
+# measure certificates: smallest closing half-width r, spacing between
+# consecutive closing intervals, and the cap on delta halvings
+R_MIN = 1.0
+PAD = 1.0
+MAX_HALVINGS = 60
+
 
 # ---------------------------------------------------------------------------
 # point-interaction trial function
@@ -225,15 +231,17 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
     return cert
 
 
-def _assert_disjoint(funcs: list[TestFunction], all_points: np.ndarray) -> None:
-    active = []  # intervals where t' != 0, plus the jump cores
-    for t in funcs:
-        active.append((t.x0 - t.eps, t.x0 + t.eps))
-        active.append((t.x0 + t.l, t.x0 + t.l + 2 * t.r))
-    for i, (a1, b1) in enumerate(active):
-        for a2, b2 in active[i + 1:]:
+def _assert_regions_disjoint(regions: list[tuple[float, float]]) -> None:
+    for i, (a1, b1) in enumerate(regions):
+        for a2, b2 in regions[i + 1:]:
             if max(a1, a2) < min(b1, b2):
                 raise SupportOverlap(f"active regions [{a1},{b1}] and [{a2},{b2}] overlap")
+
+
+def _assert_disjoint(funcs: list[TestFunction], all_points: np.ndarray) -> None:
+    # intervals where t' != 0, plus the jump cores
+    _assert_regions_disjoint([iv for t in funcs for iv in (
+        (t.x0 - t.eps, t.x0 + t.eps), (t.x0 + t.l, t.x0 + t.l + 2 * t.r))])
     for t in funcs:
         for p in all_points:
             if p != t.x0 and (
@@ -360,7 +368,6 @@ class MeasureTestFunction:
 
     def one_sided(self, x: float, side: int) -> tuple[float, float]:
         if x < self.l:
-            shift = 0.0
             val = float(self.evaluate(x))
             j = np.searchsorted(self.atom_positions, x)
             if side > 0 and j < self.atom_positions.size and self.atom_positions[j] == x:
@@ -387,9 +394,9 @@ def measure_test_build(
     delta: float,
     l: float,
     r: float,
-    a: Optional[float] = None,
 ) -> MeasureTestFunction:
-    """Assemble the trial function of one closed subset of atoms."""
+    """Assemble the trial function of one closed subset of atoms, anchored
+    at a = min(atoms) - delta - 1."""
     subset = np.asarray(subset, dtype=int)
     xs = mu.positions
     ws = mu.weights
@@ -401,13 +408,9 @@ def measure_test_build(
     if l <= xs.max() + delta:
         raise ValueError("plateau start l must lie right of the support")
     chi = SmoothIndicator([(x - delta / 2, x + delta / 2) for x in sel], delta / 2)
-    if a is None:
-        a = float(xs.min() - delta - 1.0)
-    if a >= chi.support[0]:
-        raise ValueError("left anchor a must lie left of the delta-neighborhood")
     return MeasureTestFunction(
-        chi, xs, ws, bs, a=float(a), l=float(l), r=float(r), delta=float(delta),
-        subset=subset,
+        chi, xs, ws, bs, a=float(xs.min() - delta - 1.0), l=float(l), r=float(r),
+        delta=float(delta), subset=subset,
     )
 
 
@@ -419,7 +422,7 @@ def measure_form_breakdown(t: MeasureTestFunction) -> tuple[float, float, float]
     return i1, i2, i3
 
 
-def quadratic_form_measure(t: MeasureTestFunction, mu=None, beta=None) -> float:
+def quadratic_form_measure(t: MeasureTestFunction) -> float:
     """Quadratic form of a measure trial function (Green's first formula)."""
     i1, i2, i3 = measure_form_breakdown(t)
     return i1 + i2 + i3
@@ -434,27 +437,18 @@ class MeasureCertificate:
     bounds: np.ndarray        # the -(1/8) eps mu(Gamma_k) thresholds
 
 
-@dataclass
-class MeasureCertifyParams:
-    r_min: float = 1.0
-    pad: float = 1.0
-    max_halvings: int = 60
-
-
-def certify_count_measure(
-    mu, beta, subsets: Sequence[Sequence[int]],
-    params: Optional[MeasureCertifyParams] = None,
-) -> MeasureCertificate:
+def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> MeasureCertificate:
     """Min-max certificate: one negative-form trial function per subset.
 
     Each subset must carry strictly negative intensity (beta <= -eps on
-    it); delta is halved until the neighborhood is exact and its
-    Lebesgue measure is below (1/4) eps mu(Gamma_k), and r is sized so
-    the closing cost stays below (1/8) eps mu(Gamma_k) with margin.
-    Disjoint supports make the cross Gram entries exactly zero, so the
-    certified count is the number of subsets.
+    it); delta starts at half the gap to the nearest outside atom and is
+    halved until 2 delta is below that gap (so neighboring supports
+    cannot touch) and the neighborhood's Lebesgue measure is below
+    (1/4) eps mu(Gamma_k); r is sized so the closing cost stays below
+    (1/8) eps mu(Gamma_k) with margin.  Disjoint supports make the cross
+    Gram entries exactly zero, so the certified count is the number of
+    subsets.
     """
-    params = params or MeasureCertifyParams()
     xs, ws = mu.positions, mu.weights
     bs = beta.at_atoms(mu)
     subsets = [np.asarray(s, dtype=int) for s in subsets]
@@ -476,24 +470,24 @@ def certify_count_measure(
         delta = min(0.5 * gap, 1.0) if np.isfinite(gap) else 1.0
         target = 0.25 * epsilon * mu_k
         halvings = 0
-        while _merged_measure(sel, delta) > target:
+        while 2 * delta >= gap or _merged_measure(sel, delta) > target:
             delta *= 0.5
             halvings += 1
-            if halvings > params.max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise DomainError(
                     "delta halving cap hit: neighborhood measure cannot reach (1/4) eps mu"
                 )
         specs.append((s, mu_k, delta))
 
-    base_l = float(xs.max()) + max((d for _, _, d in specs), default=0.0) + params.pad
+    base_l = float(xs.max()) + max((d for _, _, d in specs), default=0.0) + PAD
     funcs = []
     l_next = base_l
     for s, mu_k, delta in specs:
-        tf = measure_test_build(s, mu, beta, delta, l=l_next, r=params.r_min)
-        r = max(params.r_min, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
+        tf = measure_test_build(s, mu, beta, delta, l=l_next, r=R_MIN)
+        r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
         tf = measure_test_build(s, mu, beta, delta, l=l_next, r=r)
         funcs.append(tf)
-        l_next += 2.0 * r + params.pad
+        l_next += 2.0 * r + PAD
 
     _assert_measure_disjoint(funcs)
     forms = np.array([quadratic_form_measure(t) for t in funcs])
@@ -525,13 +519,4 @@ def _merged_measure(points: np.ndarray, delta: float) -> float:
 
 
 def _assert_measure_disjoint(funcs: list[MeasureTestFunction]) -> None:
-    regions = []
-    for t in funcs:
-        regions.append(t.chi.support)
-        regions.append((t.l, t.l + 2 * t.r))
-    for i, (a1, b1) in enumerate(regions):
-        for a2, b2 in regions[i + 1:]:
-            if max(a1, a2) < min(b1, b2):
-                raise SupportOverlap(
-                    f"active regions [{a1},{b1}] and [{a2},{b2}] overlap"
-                )
+    _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])

@@ -18,17 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import fmt, parse_measure, parse_system, write_csv
+from .configio import KIND_PARAMS, fmt, parse_measure, parse_system, write_csv
 from .errors import DomainError, SchemaError
 from . import certify as vc
 from . import deficiency as df
 from .interactions import (
-    Delta,
-    DeltaMagnetic,
-    DeltaPrime,
-    DeltaPrimePotential,
     SelfAdjointB,
-    Transparent,
     b_to_lambda,
     b_to_unitary,
     gamma_compose,
@@ -36,6 +31,7 @@ from .interactions import (
     lambda_of,
 )
 from .line import (
+    default_kappa_max,
     delta_prime_pair,
     delta_prime_system,
     find_bound_states,
@@ -67,9 +63,16 @@ def _print_matrix(m: np.ndarray, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_interactions(args) -> int:
+    # --gamma may repeat (compose); every other action reads the first value
+    args.gamma = args.gamma_list[0] if args.gamma_list else None
     if args.action == "lambda":
-        kind = _kind_from_args(args)
-        _print_matrix(lambda_of(kind).entries, f"Lambda[{args.kind}]")
+        if args.kind not in KIND_PARAMS:
+            raise SchemaError(f"unknown kind {args.kind!r}")
+        pname, ctor = KIND_PARAMS[args.kind]
+        val = getattr(args, pname)
+        if val is None:
+            raise SchemaError(f"kind {args.kind} needs --{pname}")
+        _print_matrix(lambda_of(ctor(val)).entries, f"Lambda[{args.kind}]")
     elif args.action == "b-to-lambda":
         b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
         _print_matrix(b_to_lambda(b).entries, "Lambda[B]")
@@ -92,22 +95,6 @@ def cmd_interactions(args) -> int:
     else:
         raise SchemaError(f"unknown action {args.action!r}")
     return 0
-
-
-def _kind_from_args(args):
-    table = {
-        "delta": (Delta, args.alpha, "--alpha"),
-        "delta-prime": (DeltaPrime, args.beta, "--beta"),
-        "delta-prime-potential": (DeltaPrimePotential, args.gamma, "--gamma"),
-        "delta-magnetic": (DeltaMagnetic, args.mu, "--mu"),
-        "transparent": (Transparent, args.lambda0, "--lambda0"),
-    }
-    if args.kind not in table:
-        raise SchemaError(f"unknown kind {args.kind!r}")
-    ctor, val, flag = table[args.kind]
-    if val is None:
-        raise SchemaError(f"kind {args.kind} needs {flag}")
-    return ctor(val)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +121,8 @@ def cmd_approx(args) -> int:
         "family": label, "lam": lam, "eps_start": args.eps_start,
         "eps_ratio": args.eps_ratio, "eps_count": args.eps_count,
     }
-    rows = []
-    for eps, m in zip(report.eps_seq, report.matrices):
-        rows.append([eps, m[0, 0], m[0, 1], m[1, 0], m[1, 1]])
+    rows = [[eps, m[0, 0], m[0, 1], m[1, 0], m[1, 1]]
+            for eps, m in zip(report.eps_seq, report.matrices)]
     if report.classification == LIMIT:
         lm = report.limit.entries
         rows.append(["limit", lm[0, 0], lm[0, 1], lm[1, 0], lm[1, 1]])
@@ -171,11 +157,7 @@ def cmd_spectrum(args) -> int:
     sys_, config = _build_system(args)
     kappa_max = args.kappa_max
     if kappa_max is None:
-        betas = sys_.delta_prime_betas()
-        if betas is not None and np.any(betas != 0):
-            kappa_max = 4.0 * float(np.max(2.0 / np.abs(betas[betas != 0])))
-        else:
-            kappa_max = 8.0
+        kappa_max = default_kappa_max(sys_) or 8.0
     config.update({"kappa_max": kappa_max, "grid": args.grid})
     states = find_bound_states(sys_, kappa_max, grid=args.grid)
     rows = [
@@ -267,36 +249,24 @@ def cmd_certify(args) -> int:
         betas = [float(t) for t in args.betas.split(",")]
         sysd = delta_prime_system(pts, betas)
         cert = vc.certify_count_points(sysd)
-        out_lines.append("[certificate]")
-        out_lines.append(f"mode = points")
-        out_lines.append(f"count = {cert.count}")
-        out_lines.append(f"secular_count = {cert.secular_count}")
+        out_lines += ["[certificate]", "mode = points", f"count = {cert.count}",
+                      f"secular_count = {cert.secular_count}"]
         for i, (t, g) in enumerate(zip(cert.functions, np.diag(cert.gram))):
-            out_lines.append(f"[trial {i + 1}]")
-            out_lines.append(f"x0 = {fmt(t.x0)}")
-            out_lines.append(f"beta = {fmt(t.beta)}")
-            out_lines.append(f"eps = {fmt(t.eps)}")
-            out_lines.append(f"r = {fmt(t.r)}")
-            out_lines.append(f"l = {fmt(t.l)}")
-            out_lines.append(f"form = {fmt(g)}")
+            out_lines += [f"[trial {i + 1}]", f"x0 = {fmt(t.x0)}", f"beta = {fmt(t.beta)}",
+                          f"eps = {fmt(t.eps)}", f"r = {fmt(t.r)}", f"l = {fmt(t.l)}",
+                          f"form = {fmt(g)}"]
     elif args.cantor_depth is not None:
         mu = cantor_measure(args.cantor_depth)
         beta = BetaFunction.constant(args.beta)
         level = args.blocks if args.blocks is not None else args.cantor_depth
         blocks = cantor_blocks(args.cantor_depth, level)
         cert = vc.certify_count_measure(mu, beta, blocks)
-        out_lines.append("[certificate]")
-        out_lines.append(f"mode = measure")
-        out_lines.append(f"count = {cert.count}")
-        out_lines.append(f"epsilon = {fmt(cert.epsilon)}")
+        out_lines += ["[certificate]", "mode = measure", f"count = {cert.count}",
+                      f"epsilon = {fmt(cert.epsilon)}"]
         for i, (t, f, b) in enumerate(zip(cert.functions, cert.forms, cert.bounds)):
-            out_lines.append(f"[subset {i + 1}]")
-            out_lines.append(f"delta = {fmt(t.delta)}")
-            out_lines.append(f"r = {fmt(t.r)}")
-            out_lines.append(f"l = {fmt(t.l)}")
-            out_lines.append(f"plateau = {fmt(t.c_k)}")
-            out_lines.append(f"form = {fmt(f)}")
-            out_lines.append(f"bound = {fmt(b)}")
+            out_lines += [f"[subset {i + 1}]", f"delta = {fmt(t.delta)}", f"r = {fmt(t.r)}",
+                          f"l = {fmt(t.l)}", f"plateau = {fmt(t.c_k)}", f"form = {fmt(f)}",
+                          f"bound = {fmt(b)}"]
     else:
         raise SchemaError("give --positions/--betas, --cantor-depth, or --random-trials")
     text = "\n".join(out_lines)
@@ -407,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # `interactions` treats --gamma as a list; expose the first value too
-    if getattr(args, "gamma_list", None) is not None and not hasattr(args, "family"):
-        args.gamma = args.gamma_list[0]
-    elif hasattr(args, "gamma_list") and args.gamma_list is None:
-        args.gamma = None
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import BranchCut, EvaluationOnAtom, IllConditioned
 from .measures import AtomicMeasure
@@ -32,6 +33,8 @@ from .measures import AtomicMeasure
 GCONV = "g"
 GPRIMECONV = "g_prime"
 RANK_TOL = 1e-8
+NUMERIC_RADIUS = 40.0     # e_functional_numeric truncates at this many decay lengths
+NUMERIC_NODES = 200_001
 
 
 def _sqrt_upper(z: complex) -> complex:
@@ -115,12 +118,12 @@ def e_functional(e: DeficiencyElement) -> complex:
     return 0.0 + 0.0j
 
 
-def e_functional_numeric(e: DeficiencyElement, radius_factor: float = 40.0, n: int = 200_001) -> complex:
+def e_functional_numeric(e: DeficiencyElement) -> complex:
     """Trapezoid check of the functional on a truncated domain."""
     s = _sqrt_upper(e.z)
     lo, hi = e.measure.support
-    r = radius_factor / s.imag
-    xs = np.linspace(lo - r, hi + r, n)
+    r = NUMERIC_RADIUS / s.imag
+    xs = np.linspace(lo - r, hi + r, NUMERIC_NODES)
     if e.kind == GPRIMECONV:
         xs += 0.5 * (xs[1] - xs[0])  # stay off the atoms
     vals = element_eval(e, xs)
@@ -175,29 +178,38 @@ def inner_product(e1: DeficiencyElement, e2: DeficiencyElement) -> complex:
 
 
 def gram_matrix(elements: Sequence[DeficiencyElement]) -> np.ndarray:
-    n = len(elements)
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = inner_product(elements[i], elements[j])
+    """[<e_i, e_j>]: one closed-form block per pair of kinds over all atoms,
+    summed into elements with the atom weights."""
+    zs = {e.z for e in elements}
+    if len(zs) > 1:
+        raise ValueError("elements must share the spectral parameter")
+    z = next(iter(zs), None)
+    groups = []   # (kind, element indices, atom positions, atoms x elements weights)
+    for kind in (GCONV, GPRIMECONV):
+        idx = [i for i, e in enumerate(elements) if e.kind == kind]
+        if idx:
+            ms = [elements[i].measure for i in idx]
+            groups.append((kind, idx, np.concatenate([m.positions for m in ms]),
+                           block_diag(*[m.weights[:, None] for m in ms])))
+    g = np.zeros((len(elements), len(elements)), dtype=complex)
+    for k1, idx1, p1, w1 in groups:
+        for k2, idx2, p2, w2 in groups:
+            g[np.ix_(idx1, idx2)] = w1.T @ pair_inner(k1, k2, p1, p2, z) @ w2
     return g
 
 
-def gram_rank(elements: Sequence[DeficiencyElement], tol: float = RANK_TOL) -> int:
+def gram_rank(elements: Sequence[DeficiencyElement]) -> int:
     """Numerical rank of the Gram matrix from closed-form inner products.
 
-    Singular values below tol * sigma_max count as zero; values within a
-    decade of the cut trigger the IllConditioned warning so the caller
-    can audit the spectrum.
+    Singular values below RANK_TOL * sigma_max count as zero; values
+    within a decade of the cut trigger the IllConditioned warning so the
+    caller can audit the spectrum.
     """
     if not elements:
         raise ValueError("need at least one element")
-    zs = {e.z for e in elements}
-    if len(zs) != 1:
-        raise ValueError("elements must share the spectral parameter")
     g = gram_matrix(elements)
     s = np.linalg.svd(g, compute_uv=False)
-    cut = tol * s[0]
+    cut = RANK_TOL * s[0]
     if np.any((s > 0.1 * cut) & (s < 10.0 * cut)):
         warnings.warn("singular values cluster at the rank tolerance", IllConditioned)
     return int(np.sum(s > cut))

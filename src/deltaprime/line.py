@@ -16,6 +16,7 @@ no entry of the matching matrix exceeds O(kappa).
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,8 +41,11 @@ from .interactions import (
 
 DEFAULT_GRID = 2048
 NEAR_THRESHOLD = 1e-6
-RESIDUAL_TOL = 1e-6
+RESIDUAL_TOL = 1e-6          # relative singular value accepted as a root
+STATE_RESIDUAL_TOL = 1e-8    # matching residual above which a state is flagged
 PARITY_TOL = 1e-8
+DEFECT_SAMPLES = 40
+DEFECT_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +53,11 @@ PARITY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 class PointSystem:
-    """Point interactions on the line, per-point or globally coupled."""
+    """Point interactions on the line, per-point or globally coupled.
+
+    The 2N x 4N relation, its row-normalized form and the real relation
+    the secular scan runs on are built once here and stay read-only.
+    """
 
     def __init__(
         self,
@@ -64,71 +72,77 @@ class PointSystem:
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
         self.lambdas = list(lambdas) if lambdas is not None else None
-        if self.lambdas is not None and len(self.lambdas) != n:
-            raise ValueError("need one transmission matrix per point")
+        scan = None   # relation whose real part carries the secular scan
         if self.lambdas is not None:
+            if len(self.lambdas) != n:
+                raise ValueError("need one transmission matrix per point")
             for lam in self.lambdas:
                 if not lam.is_self_adjoint_plane(1e-9):
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
-        if relation is not None:
+            mats = np.array([lam.entries for lam in self.lambdas]).reshape(n, 2, 2)
+            relation = _per_point_relation(mats)
+            # Lambda_k = e^{i eta_k} R_k: rephasing psi right of each point is
+            # a unitary gauge, so the real R_k carry the same bound states
+            phases = np.exp(-1j * np.array([lam.eta for lam in self.lambdas]))
+            scan = _per_point_relation(mats * phases[:, None, None])
+        elif relation is not None:
             relation = np.array(relation, dtype=complex)
             if relation.shape != (2 * n, 4 * n):
                 raise ValueError(f"relation must be {2*n}x{4*n}")
             if np.linalg.matrix_rank(relation, tol=1e-10) < 2 * n:
                 raise ValueError("relation must have full row rank")
-        self._relation = relation
+        else:
+            relation = np.zeros((0, 0), dtype=complex)
+        self.relation = relation
+        self.is_real = bool(np.abs(relation.imag).max() < 1e-14) if n else True
+        if scan is None and self.is_real:
+            scan = relation
+        self._normalized = _row_normalized(relation)
+        # None leaves complex global relations only the |det|^2 route
+        self._secular = None if scan is None else _row_normalized(scan).real
+        for a in (self.relation, self._normalized, self._secular):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n_points(self) -> int:
         return self.points.size
 
-    @property
-    def relation(self) -> np.ndarray:
-        """Global 2N x 4N condition matrix (assembled from lambdas if needed)."""
-        if self._relation is not None:
-            return self._relation
-        n = self.n_points
-        a = np.zeros((2 * n, 4 * n), dtype=complex)
-        for k, lam in enumerate(self.lambdas):
-            m = lam.entries
-            r, c = 2 * k, 4 * k
-            # v+ - L11 v- - L12 d- = 0 ; d+ - L21 v- - L22 d- = 0
-            a[r, c] = 1.0
-            a[r, c + 1] = -m[0, 0]
-            a[r, c + 3] = -m[0, 1]
-            a[r + 1, c + 2] = 1.0
-            a[r + 1, c + 1] = -m[1, 0]
-            a[r + 1, c + 3] = -m[1, 1]
-        return a
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.abs(self.relation.imag).max() < 1e-14) if self.n_points else True
-
     def normalized_relation(self) -> np.ndarray:
-        a = self.relation
-        norms = np.linalg.norm(a, axis=1, keepdims=True)
-        return a / norms
+        return self._normalized
 
     def delta_prime_betas(self) -> Optional[np.ndarray]:
         """Per-point delta' intensities, or None if not a pure delta' system."""
         if self.lambdas is None:
             return None
-        betas = []
-        for lam in self.lambdas:
-            m = lam.entries
-            if (
-                abs(m[0, 0] - 1) > 1e-12 or abs(m[1, 1] - 1) > 1e-12
-                or abs(m[1, 0]) > 1e-12 or abs(m[0, 1].imag) > 1e-12
-            ):
-                return None
-            betas.append(m[0, 1].real)
-        return np.array(betas)
+        m = np.array([lam.entries for lam in self.lambdas]).reshape(-1, 2, 2)
+        # delta' iff Lambda - I leaves only a real (1,2) entry
+        rest = np.abs((m - np.eye(2))[:, [0, 1, 1], [0, 0, 1]])
+        if max(rest.max(initial=0.0), np.abs(m[:, 0, 1].imag).max(initial=0.0)) > 1e-12:
+            return None
+        return m[:, 0, 1].real
 
     def translated(self, c: float) -> "PointSystem":
-        if self.lambdas is not None:
-            return PointSystem(self.points + c, lambdas=self.lambdas)
-        return PointSystem(self.points + c, relation=self._relation)
+        # the relation acts on traces only, so the shifted system shares it
+        out = copy.copy(self)
+        out.points = self.points + c
+        return out
+
+
+def _per_point_relation(mats: np.ndarray) -> np.ndarray:
+    """Block-diagonal relation v+ = L11 v- + L12 d-, d+ = L21 v- + L22 d-."""
+    n = len(mats)
+    a = np.zeros((n, 2, n, 4), dtype=complex)
+    k = np.arange(n)
+    a[k, 0, k, 0] = 1.0
+    a[k, 1, k, 2] = 1.0
+    a[k, :, k, 1] = -mats[:, :, 0]
+    a[k, :, k, 3] = -mats[:, :, 1]
+    return a.reshape(2 * n, 4 * n)
+
+
+def _row_normalized(a: np.ndarray) -> np.ndarray:
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
@@ -232,9 +246,10 @@ def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
 def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
     """Secular function on an array of decay rates kappa > 0.
 
-    Real-valued determinant for real condition matrices; |det|^2 with a
-    NonRealSystem warning otherwise (sign-change bracketing then fails,
-    and minima must be located instead).
+    Real-valued determinant for real condition matrices, and for
+    per-point systems through their real gauge; |det|^2 with a
+    NonRealSystem warning for complex global relations (sign-change
+    bracketing then fails, and minima must be located instead).
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     if np.any(kappas <= 0):
@@ -242,13 +257,11 @@ def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
     n = sys.n_points
     if n == 0:
         return np.ones_like(kappas)
-    a = sys.normalized_relation()
     t = _trace_map(sys.points, kappas)
-    if sys.is_real:
-        m = np.einsum("rc,kcu->kru", a.real, t)
-        return np.linalg.det(m)
+    if sys._secular is not None:
+        return np.linalg.det(np.einsum("rc,kcu->kru", sys._secular, t))
     warnings.warn("complex condition matrix: secular value is |det|^2", NonRealSystem)
-    m = np.einsum("rc,kcu->kru", a, t.astype(complex))
+    m = np.einsum("rc,kcu->kru", sys.normalized_relation(), t.astype(complex))
     return np.abs(np.linalg.det(m)) ** 2
 
 
@@ -372,14 +385,16 @@ def find_bound_states(
     sys: PointSystem,
     kappa_max: float,
     grid: int = DEFAULT_GRID,
-    residual_tol: float = 1e-8,
 ) -> list[BoundState]:
     """All bound states with kappa in (0, kappa_max], sorted by descending kappa.
 
     Sign-change bracketing on a uniform kappa-grid with Brent
     refinement; |secular| dips without a sign change are re-scanned on
-    nested grids so nearly degenerate root pairs are either resolved or
-    reported via GridTooCoarse.
+    nested 65-node grids so nearly degenerate root pairs are either
+    resolved or reported via GridTooCoarse.  Per-point systems are
+    scanned through their real gauge, so delta-magnetic phases keep the
+    sign changes.  A state whose matching residual exceeds
+    STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.
     """
     if kappa_max <= 0:
         raise ValueError("kappa_max must be positive")
@@ -388,10 +403,8 @@ def find_bound_states(
     if sys.n_points == 0:
         return []
 
-    fun = lambda k: secular_value(sys, k)
     ks = np.linspace(kappa_max / grid, kappa_max, grid)
-    vals = secular_values(sys, ks)
-    roots = sorted(_scan_brackets(fun, ks, vals, depth=0), reverse=True)
+    roots = sorted(_scan_brackets(sys, ks, secular_values(sys, ks)), reverse=True)
     spacing = kappa_max / grid
     merged = []
     for r in roots:
@@ -402,7 +415,7 @@ def find_bound_states(
         # still flips across the widened window (a rounding-flipped node
         # split one simple root in two); suspicious otherwise
         lo = max(r - spacing, spacing * 1e-3)
-        if np.sign(fun(lo)) != np.sign(fun(r + spacing)):
+        if np.sign(secular_value(sys, lo)) != np.sign(secular_value(sys, r + spacing)):
             continue
         warnings.warn(
             f"distinct brackets collapsed onto kappa={r:.9g}; "
@@ -418,7 +431,7 @@ def find_bound_states(
         except NotAnEigenvalue:
             warnings.warn(f"discarding spurious root near kappa={r:.6g}", GridTooCoarse)
             continue
-        if st.residual > residual_tol:
+        if st.residual > STATE_RESIDUAL_TOL:
             warnings.warn(
                 f"root kappa={r:.6g} has residual {st.residual:.2e}", GridTooCoarse
             )
@@ -426,14 +439,20 @@ def find_bound_states(
     return states
 
 
-def _scan_brackets(fun, ks: np.ndarray, vals: np.ndarray, depth: int) -> list[float]:
-    roots = []
+def _polish(sys: PointSystem, ks: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Grid nodes where the secular value is exactly zero, plus a Brent
+    root inside every sign change."""
+    fun = lambda k: secular_value(sys, k)
     sign = np.sign(vals)
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(ks[i]))
-    change = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in change:
+    roots = [float(k) for k in ks[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         roots.append(float(brentq(fun, ks[i], ks[i + 1], xtol=1e-12, rtol=1e-15)))
+    return roots
+
+
+def _scan_brackets(sys: PointSystem, ks: np.ndarray, vals: np.ndarray) -> list[float]:
+    roots = _polish(sys, ks, vals)
+    sign = np.sign(vals)
     # dips: local minima of |s| that do not cross zero may hide root pairs
     absv = np.abs(vals)
     scale = np.median(absv) + absv.max() * 1e-300
@@ -443,20 +462,14 @@ def _scan_brackets(fun, ks: np.ndarray, vals: np.ndarray, depth: int) -> list[fl
                 continue  # already bracketed
             if absv[i] > 1e-2 * scale:
                 continue
-            roots.extend(_refine_dip(fun, ks[i - 1], ks[i + 1], absv[i], depth))
+            roots.extend(_refine_dip(sys, ks[i - 1], ks[i + 1], absv[i], depth=0))
     return roots
 
 
-def _refine_dip(fun, lo: float, hi: float, dip: float, depth: int) -> list[float]:
+def _refine_dip(sys: PointSystem, lo: float, hi: float, dip: float, depth: int) -> list[float]:
     ks = np.linspace(lo, hi, 65)
-    vals = np.array([fun(k) for k in ks])
-    sign = np.sign(vals)
-    roots = []
-    for i in np.nonzero(sign == 0)[0]:
-        roots.append(float(ks[i]))
-    change = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in change:
-        roots.append(float(brentq(fun, ks[i], ks[i + 1], xtol=1e-12, rtol=1e-15)))
+    vals = secular_values(sys, ks)
+    roots = _polish(sys, ks, vals)
     if roots:
         return roots
     absv = np.abs(vals)
@@ -472,20 +485,28 @@ def _refine_dip(fun, lo: float, hi: float, dip: float, depth: int) -> list[float
         return []
     lo2 = ks[max(j - 1, 0)]
     hi2 = ks[min(j + 1, len(ks) - 1)]
-    return _refine_dip(fun, lo2, hi2, absv[j], depth + 1)
+    return _refine_dip(sys, lo2, hi2, absv[j], depth + 1)
+
+
+def default_kappa_max(sys: PointSystem) -> Optional[float]:
+    """4 max(2/|beta_k|) over the nonzero delta' intensities, or None when
+    the system is not a delta' system with a nonzero intensity."""
+    betas = sys.delta_prime_betas()
+    if betas is None or not np.any(betas != 0):
+        return None
+    return 4.0 * float(np.max(2.0 / np.abs(betas[betas != 0])))
 
 
 def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     """Number of negative eigenvalues (bound states).
 
     For pure delta' systems this equals the number of points with
-    negative intensity; kappa_max defaults to 4 max(2/|beta_k|) there.
+    negative intensity; kappa_max defaults to default_kappa_max there.
     """
     if kappa_max is None:
-        betas = sys.delta_prime_betas()
-        if betas is None or not np.any(betas != 0):
+        kappa_max = default_kappa_max(sys)
+        if kappa_max is None:
             raise ValueError("kappa_max required for non-delta' systems")
-        kappa_max = 4.0 * float(np.max(2.0 / np.abs(betas[betas != 0])))
     return len(find_bound_states(sys, kappa_max))
 
 
@@ -512,26 +533,23 @@ def characteristic_root(kind: str) -> float:
 # plane diagnostics
 # ---------------------------------------------------------------------------
 
-def boundary_form_defect(sys: PointSystem, samples: int = 40, seed: int = 0) -> float:
-    """Largest |sum_k omega(traces_p, traces_q)| over random pairs in the plane.
+def boundary_form_defect(sys: PointSystem) -> float:
+    """Largest |sum_k omega(traces_p, traces_q)| over DEFECT_SAMPLES random
+    pairs in the plane (generator seeded with DEFECT_SEED).
 
     Zero (to rounding) iff the condition plane is Lagrangian, i.e. the
     system is self-adjoint.
     """
     from scipy.linalg import null_space
 
-    a = sys.normalized_relation()
-    basis = null_space(a)
-    rng = np.random.default_rng(seed)
+    basis = null_space(sys.normalized_relation())
+    rng = np.random.default_rng(DEFECT_SEED)
     worst = 0.0
-    n = sys.n_points
-    for _ in range(samples):
+    for _ in range(DEFECT_SAMPLES):
         p = basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
         q = basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
-        total = 0.0 + 0.0j
-        for k in range(n):
-            tp = BoundaryTraces(p[4 * k], p[4 * k + 1], p[4 * k + 2], p[4 * k + 3])
-            tq = BoundaryTraces(q[4 * k], q[4 * k + 1], q[4 * k + 2], q[4 * k + 3])
-            total += boundary_form(tp, tq)
+        # rows of the (N, 4) reshape are the per-point traces (v+, v-, d+, d-)
+        total = boundary_form(BoundaryTraces(*p.reshape(-1, 4).T),
+                              BoundaryTraces(*q.reshape(-1, 4).T)).sum()
         worst = max(worst, abs(total) / (np.linalg.norm(p) * np.linalg.norm(q)))
     return worst

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -25,6 +26,7 @@ from scipy.linalg import eigh
 
 from .errors import (
     DepthTooLarge,
+    DomainError,
     EvaluationOnAtom,
     JumpOffSupport,
     UnconvergedEigenvalue,
@@ -221,8 +223,11 @@ class GreenKernel:
         if not (self.a < lo and hi < self.b):
             raise ValueError("the box (a, b) must contain the support")
 
-    def beta_weights(self) -> np.ndarray:
-        return self.beta.at_atoms(self.mu) * self.mu.weights
+    @cached_property
+    def atom_offsets(self) -> np.ndarray:
+        """[0, cumsum(beta*w)]: entry i is the kernel's atomic part above i atoms."""
+        bw = self.beta.at_atoms(self.mu) * self.mu.weights
+        return np.concatenate(([0.0], np.cumsum(bw)))
 
 
 def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
@@ -234,7 +239,7 @@ def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
         raise ValueError("kernel arguments must lie inside the box")
     m = min(x, s)
     idx = np.searchsorted(xs, m, side="left")
-    return m - k.a + float(np.cumsum(np.concatenate(([0.0], k.beta_weights())))[idx])
+    return m - k.a + float(k.atom_offsets[idx])
 
 
 @dataclass
@@ -249,14 +254,20 @@ def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
     """Symmetrized Nystrom matrix M_ij = sqrt(h_i h_j) G(x_i, x_j).
 
     Midpoint rule applied per segment between consecutive atoms, with
-    cells allocated proportionally to segment length.  Aligning the
-    kernel's kink lines with cell boundaries keeps every node off the
-    atoms by construction and makes the eigenvalue error a clean O(h^2),
-    which the refinement extrapolation in negative_spectrum relies on.
+    exactly n cells allocated proportionally to segment length: every
+    segment gets at least one, the remainder goes by largest fractional
+    part, and a surplus from the one-cell minimum is taken back from the
+    segments with the most cells.  Raises DomainError when n is below
+    the segment count (atoms + 1).  Aligning the kernel's kink lines
+    with cell boundaries keeps every node off the atoms by construction
+    and makes the eigenvalue error a clean O(h^2), which the refinement
+    extrapolation in negative_spectrum relies on.
     """
     if n < 8:
         raise ValueError("need n >= 8")
     xs = k.mu.positions
+    if n < xs.size + 1:
+        raise DomainError(f"n = {n} cells cannot cover {xs.size + 1} segments")
     edges = np.concatenate(([k.a], xs, [k.b]))
     lengths = np.diff(edges)
     total = k.b - k.a
@@ -267,6 +278,8 @@ def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
     if short > 0:
         for i in np.argsort(-frac, kind="stable")[:short]:
             counts[i] += 1
+    for _ in range(-short):
+        counts[np.argmax(counts)] -= 1
     grid_parts, weight_parts = [], []
     for lo, length, m in zip(edges[:-1], lengths, counts):
         h = length / m
@@ -277,11 +290,10 @@ def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
     if np.min(np.abs(grid[:, None] - xs[None, :])) < 10 * ATOM_TOL:
         raise EvaluationOnAtom("grid node collided with an atom")
 
-    cum = np.concatenate(([0.0], np.cumsum(k.beta_weights())))
     idx = np.searchsorted(xs, grid, side="left")
     mins = np.minimum.outer(grid, grid)
     base = mins - k.a
-    atom_part = cum[np.minimum.outer(idx, idx)]
+    atom_part = k.atom_offsets[np.minimum.outer(idx, idx)]
     sw = np.sqrt(weights)
     m = np.outer(sw, sw) * (base + atom_part)
     m = 0.5 * (m + m.T)   # exact symmetry against rounding

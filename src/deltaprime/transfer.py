@@ -238,12 +238,15 @@ def limit_diagnose(
 ) -> ConvergenceReport:
     """Classify the eps -> 0 behavior of a comb family's transfer matrices.
 
-    Limit: entrywise Cauchy; the limit is Richardson-extrapolated at the
-    observed order (order estimated from consecutive differences, with
-    first-order fallback).  Dirichlet decoupling: |M21| grows without
-    bound while M11/M21 and M22/M21 tend to zero (the transfer-matrix
-    signature of separated Dirichlet conditions).  Otherwise divergent;
-    mixed signals raise AmbiguousClassification.
+    Limit: the steps |M_k - M_{k+1}| shrink monotonically and the
+    distance left to the limit is below 1e-3 of the entry scale; with a
+    stable observed order p in (0.2, 6) (estimated from consecutive
+    steps) that distance is the geometric tail step/(rho^p - 1), else
+    the raw last step.  The limit is Richardson-extrapolated at the
+    observed order, with first-order fallback.  Dirichlet decoupling:
+    |M21| grows without bound while M11/M21 and M22/M21 tend to zero
+    (the transfer-matrix signature of separated Dirichlet conditions).
+    Otherwise divergent; mixed signals raise AmbiguousClassification.
     """
     eps_seq = np.asarray(eps_seq, dtype=float)
     if eps_seq.size < 3:
@@ -262,17 +265,19 @@ def limit_diagnose(
             [[abs(m[0, 0]) / abs(m[1, 0]), abs(m[1, 1]) / abs(m[1, 0])] for m in mats]
         )
 
-    cauchy = bool(np.all(dstep[1:] <= dstep[:-1] * 0.9 + 1e-14)) and dstep[-1] < 1e-3 * scale
+    order = _estimate_order(eps_seq, dstep)
+    stable = order is not None and 0.2 < order < 6
+    p = order if stable else 1.0
+    fac = (eps_seq[-2] / eps_seq[-1]) ** p - 1.0
+    tail = dstep[-1] / fac if stable else dstep[-1]
+    cauchy = bool(np.all(dstep[1:] <= dstep[:-1] * 0.9 + 1e-14)) and tail < 1e-3 * scale
     blowing = bool(np.all(m21[1:] >= m21[:-1] * 1.5)) and m21[-1] > 1e2 * scale_free(mats)
     ratios_decay = bool(np.all(ratios[-1] < 1e-2)) and bool(
         np.all(ratios[-1] <= ratios[0] + 1e-14)
     )
 
     if cauchy:
-        order = _estimate_order(eps_seq, dstep)
-        p = order if order is not None and 0.2 < order < 6 else 1.0
-        rho = eps_seq[-2] / eps_seq[-1]
-        extrap = mats[-1] + (mats[-1] - mats[-2]) / (rho ** p - 1.0)
+        extrap = mats[-1] + (mats[-1] - mats[-2]) / fac
         rep = ConvergenceReport(
             LIMIT, eps_seq, mats, diffs,
             limit=TransmissionMatrix(extrap),

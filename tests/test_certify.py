@@ -281,6 +281,13 @@ class TestMeasureCertificate:
         )
         assert cert.count == point_cert.count
 
+    def test_cantor_depth6_singletons(self):
+        # delta = gap/2 would let neighbouring supports touch
+        cert = certify_count_measure(cantor_measure(6), BetaFunction.constant(-1.0),
+                                     cantor_blocks(6, 6))
+        assert cert.count == 64
+        assert np.all(cert.forms <= cert.bounds + 1e-12)
+
     def test_positive_beta_rejected(self):
         mu = AtomicMeasure([0.0], [1.0])
         with pytest.raises(SubsetNotNegative):

@@ -152,6 +152,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(-1+0j)" in out and "Lambda" in out
 
+    def test_lambda_kind_errors(self, capsys):
+        assert main(["interactions", "lambda", "--kind", "delta"]) == 2
+        assert "kind delta needs --alpha" in capsys.readouterr().err
+        assert main(["interactions", "lambda", "--kind", "bogus", "--alpha", "1"]) == 2
+        assert "unknown kind 'bogus'" in capsys.readouterr().err
+        assert main(["interactions", "lambda", "--kind", "delta-prime-potential",
+                     "--gamma", "6"]) == 0
+        assert "Lambda[delta-prime-potential]" in capsys.readouterr().out
+
     def test_compose_degenerate_exits_one(self, capsys):
         rc = main(["interactions", "compose", "--gamma", "2", "--gamma", "-2"])
         assert rc == 1

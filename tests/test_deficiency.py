@@ -147,6 +147,15 @@ class TestInnerProducts:
         im, _ = quad(lambda x: integrand(x).imag, -30, 30, limit=800, points=[-0.2, 0.3])
         assert abs(closed - (re + 1j * im)) < 1e-9
 
+    def test_gram_matches_pairwise_inner_products(self):
+        z = -4.0 + 3.0j
+        fam = point_family([0.0, 0.7], z, drop_prime_at=[0.7]) + [
+            DeficiencyElement(GCONV, AtomicMeasure([0.1, 0.4, 2.0], [1.0, 0.5, 2.0]), z),
+            DeficiencyElement(GPRIMECONV, AtomicMeasure([-0.3, 1.2], [0.25, 1.5]), z),
+        ]
+        pairwise = [[inner_product(a, b) for b in fam] for a in fam]
+        np.testing.assert_allclose(gram_matrix(fam), pairwise, rtol=1e-13, atol=0)
+
     def test_gram_is_hermitian_psd(self):
         fam = point_family([0.0, 0.7, 2.0], 1j)
         g = gram_matrix(fam)

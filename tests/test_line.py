@@ -1,10 +1,12 @@
 """Point systems on the line: secular roots, bound states, counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from deltaprime.errors import GridTooCoarse, NotAnEigenvalue, SplitNotSupported
-from deltaprime.interactions import Delta, DeltaPrime, Split
+from deltaprime.errors import GridTooCoarse, NonRealSystem, NotAnEigenvalue, SplitNotSupported
+from deltaprime.interactions import Delta, DeltaMagnetic, DeltaPrime, Split, compose, lambda_of
 from deltaprime.line import (
     COTH_EQ,
     TANH_EQ,
@@ -12,6 +14,7 @@ from deltaprime.line import (
     boundary_form_defect,
     characteristic_root,
     count_negative,
+    default_kappa_max,
     delta_prime_pair,
     delta_prime_system,
     eigenfunction,
@@ -249,9 +252,43 @@ class TestBuilders:
     def test_empty_system(self):
         assert find_bound_states(PointSystem([]), 5.0) == []
 
+    def test_relation_built_once_and_read_only(self):
+        pair = delta_prime_pair(-1.0)
+        with pytest.raises(ValueError):
+            pair.relation[0, 0] = 2.0
+        moved = pair.translated(3.0)
+        assert moved.relation is pair.relation
+        assert moved.normalized_relation() is pair.normalized_relation()
+        np.testing.assert_array_equal(moved.points, pair.points + 3.0)
+
+    def test_default_kappa_max(self):
+        assert default_kappa_max(delta_prime_system([0.0, 1.0], [-0.5, 2.0])) == 16.0
+        assert default_kappa_max(delta_prime_system([0.0], [0.0])) is None
+        assert default_kappa_max(nonlocal_example()) is None
+        with pytest.raises(ValueError):
+            count_negative(nonlocal_example())
+
     def test_relation_rank_validation(self):
         a = np.zeros((2, 4))
         a[0, 0] = 1.0
         a[1, 0] = 2.0  # rank 1
         with pytest.raises(ValueError):
             PointSystem([0.0], relation=a)
+
+
+class TestGauge:
+    def test_magnetic_phases_keep_the_delta_states(self):
+        # e^{i eta_k} R_k is gauge-equivalent to R_k: the per-point scan runs
+        # on the real R_k, so no |det|^2 fallback and the same decay rates
+        pts, alphas, mus = [0.0, 1.0, 2.5, 3.1], [-2.0, -1.5, 0.7, -3.0], [0.4, -1.3, 2.0, 0.9]
+        for n in (1, 2, 4):
+            real = [lambda_of(Delta(a)) for a in alphas[:n]]
+            gauged = [compose(lambda_of(DeltaMagnetic(m)), r) for m, r in zip(mus, real)]
+            sysg = PointSystem(pts[:n], lambdas=gauged)
+            assert not sysg.is_real
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NonRealSystem)
+                got = [st.kappa for st in find_bound_states(sysg, 5.0)]
+            want = [st.kappa for st in find_bound_states(PointSystem(pts[:n], lambdas=real), 5.0)]
+            assert len(want) >= 1
+            np.testing.assert_allclose(got, want, rtol=1e-12)

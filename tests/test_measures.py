@@ -6,6 +6,7 @@ import pytest
 from deltaprime.certify import TestFunction
 from deltaprime.errors import (
     DepthTooLarge,
+    DomainError,
     EvaluationOnAtom,
     JumpOffSupport,
 )
@@ -145,6 +146,16 @@ class TestDiscretize:
         d = discretize(k, 256)
         nu = np.linalg.eigvalsh(d.matrix)
         assert nu[0] < 0 and nu[1] > -1e-12 * abs(nu).max()
+
+    def test_exactly_n_cells_with_many_atoms(self):
+        # 33 segments: the one-cell minimum used to add cells beyond n
+        k = GreenKernel(-0.5, 1.5, cantor_measure(5), BetaFunction.constant(-1.0))
+        for n in (33, 64, 65, 100):
+            d = discretize(k, n)
+            assert d.grid.size == n and d.matrix.shape == (n, n)
+            assert np.all(np.diff(d.grid) > 0)
+        with pytest.raises(DomainError):
+            discretize(k, 32)
 
     def test_minimum_size(self):
         mu = AtomicMeasure([0.5], [1.0])

@@ -217,6 +217,14 @@ class TestLimitDiagnose:
         assert rep.classification == LIMIT
         np.testing.assert_allclose(rep.limit.entries, np.eye(2), atol=1e-7)
 
+    def test_first_order_family_is_a_limit(self):
+        # steps 0.37, 0.037, 0.0037: the raw last step exceeds 1e-3 of the
+        # entry scale, the geometric tail step / (rho - 1) does not
+        rep = limit_diagnose(lambda e: family_4d(8.0, -1, e), 1.0, EPS_SEQ)
+        assert rep.classification == LIMIT
+        th = theta_of_gamma(8.0)
+        np.testing.assert_allclose(rep.limit.entries, np.diag([th, 1.0 / th]), atol=1e-7)
+
     def test_family_5d_dirichlet(self):
         rep = limit_diagnose(lambda e: family_5d("dirichlet", e), 1.0, EPS_SEQ)
         assert rep.classification == DIRICHLET
