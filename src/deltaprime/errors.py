@@ -65,7 +65,13 @@ class NonRealSystem(Warning):
 
 
 class GridTooCoarse(Warning):
-    """A |secular| dip could not be resolved into bracketed roots."""
+    """A grid too coarse for what it must resolve.
+
+    On the line: a |secular| dip could not be resolved into bracketed
+    roots.  For measures: a Nystrom grid's node spacing next to some
+    negative atom exceeds |beta_k w_k|, so that grid's count of negative
+    eigenvalues falls short of the number of negative atoms.
+    """
 
 
 # -- variational certificates ---------------------------------------------

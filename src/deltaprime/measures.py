@@ -9,9 +9,15 @@ integral operator with the explicitly known kernel
 
     G(x, s) = min(x, s) - a + sum_{x_k < min(x,s)} beta(x_k) w_k,
 
-whose symmetrized Nystrom matrix delivers the negative spectrum: the
-negative eigenvalues of the operator are the reciprocals of the
-negative eigenvalues of the kernel matrix.
+and the negative eigenvalues of the operator are the reciprocals of
+the negative eigenvalues of its symmetrized Nystrom matrix.  That
+matrix is the inverse of a symmetric tridiagonal matrix (a three-point
+finite-difference delta' operator), so negative_spectrum solves the
+tridiagonal inverse directly in O(n k) time and O(n) memory.  The
+per-grid count is exact by Sylvester's law of inertia: it counts the
+negative atoms whose beta_k w_k outweighs the node spacing across them,
+so a grid sees every negative atom once h < min |beta_k w_k|.  The dense
+matrix of `discretize` is kept as a small-n oracle.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DepthTooLarge,
     DomainError,
     EvaluationOnAtom,
+    GridTooCoarse,
     JumpOffSupport,
     UnconvergedEigenvalue,
 )
@@ -250,18 +257,17 @@ class DiscretizedOperator:
     kernel: GreenKernel
 
 
-def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
-    """Symmetrized Nystrom matrix M_ij = sqrt(h_i h_j) G(x_i, x_j).
+def _cells(k: GreenKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment-aligned midpoint cells: (nodes, widths, atoms below each node).
 
-    Midpoint rule applied per segment between consecutive atoms, with
-    exactly n cells allocated proportionally to segment length: every
-    segment gets at least one, the remainder goes by largest fractional
-    part, and a surplus from the one-cell minimum is taken back from the
-    segments with the most cells.  Raises DomainError when n is below
-    the segment count (atoms + 1).  Aligning the kernel's kink lines
-    with cell boundaries keeps every node off the atoms by construction
-    and makes the eigenvalue error a clean O(h^2), which the refinement
-    extrapolation in negative_spectrum relies on.
+    Exactly n cells allocated proportionally to segment length between
+    consecutive atoms: every segment gets at least one, the remainder
+    goes by largest fractional part, and a surplus from the one-cell
+    minimum is taken back from the segments with the most cells.
+    Raises DomainError when n is below the segment count (atoms + 1).
+    Aligning the kernel's kink lines with cell boundaries keeps every
+    node off the atoms by construction and puts at most one atom between
+    neighbouring nodes.
     """
     if n < 8:
         raise ValueError("need n >= 8")
@@ -276,21 +282,27 @@ def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
     frac = n * lengths / total - np.floor(n * lengths / total)
     short = n - counts.sum()
     if short > 0:
-        for i in np.argsort(-frac, kind="stable")[:short]:
-            counts[i] += 1
+        counts[np.argsort(-frac, kind="stable")[:short]] += 1
     for _ in range(-short):
         counts[np.argmax(counts)] -= 1
-    grid_parts, weight_parts = [], []
-    for lo, length, m in zip(edges[:-1], lengths, counts):
-        h = length / m
-        grid_parts.append(lo + (np.arange(m) + 0.5) * h)
-        weight_parts.append(np.full(m, h))
-    grid = np.concatenate(grid_parts)
-    weights = np.concatenate(weight_parts)
-    if np.min(np.abs(grid[:, None] - xs[None, :])) < 10 * ATOM_TOL:
-        raise EvaluationOnAtom("grid node collided with an atom")
-
+    weights = np.repeat(lengths / counts, counts)
+    within = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.repeat(edges[:-1], counts) + (within + 0.5) * weights
     idx = np.searchsorted(xs, grid, side="left")
+    nearest = np.minimum(np.abs(grid - xs[np.maximum(idx - 1, 0)]),
+                         np.abs(xs[np.minimum(idx, xs.size - 1)] - grid))
+    if nearest.min() < 10 * ATOM_TOL:
+        raise EvaluationOnAtom("grid node collided with an atom")
+    return grid, weights, idx
+
+
+def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
+    """Dense symmetrized Nystrom matrix M_ij = sqrt(h_i h_j) G(x_i, x_j).
+
+    Midpoint rule on the segment-aligned cells of `_cells`.  This is the
+    small-n dense oracle; negative_spectrum never assembles it.
+    """
+    grid, weights, idx = _cells(k, n)
     mins = np.minimum.outer(grid, grid)
     base = mins - k.a
     atom_part = k.atom_offsets[np.minimum.outer(idx, idx)]
@@ -311,32 +323,71 @@ class NegativeSpectrumResult:
     errors: np.ndarray             # estimated discretization error
 
 
+def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
+    """Negative operator eigenvalues on the n-cell grid, ascending.
+
+    The kernel matrix K_ij = g_min(i,j), g_i = G(x_i, x_i), factors as
+    L diag(dg) L^T with L the all-ones lower triangle and dg = diff(g,
+    prepend=0), so the inverse of M = S K S, S = diag(sqrt(h)), is the
+    symmetric tridiagonal T = S^-1 L^-T diag(1/dg) L^-1 S^-1.  By
+    Sylvester's law of inertia T has exactly #{dg < 0} negative
+    eigenvalues; bisection computes them together with the first
+    nonnegative one, which fixes max|nu| = 1/min|lambda| for the cut.
+    Bisection resolves each eigenvalue to about eps ||T|| absolutely, and
+    ||T|| grows like 1/(h |dg_i|): shallow eigenvalues lose relative
+    accuracy as the node spacing across a negative atom nears
+    |beta_k w_k|, where dg_i vanishes.
+    """
+    grid, h, idx = _cells(k, n)
+    dg = np.diff(grid - k.a + k.atom_offsets[idx], prepend=0.0)
+    if np.any(dg == 0.0):
+        raise DomainError(f"kernel matrix is singular on the n = {n} grid")
+    r = 1.0 / dg
+    diag = (r + np.append(r[1:], 0.0)) / h
+    off = -r[1:] / np.sqrt(h[:-1] * h[1:])
+    # dg[0] = x_0 - a > 0, so index #{dg < 0} <= n - 1 exists
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                           select_range=(0, int(np.count_nonzero(dg < 0.0))))
+    nu = 1.0 / lam
+    return lam[nu < -NEG_EIG_REL * float(np.abs(nu).max())]
+
+
 def negative_spectrum(
     k_or_d: Union[GreenKernel, DiscretizedOperator],
     refine: Sequence[int],
 ) -> NegativeSpectrumResult:
-    """Negative eigenvalues from kernel-matrix spectra across grid sizes.
+    """Negative eigenvalues of the boxed operator across grid sizes.
 
-    Every negative matrix eigenvalue nu maps to an operator eigenvalue
-    1/nu; counts per grid are reported, and matched eigenvalues across
-    the two finest grids are Richardson-refined with an error estimate.
-    Raises UnconvergedEigenvalue when matched values disagree beyond
-    10x the estimated rate.
+    On each grid the negative eigenvalues come from the tridiagonal
+    inverse of the Nystrom matrix (see `_negative_eigenvalues`) in
+    O(n k) time and O(n) memory; no dense matrix is built.  The count on
+    a grid is exact: a node pair (x_i-1, x_i) straddling atom k gives
+    dg_i = x_i - x_i-1 + beta_k w_k, so a negative atom is seen exactly
+    when the node spacing across it is below |beta_k w_k|.  A grid that
+    misses a negative atom this way warns GridTooCoarse with the
+    resolution it needs; since no count exceeds the number of negative
+    atoms, this also flags every count change across refinement.
+    Matched eigenvalues across the two finest grids are
+    Richardson-refined with an error estimate.  Raises
+    UnconvergedEigenvalue when matched values disagree beyond 10x the
+    estimated rate, and DomainError when some dg vanishes (singular
+    kernel matrix).
     """
     kern = k_or_d.kernel if isinstance(k_or_d, DiscretizedOperator) else k_or_d
     sizes = np.asarray(sorted(refine), dtype=int)
     if sizes.size < 2:
         raise ValueError("refine must contain at least two grid sizes")
-    per_grid, counts = [], []
-    for n in sizes:
-        disc = discretize(kern, int(n))
-        nu = eigh(disc.matrix, eigvals_only=True)
-        cut = -NEG_EIG_REL * float(np.abs(nu).max())
-        neg = nu[nu < cut]
-        lam = np.sort(1.0 / neg)
-        per_grid.append(lam)
-        counts.append(lam.size)
-    counts = np.array(counts)
+    bw = kern.beta.at_atoms(kern.mu) * kern.mu.weights
+    neg_bw = -bw[bw < 0.0]
+    per_grid = [_negative_eigenvalues(kern, int(n)) for n in sizes]
+    counts = np.array([lam.size for lam in per_grid])
+    for n, c in zip(sizes, counts):
+        if c < neg_bw.size:
+            warnings.warn(
+                f"grid n = {n} resolves {c} of {neg_bw.size} negative atoms: the node "
+                f"spacing next to each needs h < |beta_k w_k|, min {neg_bw.min():.6g}",
+                GridTooCoarse, stacklevel=2,
+            )
 
     m = int(min(counts[-1], counts[-2]))
     if m == 0:
@@ -363,11 +414,6 @@ def negative_spectrum(
     fac = rho ** order - 1.0
     extr = fine + (fine - prev) / fac
     err = diff / fac
-    if counts[-1] != counts[-2]:
-        warnings.warn(
-            f"negative count changed across refinement: {counts.tolist()}",
-            stacklevel=2,
-        )
     asc = np.argsort(extr)
     return NegativeSpectrumResult(sizes, counts, per_grid, extr[asc], err[asc])
 

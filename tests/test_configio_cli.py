@@ -1,6 +1,10 @@
 """Config parsing, CSV determinism, and the CLI contract."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,26 @@ class TestCli:
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["spectrum"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--atoms", "0.0:1.0", "--grids", "4,8"], "need n >= 8"),
+        (["interactions", "lambda", "--kind", "transparent", "--lambda0", "0"], "lambda0"),
+    ])
+    def test_library_value_error_exit_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_measure_bytes_independent_of_blas_threads(self):
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "deltaprime.cli", "measure", "--cantor-depth", "3",
+                "--beta", "-1", "--grids", "512,1024,2048"]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

@@ -1,17 +1,24 @@
 """Atomic measures, the Green kernel, Nystrom spectra, and the line bridge."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from deltaprime.certify import TestFunction
 from deltaprime.errors import (
     DepthTooLarge,
     DomainError,
     EvaluationOnAtom,
+    GridTooCoarse,
     JumpOffSupport,
 )
 from deltaprime.line import count_negative, find_bound_states
 from deltaprime.measures import (
+    NEG_EIG_REL,
     AtomicMeasure,
     BetaFunction,
     GreenKernel,
@@ -200,6 +207,67 @@ class TestNegativeSpectrum:
         d = discretize(k, 128)
         res = negative_spectrum(d, [128, 256])
         assert res.counts[-1] == 1
+
+
+def dense_negatives(kern, n):
+    """Oracle: negative operator eigenvalues from the dense Nystrom matrix."""
+    nu = eigh(discretize(kern, n).matrix, eigvals_only=True)
+    neg = nu[nu < -NEG_EIG_REL * np.abs(nu).max()]
+    return np.sort(1.0 / neg)
+
+
+@st.composite
+def few_atom_kernels(draw):
+    """1-4 atoms, mixed-sign beta, and a box margin."""
+    m = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.1, 0.6), min_size=m - 1, max_size=m - 1))
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ws = draw(st.lists(st.floats(0.3, 1.2), min_size=m, max_size=m))
+    mags = draw(st.lists(st.floats(0.2, 2.0), min_size=m, max_size=m))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    margin = draw(st.floats(0.5, 3.0))
+    beta = BetaFunction(np.multiply(mags, signs))
+    return GreenKernel(xs[0] - margin, xs[-1] + margin, AtomicMeasure(xs, ws), beta)
+
+
+class TestTridiagonalRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(kern=few_atom_kernels(), n=st.sampled_from([16, 32, 64, 128]))
+    def test_matches_dense_oracle(self, kern, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = negative_spectrum(kern, [n, 2 * n])
+        for size, lam in zip(res.grid_sizes, res.per_grid):
+            oracle = dense_negatives(kern, int(size))
+            grid = discretize(kern, int(size)).grid
+            g = np.array([green_kernel_value(kern, x, x) for x in grid])
+            assert lam.size == oracle.size == np.count_nonzero(np.diff(g, prepend=0.0) < 0)
+            np.testing.assert_allclose(lam, oracle, rtol=1e-10)
+
+    def test_cantor_depth_8_at_scale(self):
+        # 16384^2 doubles are 2 GiB per dense copy; the tridiagonal route needs O(n)
+        k = GreenKernel(-2.0, 3.0, cantor_measure(8), BetaFunction.constant(-1.0))
+        res = negative_spectrum(k, [4096, 8192, 16384])
+        assert list(res.counts) == [256, 256, 256]
+        assert res.eigenvalues.size == 256
+
+    def test_coarse_grid_warns(self):
+        # n = 512 spaces nodes 0.0098 apart; the atoms need h < 2^-8
+        k = GreenKernel(-2.0, 3.0, cantor_measure(8), BetaFunction.constant(-1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = negative_spectrum(k, [512, 1024, 2048])
+        coarse = [str(w.message) for w in caught if w.category is GridTooCoarse]
+        assert list(res.counts) == [224, 256, 256]
+        assert len(coarse) == 1 and "n = 512 resolves 224 of 256" in coarse[0]
+
+    def test_singular_kernel_matrix(self):
+        # 4 cells of h = 1/8 per segment: the nodes across the atom are h apart,
+        # so beta w = -1/8 makes dg vanish exactly
+        mu = AtomicMeasure([0.5], [1.0])
+        k = GreenKernel(0.0, 1.0, mu, BetaFunction.constant(-0.125))
+        with pytest.raises(DomainError):
+            negative_spectrum(k, [8, 16])
 
 
 class TestBridge:
