@@ -158,8 +158,8 @@ def cmd_spectrum(args) -> int:
     kappa_max = args.kappa_max
     if kappa_max is None:
         kappa_max = default_kappa_max(sys_) or 8.0
-    config.update({"kappa_max": kappa_max, "grid": args.grid})
-    states = find_bound_states(sys_, kappa_max, grid=args.grid)
+    config["kappa_max"] = kappa_max
+    states = find_bound_states(sys_, kappa_max)
     rows = [
         [st.kappa, st.energy, st.parity, st.residual, st.near_threshold]
         for st in states
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--system", help="system description file")
     ps.add_argument("--beta", type=float)
     ps.add_argument("--kappa-max", type=float)
-    ps.add_argument("--grid", type=int, default=2048)
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)
 

@@ -60,15 +60,17 @@ class SplitNotSupported(DomainError):
     """Split conditions are out of scope for full-line systems."""
 
 
-class NonRealSystem(Warning):
-    """Condition matrices are complex; secular value falls back to |det|^2."""
+class NotSelfAdjoint(DomainError):
+    """The condition plane is not Lagrangian: the boundary form does not
+    vanish on it, so no bound-state count exists."""
 
 
 class GridTooCoarse(Warning):
-    """A grid too coarse for what it must resolve.
+    """A resolution too coarse for what it must resolve.
 
-    On the line: a |secular| dip could not be resolved into bracketed
-    roots.  For measures: a Nystrom grid's node spacing next to some
+    On the line: a bound state's matching residual exceeds
+    STATE_RESIDUAL_TOL, so its null vector is not resolved to working
+    precision.  For measures: a Nystrom grid's node spacing next to some
     negative atom exceeds |beta_k w_k|, so that grid's count of negative
     eigenvalues falls short of the number of negative atoms.
     """

@@ -6,12 +6,27 @@ relation A v = 0 on the stacked trace vector
 
     v = (psi(x_k+0), psi(x_k-0), psi'(x_k+0), psi'(x_k-0))_{k=1..N},
 
-four entries per point, point-major.  Decaying solutions at energy
-E = -kappa^2 are matched through the points; the determinant of the
-resulting homogeneous system (the secular function) vanishes exactly at
-bound states.  Interior amplitudes multiply exponentials anchored at
-the interval ends, e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so
-no entry of the matching matrix exceeds O(kappa).
+four entries per point, point-major.  Bound states are counted exactly
+by a Krein-Weyl inertia (Albeverio et al., Solvable Models in Quantum
+Mechanics, ch. II.3; Derkach-Malamud boundary triples).  Take the
+values Gamma0 = (v+_k, v-_k), the inward derivatives Gamma1 =
+(d+_k, -d-_k), and an orthonormal frame of the condition plane with
+Gamma0 rows X and Gamma1 rows Y, restricted to (ker X)^perp.  Then
+
+    H(kappa) = X^H Y - X^H M(kappa) X
+
+is Hermitian and increases with kappa, and its number of negative
+eigenvalues is the number of bound states with decay rate above kappa.
+M is the Dirichlet-to-Neumann (Weyl) matrix of the line cut at the
+points: -kappa on the two tails, and across a gap g, -kappa coth(kappa g)
+on the diagonal and kappa csch(kappa g) off it.  Each ordered eigenvalue
+of H increases with kappa, so the counts at the two ends of a window name
+the eigenvalues that cross zero inside it, each exactly once, and Brent's
+method finds every crossing however close two roots lie.  Eigenfunctions
+come from the null space of the matching matrix, whose interior
+amplitudes multiply exponentials anchored at the interval ends,
+e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so no entry exceeds
+O(kappa).
 """
 
 from __future__ import annotations
@@ -26,26 +41,26 @@ from scipy.optimize import brentq
 
 from .errors import (
     GridTooCoarse,
-    NonRealSystem,
     NotAnEigenvalue,
+    NotSelfAdjoint,
     SplitNotSupported,
 )
 from .interactions import (
-    BoundaryTraces,
     InteractionKind,
     Split,
     TransmissionMatrix,
-    boundary_form,
     lambda_of,
 )
 
-DEFAULT_GRID = 2048
+DEFAULT_GRID = 2048          # the search window starts at kappa_max / DEFAULT_GRID
 NEAR_THRESHOLD = 1e-6
 RESIDUAL_TOL = 1e-6          # relative singular value accepted as a root
 STATE_RESIDUAL_TOL = 1e-8    # matching residual above which a state is flagged
 PARITY_TOL = 1e-8
-DEFECT_SAMPLES = 40
-DEFECT_SEED = 0
+FRAME_RANK_TOL = 1e-12       # relative singular value of X kept in the frame
+DEFECT_TOL = 1e-8            # boundary-form defect above which a plane is rejected
+CLUSTER_RTOL = 1e-10         # roots closer than this (relative) form one cluster
+ROOT_RTOL = 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +70,9 @@ DEFECT_SEED = 0
 class PointSystem:
     """Point interactions on the line, per-point or globally coupled.
 
-    The 2N x 4N relation, its row-normalized form and the real relation
-    the secular scan runs on are built once here and stay read-only.
+    The 2N x 4N relation, its row-normalized form and the frame of its
+    plane in boundary-triple coordinates are built once here and stay
+    read-only.
     """
 
     def __init__(
@@ -72,7 +88,6 @@ class PointSystem:
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
         self.lambdas = list(lambdas) if lambdas is not None else None
-        scan = None   # relation whose real part carries the secular scan
         if self.lambdas is not None:
             if len(self.lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
@@ -81,10 +96,6 @@ class PointSystem:
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             mats = np.array([lam.entries for lam in self.lambdas]).reshape(n, 2, 2)
             relation = _per_point_relation(mats)
-            # Lambda_k = e^{i eta_k} R_k: rephasing psi right of each point is
-            # a unitary gauge, so the real R_k carry the same bound states
-            phases = np.exp(-1j * np.array([lam.eta for lam in self.lambdas]))
-            scan = _per_point_relation(mats * phases[:, None, None])
         elif relation is not None:
             relation = np.array(relation, dtype=complex)
             if relation.shape != (2 * n, 4 * n):
@@ -94,15 +105,10 @@ class PointSystem:
         else:
             relation = np.zeros((0, 0), dtype=complex)
         self.relation = relation
-        self.is_real = bool(np.abs(relation.imag).max() < 1e-14) if n else True
-        if scan is None and self.is_real:
-            scan = relation
         self._normalized = _row_normalized(relation)
-        # None leaves complex global relations only the |det|^2 route
-        self._secular = None if scan is None else _row_normalized(scan).real
-        for a in (self.relation, self._normalized, self._secular):
-            if a is not None:
-                a.setflags(write=False)
+        self._x, self._xy, self._defect = _frame(relation)
+        for a in (self.relation, self._normalized, self._x, self._xy):
+            a.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -143,6 +149,32 @@ def _per_point_relation(mats: np.ndarray) -> np.ndarray:
 
 def _row_normalized(a: np.ndarray) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """X, X^H Y and the boundary-form defect of the plane ker(relation).
+
+    (X; Y) is an orthonormal basis of the plane in the coordinates
+    Gamma0 = (v+_k, v-_k), Gamma1 = (d+_k, -d-_k).  The defect
+    ||X^H Y - Y^H X||_2 is the largest |omega(p, q)| over unit traces of
+    the plane: zero iff the plane is Lagrangian.  X and X^H Y are then
+    restricted to (ker X)^perp, on which the form does not vanish
+    identically.
+    """
+    rank, dim = relation.shape
+    if dim == 0:
+        return np.zeros((0, 0)), np.zeros((0, 0)), 0.0
+    if not relation.imag.any():
+        relation = relation.real
+    basis = np.linalg.svd(relation)[2][rank:].conj().T.reshape(dim // 4, 4, -1)
+    x = basis[:, :2].reshape(dim // 2, -1)
+    y = (basis[:, 2:] * np.array([[1.0], [-1.0]])).reshape(dim // 2, -1)
+    form = x.conj().T @ y
+    defect = float(np.linalg.norm(form - form.conj().T, 2))
+    _, s, vh = np.linalg.svd(x)
+    keep = vh[: int(np.sum(s > FRAME_RANK_TOL * s[0]))].conj().T
+    xy = keep.conj().T @ form @ keep
+    return x @ keep, 0.5 * (xy + xy.conj().T), defect
 
 
 def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
@@ -201,8 +233,56 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 
 
 # ---------------------------------------------------------------------------
-# secular function
+# Krein-Weyl counting function
 # ---------------------------------------------------------------------------
+
+def _krein(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
+    """H(kappa) = X^H Y - X^H M(kappa) X for each kappa, shape (K, r, r)."""
+    if sys._defect > DEFECT_TOL:
+        raise NotSelfAdjoint(
+            f"condition plane is not Lagrangian (boundary-form defect {sys._defect:.2e})"
+        )
+    x = sys._x
+    k = kappas[:, None]
+    g = np.diff(sys.points)
+    e = np.exp(-k * g)
+    den = -np.expm1(-2.0 * k * g)
+    coth, csch = (1.0 + e * e) / den, 2.0 * e / den   # of kappa g, finite for large kappa g
+    # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
+    m = np.repeat(-k, x.shape[0], axis=1)
+    m[:, 0:-2:2] *= coth
+    m[:, 3::2] *= coth
+    mx = m[:, :, None] * x
+    off = (k * csch)[:, :, None]
+    mx[:, 0:-2:2] += off * x[3::2]
+    mx[:, 3::2] += off * x[0:-2:2]
+    return sys._xy - x.conj().T @ mx
+
+
+def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
+    return np.linalg.eigvalsh(_krein(sys, np.array([kappa], dtype=float))[0])
+
+
+def _count(sys: PointSystem, kappa: float) -> int:
+    """Number of bound states with decay rate above kappa."""
+    return int(np.sum(_eigenvalues(sys, kappa) < 0))
+
+
+def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
+    """Secular function det H(kappa) on an array of decay rates kappa > 0.
+
+    Real for every self-adjoint system; it vanishes exactly at bound
+    states and changes sign across each simple one.
+    """
+    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+    if np.any(kappas <= 0):
+        raise ValueError("kappa must be positive")
+    return np.linalg.det(_krein(sys, kappas)).real
+
+
+def secular_value(sys: PointSystem, kappa: float) -> float:
+    return float(secular_values(sys, np.array([kappa]))[0])
+
 
 def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
     """Batched 4N x 2N map from decay amplitudes to boundary traces.
@@ -241,32 +321,6 @@ def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
             t[:, rv_m, 0] = 1.0
             t[:, rd_m, 0] = kcol
     return t
-
-
-def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
-    """Secular function on an array of decay rates kappa > 0.
-
-    Real-valued determinant for real condition matrices, and for
-    per-point systems through their real gauge; |det|^2 with a
-    NonRealSystem warning for complex global relations (sign-change
-    bracketing then fails, and minima must be located instead).
-    """
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    if np.any(kappas <= 0):
-        raise ValueError("kappa must be positive")
-    n = sys.n_points
-    if n == 0:
-        return np.ones_like(kappas)
-    t = _trace_map(sys.points, kappas)
-    if sys._secular is not None:
-        return np.linalg.det(np.einsum("rc,kcu->kru", sys._secular, t))
-    warnings.warn("complex condition matrix: secular value is |det|^2", NonRealSystem)
-    m = np.einsum("rc,kcu->kru", sys.normalized_relation(), t.astype(complex))
-    return np.abs(np.linalg.det(m)) ** 2
-
-
-def secular_value(sys: PointSystem, kappa: float) -> float:
-    return float(secular_values(sys, np.array([kappa]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,39 +372,46 @@ class BoundState:
 
 def eigenfunction(sys: PointSystem, kappa: float) -> BoundState:
     """Null-vector extraction and L2 normalization at a secular root."""
+    return _null_states(sys, [kappa])[0]
+
+
+def _null_states(sys: PointSystem, kappas: list[float]) -> list[BoundState]:
+    """One state per root of a cluster, from the last len(kappas) right
+    singular vectors of the matching matrix at the cluster's mean."""
     n = sys.n_points
     if n == 0:
         raise NotAnEigenvalue("empty system has no bound states")
+    mult = len(kappas)
     a = sys.normalized_relation()
-    t = _trace_map(sys.points, np.array([kappa]))[0]
-    m = a @ t.astype(complex)
-    u_, s, vh = np.linalg.svd(m)
-    rel = s[-1] / s[0]
+    t = _trace_map(sys.points, np.array([np.mean(kappas)]))[0]
+    _, s, vh = np.linalg.svd(a @ t.astype(complex))
+    rel = s[-mult] / s[0]
     if rel > RESIDUAL_TOL:
         raise NotAnEigenvalue(
-            f"relative smallest singular value {rel:.2e} exceeds {RESIDUAL_TOL:g}"
+            f"relative singular value {rel:.2e} of a {mult}-fold root at "
+            f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
         )
-    amp = vh[-1].conj()
-    traces = t @ amp
-    residual = float(np.linalg.norm(a @ traces) / np.linalg.norm(traces))
-
-    state = BoundState(
-        kappa=float(kappa),
-        energy=-float(kappa) ** 2,
-        c_left=amp[0],
-        c_right=amp[-1],
-        interior=amp[1:-1].reshape(-1, 2) if n > 1 else np.zeros((0, 2), dtype=complex),
-        points=sys.points,
-        residual=residual,
-        near_threshold=bool(kappa < NEAR_THRESHOLD),
-    )
-    _normalize_phase(state)
-    scale = np.sqrt(state.norm_squared())
-    state.c_left /= scale
-    state.c_right /= scale
-    state.interior = state.interior / scale
-    state.parity = _detect_parity(state)
-    return state
+    states = []
+    for kappa, amp in zip(kappas, vh[::-1].conj()):
+        traces = t @ amp
+        state = BoundState(
+            kappa=float(kappa),
+            energy=-float(kappa) ** 2,
+            c_left=amp[0],
+            c_right=amp[-1],
+            interior=amp[1:-1].reshape(-1, 2) if n > 1 else np.zeros((0, 2), dtype=complex),
+            points=sys.points,
+            residual=float(np.linalg.norm(a @ traces) / np.linalg.norm(traces)),
+            near_threshold=bool(kappa < NEAR_THRESHOLD),
+        )
+        _normalize_phase(state)
+        scale = np.sqrt(state.norm_squared())
+        state.c_left /= scale
+        state.c_right /= scale
+        state.interior = state.interior / scale
+        state.parity = _detect_parity(state)
+        states.append(state)
+    return states
 
 
 def _normalize_phase(state: BoundState) -> None:
@@ -381,111 +442,45 @@ def _detect_parity(state: BoundState) -> str:
     return "none"
 
 
-def find_bound_states(
-    sys: PointSystem,
-    kappa_max: float,
-    grid: int = DEFAULT_GRID,
-) -> list[BoundState]:
-    """All bound states with kappa in (0, kappa_max], sorted by descending kappa.
+def find_bound_states(sys: PointSystem, kappa_max: float) -> list[BoundState]:
+    """All bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
+    sorted by descending kappa.
 
-    Sign-change bracketing on a uniform kappa-grid with Brent
-    refinement; |secular| dips without a sign change are re-scanned on
-    nested 65-node grids so nearly degenerate root pairs are either
-    resolved or reported via GridTooCoarse.  Per-point systems are
-    scanned through their real gauge, so delta-magnetic phases keep the
-    sign changes.  A state whose matching residual exceeds
-    STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.
+    Every ordered eigenvalue of H(kappa) increases with kappa, so the
+    exact count C(kappa) of negative ones says which eigenvalues cross
+    zero in the window: eigenvalues C(kappa_max) .. C(lo) - 1, each
+    exactly once.  Brent's method finds each crossing, however close two
+    roots lie.  Roots closer than CLUSTER_RTOL (relative) form a cluster
+    whose states are the last right singular vectors of the matching
+    matrix at the cluster's mean kappa, so they are linearly independent.
+    Exactly as many states as the count are returned: an extraction that
+    fails raises NotAnEigenvalue, and a state whose matching residual
+    exceeds STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.
+    Raises NotSelfAdjoint when the condition plane is not Lagrangian.
     """
     if kappa_max <= 0:
         raise ValueError("kappa_max must be positive")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    if sys.n_points == 0:
-        return []
-
-    ks = np.linspace(kappa_max / grid, kappa_max, grid)
-    roots = sorted(_scan_brackets(sys, ks, secular_values(sys, ks)), reverse=True)
-    spacing = kappa_max / grid
-    merged = []
-    for r in roots:
-        if not merged or abs(merged[-1] - r) > 1e-9:
-            merged.append(r)
-            continue
-        # two brackets collapsed onto one kappa: benign when the sign
-        # still flips across the widened window (a rounding-flipped node
-        # split one simple root in two); suspicious otherwise
-        lo = max(r - spacing, spacing * 1e-3)
-        if np.sign(secular_value(sys, lo)) != np.sign(secular_value(sys, r + spacing)):
-            continue
-        warnings.warn(
-            f"distinct brackets collapsed onto kappa={r:.9g}; "
-            "a nearly degenerate pair may be undercounted",
-            GridTooCoarse,
-        )
-    roots = merged
-
+    lo = kappa_max / DEFAULT_GRID
+    roots = [
+        brentq(lambda k, j=j: _eigenvalues(sys, k)[j], lo, kappa_max,
+               xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL)
+        for j in range(_count(sys, kappa_max), _count(sys, lo))
+    ]
+    clusters = []
+    for kappa in sorted(roots, reverse=True):
+        if clusters and clusters[-1][-1] - kappa <= CLUSTER_RTOL * kappa:
+            clusters[-1].append(kappa)
+        else:
+            clusters.append([kappa])
     states = []
-    for r in roots:
-        try:
-            st = eigenfunction(sys, r)
-        except NotAnEigenvalue:
-            warnings.warn(f"discarding spurious root near kappa={r:.6g}", GridTooCoarse)
-            continue
-        if st.residual > STATE_RESIDUAL_TOL:
-            warnings.warn(
-                f"root kappa={r:.6g} has residual {st.residual:.2e}", GridTooCoarse
-            )
-        states.append(st)
+    for cluster in clusters:
+        for st in _null_states(sys, cluster):
+            if st.residual > STATE_RESIDUAL_TOL:
+                warnings.warn(
+                    f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse
+                )
+            states.append(st)
     return states
-
-
-def _polish(sys: PointSystem, ks: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Grid nodes where the secular value is exactly zero, plus a Brent
-    root inside every sign change."""
-    fun = lambda k: secular_value(sys, k)
-    sign = np.sign(vals)
-    roots = [float(k) for k in ks[sign == 0]]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(float(brentq(fun, ks[i], ks[i + 1], xtol=1e-12, rtol=1e-15)))
-    return roots
-
-
-def _scan_brackets(sys: PointSystem, ks: np.ndarray, vals: np.ndarray) -> list[float]:
-    roots = _polish(sys, ks, vals)
-    sign = np.sign(vals)
-    # dips: local minima of |s| that do not cross zero may hide root pairs
-    absv = np.abs(vals)
-    scale = np.median(absv) + absv.max() * 1e-300
-    for i in range(1, len(ks) - 1):
-        if absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]:
-            if sign[i - 1] * sign[i] < 0 or sign[i] * sign[i + 1] < 0:
-                continue  # already bracketed
-            if absv[i] > 1e-2 * scale:
-                continue
-            roots.extend(_refine_dip(sys, ks[i - 1], ks[i + 1], absv[i], depth=0))
-    return roots
-
-
-def _refine_dip(sys: PointSystem, lo: float, hi: float, dip: float, depth: int) -> list[float]:
-    ks = np.linspace(lo, hi, 65)
-    vals = secular_values(sys, ks)
-    roots = _polish(sys, ks, vals)
-    if roots:
-        return roots
-    absv = np.abs(vals)
-    j = int(np.argmin(absv))
-    if absv[j] > 0.25 * dip:
-        return []  # dip bottomed out above zero: no root hiding here
-    if hi - lo < 1e-12 or depth > 40:
-        # still falling when the window hit rounding scale: a root pair
-        # may be hiding below resolution
-        warnings.warn(
-            f"unresolved |secular| dip near kappa={ks[j]:.9g}", GridTooCoarse
-        )
-        return []
-    lo2 = ks[max(j - 1, 0)]
-    hi2 = ks[min(j + 1, len(ks) - 1)]
-    return _refine_dip(sys, lo2, hi2, absv[j], depth + 1)
 
 
 def default_kappa_max(sys: PointSystem) -> Optional[float]:
@@ -498,7 +493,8 @@ def default_kappa_max(sys: PointSystem) -> Optional[float]:
 
 
 def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
-    """Number of negative eigenvalues (bound states).
+    """Number of bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
+    read off the exact count of H(kappa) with no root search.
 
     For pure delta' systems this equals the number of points with
     negative intensity; kappa_max defaults to default_kappa_max there.
@@ -507,7 +503,7 @@ def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
         kappa_max = default_kappa_max(sys)
         if kappa_max is None:
             raise ValueError("kappa_max required for non-delta' systems")
-    return len(find_bound_states(sys, kappa_max))
+    return _count(sys, kappa_max / DEFAULT_GRID) - _count(sys, kappa_max)
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +530,10 @@ def characteristic_root(kind: str) -> float:
 # ---------------------------------------------------------------------------
 
 def boundary_form_defect(sys: PointSystem) -> float:
-    """Largest |sum_k omega(traces_p, traces_q)| over DEFECT_SAMPLES random
-    pairs in the plane (generator seeded with DEFECT_SEED).
+    """Largest |sum_k omega(traces_p, traces_q)| over unit traces p, q of
+    the condition plane, ||X^H Y - Y^H X||_2 in the frame.
 
     Zero (to rounding) iff the condition plane is Lagrangian, i.e. the
     system is self-adjoint.
     """
-    from scipy.linalg import null_space
-
-    basis = null_space(sys.normalized_relation())
-    rng = np.random.default_rng(DEFECT_SEED)
-    worst = 0.0
-    for _ in range(DEFECT_SAMPLES):
-        p = basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
-        q = basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
-        # rows of the (N, 4) reshape are the per-point traces (v+, v-, d+, d-)
-        total = boundary_form(BoundaryTraces(*p.reshape(-1, 4).T),
-                              BoundaryTraces(*q.reshape(-1, 4).T)).sum()
-        worst = max(worst, abs(total) / (np.linalg.norm(p) * np.linalg.norm(q)))
-    return worst
+    return sys._defect

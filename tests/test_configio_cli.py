@@ -216,6 +216,15 @@ class TestCli:
                 if l and not l.startswith("#") and not l.startswith("kappa")]
         assert rows == []
 
+    def test_spectrum_non_lagrangian_relation_is_a_domain_error(self, tmp_path, capsys):
+        # the verbatim nonlocal conditions: not self-adjoint, so no spectrum
+        f = tmp_path / "verbatim.ini"
+        f.write_text("[system]\npoints = -1.0 1.0\n[global]\nrows =\n"
+                     "    0 0 1 -1  0 0 0 0\n    0 0 0 0  0 0 1 -1\n"
+                     "    0 0 2 0  1 -1 0 0\n    0 0 1 -1  1 -1 1 1\n")
+        assert main(["spectrum", "--system", str(f), "--kappa-max", "10"]) == 1
+        assert "not Lagrangian" in capsys.readouterr().err
+
     def test_spectrum_identical_config_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (a, b):

@@ -4,11 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
-from deltaprime.errors import GridTooCoarse, NonRealSystem, NotAnEigenvalue, SplitNotSupported
-from deltaprime.interactions import Delta, DeltaMagnetic, DeltaPrime, Split, compose, lambda_of
+from deltaprime import line
+from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitNotSupported
+from deltaprime.interactions import (
+    BoundaryTraces,
+    Delta,
+    DeltaMagnetic,
+    DeltaPrime,
+    Split,
+    boundary_form,
+    compose,
+    lambda_of,
+)
 from deltaprime.line import (
     COTH_EQ,
+    DEFAULT_GRID,
     TANH_EQ,
     PointSystem,
     boundary_form_defect,
@@ -149,6 +163,10 @@ class TestNonlocalExample:
         verb = nonlocal_example(verbatim=True)
         assert boundary_form_defect(verb) > 0.1
         assert boundary_form_defect(nonlocal_example()) < 1e-12
+        with pytest.raises(NotSelfAdjoint):
+            find_bound_states(verb, 10.0)
+        with pytest.raises(DomainError):
+            count_negative(verb, 10.0)
         (st,) = find_bound_states(nonlocal_example(), 10.0)
         k = st.kappa
         a, b = st.interior[0]
@@ -160,6 +178,15 @@ class TestNonlocalExample:
         amat = verb.normalized_relation()
         res = np.linalg.norm(amat @ traces) / np.linalg.norm(traces)
         assert res > 1e-3
+
+    def test_defect_is_the_exact_form_norm(self):
+        # sup of |omega(p, q)| over unit traces p, q of the plane is the
+        # spectral norm of the form on an orthonormal basis of the plane
+        verb = nonlocal_example(verbatim=True)
+        basis = null_space(verb.relation)
+        traces = [BoundaryTraces(*b.reshape(-1, 4).T) for b in basis.T]
+        form = np.array([[boundary_form(p, q).sum() for p in traces] for q in traces])
+        assert abs(boundary_form_defect(verb) - np.linalg.norm(form, 2)) < 1e-12
 
     def test_consistency_with_characteristic_roots(self):
         assert abs(characteristic_root(TANH_EQ) - KAPPA_ODD) < 1e-12
@@ -198,15 +225,31 @@ class TestCounting:
         shifted = [st.kappa for st in find_bound_states(sys.translated(13.7), 20.0)]
         np.testing.assert_allclose(base, shifted, atol=1e-10)
 
-    def test_unresolvable_pair_warns(self):
-        # identical wells far apart: splitting ~ e^{-2 k d} is below rounding,
-        # so the degenerate pair cannot be resolved and must be flagged
-        sys = delta_prime_system([0.0, 25.0], [-1.0, -1.0])
-        with pytest.warns(GridTooCoarse):
-            find_bound_states(sys, 8.1, grid=509)
-        sys2 = delta_prime_system([0.0, 18.0], [-1.0, -1.0])
-        with pytest.warns(GridTooCoarse):
-            find_bound_states(sys2, 8.0, grid=512)
+    def test_far_pairs_give_two_independent_states(self):
+        # identical wells far apart split by ~e^{-2 kappa d}, below rounding:
+        # the count still sees two states, and each gets its own null vector
+        for d, kappa_max in ((25.0, 8.1), (18.0, 8.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states = find_bound_states(delta_prime_system([0.0, d], [-1.0, -1.0]), kappa_max)
+            assert len(states) == 2
+            np.testing.assert_allclose([s.kappa for s in states], 2.0, rtol=1e-12)
+            xs = np.linspace(-3.0, d + 3.0, 801)
+            sv = np.linalg.svd([s.evaluate(xs) for s in states], compute_uv=False)
+            assert sv[-1] > 0.1 * sv[0]
+
+    def test_count_needs_no_eigenfunctions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("count_negative extracted eigenfunctions")
+
+        monkeypatch.setattr(line, "_null_states", refuse)
+        assert count_negative(delta_prime_system([0.0, 25.0], [-1.0, -1.0])) == 2
+
+    def test_extraction_failure_raises(self, monkeypatch):
+        # every counted root yields a state or the search fails loudly
+        monkeypatch.setattr(line, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NotAnEigenvalue):
+            find_bound_states(delta_prime_pair(-1.0), 10.0)
 
 
 class TestEigenfunction:
@@ -277,18 +320,92 @@ class TestBuilders:
 
 
 class TestGauge:
+    PTS, ALPHAS, MUS = [0.0, 1.0, 2.5, 3.1], [-2.0, -1.5, 0.7, -3.0], [0.4, -1.3, 2.0, 0.9]
+
+    def gauged(self, n):
+        real = [lambda_of(Delta(a)) for a in self.ALPHAS[:n]]
+        return real, [compose(lambda_of(DeltaMagnetic(m)), r) for m, r in zip(self.MUS, real)]
+
     def test_magnetic_phases_keep_the_delta_states(self):
-        # e^{i eta_k} R_k is gauge-equivalent to R_k: the per-point scan runs
-        # on the real R_k, so no |det|^2 fallback and the same decay rates
-        pts, alphas, mus = [0.0, 1.0, 2.5, 3.1], [-2.0, -1.5, 0.7, -3.0], [0.4, -1.3, 2.0, 0.9]
+        # e^{i eta_k} R_k is gauge-equivalent to R_k: same decay rates, no warning
         for n in (1, 2, 4):
-            real = [lambda_of(Delta(a)) for a in alphas[:n]]
-            gauged = [compose(lambda_of(DeltaMagnetic(m)), r) for m, r in zip(mus, real)]
-            sysg = PointSystem(pts[:n], lambdas=gauged)
-            assert not sysg.is_real
+            real, gauged = self.gauged(n)
+            sysg = PointSystem(self.PTS[:n], lambdas=gauged)
+            assert np.abs(sysg.relation.imag).max() > 0.1
             with warnings.catch_warnings():
-                warnings.simplefilter("error", NonRealSystem)
+                warnings.simplefilter("error")
                 got = [st.kappa for st in find_bound_states(sysg, 5.0)]
-            want = [st.kappa for st in find_bound_states(PointSystem(pts[:n], lambdas=real), 5.0)]
+            want = [st.kappa for st in find_bound_states(PointSystem(self.PTS[:n], lambdas=real), 5.0)]
             assert len(want) >= 1
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_complex_global_relation(self):
+        # the gauged plane handed over as one dense complex relation: mixing
+        # its rows by an invertible complex matrix leaves the plane unchanged
+        rng = np.random.default_rng(5)
+        real, gauged = self.gauged(4)
+        mix = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        relation = mix @ PointSystem(self.PTS, lambdas=gauged).relation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [st.kappa for st in find_bound_states(PointSystem(self.PTS, relation=relation), 5.0)]
+        want = [st.kappa for st in find_bound_states(PointSystem(self.PTS, lambdas=real), 5.0)]
+        assert len(want) == 2
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _oracle_roots(count, lo, hi):
+    """Every root of an exact count in (lo, hi], descending, by bisection to 1e-14."""
+    out = []
+
+    def isolate(lo, hi, c_lo, c_hi):
+        if c_lo == c_hi:
+            return
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-14 * hi:
+            out.extend([mid] * (c_lo - c_hi))
+            return
+        c_mid = min(max(count(mid), c_hi), c_lo)
+        isolate(mid, hi, c_mid, c_hi)
+        isolate(lo, mid, c_lo, c_mid)
+
+    isolate(lo, hi, count(lo), count(hi))
+    return out
+
+
+@st.composite
+def local_systems(draw):
+    """A few delta or delta' points with mixed-sign intensities."""
+    n = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.floats(0.2, 1.5), min_size=n - 1, max_size=n - 1))
+    mags = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    pts = np.concatenate(([0.0], np.cumsum(gaps)))
+    return draw(st.sampled_from(["delta", "delta-prime"])), pts, np.array(mags) * np.array(signs)
+
+
+class TestKreinCount:
+    @settings(max_examples=80, deadline=None)
+    @given(case=local_systems())
+    def test_counts_and_roots_match_krein_oracles(self, case):
+        # delta':  #neg Q(kappa), Q = diag(1/beta) + (kappa/2) e^{-kappa|x_i - x_j|};
+        # delta:   #{alpha < 0} - #neg M(kappa), M = diag(1/alpha) + e^{-kappa|x_i - x_j|}/(2 kappa);
+        # each counts the bound states with decay rate above kappa
+        kind, pts, c = case
+        e = lambda k: np.exp(-k * np.abs(pts[:, None] - pts[None, :]))
+        neg = lambda m: int(np.sum(np.linalg.eigvalsh(m) < 0))
+        if kind == "delta-prime":
+            sys = delta_prime_system(pts, c)
+            kappa_max = default_kappa_max(sys)
+            count = lambda k: neg(np.diag(1.0 / c) + 0.5 * k * e(k))
+        else:
+            sys = from_kinds([(x, Delta(a)) for x, a in zip(pts, c)])
+            kappa_max = 0.5 * float(np.sum(np.abs(c))) + 1.0
+            count = lambda k: int(np.sum(c < 0)) - neg(np.diag(1.0 / c) + e(k) / (2.0 * k))
+        want = _oracle_roots(count, kappa_max / DEFAULT_GRID, kappa_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [s.kappa for s in find_bound_states(sys, kappa_max)]
+        assert count_negative(sys, kappa_max) == len(want)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)

@@ -16,7 +16,7 @@ from deltaprime.errors import (
     GridTooCoarse,
     JumpOffSupport,
 )
-from deltaprime.line import count_negative, find_bound_states
+from deltaprime.line import count_negative, default_kappa_max, find_bound_states
 from deltaprime.measures import (
     NEG_EIG_REL,
     AtomicMeasure,
@@ -311,6 +311,25 @@ class TestBridge:
         assert res.counts[-1] == len(states)
         line_e = sorted(st.energy for st in states)
         np.testing.assert_allclose(res.eigenvalues, line_e, rtol=1e-3)
+
+    def test_cantor_bridges_find_every_state(self):
+        # depth d carries 2^d states in clusters split down to rounding; the
+        # exact count finds them all, and the states of a cluster are
+        # linearly independent
+        for depth in (4, 5, 6):
+            sys = atomic_to_point_system(cantor_measure(depth), BetaFunction.constant(-1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states = find_bound_states(sys, default_kappa_max(sys))
+            assert len(states) == 2 ** depth
+            assert count_negative(sys) == 2 ** depth
+            for kappa in {s.kappa for s in states}:
+                amps = np.array([
+                    np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
+                    for s in states if s.kappa == kappa
+                ])
+                sv = np.linalg.svd(amps, compute_uv=False)
+                assert sv[-1] > 0.5 * sv[0]
 
     def test_counting_su_cantor(self):
         mu = cantor_measure(2)
