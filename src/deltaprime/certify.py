@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import quad
 
 from .errors import (
     SubsetNotNegative,
@@ -128,25 +127,6 @@ def quadratic_form_point(t: TestFunction) -> float:
     return t.beta + (2.0 / 3.0) * t.eps + (2.0 / (3.0 * t.r)) * (t.beta + t.eps) ** 2
 
 
-def quadratic_form_point_numeric(t: TestFunction) -> float:
-    """Independent route: quadrature of |t'|^2 plus beta |t'_r(x0)|^2.
-
-    This is the first Green formula applied to the trial function; the
-    mean derivative at the jump is 1 exactly.
-    """
-    x0, e, l, r = t.x0, t.eps, t.l, t.r
-    pieces = [
-        (x0 - e, x0), (x0, x0 + e),
-        (x0 + l, x0 + l + r), (x0 + l + r, x0 + l + 2 * r),
-    ]
-    total = 0.0
-    for a, b in pieces:
-        val, _ = quad(lambda x: t.derivative(x) ** 2, a, b,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        total += val
-    return total + t.beta * 1.0
-
-
 def choose_params(
     betas: Sequence[float], eps0: float, diameter: float
 ) -> list[tuple[float, float, float]]:
@@ -205,7 +185,7 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
     if n == 0:
         cert = PointCertificate(0, pts[neg], betas[neg], [], np.zeros((0, 0)))
         if verify_secular:
-            cert.secular_count = count_negative(sys) if np.any(betas != 0) else 0
+            cert.secular_count = count_negative(sys)
         return cert
 
     gaps = np.diff(pts)

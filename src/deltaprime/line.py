@@ -27,6 +27,22 @@ come from the null space of the matching matrix, whose interior
 amplitudes multiply exponentials anchored at the interval ends,
 e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so no entry exceeds
 O(kappa).
+
+Pure delta' systems (one matrix per point, each with a delta'
+intensity beta_k, so that delta_prime_betas() is not None) take an O(N)
+route instead; global relations and delta, mixed, gauged or nonlocal
+systems keep H.  With E_ij = e^{-kappa |x_i - x_j|}, the delta' Krein
+matrix is Q(kappa) = diag(1/beta) + (kappa/2) E, and E^{-1} is
+tridiagonal.  Haynsworth inertia additivity gives
+
+    C(kappa) = #{beta < 0} - n_-(T(kappa)),   T(kappa) = (2/kappa) E^{-1} + diag(beta),
+
+with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots.
+Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
+those that cross zero in the window, each found by LAPACK bisection.  A
+null vector u of T (LAPACK inverse iteration, orthogonal within a
+cluster) is minus psi' at the points, -beta u is the value jump there,
+and the anchored amplitudes are prefix and suffix sums of the jumps.
 """
 
 from __future__ import annotations
@@ -34,9 +50,12 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from .errors import (
@@ -70,8 +89,9 @@ ROOT_RTOL = 4 * np.finfo(float).eps
 class PointSystem:
     """Point interactions on the line, per-point or globally coupled.
 
-    The 2N x 4N relation, its row-normalized form and the frame of its
-    plane in boundary-triple coordinates are built once here and stay
+    The 2N x 4N relation, its row-normalized form and, for a pure delta'
+    system, the intensities are built once here; the frame of the plane
+    in boundary-triple coordinates is built on first use.  All stay
     read-only.
     """
 
@@ -88,6 +108,7 @@ class PointSystem:
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
         self.lambdas = list(lambdas) if lambdas is not None else None
+        betas = None
         if self.lambdas is not None:
             if len(self.lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
@@ -96,6 +117,7 @@ class PointSystem:
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             mats = np.array([lam.entries for lam in self.lambdas]).reshape(n, 2, 2)
             relation = _per_point_relation(mats)
+            betas = _delta_prime_betas(mats)
         elif relation is not None:
             relation = np.array(relation, dtype=complex)
             if relation.shape != (2 * n, 4 * n):
@@ -106,9 +128,19 @@ class PointSystem:
             relation = np.zeros((0, 0), dtype=complex)
         self.relation = relation
         self._normalized = _row_normalized(relation)
-        self._x, self._xy, self._defect = _frame(relation)
-        for a in (self.relation, self._normalized, self._x, self._xy):
-            a.setflags(write=False)
+        self._betas = betas
+        for a in (self.relation, self._normalized, self._betas):
+            if a is not None:
+                a.setflags(write=False)
+
+    @cached_property
+    def _plane(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """X, X^H Y and the defect of the frame, built on first use: the
+        delta' route needs none of them."""
+        x, xy, defect = _frame(self.relation)
+        x.setflags(write=False)
+        xy.setflags(write=False)
+        return x, xy, defect
 
     @property
     def n_points(self) -> int:
@@ -118,15 +150,9 @@ class PointSystem:
         return self._normalized
 
     def delta_prime_betas(self) -> Optional[np.ndarray]:
-        """Per-point delta' intensities, or None if not a pure delta' system."""
-        if self.lambdas is None:
-            return None
-        m = np.array([lam.entries for lam in self.lambdas]).reshape(-1, 2, 2)
-        # delta' iff Lambda - I leaves only a real (1,2) entry
-        rest = np.abs((m - np.eye(2))[:, [0, 1, 1], [0, 0, 1]])
-        if max(rest.max(initial=0.0), np.abs(m[:, 0, 1].imag).max(initial=0.0)) > 1e-12:
-            return None
-        return m[:, 0, 1].real
+        """Per-point delta' intensities (read-only), or None if not a pure
+        delta' system."""
+        return self._betas
 
     def translated(self, c: float) -> "PointSystem":
         # the relation acts on traces only, so the shifted system shares it
@@ -145,6 +171,15 @@ def _per_point_relation(mats: np.ndarray) -> np.ndarray:
     a[k, :, k, 1] = -mats[:, :, 0]
     a[k, :, k, 3] = -mats[:, :, 1]
     return a.reshape(2 * n, 4 * n)
+
+
+def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
+    """The (1,2) entries of per-point matrices m, or None unless all are delta'."""
+    # delta' iff Lambda - I leaves only a real (1,2) entry
+    rest = np.abs((m - np.eye(2))[:, [0, 1, 1], [0, 0, 1]])
+    if max(rest.max(initial=0.0), np.abs(m[:, 0, 1].imag).max(initial=0.0)) > 1e-12:
+        return None
+    return m[:, 0, 1].real
 
 
 def _row_normalized(a: np.ndarray) -> np.ndarray:
@@ -238,11 +273,11 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 
 def _krein(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
     """H(kappa) = X^H Y - X^H M(kappa) X for each kappa, shape (K, r, r)."""
-    if sys._defect > DEFECT_TOL:
+    x, xy, defect = sys._plane
+    if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
-            f"condition plane is not Lagrangian (boundary-form defect {sys._defect:.2e})"
+            f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
         )
-    x = sys._x
     k = kappas[:, None]
     g = np.diff(sys.points)
     e = np.exp(-k * g)
@@ -256,7 +291,7 @@ def _krein(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
     off = (k * csch)[:, :, None]
     mx[:, 0:-2:2] += off * x[3::2]
     mx[:, 3::2] += off * x[0:-2:2]
-    return sys._xy - x.conj().T @ mx
+    return xy - x.conj().T @ mx
 
 
 def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
@@ -280,8 +315,60 @@ def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
     return np.linalg.det(_krein(sys, kappas)).real
 
 
-def secular_value(sys: PointSystem, kappa: float) -> float:
-    return float(secular_values(sys, np.array([kappa]))[0])
+# ---------------------------------------------------------------------------
+# Krein-Sturm route for pure delta' systems
+# ---------------------------------------------------------------------------
+
+def _tridiagonal(sys: PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
+    E_ij = e^{-kappa |x_i - x_j|}, whose inverse is tridiagonal."""
+    kg = kappa * (sys.points[1:] - sys.points[:-1])
+    r = np.exp(-kg)
+    t = r / -np.expm1(-2.0 * kg)                # r / (1 - r^2), finite for small kappa g
+    s = r * t                                   # 1/(1 - r^2) - 1
+    diag = np.ones(sys.n_points)
+    diag[:-1] += s
+    diag[1:] += s
+    return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
+
+
+def _negatives(sys: PointSystem, kappa: float) -> int:
+    """n_-(T(kappa)) from the signs of the LDL^T pivots; the count of
+    delta' states with decay rate above kappa is #{beta < 0} minus this."""
+    diag, off = _tridiagonal(sys, kappa)
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        pivot = a - b2 / pivot
+        if pivot == 0.0:                        # counted as negative, as in LAPACK's bisection
+            pivot = -np.finfo(float).tiny
+        count += pivot < 0.0
+    return count
+
+
+def _t_eigenvalue(sys: PointSystem, kappa: float, j: int) -> float:
+    """Ordered eigenvalue j of T(kappa) by LAPACK bisection, called as
+    eigh_tridiagonal(select="i") calls it but without the input checks
+    that cost more than the bisection itself on a few points."""
+    diag, off = _tridiagonal(sys, kappa)
+    if diag.size == 1:
+        return float(diag[0])
+    _, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
+    return float(w[0])
+
+
+def _exact_window(sys: PointSystem) -> tuple[float, float]:
+    """(lo, hi) holding every delta' state: n_-(T(hi)) = #{beta < 0} and
+    n_-(T(lo)) = 0.  Both loops end because T -> diag(beta) as kappa -> oo
+    and T is positive definite as kappa -> 0+, so any start will do."""
+    neg = int(np.sum(sys._betas < 0))
+    lo = hi = 1.0
+    while _negatives(sys, hi) < neg:
+        hi *= 2.0
+    while _negatives(sys, lo) > 0:
+        lo *= 0.5
+    return lo, hi
 
 
 def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
@@ -342,36 +429,36 @@ class BoundState:
     near_threshold: bool = False
 
     def evaluate(self, x) -> np.ndarray:
-        scalar = np.isscalar(x) or np.ndim(x) == 0
+        """psi(x); at a point the interval to its right applies."""
+        scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=complex)
+        out = np.empty(x.shape, dtype=complex)
         pts, k = self.points, self.kappa
-        left = x < pts[0]
+        idx = pts.searchsorted(x, side="right")      # number of points <= x
+        left = idx == 0
         out[left] = self.c_left * np.exp(k * (x[left] - pts[0]))
-        right = x >= pts[-1]
+        right = idx == pts.size
         out[right] = self.c_right * np.exp(-k * (x[right] - pts[-1]))
-        for i in range(pts.size - 1):
-            seg = (x >= pts[i]) & (x < pts[i + 1])
-            a, b = self.interior[i]
-            out[seg] = a * np.exp(k * (x[seg] - pts[i + 1])) + b * np.exp(
-                -k * (x[seg] - pts[i])
-            )
+        seg = ~(left | right)
+        if seg.any():
+            i, xs = idx[seg] - 1, x[seg]
+            a, b = self.interior[i].T
+            out[seg] = a * np.exp(k * (xs - pts[i + 1])) + b * np.exp(-k * (xs - pts[i]))
         return complex(out[0]) if scalar else out
 
     def norm_squared(self) -> float:
-        k, pts = self.kappa, self.points
-        total = (abs(self.c_left) ** 2 + abs(self.c_right) ** 2) / (2 * k)
-        for i in range(pts.size - 1):
-            g = pts[i + 1] - pts[i]
-            a, b = self.interior[i]
-            e = np.exp(-k * g)
-            total += (abs(a) ** 2 + abs(b) ** 2) * (1 - e * e) / (2 * k)
-            total += 2 * np.real(a * np.conj(b)) * e * g
-        return float(total)
+        k = self.kappa
+        g = self.points[1:] - self.points[:-1]
+        a, b = self.interior.T
+        e = np.exp(-k * g)
+        gaps = ((np.abs(a) ** 2 + np.abs(b) ** 2) * (1 - e * e) / (2 * k)
+                + 2 * np.real(a * np.conj(b)) * e * g)
+        return float((abs(self.c_left) ** 2 + abs(self.c_right) ** 2) / (2 * k) + gaps.sum())
 
 
 def eigenfunction(sys: PointSystem, kappa: float) -> BoundState:
-    """Null-vector extraction and L2 normalization at a secular root."""
+    """Null-vector extraction and L2 normalization at a secular root, from
+    the matching matrix for every kind of system."""
     return _null_states(sys, [kappa])[0]
 
 
@@ -394,24 +481,73 @@ def _null_states(sys: PointSystem, kappas: list[float]) -> list[BoundState]:
     states = []
     for kappa, amp in zip(kappas, vh[::-1].conj()):
         traces = t @ amp
-        state = BoundState(
-            kappa=float(kappa),
-            energy=-float(kappa) ** 2,
-            c_left=amp[0],
-            c_right=amp[-1],
-            interior=amp[1:-1].reshape(-1, 2) if n > 1 else np.zeros((0, 2), dtype=complex),
-            points=sys.points,
-            residual=float(np.linalg.norm(a @ traces) / np.linalg.norm(traces)),
-            near_threshold=bool(kappa < NEAR_THRESHOLD),
-        )
-        _normalize_phase(state)
-        scale = np.sqrt(state.norm_squared())
-        state.c_left /= scale
-        state.c_right /= scale
-        state.interior = state.interior / scale
-        state.parity = _detect_parity(state)
-        states.append(state)
+        residual = float(np.linalg.norm(a @ traces) / np.linalg.norm(traces))
+        states.append(_bound_state(sys, kappa, amp, residual))
     return states
+
+
+def _tridiagonal_states(sys: PointSystem, kappas: list[float], first: int) -> list[BoundState]:
+    """One state per root of a cluster of a pure delta' system, from the
+    orthonormal eigenvectors first.. of T at the cluster's mean kappa.
+
+    A null vector u of T(kappa) is minus the derivative at the points and
+    c = -beta u the value jumps; the anchored amplitudes are prefix and
+    suffix sums of the jumps, so the extraction is O(N) per state.
+    """
+    n, mult = sys.n_points, len(kappas)
+    kappa = float(np.mean(kappas))
+    lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
+                              select_range=(first, first + mult - 1))
+    # at a root the two terms of u^T T u = (2/kappa) u^T E^{-1} u + sum beta u^2 cancel
+    rel = np.abs(lam) / (np.abs(sys._betas) @ (u * u))
+    if rel.max() > RESIDUAL_TOL:
+        raise NotAnEigenvalue(
+            f"relative eigenvalue {rel.max():.2e} of T for a {mult}-fold root at "
+            f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
+        )
+    # e^{-kappa g} across each gap, 0 beyond the two ends
+    r = np.concatenate(([0.0], np.exp(-kappa * np.diff(sys.points)), [0.0]))[:, None]
+    c = -sys._betas[:, None] * u
+    # b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
+    # a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}
+    b, a = 0.5 * c, -0.5 * c
+    for i in range(1, n):
+        b[i] += r[i] * b[i - 1]
+    for i in range(n - 2, -1, -1):
+        a[i] += r[i + 1] * a[i + 1]
+    # one-sided traces (v+, v-, d+, d-) at every point, then the relation residual
+    zero = np.zeros((1, mult))
+    b_in, a_out = np.vstack((zero, b[:-1])), np.vstack((a[1:], zero))
+    traces = np.stack((r[1:] * a_out + b, a + r[:-1] * b_in,
+                       kappa * (r[1:] * a_out - b), kappa * (a - r[:-1] * b_in)), axis=1)
+    k = np.arange(n)
+    blocks = sys.normalized_relation().reshape(n, 2, n, 4)[k, :, k, :].real
+    res = np.linalg.norm(np.einsum("kij,kjm->kim", blocks, traces), axis=(0, 1))
+    res /= np.linalg.norm(traces, axis=(0, 1))
+    amps = np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).reshape(-1, mult), b[-1:]))
+    return [_bound_state(sys, kj, amps[:, j], float(res[j])) for j, kj in enumerate(kappas)]
+
+
+def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: float) -> BoundState:
+    """Phase-fixed, L2-normalized state with amplitudes (c_L, a_1, b_1, ..., c_R)."""
+    amp = amp.astype(complex)
+    state = BoundState(
+        kappa=float(kappa),
+        energy=-float(kappa) ** 2,
+        c_left=amp[0],
+        c_right=amp[-1],
+        interior=amp[1:-1].reshape(-1, 2),
+        points=sys.points,
+        residual=residual,
+        near_threshold=bool(kappa < NEAR_THRESHOLD),
+    )
+    _normalize_phase(state)
+    scale = np.sqrt(state.norm_squared())
+    state.c_left /= scale
+    state.c_right /= scale
+    state.interior = state.interior / scale
+    state.parity = _detect_parity(state)
+    return state
 
 
 def _normalize_phase(state: BoundState) -> None:
@@ -449,32 +585,48 @@ def find_bound_states(sys: PointSystem, kappa_max: float) -> list[BoundState]:
     Every ordered eigenvalue of H(kappa) increases with kappa, so the
     exact count C(kappa) of negative ones says which eigenvalues cross
     zero in the window: eigenvalues C(kappa_max) .. C(lo) - 1, each
-    exactly once.  Brent's method finds each crossing, however close two
-    roots lie.  Roots closer than CLUSTER_RTOL (relative) form a cluster
-    whose states are the last right singular vectors of the matching
-    matrix at the cluster's mean kappa, so they are linearly independent.
-    Exactly as many states as the count are returned: an extraction that
-    fails raises NotAnEigenvalue, and a state whose matching residual
-    exceeds STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.
-    Raises NotSelfAdjoint when the condition plane is not Lagrangian.
+    exactly once.  For a pure delta' system every ordered eigenvalue of
+    the tridiagonal T(kappa) decreases instead, and eigenvalues
+    n_-(T(lo)) .. n_-(T(kappa_max)) - 1 cross.  Brent's method finds
+    each crossing, however close two roots lie.  Roots closer than
+    CLUSTER_RTOL (relative) form a cluster whose states come from
+    orthonormal null vectors at the cluster's mean kappa (the last right
+    singular vectors of the matching matrix, or eigenvectors of T), so
+    they are linearly independent.  Exactly as many states as the count
+    are returned: an extraction that fails raises NotAnEigenvalue, and a
+    state whose matching residual exceeds STATE_RESIDUAL_TOL is kept and
+    reported via GridTooCoarse.  Raises NotSelfAdjoint when the
+    condition plane is not Lagrangian.
     """
     if kappa_max <= 0:
         raise ValueError("kappa_max must be positive")
     lo = kappa_max / DEFAULT_GRID
+    if sys._betas is None:
+        crossing = range(_count(sys, kappa_max), _count(sys, lo))
+        value = lambda k, j: _eigenvalues(sys, k)[j]
+    else:
+        crossing = range(_negatives(sys, lo), _negatives(sys, kappa_max))
+        # kappa lambda_j has the sign of lambda_j and is linear in kappa for
+        # a lone point (2 + kappa beta), which saves Brent steps
+        value = lambda k, j: k * _t_eigenvalue(sys, k, j)
     roots = [
-        brentq(lambda k, j=j: _eigenvalues(sys, k)[j], lo, kappa_max,
-               xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL)
-        for j in range(_count(sys, kappa_max), _count(sys, lo))
+        (brentq(value, lo, kappa_max, args=(j,), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL), j)
+        for j in crossing
     ]
     clusters = []
-    for kappa in sorted(roots, reverse=True):
-        if clusters and clusters[-1][-1] - kappa <= CLUSTER_RTOL * kappa:
-            clusters[-1].append(kappa)
+    for kappa, j in sorted(roots, reverse=True):
+        if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:
+            clusters[-1].append((kappa, j))
         else:
-            clusters.append([kappa])
+            clusters.append([(kappa, j)])
     states = []
     for cluster in clusters:
-        for st in _null_states(sys, cluster):
+        kappas = [kappa for kappa, _ in cluster]
+        if sys._betas is None:
+            found = _null_states(sys, kappas)
+        else:
+            found = _tridiagonal_states(sys, kappas, min(j for _, j in cluster))
+        for st in found:
             if st.residual > STATE_RESIDUAL_TOL:
                 warnings.warn(
                     f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse
@@ -494,15 +646,19 @@ def default_kappa_max(sys: PointSystem) -> Optional[float]:
 
 def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     """Number of bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
-    read off the exact count of H(kappa) with no root search.
+    read off the exact count with no root search.
 
-    For pure delta' systems this equals the number of points with
-    negative intensity; kappa_max defaults to default_kappa_max there.
+    For a pure delta' system the count is n_-(T(kappa_max)) - n_-(T(lo)),
+    and with kappa_max=None it is the exact total C(0+) - C(oo): the window
+    widens until T(hi) has #{beta < 0} negative eigenvalues and T(lo) none,
+    so it equals the number of points with negative intensity.  Other
+    systems count H(kappa) and need kappa_max.
     """
+    if sys._betas is not None:
+        lo, hi = _exact_window(sys) if kappa_max is None else (kappa_max / DEFAULT_GRID, kappa_max)
+        return _negatives(sys, hi) - _negatives(sys, lo)
     if kappa_max is None:
-        kappa_max = default_kappa_max(sys)
-        if kappa_max is None:
-            raise ValueError("kappa_max required for non-delta' systems")
+        raise ValueError("kappa_max required for non-delta' systems")
     return _count(sys, kappa_max / DEFAULT_GRID) - _count(sys, kappa_max)
 
 
@@ -536,4 +692,4 @@ def boundary_form_defect(sys: PointSystem) -> float:
     Zero (to rounding) iff the condition plane is Lagrangian, i.e. the
     system is self-adjoint.
     """
-    return sys._defect
+    return sys._plane[2]

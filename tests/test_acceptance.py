@@ -23,7 +23,6 @@ from deltaprime.certify import (
     certify_count_measure,
     certify_count_points,
     quadratic_form_point,
-    quadratic_form_point_numeric,
 )
 from deltaprime.cli import main
 from deltaprime.interactions import (
@@ -75,6 +74,7 @@ from deltaprime.transfer import (
     pc_transfer,
     PiecewisePotential,
 )
+from oracles import quadratic_form_point_numeric
 
 NOMINAL_LAMBDA0 = 1.968   # inconsistent with the tanh equation; see module docstring
 NOMINAL_LAMBDA1 = 2.03

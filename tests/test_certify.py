@@ -14,12 +14,12 @@ from deltaprime.certify import (
     measure_test_build,
     quadratic_form_measure,
     quadratic_form_point,
-    quadratic_form_point_numeric,
 )
 from deltaprime.errors import NeighborhoodOverlap, SubsetNotNegative
 from deltaprime.interactions import TransmissionMatrix
 from deltaprime.line import delta_prime_system
 from deltaprime.measures import AtomicMeasure, BetaFunction, cantor_blocks, cantor_measure
+from oracles import quadratic_form_point_numeric
 
 
 class TestPointTrialFunction:

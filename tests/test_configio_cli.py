@@ -310,3 +310,13 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # quadrature serves only the test oracles; the CLI import floor skips it
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, deltaprime.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -203,6 +203,7 @@ class TestCounting:
     def test_all_positive(self):
         sys = delta_prime_system([0.0, 1.0], [0.5, 2.0])
         assert count_negative(sys) == 0
+        assert count_negative(delta_prime_system([0.0, 1.0], [0.0, 0.0])) == 0
 
     def test_five_negative(self):
         rng = np.random.default_rng(17)
@@ -253,6 +254,32 @@ class TestCounting:
 
 
 class TestEigenfunction:
+    def test_evaluate_and_norm_match_a_segment_loop(self):
+        # reference: one pass per interval, the right interval at each point
+        systems = [(delta_prime_system([0.0, 0.4, 1.1, 1.5], [-1.0, -0.7, 0.5, -2.0]), 20.0),
+                   (nonlocal_example(), 10.0)]
+        for sys, kappa_max in systems:
+            for st in find_bound_states(sys, kappa_max):
+                pts, k = st.points, st.kappa
+                xs = np.concatenate((np.linspace(pts[0] - 2.0, pts[-1] + 2.0, 1001), pts))
+                want = np.zeros(xs.shape, dtype=complex)
+                left, right = xs < pts[0], xs >= pts[-1]
+                want[left] = st.c_left * np.exp(k * (xs[left] - pts[0]))
+                want[right] = st.c_right * np.exp(-k * (xs[right] - pts[-1]))
+                total = (abs(st.c_left) ** 2 + abs(st.c_right) ** 2) / (2 * k)
+                for i in range(pts.size - 1):
+                    seg = (xs >= pts[i]) & (xs < pts[i + 1])
+                    a, b = st.interior[i]
+                    want[seg] = a * np.exp(k * (xs[seg] - pts[i + 1])) + b * np.exp(
+                        -k * (xs[seg] - pts[i]))
+                    e = np.exp(-k * (pts[i + 1] - pts[i]))
+                    total += (abs(a) ** 2 + abs(b) ** 2) * (1 - e * e) / (2 * k)
+                    total += 2 * np.real(a * np.conj(b)) * e * (pts[i + 1] - pts[i])
+                np.testing.assert_array_equal(st.evaluate(xs), want)
+                assert st.evaluate(pts[1]) == want[-pts.size + 1]
+                # same terms, summed in another order
+                assert abs(st.norm_squared() - total) <= 8 * pts.size * np.finfo(float).eps * total
+
     def test_single_delta_shape(self):
         sys = from_kinds([(0.0, Delta(-2.0))])
         st = eigenfunction(sys, 1.0)
@@ -409,3 +436,47 @@ class TestKreinCount:
         assert count_negative(sys, kappa_max) == len(want)
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@st.composite
+def delta_prime_systems(draw):
+    """1-8 delta' points, gaps down to 0.01, free points (beta = 0) allowed."""
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    mags = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+    return np.concatenate(([0.0], np.cumsum(gaps))), np.array(mags) * np.array(signs)
+
+
+class TestTridiagonalRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(case=delta_prime_systems(), log_kappa=st.floats(-4.0, 3.0))
+    def test_matches_the_dense_plane_and_the_q_oracle(self, case, log_kappa):
+        # counts: the same plane handed over as a global relation keeps the
+        # H(kappa) route.  Roots: bisection on #neg Q(kappa) over the points
+        # with beta != 0, Q = diag(1/beta) + (kappa/2) e^{-kappa|x_i - x_j|};
+        # its roots are within 1e-14 of 40-digit ones, where the dense
+        # route's own error reaches ~8e-13 when gaps are 0.01
+        pts, betas = case
+        sys = delta_prime_system(pts, betas)
+        dense = PointSystem(pts, relation=sys.relation)
+        kappa = float(np.exp(log_kappa))
+        assert count_negative(sys, kappa) == count_negative(dense, kappa)
+        kappa_max = default_kappa_max(sys) or 8.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [s.kappa for s in find_bound_states(sys, kappa_max)]
+        p, c = pts[betas != 0], betas[betas != 0]
+        e = lambda k: np.exp(-k * np.abs(p[:, None] - p[None, :]))
+        count = lambda k: int(np.sum(np.linalg.eigvalsh(np.diag(1.0 / c) + 0.5 * k * e(k)) < 0))
+        want = _oracle_roots(count, kappa_max / DEFAULT_GRID, kappa_max)
+        assert len(got) == len(want) == len(find_bound_states(dense, kappa_max))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert count_negative(sys) == int(np.sum(betas < 0))
+
+    def test_exact_total_outgrows_the_default_window(self):
+        # close wells bind deeper than any one alone: the deepest state
+        # decays faster than default_kappa_max = 4 max 2/|beta|
+        sys = delta_prime_system([0.0, 0.0962, 0.1486], [-3.9678, -4.0866, -3.5949])
+        assert count_negative(sys, default_kappa_max(sys)) == 2
+        assert count_negative(sys) == 3

@@ -1,5 +1,6 @@
 """Atomic measures, the Green kernel, Nystrom spectra, and the line bridge."""
 
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +17,13 @@ from deltaprime.errors import (
     GridTooCoarse,
     JumpOffSupport,
 )
-from deltaprime.line import count_negative, default_kappa_max, find_bound_states
+from deltaprime.line import (
+    CLUSTER_RTOL,
+    PointSystem,
+    count_negative,
+    default_kappa_max,
+    find_bound_states,
+)
 from deltaprime.measures import (
     NEG_EIG_REL,
     AtomicMeasure,
@@ -323,13 +330,40 @@ class TestBridge:
                 states = find_bound_states(sys, default_kappa_max(sys))
             assert len(states) == 2 ** depth
             assert count_negative(sys) == 2 ** depth
-            for kappa in {s.kappa for s in states}:
+            dense = PointSystem(sys.points, relation=sys.relation)   # the H(kappa) route
+            np.testing.assert_allclose(
+                [s.kappa for s in states],
+                [s.kappa for s in find_bound_states(dense, default_kappa_max(sys))], rtol=1e-11)
+            # each state keeps its own Brent kappa, so clusters are runs of
+            # roots within CLUSTER_RTOL, not equal kappas
+            clusters = [[states[0]]]
+            for s in states[1:]:
+                if clusters[-1][-1].kappa - s.kappa <= CLUSTER_RTOL * s.kappa:
+                    clusters[-1].append(s)
+                else:
+                    clusters.append([s])
+            assert max(len(c) for c in clusters) == {4: 1, 5: 2, 6: 4}[depth]
+            for cluster in clusters:
                 amps = np.array([
                     np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
-                    for s in states if s.kappa == kappa
+                    for s in cluster
                 ])
                 sv = np.linalg.svd(amps, compute_uv=False)
                 assert sv[-1] > 0.5 * sv[0]
+
+    def test_cantor_depth8_bridge_in_seconds(self):
+        t0 = time.perf_counter()
+        sys = atomic_to_point_system(cantor_measure(8), BetaFunction.constant(-1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = find_bound_states(sys, default_kappa_max(sys))
+        elapsed = time.perf_counter() - t0
+        assert len(states) == 256
+        amps = np.array([np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
+                         for s in states])
+        sv = np.linalg.svd(amps, compute_uv=False)
+        assert sv[-1] > 0.1 * sv[0]
+        assert elapsed <= 3.0, f"{elapsed:.2f} s"
 
     def test_counting_su_cantor(self):
         mu = cantor_measure(2)
