@@ -359,16 +359,23 @@ def _t_eigenvalue(sys: PointSystem, kappa: float, j: int) -> float:
 
 
 def _exact_window(sys: PointSystem) -> tuple[float, float]:
-    """(lo, hi) holding every delta' state: n_-(T(hi)) = #{beta < 0} and
-    n_-(T(lo)) = 0.  Both loops end because T -> diag(beta) as kappa -> oo
-    and T is positive definite as kappa -> 0+, so any start will do."""
-    neg = int(np.sum(sys._betas < 0))
-    lo = hi = 1.0
-    while _negatives(sys, hi) < neg:
-        hi *= 2.0
-    while _negatives(sys, lo) > 0:
-        lo *= 0.5
-    return lo, hi
+    """(lo, hi) outside which a delta' system with some beta < 0 has no
+    state, from closed-form bounds that do not use the count.
+
+    Both follow from Weyl's inequalities for T = (2/kappa) E^{-1} + diag(beta).
+    The entries of E lie in (0, 1], so ||E|| <= N, (2/lo) E^{-1} >= 2 max|beta|
+    and T(lo) > 0.  Gershgorin on the tridiagonal E^{-1}, whose row sums are
+    1 + sum over adjacent gaps of 1/(e^{kappa g} - 1) <= 1 + 2/(kappa g_min),
+    gives ||(2/hi) E^{-1}|| <= min|beta_-|/2, so the #{beta < 0} negative
+    eigenvalues of diag(beta) stay negative in T(hi).
+    """
+    attract = -sys._betas[sys._betas < 0]
+    weakest = attract.min()
+    g = np.diff(sys.points).min(initial=np.inf)
+    lo = 1.0 / (sys.n_points * float(attract.max()))
+    # (2/kappa)(1 + 2/(kappa g)) equals min|beta_-| at half of hi
+    hi = 2.0 * (1.0 + np.sqrt(1.0 + 4.0 * weakest / g)) / weakest
+    return lo, float(hi)
 
 
 def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
@@ -606,9 +613,17 @@ def find_bound_states(sys: PointSystem, kappa_max: float) -> list[BoundState]:
         value = lambda k, j: _eigenvalues(sys, k)[j]
     else:
         crossing = range(_negatives(sys, lo), _negatives(sys, kappa_max))
-        # kappa lambda_j has the sign of lambda_j and is linear in kappa for
-        # a lone point (2 + kappa beta), which saves Brent steps
-        value = lambda k, j: k * _t_eigenvalue(sys, k, j)
+
+        def value(k, j):
+            # kappa lambda_j has the sign of lambda_j and is linear in kappa
+            # for a lone point (2 + kappa beta), which saves Brent steps
+            v = k * _t_eigenvalue(sys, k, j)
+            # the pivot count and LAPACK's bisection may disagree on an
+            # eigenvalue within rounding of zero; the count decides at the
+            # ends, and such a root is the end itself
+            if k == lo:
+                return max(v, 0.0)
+            return min(v, 0.0) if k == kappa_max else v
     roots = [
         (brentq(value, lo, kappa_max, args=(j,), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL), j)
         for j in crossing
@@ -648,14 +663,20 @@ def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     """Number of bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
     read off the exact count with no root search.
 
-    For a pure delta' system the count is n_-(T(kappa_max)) - n_-(T(lo)),
-    and with kappa_max=None it is the exact total C(0+) - C(oo): the window
-    widens until T(hi) has #{beta < 0} negative eigenvalues and T(lo) none,
-    so it equals the number of points with negative intensity.  Other
-    systems count H(kappa) and need kappa_max.
+    For a pure delta' system the count is n_-(T(kappa_max)) - n_-(T(lo)).
+    With kappa_max=None it is the exact total, measured the same way over
+    a window (lo, hi] that closed-form bounds show holds every state; by
+    Haynsworth's inertia additivity that total is the number of points
+    with negative intensity.  Other systems count H(kappa) and need
+    kappa_max.
     """
     if sys._betas is not None:
-        lo, hi = _exact_window(sys) if kappa_max is None else (kappa_max / DEFAULT_GRID, kappa_max)
+        if kappa_max is not None:
+            lo, hi = kappa_max / DEFAULT_GRID, kappa_max
+        elif np.any(sys._betas < 0):
+            lo, hi = _exact_window(sys)
+        else:
+            return 0            # T(kappa) > 0 for every kappa when beta >= 0
         return _negatives(sys, hi) - _negatives(sys, lo)
     if kappa_max is None:
         raise ValueError("kappa_max required for non-delta' systems")

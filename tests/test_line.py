@@ -472,7 +472,29 @@ class TestTridiagonalRoute:
         want = _oracle_roots(count, kappa_max / DEFAULT_GRID, kappa_max)
         assert len(got) == len(want) == len(find_bound_states(dense, kappa_max))
         np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert count_negative(sys) == int(np.sum(betas < 0))
+        # the exact total is measured over a window from closed-form
+        # bounds; the Q oracle confirms that no state lies outside it
+        neg = int(np.sum(betas < 0))
+        assert count_negative(sys) == neg
+        if neg:
+            lo, hi = line._exact_window(sys)
+            assert (count(lo), count(hi)) == (neg, 0)
+
+    @pytest.mark.parametrize("sys", [
+        delta_prime_pair(-1.0), delta_prime_pair(-2.5),
+        delta_prime_system([0.0, 0.8086714728159203], [-0.6032146333881763, -1.9645422881387398]),
+    ])
+    def test_window_ending_on_a_root(self, sys):
+        # at a window end on a root an eigenvalue of T sits within rounding
+        # of zero, where the pivot count and LAPACK's bisection may disagree
+        roots = [s.kappa for s in find_bound_states(sys, default_kappa_max(sys))]
+        for root in roots:
+            for end in root * (1.0 + np.arange(-3, 4) * np.finfo(float).eps):
+                for kappa_max in (end, end * DEFAULT_GRID):
+                    got = [s.kappa for s in find_bound_states(sys, kappa_max)]
+                    assert len(got) == count_negative(sys, kappa_max)
+                    for kappa in got:
+                        assert min(abs(kappa - r) for r in roots) <= 1e-12 * kappa
 
     def test_exact_total_outgrows_the_default_window(self):
         # close wells bind deeper than any one alone: the deepest state
@@ -480,3 +502,6 @@ class TestTridiagonalRoute:
         sys = delta_prime_system([0.0, 0.0962, 0.1486], [-3.9678, -4.0866, -3.5949])
         assert count_negative(sys, default_kappa_max(sys)) == 2
         assert count_negative(sys) == 3
+        # the dense plane, counted over a window wide enough by hand
+        dense = PointSystem(sys.points, relation=sys.relation)
+        assert count_negative(dense, 16.0) == 3

@@ -363,7 +363,9 @@ class TestBridge:
                          for s in states])
         sv = np.linalg.svd(amps, compute_uv=False)
         assert sv[-1] > 0.1 * sv[0]
-        assert elapsed <= 3.0, f"{elapsed:.2f} s"
+        # 1-2 s on a 2-core x86 VM; the dense H(kappa) route takes minutes at
+        # depth 8, so a loose bound still tells the routes apart under load
+        assert elapsed <= 30.0, f"{elapsed:.2f} s"
 
     def test_counting_su_cantor(self):
         mu = cantor_measure(2)
