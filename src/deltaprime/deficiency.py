@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import BranchCut, EvaluationOnAtom, IllConditioned
 from .measures import AtomicMeasure
@@ -33,8 +32,6 @@ from .measures import AtomicMeasure
 GCONV = "g"
 GPRIMECONV = "g_prime"
 RANK_TOL = 1e-8
-NUMERIC_RADIUS = 40.0     # e_functional_numeric truncates at this many decay lengths
-NUMERIC_NODES = 200_001
 
 
 def _sqrt_upper(z: complex) -> complex:
@@ -118,19 +115,6 @@ def e_functional(e: DeficiencyElement) -> complex:
     return 0.0 + 0.0j
 
 
-def e_functional_numeric(e: DeficiencyElement) -> complex:
-    """Trapezoid check of the functional on a truncated domain."""
-    s = _sqrt_upper(e.z)
-    lo, hi = e.measure.support
-    r = NUMERIC_RADIUS / s.imag
-    xs = np.linspace(lo - r, hi + r, NUMERIC_NODES)
-    if e.kind == GPRIMECONV:
-        xs += 0.5 * (xs[1] - xs[0])  # stay off the atoms
-    vals = element_eval(e, xs)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return complex(trapezoid(vals, xs))
-
-
 # ---------------------------------------------------------------------------
 # closed-form inner products and Gram ranks
 # ---------------------------------------------------------------------------
@@ -189,8 +173,11 @@ def gram_matrix(elements: Sequence[DeficiencyElement]) -> np.ndarray:
         idx = [i for i, e in enumerate(elements) if e.kind == kind]
         if idx:
             ms = [elements[i].measure for i in idx]
+            # one-hot atoms x elements matrix carrying each atom's weight
+            owner = np.repeat(np.arange(len(ms)), [len(m) for m in ms])
+            weights = np.concatenate([m.weights for m in ms])
             groups.append((kind, idx, np.concatenate([m.positions for m in ms]),
-                           block_diag(*[m.weights[:, None] for m in ms])))
+                           (owner[:, None] == np.arange(len(ms))) * weights[:, None]))
     g = np.zeros((len(elements), len(elements)), dtype=complex)
     for k1, idx1, p1, w1 in groups:
         for k2, idx2, p2, w2 in groups:

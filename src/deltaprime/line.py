@@ -6,7 +6,10 @@ relation A v = 0 on the stacked trace vector
 
     v = (psi(x_k+0), psi(x_k-0), psi'(x_k+0), psi'(x_k-0))_{k=1..N},
 
-four entries per point, point-major.  Bound states are counted exactly
+four entries per point, point-major.  A per-point system stores only
+its N blocks of A, two rows on the four traces of one point each; the
+dense 2N x 4N relation is built on demand, by the H(kappa) route and the
+matching matrix below.  Bound states are counted exactly
 by a Krein-Weyl inertia (Albeverio et al., Solvable Models in Quantum
 Mechanics, ch. II.3; Derkach-Malamud boundary triples).  Take the
 values Gamma0 = (v+_k, v-_k), the inward derivatives Gamma1 =
@@ -43,6 +46,8 @@ those that cross zero in the window, each found by LAPACK bisection.  A
 null vector u of T (LAPACK inverse iteration, orthogonal within a
 cluster) is minus psi' at the points, -beta u is the value jump there,
 and the anchored amplitudes are prefix and suffix sums of the jumps.
+This route reads the per-point blocks and never builds the dense
+relation.
 """
 
 from __future__ import annotations
@@ -89,9 +94,11 @@ ROOT_RTOL = 4 * np.finfo(float).eps
 class PointSystem:
     """Point interactions on the line, per-point or globally coupled.
 
-    The 2N x 4N relation, its row-normalized form and, for a pure delta'
-    system, the intensities are built once here; the frame of the plane
-    in boundary-triple coordinates is built on first use.  All stay
+    A per-point system stores one 2 x 4 block per point and, for a pure
+    delta' system, the intensities; a global relation is stored as given.
+    The dense 2N x 4N relation of a per-point system, the row-normalized
+    relation and the frame of the plane in boundary-triple coordinates
+    are built on first use, only by the routes that need them.  All stay
     read-only.
     """
 
@@ -108,7 +115,7 @@ class PointSystem:
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
         self.lambdas = list(lambdas) if lambdas is not None else None
-        betas = None
+        self._blocks = self._betas = None
         if self.lambdas is not None:
             if len(self.lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
@@ -116,27 +123,43 @@ class PointSystem:
                 if not lam.is_self_adjoint_plane(1e-9):
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             mats = np.array([lam.entries for lam in self.lambdas]).reshape(n, 2, 2)
-            relation = _per_point_relation(mats)
-            betas = _delta_prime_betas(mats)
+            self._blocks = _per_point_blocks(mats)
+            self._betas = _delta_prime_betas(mats)
         elif relation is not None:
             relation = np.array(relation, dtype=complex)
             if relation.shape != (2 * n, 4 * n):
                 raise ValueError(f"relation must be {2*n}x{4*n}")
             if np.linalg.matrix_rank(relation, tol=1e-10) < 2 * n:
                 raise ValueError("relation must have full row rank")
+            relation.setflags(write=False)
+            self.relation = relation
         else:
-            relation = np.zeros((0, 0), dtype=complex)
-        self.relation = relation
-        self._normalized = _row_normalized(relation)
-        self._betas = betas
-        for a in (self.relation, self._normalized, self._betas):
+            self._blocks = np.zeros((0, 2, 4), dtype=complex)
+        for a in (self._blocks, self._betas):
             if a is not None:
                 a.setflags(write=False)
 
     @cached_property
+    def relation(self) -> np.ndarray:
+        """Dense block-diagonal 2N x 4N relation of a per-point system."""
+        n = self.n_points
+        a = np.zeros((n, 2, n, 4), dtype=complex)
+        k = np.arange(n)
+        a[k, :, k, :] = self._blocks
+        a = a.reshape(2 * n, 4 * n)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        a = _row_normalized(self.relation)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
     def _plane(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """X, X^H Y and the defect of the frame, built on first use: the
-        delta' route needs none of them."""
+        """X, X^H Y and the defect of the frame: the delta' route needs none
+        of them."""
         x, xy, defect = _frame(self.relation)
         x.setflags(write=False)
         xy.setflags(write=False)
@@ -155,22 +178,22 @@ class PointSystem:
         return self._betas
 
     def translated(self, c: float) -> "PointSystem":
-        # the relation acts on traces only, so the shifted system shares it
+        # conditions act on traces only, so the shifted system shares them,
+        # with whatever dense form has been built so far
         out = copy.copy(self)
         out.points = self.points + c
         return out
 
 
-def _per_point_relation(mats: np.ndarray) -> np.ndarray:
-    """Block-diagonal relation v+ = L11 v- + L12 d-, d+ = L21 v- + L22 d-."""
-    n = len(mats)
-    a = np.zeros((n, 2, n, 4), dtype=complex)
-    k = np.arange(n)
-    a[k, 0, k, 0] = 1.0
-    a[k, 1, k, 2] = 1.0
-    a[k, :, k, 1] = -mats[:, :, 0]
-    a[k, :, k, 3] = -mats[:, :, 1]
-    return a.reshape(2 * n, 4 * n)
+def _per_point_blocks(mats: np.ndarray) -> np.ndarray:
+    """(N, 2, 4) rows of v+ = L11 v- + L12 d-, d+ = L21 v- + L22 d- on the
+    traces (v+, v-, d+, d-) of each point."""
+    b = np.zeros((len(mats), 2, 4), dtype=complex)
+    b[:, 0, 0] = 1.0
+    b[:, 1, 2] = 1.0
+    b[:, :, 1] = -mats[:, :, 0]
+    b[:, :, 3] = -mats[:, :, 1]
+    return b
 
 
 def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
@@ -183,7 +206,7 @@ def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _row_normalized(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
 def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -271,48 +294,35 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 # Krein-Weyl counting function
 # ---------------------------------------------------------------------------
 
-def _krein(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
-    """H(kappa) = X^H Y - X^H M(kappa) X for each kappa, shape (K, r, r)."""
+def _krein(sys: PointSystem, kappa: float) -> np.ndarray:
+    """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r)."""
     x, xy, defect = sys._plane
     if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
             f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
         )
-    k = kappas[:, None]
     g = np.diff(sys.points)
-    e = np.exp(-k * g)
-    den = -np.expm1(-2.0 * k * g)
+    e = np.exp(-kappa * g)
+    den = -np.expm1(-2.0 * kappa * g)
     coth, csch = (1.0 + e * e) / den, 2.0 * e / den   # of kappa g, finite for large kappa g
     # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
-    m = np.repeat(-k, x.shape[0], axis=1)
-    m[:, 0:-2:2] *= coth
-    m[:, 3::2] *= coth
-    mx = m[:, :, None] * x
-    off = (k * csch)[:, :, None]
-    mx[:, 0:-2:2] += off * x[3::2]
-    mx[:, 3::2] += off * x[0:-2:2]
+    m = np.full(x.shape[0], -kappa)
+    m[0:-2:2] *= coth
+    m[3::2] *= coth
+    mx = m[:, None] * x
+    off = (kappa * csch)[:, None]
+    mx[0:-2:2] += off * x[3::2]
+    mx[3::2] += off * x[0:-2:2]
     return xy - x.conj().T @ mx
 
 
 def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
-    return np.linalg.eigvalsh(_krein(sys, np.array([kappa], dtype=float))[0])
+    return np.linalg.eigvalsh(_krein(sys, kappa))
 
 
 def _count(sys: PointSystem, kappa: float) -> int:
     """Number of bound states with decay rate above kappa."""
     return int(np.sum(_eigenvalues(sys, kappa) < 0))
-
-
-def secular_values(sys: PointSystem, kappas: np.ndarray) -> np.ndarray:
-    """Secular function det H(kappa) on an array of decay rates kappa > 0.
-
-    Real for every self-adjoint system; it vanishes exactly at bound
-    states and changes sign across each simple one.
-    """
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    if np.any(kappas <= 0):
-        raise ValueError("kappa must be positive")
-    return np.linalg.det(_krein(sys, kappas)).real
 
 
 # ---------------------------------------------------------------------------
@@ -378,43 +388,22 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
     return lo, float(hi)
 
 
-def _trace_map(points: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-    """Batched 4N x 2N map from decay amplitudes to boundary traces.
+def _traces(points: np.ndarray, kappa: float, amps: np.ndarray) -> np.ndarray:
+    """One-sided traces (v+, v-, d+, d-) at every point, shape (N, 4, ...),
+    of decaying solutions with amplitudes amps = (c_L, a_1, b_1, ...,
+    a_{N-1}, b_{N-1}, c_R) along the first axis.
 
-    Unknowns: (c_L, a_1, b_1, ..., a_{N-1}, b_{N-1}, c_R); the tails are
-    c_L e^{kappa(x-x_1)} and c_R e^{-kappa(x-x_N)}, interval i carries
-    a_i e^{kappa(x-x_{i+1})} + b_i e^{-kappa(x-x_i)}.
+    The tails are c_L e^{kappa(x-x_1)} and c_R e^{-kappa(x-x_N)}, interval i
+    carries a_i e^{kappa(x-x_{i+1})} + b_i e^{-kappa(x-x_i)}.
     """
-    n = points.size
-    t = np.zeros((kappas.size, 4 * n, 2 * n))
-    kcol = kappas
-    gaps = np.diff(points)
-    decays = np.exp(-np.outer(kappas, gaps)) if n > 1 else np.zeros((kappas.size, 0))
-    for j in range(n):
-        rv_p, rv_m, rd_p, rd_m = 4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3
-        # right side of point j
-        if j < n - 1:
-            ca, cb = 1 + 2 * j, 2 + 2 * j
-            e = decays[:, j]
-            t[:, rv_p, ca] = e
-            t[:, rv_p, cb] = 1.0
-            t[:, rd_p, ca] = kcol * e
-            t[:, rd_p, cb] = -kcol
-        else:
-            t[:, rv_p, 2 * n - 1] = 1.0
-            t[:, rd_p, 2 * n - 1] = -kcol
-        # left side of point j
-        if j > 0:
-            ca, cb = 1 + 2 * (j - 1), 2 + 2 * (j - 1)
-            e = decays[:, j - 1]
-            t[:, rv_m, ca] = 1.0
-            t[:, rv_m, cb] = e
-            t[:, rd_m, ca] = kcol
-            t[:, rd_m, cb] = -kcol * e
-        else:
-            t[:, rv_m, 0] = 1.0
-            t[:, rd_m, 0] = kcol
-    return t
+    grow = np.concatenate((amps[:1], amps[1:-1:2]))      # left of each point: c_L, a_1, ...
+    decay = np.concatenate((amps[2:-1:2], amps[-1:]))    # right of each point: b_1, ..., c_R
+    r = np.exp(-kappa * np.diff(points)).reshape((-1,) + (1,) * (amps.ndim - 1))
+    zero = np.zeros_like(amps[:1])
+    ahead = np.concatenate((r * grow[1:], zero))         # a_{j+1} e^{-kappa g_j} at x_j + 0
+    behind = np.concatenate((zero, r * decay[:-1]))      # b_{j-1} e^{-kappa g_{j-1}} at x_j - 0
+    return np.stack((ahead + decay, grow + behind,
+                     kappa * (ahead - decay), kappa * (grow - behind)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +466,7 @@ def _null_states(sys: PointSystem, kappas: list[float]) -> list[BoundState]:
         raise NotAnEigenvalue("empty system has no bound states")
     mult = len(kappas)
     a = sys.normalized_relation()
-    t = _trace_map(sys.points, np.array([np.mean(kappas)]))[0]
+    t = _traces(sys.points, float(np.mean(kappas)), np.eye(2 * n)).reshape(4 * n, 2 * n)
     _, s, vh = np.linalg.svd(a @ t.astype(complex))
     rel = s[-mult] / s[0]
     if rel > RESIDUAL_TOL:
@@ -512,26 +501,22 @@ def _tridiagonal_states(sys: PointSystem, kappas: list[float], first: int) -> li
             f"relative eigenvalue {rel.max():.2e} of T for a {mult}-fold root at "
             f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
         )
-    # e^{-kappa g} across each gap, 0 beyond the two ends
-    r = np.concatenate(([0.0], np.exp(-kappa * np.diff(sys.points)), [0.0]))[:, None]
+    # e^{-kappa g} across each gap
+    r = np.exp(-kappa * np.diff(sys.points))[:, None]
     c = -sys._betas[:, None] * u
     # b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
     # a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}
     b, a = 0.5 * c, -0.5 * c
     for i in range(1, n):
-        b[i] += r[i] * b[i - 1]
+        b[i] += r[i - 1] * b[i - 1]
     for i in range(n - 2, -1, -1):
-        a[i] += r[i + 1] * a[i + 1]
-    # one-sided traces (v+, v-, d+, d-) at every point, then the relation residual
-    zero = np.zeros((1, mult))
-    b_in, a_out = np.vstack((zero, b[:-1])), np.vstack((a[1:], zero))
-    traces = np.stack((r[1:] * a_out + b, a + r[:-1] * b_in,
-                       kappa * (r[1:] * a_out - b), kappa * (a - r[:-1] * b_in)), axis=1)
-    k = np.arange(n)
-    blocks = sys.normalized_relation().reshape(n, 2, n, 4)[k, :, k, :].real
+        a[i] += r[i] * a[i + 1]
+    amps = np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).reshape(-1, mult), b[-1:]))
+    # the relation residual of the one-sided traces, block by block
+    traces = _traces(sys.points, kappa, amps)
+    blocks = _row_normalized(sys._blocks).real
     res = np.linalg.norm(np.einsum("kij,kjm->kim", blocks, traces), axis=(0, 1))
     res /= np.linalg.norm(traces, axis=(0, 1))
-    amps = np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).reshape(-1, mult), b[-1:]))
     return [_bound_state(sys, kj, amps[:, j], float(res[j])) for j, kj in enumerate(kappas)]
 
 
@@ -670,6 +655,8 @@ def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     with negative intensity.  Other systems count H(kappa) and need
     kappa_max.
     """
+    if kappa_max is not None and kappa_max <= 0:
+        raise ValueError("kappa_max must be positive")
     if sys._betas is not None:
         if kappa_max is not None:
             lo, hi = kappa_max / DEFAULT_GRID, kappa_max

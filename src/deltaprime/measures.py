@@ -16,8 +16,8 @@ finite-difference delta' operator), so negative_spectrum solves the
 tridiagonal inverse directly in O(n k) time and O(n) memory.  The
 per-grid count is exact by Sylvester's law of inertia: it counts the
 negative atoms whose beta_k w_k outweighs the node spacing across them,
-so a grid sees every negative atom once h < min |beta_k w_k|.  The dense
-matrix of `discretize` is kept as a small-n oracle.
+so a grid sees every negative atom once h < min |beta_k w_k|.  No dense
+matrix is assembled.
 """
 
 from __future__ import annotations
@@ -108,8 +108,6 @@ def cantor_measure(depth: int, interval: tuple[float, float] = (0.0, 1.0)) -> At
     """Uniform mass on the midpoints of the level-`depth` middle-thirds pieces.
 
     2^depth atoms of weight 2^-depth; total mass 1 at every depth.
-    Midpoints keep the atoms off the uniform quadrature grids used by
-    `discretize`.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -249,14 +247,6 @@ def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
     return m - k.a + float(k.atom_offsets[idx])
 
 
-@dataclass
-class DiscretizedOperator:
-    grid: np.ndarray
-    weights: np.ndarray
-    matrix: np.ndarray
-    kernel: GreenKernel
-
-
 def _cells(k: GreenKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segment-aligned midpoint cells: (nodes, widths, atoms below each node).
 
@@ -294,22 +284,6 @@ def _cells(k: GreenKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if nearest.min() < 10 * ATOM_TOL:
         raise EvaluationOnAtom("grid node collided with an atom")
     return grid, weights, idx
-
-
-def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
-    """Dense symmetrized Nystrom matrix M_ij = sqrt(h_i h_j) G(x_i, x_j).
-
-    Midpoint rule on the segment-aligned cells of `_cells`.  This is the
-    small-n dense oracle; negative_spectrum never assembles it.
-    """
-    grid, weights, idx = _cells(k, n)
-    mins = np.minimum.outer(grid, grid)
-    base = mins - k.a
-    atom_part = k.atom_offsets[np.minimum.outer(idx, idx)]
-    sw = np.sqrt(weights)
-    m = np.outer(sw, sw) * (base + atom_part)
-    m = 0.5 * (m + m.T)   # exact symmetry against rounding
-    return DiscretizedOperator(grid, weights, m, k)
 
 
 @dataclass
@@ -352,10 +326,7 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     return lam[nu < -NEG_EIG_REL * float(np.abs(nu).max())]
 
 
-def negative_spectrum(
-    k_or_d: Union[GreenKernel, DiscretizedOperator],
-    refine: Sequence[int],
-) -> NegativeSpectrumResult:
+def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpectrumResult:
     """Negative eigenvalues of the boxed operator across grid sizes.
 
     On each grid the negative eigenvalues come from the tridiagonal
@@ -370,13 +341,15 @@ def negative_spectrum(
     Matched eigenvalues across the two finest grids are
     Richardson-refined with an error estimate.  Raises
     UnconvergedEigenvalue when matched values disagree beyond 10x the
-    estimated rate, and DomainError when some dg vanishes (singular
-    kernel matrix).
+    estimated rate, DomainError when some dg vanishes (singular kernel
+    matrix), and ValueError unless at least two distinct grid sizes are
+    given.
     """
-    kern = k_or_d.kernel if isinstance(k_or_d, DiscretizedOperator) else k_or_d
     sizes = np.asarray(sorted(refine), dtype=int)
     if sizes.size < 2:
         raise ValueError("refine must contain at least two grid sizes")
+    if np.any(np.diff(sizes) == 0):
+        raise ValueError("grid sizes must be distinct")
     bw = kern.beta.at_atoms(kern.mu) * kern.mu.weights
     neg_bw = -bw[bw < 0.0]
     per_grid = [_negative_eigenvalues(kern, int(n)) for n in sizes]

@@ -1,6 +1,16 @@
 """Independent reference routes that only the tests compare against."""
 
+from dataclasses import dataclass
+
+import numpy as np
 from scipy.integrate import quad
+
+from deltaprime import line
+from deltaprime.deficiency import GPRIMECONV, DeficiencyElement, _sqrt_upper, element_eval
+from deltaprime.measures import GreenKernel, _cells
+
+NUMERIC_RADIUS = 40.0     # e_functional_numeric truncates at this many decay lengths
+NUMERIC_NODES = 200_001
 
 
 def quadratic_form_point_numeric(t) -> float:
@@ -20,3 +30,53 @@ def quadratic_form_point_numeric(t) -> float:
                       epsabs=1e-13, epsrel=1e-13, limit=200)
         total += val
     return total + t.beta * 1.0
+
+
+def secular_values(sys: line.PointSystem, kappas) -> np.ndarray:
+    """Secular function det H(kappa) on an array of decay rates kappa > 0.
+
+    Real for every self-adjoint system; it vanishes exactly at bound
+    states and changes sign across each simple one.  The determinant
+    overflows for large N kappa, so only small systems suit it.
+    """
+    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+    if np.any(kappas <= 0):
+        raise ValueError("kappa must be positive")
+    return np.array([np.linalg.det(line._krein(sys, float(k))).real for k in kappas])
+
+
+@dataclass
+class DiscretizedOperator:
+    grid: np.ndarray
+    weights: np.ndarray
+    matrix: np.ndarray
+    kernel: GreenKernel
+
+
+def discretize(k: GreenKernel, n: int) -> DiscretizedOperator:
+    """Dense symmetrized Nystrom matrix M_ij = sqrt(h_i h_j) G(x_i, x_j).
+
+    Midpoint rule on the segment-aligned cells of `measures._cells`, the
+    grid on which negative_spectrum solves the tridiagonal inverse of M.
+    """
+    grid, weights, idx = _cells(k, n)
+    mins = np.minimum.outer(grid, grid)
+    base = mins - k.a
+    atom_part = k.atom_offsets[np.minimum.outer(idx, idx)]
+    sw = np.sqrt(weights)
+    m = np.outer(sw, sw) * (base + atom_part)
+    m = 0.5 * (m + m.T)   # exact symmetry against rounding
+    return DiscretizedOperator(grid, weights, m, k)
+
+
+def e_functional_numeric(e: DeficiencyElement) -> complex:
+    """Trapezoid check of the functional on a truncated domain."""
+    s = _sqrt_upper(e.z)
+    lo, hi = e.measure.support
+    r = NUMERIC_RADIUS / s.imag
+    xs = np.linspace(lo - r, hi + r, NUMERIC_NODES)
+    if e.kind == GPRIMECONV:
+        xs += 0.5 * (xs[1] - xs[0])  # stay off the atoms
+    vals = element_eval(e, xs)
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return complex(trapezoid(vals, xs))

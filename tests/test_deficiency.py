@@ -9,7 +9,6 @@ from deltaprime.deficiency import (
     GPRIMECONV,
     DeficiencyElement,
     e_functional,
-    e_functional_numeric,
     element_eval,
     element_one_sided,
     free_pair_check,
@@ -22,6 +21,7 @@ from deltaprime.deficiency import (
 )
 from deltaprime.errors import BranchCut, EvaluationOnAtom
 from deltaprime.measures import AtomicMeasure
+from oracles import e_functional_numeric
 
 ZS = (-1.0, 1j, -4.0 + 3.0j)
 

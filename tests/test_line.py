@@ -35,8 +35,8 @@ from deltaprime.line import (
     find_bound_states,
     from_kinds,
     nonlocal_example,
-    secular_values,
 )
+from oracles import secular_values
 
 # frozen independent oracles (brentq on the matching equations)
 KAPPA_ODD = 1.9611797513715394    # root of k = 1 + tanh k
@@ -239,6 +239,12 @@ class TestCounting:
             sv = np.linalg.svd([s.evaluate(xs) for s in states], compute_uv=False)
             assert sv[-1] > 0.1 * sv[0]
 
+    def test_kappa_max_must_be_positive(self):
+        for sys in (delta_prime_pair(-1.0), nonlocal_example()):
+            for kappa_max in (-1.0, 0.0):
+                with pytest.raises(ValueError, match="positive"):
+                    count_negative(sys, kappa_max)
+
     def test_count_needs_no_eigenfunctions(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("count_negative extracted eigenfunctions")
@@ -326,6 +332,9 @@ class TestBuilders:
         pair = delta_prime_pair(-1.0)
         with pytest.raises(ValueError):
             pair.relation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            pair.normalized_relation()[0, 0] = 2.0
+        # both are built on demand; the shifted copy shares what is built
         moved = pair.translated(3.0)
         assert moved.relation is pair.relation
         assert moved.normalized_relation() is pair.normalized_relation()
@@ -495,6 +504,34 @@ class TestTridiagonalRoute:
                     assert len(got) == count_negative(sys, kappa_max)
                     for kappa in got:
                         assert min(abs(kappa - r) for r in roots) <= 1e-12 * kappa
+
+    def test_search_leaves_the_dense_relation_unbuilt(self):
+        # the route reads the per-point blocks; the dense 2N x 4N relation,
+        # its row-normalized copy and the frame are never built
+        sys = delta_prime_system([0.0, 0.3, 1.1, 1.2], [-1.0, -0.4, 0.5, -2.0])
+        assert len(find_bound_states(sys, default_kappa_max(sys))) == 3
+        assert count_negative(sys) == count_negative(sys, default_kappa_max(sys)) == 3
+        assert not {"relation", "_normalized", "_plane"} & set(vars(sys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data(), kappa=st.floats(0.1, 5.0))
+    def test_traces_match_the_evaluated_state(self, n, data, kappa):
+        # (v+, v-, d+, d-) from the amplitudes against psi just right and
+        # left of each point, derivatives by second-order one-sided
+        # differences on nodes h, 2h, 3h away from it
+        gaps = data.draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n))
+        pts = np.concatenate(([0.0], np.cumsum(gaps)))
+        amps = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+        state = line.BoundState(kappa, -kappa ** 2, amps[0], amps[-1], amps[1:-1].reshape(-1, 2),
+                                pts, residual=0.0)
+        got = line._traces(pts, kappa, amps)
+        h = 1e-5
+        for side, value, deriv in ((1.0, got[:, 0], got[:, 2]), (-1.0, got[:, 1], got[:, 3])):
+            np.testing.assert_allclose(value, state.evaluate(pts + side * 1e-12), rtol=0, atol=1e-10)
+            f1, f2, f3 = (state.evaluate(pts + side * m * h) for m in (1, 2, 3))
+            np.testing.assert_allclose(deriv, side * (8 * f2 - 5 * f1 - 3 * f3) / (2 * h),
+                                       rtol=0, atol=1e-6)
 
     def test_exact_total_outgrows_the_default_window(self):
         # close wells bind deeper than any one alone: the deepest state

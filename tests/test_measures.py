@@ -33,11 +33,11 @@ from deltaprime.measures import (
     atomic_to_point_system,
     cantor_blocks,
     cantor_measure,
-    discretize,
     green_kernel_value,
     mu_derivative,
     negative_spectrum,
 )
+from oracles import discretize
 
 
 class TestCantor:
@@ -208,12 +208,13 @@ class TestNegativeSpectrum:
         assert np.all(np.diff(res.counts) >= 0)
         assert res.counts[-1] >= 4
 
-    def test_accepts_discretized_operator(self):
+    def test_repeated_grid_size_rejected(self):
+        # rho = 1 would zero the Richardson factor and extrapolate to nan
         mu = AtomicMeasure([0.0], [1.0])
         k = GreenKernel(-4.0, 4.0, mu, BetaFunction.constant(-1.0))
-        d = discretize(k, 128)
-        res = negative_spectrum(d, [128, 256])
-        assert res.counts[-1] == 1
+        for sizes in ([512, 512], [128, 256, 256], [256, 128, 256]):
+            with pytest.raises(ValueError, match="distinct"):
+                negative_spectrum(k, sizes)
 
 
 def dense_negatives(kern, n):
