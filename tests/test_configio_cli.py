@@ -290,8 +290,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["measure", "--atoms", "0.0:1.0", "--grids", "4,8"], "need n >= 8"),
-        (["measure", "--atoms", "0.0:1.0", "--grids", "512,512"], "distinct"),
         (["interactions", "lambda", "--kind", "transparent", "--lambda0", "0"], "lambda0"),
+        (["measure", "--atoms", "0.0:1.0", "--grids", "512,512"], "distinct"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2
