@@ -27,7 +27,6 @@ from numpy.polynomial import Polynomial
 from .errors import (
     SubsetNotNegative,
     DomainError,
-    InfeasibleEps,
     NeighborhoodOverlap,
     SupportOverlap,
 )
@@ -145,9 +144,7 @@ def choose_params(
         if b >= 0:
             raise ValueError("choose_params expects strictly negative intensities")
         eps = min(eps0, -3.0 * b / 8.0)
-        den = -0.5 * b - (2.0 / 3.0) * eps
-        if den <= 0:  # impossible for eps <= -3b/8 < -3b/4; guarded anyway
-            raise InfeasibleEps(f"no r > 0 calibrates beta={b} with eps<={eps0}")
+        den = -0.5 * b - (2.0 / 3.0) * eps    # >= -b/4 > 0 for eps <= -3b/8
         r = (2.0 / 3.0) * (b + eps) ** 2 / den
         out.append((eps, r, l_next))
         l_next += 2.0 * r + 1.0

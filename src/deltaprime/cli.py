@@ -31,7 +31,6 @@ from .interactions import (
     lambda_of,
 )
 from .line import (
-    default_kappa_max,
     delta_prime_pair,
     delta_prime_system,
     find_bound_states,
@@ -104,6 +103,8 @@ def cmd_interactions(args) -> int:
 def cmd_approx(args) -> int:
     eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
     lam = complex(args.lam)
+    if args.family in ("3d", "4d") and args.gamma is None:
+        raise SchemaError(f"family {args.family} needs --gamma")
     if args.family == "3d":
         fam = lambda e: family_3d(args.gamma, e)
         label = f"3d gamma={args.gamma}"
@@ -155,11 +156,8 @@ def _build_system(args):
 
 def cmd_spectrum(args) -> int:
     sys_, config = _build_system(args)
-    kappa_max = args.kappa_max
-    if kappa_max is None:
-        kappa_max = default_kappa_max(sys_) or 8.0
-    config["kappa_max"] = kappa_max
-    states = find_bound_states(sys_, kappa_max)
+    config["kappa_max"] = args.kappa_max
+    states = find_bound_states(sys_, args.kappa_max)
     rows = [
         [st.kappa, st.energy, st.parity, st.residual, st.near_threshold]
         for st in states
@@ -336,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--builtin", choices=["nonlocal-example", "delta-prime-pair"])
     ps.add_argument("--system", help="system description file")
     ps.add_argument("--beta", type=float)
-    ps.add_argument("--kappa-max", type=float)
+    ps.add_argument("--kappa-max", type=float,
+                    help="report only states with kappa <= this (default: every state)")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)
 

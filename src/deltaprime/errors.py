@@ -78,10 +78,6 @@ class GridTooCoarse(Warning):
 
 # -- variational certificates ---------------------------------------------
 
-class InfeasibleEps(DomainError):
-    """No (eps, r) solves the half-intensity calibration under eps0."""
-
-
 class SupportOverlap(DomainError):
     """Chosen test-function supports collide."""
 

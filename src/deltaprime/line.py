@@ -9,27 +9,32 @@ relation A v = 0 on the stacked trace vector
 four entries per point, point-major.  A per-point system stores only
 its N blocks of A, two rows on the four traces of one point each; the
 dense 2N x 4N relation is built on demand, by the H(kappa) route and the
-matching matrix below.  Bound states are counted exactly
-by a Krein-Weyl inertia (Albeverio et al., Solvable Models in Quantum
-Mechanics, ch. II.3; Derkach-Malamud boundary triples).  Take the
-values Gamma0 = (v+_k, v-_k), the inward derivatives Gamma1 =
-(d+_k, -d-_k), and an orthonormal frame of the condition plane with
-Gamma0 rows X and Gamma1 rows Y, restricted to (ker X)^perp.  Then
+matching matrix below.  Bound states are counted exactly by a Krein-Weyl
+inertia (Albeverio et al., Solvable Models in Quantum Mechanics, ch.
+II.3; Derkach-Malamud boundary triples).  Take the values Gamma0 =
+(v+_k, v-_k), the inward derivatives Gamma1 = (d+_k, -d-_k), and an
+orthonormal frame of the condition plane with Gamma0 rows X and Gamma1
+rows Y, restricted to (ker X)^perp.  Then
 
     H(kappa) = X^H Y - X^H M(kappa) X
 
 is Hermitian and increases with kappa, and its number of negative
-eigenvalues is the number of bound states with decay rate above kappa.
-M is the Dirichlet-to-Neumann (Weyl) matrix of the line cut at the
-points: -kappa on the two tails, and across a gap g, -kappa coth(kappa g)
-on the diagonal and kappa csch(kappa g) off it.  Each ordered eigenvalue
-of H increases with kappa, so the counts at the two ends of a window name
-the eigenvalues that cross zero inside it, each exactly once, and Brent's
-method finds every crossing however close two roots lie.  Eigenfunctions
-come from the null space of the matching matrix, whose interior
-amplitudes multiply exponentials anchored at the interval ends,
-e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so no entry exceeds
-O(kappa).
+eigenvalues C(kappa) is the number of bound states with decay rate above
+kappa.  M is the Dirichlet-to-Neumann (Weyl) matrix of the line cut at
+the points: -kappa on the two tails, and across a gap g, -kappa coth(kappa g)
+on the diagonal and kappa csch(kappa g) off it, which tend to -1/g and
+1/g as kappa -> 0.  So C(0+) = n_-(H(0)) is the exact total; an
+eigenvalue of H(0) within rounding of zero is a zero-energy resonance
+(the free line, delta'-potentials), not a state.  As -M(kappa) >=
+kappa tanh(kappa g_min / 2), H(kappa) > 0 above a closed-form hi, so
+[0, hi] holds every state and kappa_max only caps it.  Each ordered
+eigenvalue of H increases with kappa, so the counts at the two ends of
+the window name the eigenvalues that cross zero inside it, each exactly
+once, and Brent's method finds every crossing however close two roots
+lie.  Eigenfunctions come from the null space of the matching matrix,
+whose interior amplitudes multiply exponentials anchored at the interval
+ends, e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so no entry
+exceeds O(kappa).
 
 Pure delta' systems (one matrix per point, each with a delta'
 intensity beta_k, so that delta_prime_betas() is not None) take an O(N)
@@ -42,10 +47,11 @@ tridiagonal.  Haynsworth inertia additivity gives
 
 with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots.
 Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
-those that cross zero in the window, each found by LAPACK bisection.  A
-null vector u of T (LAPACK inverse iteration, orthogonal within a
-cluster) is minus psi' at the points, -beta u is the value jump there,
-and the anchored amplitudes are prefix and suffix sums of the jumps.
+those that cross zero in the window of _exact_window, each found by
+LAPACK bisection.  A null vector u of T (LAPACK inverse iteration,
+orthogonal within a cluster) is minus psi' at the points, -beta u is
+the value jump there, and the anchored amplitudes are prefix and suffix
+sums of the jumps.
 This route reads the per-point blocks and never builds the dense
 relation.
 """
@@ -76,8 +82,9 @@ from .interactions import (
     lambda_of,
 )
 
-DEFAULT_GRID = 2048          # the search window starts at kappa_max / DEFAULT_GRID
+DEFAULT_GRID = 2048          # unused here; kept because perfbench/workloads.py reads it
 NEAR_THRESHOLD = 1e-6
+THRESHOLD_RTOL = 1e-10       # relative eigenvalue of H(0) taken as a zero-energy resonance
 RESIDUAL_TOL = 1e-6          # relative singular value accepted as a root
 STATE_RESIDUAL_TOL = 1e-8    # matching residual above which a state is flagged
 PARITY_TOL = 1e-8
@@ -85,6 +92,7 @@ FRAME_RANK_TOL = 1e-12       # relative singular value of X kept in the frame
 DEFECT_TOL = 1e-8            # boundary-form defect above which a plane is rejected
 CLUSTER_RTOL = 1e-10         # roots closer than this (relative) form one cluster
 ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_XTOL = np.finfo(float).smallest_subnormal   # brentq needs xtol > 0; ROOT_RTOL governs
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +165,13 @@ class PointSystem:
         return a
 
     @cached_property
-    def _plane(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """X, X^H Y and the defect of the frame: the delta' route needs none
-        of them."""
-        x, xy, defect = _frame(self.relation)
+    def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """X, X^H Y, the defect of the frame and the decay bound constant c
+        of _frame: the delta' route needs none of them."""
+        x, xy, defect, c = _frame(self.relation)
         x.setflags(write=False)
         xy.setflags(write=False)
-        return x, xy, defect
+        return x, xy, defect, c
 
     @property
     def n_points(self) -> int:
@@ -209,19 +217,20 @@ def _row_normalized(a: np.ndarray) -> np.ndarray:
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
-def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """X, X^H Y and the boundary-form defect of the plane ker(relation).
+def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """X, X^H Y, the boundary-form defect of the plane ker(relation) and
+    c = max(0, -lambda_min(X^H Y)) / s_min(X)^2.
 
     (X; Y) is an orthonormal basis of the plane in the coordinates
     Gamma0 = (v+_k, v-_k), Gamma1 = (d+_k, -d-_k).  The defect
     ||X^H Y - Y^H X||_2 is the largest |omega(p, q)| over unit traces of
     the plane: zero iff the plane is Lagrangian.  X and X^H Y are then
     restricted to (ker X)^perp, on which the form does not vanish
-    identically.
+    identically; c is taken there and bounds the decay rates (_window).
     """
     rank, dim = relation.shape
     if dim == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0)), 0.0
+        return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, 0.0
     if not relation.imag.any():
         relation = relation.real
     basis = np.linalg.svd(relation)[2][rank:].conj().T.reshape(dim // 4, 4, -1)
@@ -230,9 +239,13 @@ def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     form = x.conj().T @ y
     defect = float(np.linalg.norm(form - form.conj().T, 2))
     _, s, vh = np.linalg.svd(x)
-    keep = vh[: int(np.sum(s > FRAME_RANK_TOL * s[0]))].conj().T
+    s = s[s > FRAME_RANK_TOL * s[0]]
+    keep = vh[: s.size].conj().T
     xy = keep.conj().T @ form @ keep
-    return x @ keep, 0.5 * (xy + xy.conj().T), defect
+    xy = 0.5 * (xy + xy.conj().T)
+    # min(lambda_min, 0) and s_min, both 0-safe: singular values of X are at most 1
+    lam = np.linalg.eigvalsh(xy).min(initial=0.0)
+    return x @ keep, xy, defect, -float(lam) / s.min(initial=1.0) ** 2
 
 
 def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
@@ -295,22 +308,25 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 # ---------------------------------------------------------------------------
 
 def _krein(sys: PointSystem, kappa: float) -> np.ndarray:
-    """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r)."""
-    x, xy, defect = sys._plane
+    """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0."""
+    x, xy, defect, _ = sys._plane
     if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
             f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
         )
     g = np.diff(sys.points)
-    e = np.exp(-kappa * g)
-    den = -np.expm1(-2.0 * kappa * g)
-    coth, csch = (1.0 + e * e) / den, 2.0 * e / den   # of kappa g, finite for large kappa g
+    if kappa == 0:
+        kcoth = kcsch = 1.0 / g                       # the limits of kappa coth, kappa csch
+    else:
+        e = np.exp(-kappa * g)
+        den = -np.expm1(-2.0 * kappa * g)
+        coth, csch = (1.0 + e * e) / den, 2.0 * e / den   # of kappa g, finite for large kappa g
+        kcoth, kcsch = kappa * coth, kappa * csch
     # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
     m = np.full(x.shape[0], -kappa)
-    m[0:-2:2] *= coth
-    m[3::2] *= coth
+    m[0:-2:2] = m[3::2] = -kcoth
     mx = m[:, None] * x
-    off = (kappa * csch)[:, None]
+    off = kcsch[:, None]
     mx[0:-2:2] += off * x[3::2]
     mx[3::2] += off * x[0:-2:2]
     return xy - x.conj().T @ mx
@@ -321,8 +337,12 @@ def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
 
 
 def _count(sys: PointSystem, kappa: float) -> int:
-    """Number of bound states with decay rate above kappa."""
-    return int(np.sum(_eigenvalues(sys, kappa) < 0))
+    """Number of bound states with decay rate above kappa.  At kappa = 0 an
+    eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero is
+    a zero-energy resonance, not a state."""
+    ev = _eigenvalues(sys, kappa)
+    tol = THRESHOLD_RTOL * max(1.0, np.abs(ev).max(initial=0.0)) if kappa == 0 else 0.0
+    return int(np.sum(ev < -tol))
 
 
 # ---------------------------------------------------------------------------
@@ -570,47 +590,62 @@ def _detect_parity(state: BoundState) -> str:
     return "none"
 
 
-def find_bound_states(sys: PointSystem, kappa_max: float) -> list[BoundState]:
-    """All bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
-    sorted by descending kappa.
+def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range]:
+    """(lo, hi] holding every bound state with kappa <= kappa_max, and the
+    indices of the ordered eigenvalues (of T for a pure delta' system, of H
+    otherwise) that cross zero in it, each at one state.
 
-    Every ordered eigenvalue of H(kappa) increases with kappa, so the
-    exact count C(kappa) of negative ones says which eigenvalues cross
-    zero in the window: eigenvalues C(kappa_max) .. C(lo) - 1, each
-    exactly once.  For a pure delta' system every ordered eigenvalue of
-    the tridiagonal T(kappa) decreases instead, and eigenvalues
-    n_-(T(lo)) .. n_-(T(kappa_max)) - 1 cross.  Brent's method finds
-    each crossing, however close two roots lie.  Roots closer than
-    CLUSTER_RTOL (relative) form a cluster whose states come from
-    orthonormal null vectors at the cluster's mean kappa (the last right
-    singular vectors of the matching matrix, or eigenvectors of T), so
-    they are linearly independent.  Exactly as many states as the count
-    are returned: an extraction that fails raises NotAnEigenvalue, and a
-    state whose matching residual exceeds STATE_RESIDUAL_TOL is kept and
-    reported via GridTooCoarse.  Raises NotSelfAdjoint when the
-    condition plane is not Lagrangian.
+    Pure delta': _exact_window capped at kappa_max.  Otherwise lo = 0,
+    where C(0+) is the total, and hi = 0 when that is 0.  Else, with c from
+    _frame, H(kappa) >= (kappa tanh(kappa g_min/2) s_min(X)^2 +
+    lambda_min(X^H Y)) I, and tanh u >= tanh(1) min(u, 1) makes it > 0
+    above hi = max(c/tanh 1, sqrt(2c/(g_min tanh 1))), capped at kappa_max.
     """
-    if kappa_max <= 0:
+    kappa_max = np.inf if kappa_max is None else kappa_max
+    if not kappa_max > 0:
         raise ValueError("kappa_max must be positive")
-    lo = kappa_max / DEFAULT_GRID
+    if sys._betas is not None:
+        if not np.any(sys._betas < 0):
+            return 0.0, 0.0, range(0)        # T(kappa) > 0 for every kappa when beta >= 0
+        lo, hi = _exact_window(sys)
+        hi = min(hi, kappa_max)              # below lo, T > 0 and no eigenvalue crosses
+        return lo, hi, range(_negatives(sys, lo), _negatives(sys, hi))
+    total = _count(sys, 0.0)
+    if total == 0:
+        return 0.0, 0.0, range(0)
+    c = sys._plane[3] / np.tanh(1.0)
+    hi = min(max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf))), kappa_max)
+    return 0.0, hi, range(_count(sys, hi), total)
+
+
+def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
+    """Every bound state, or those with kappa <= kappa_max (inf filters
+    nothing), by descending kappa; states below NEAR_THRESHOLD are flagged.
+
+    Brent's method finds each eigenvalue crossing of _window.  Roots
+    closer than CLUSTER_RTOL (relative) form a cluster whose states come
+    from orthonormal null vectors at the cluster's mean kappa (the last
+    right singular vectors of the matching matrix, or eigenvectors of T),
+    so they are linearly independent.  Exactly as many states as the count
+    are returned: a failed extraction raises NotAnEigenvalue, and a state
+    whose matching residual exceeds STATE_RESIDUAL_TOL is kept and
+    reported via GridTooCoarse.  Raises NotSelfAdjoint when the condition
+    plane is not Lagrangian.
+    """
+    lo, hi, crossing = _window(sys, kappa_max)
     if sys._betas is None:
-        crossing = range(_count(sys, kappa_max), _count(sys, lo))
         value = lambda k, j: _eigenvalues(sys, k)[j]
     else:
-        crossing = range(_negatives(sys, lo), _negatives(sys, kappa_max))
-
         def value(k, j):
             # kappa lambda_j has the sign of lambda_j and is linear in kappa
             # for a lone point (2 + kappa beta), which saves Brent steps
             v = k * _t_eigenvalue(sys, k, j)
             # the pivot count and LAPACK's bisection may disagree on an
-            # eigenvalue within rounding of zero; the count decides at the
-            # ends, and such a root is the end itself
-            if k == lo:
-                return max(v, 0.0)
-            return min(v, 0.0) if k == kappa_max else v
+            # eigenvalue within rounding of zero at a capped upper end; the
+            # count decides, and such a root is the end itself
+            return min(v, 0.0) if k == hi else v
     roots = [
-        (brentq(value, lo, kappa_max, args=(j,), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL), j)
+        (brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j)
         for j in crossing
     ]
     clusters = []
@@ -635,39 +670,12 @@ def find_bound_states(sys: PointSystem, kappa_max: float) -> list[BoundState]:
     return states
 
 
-def default_kappa_max(sys: PointSystem) -> Optional[float]:
-    """4 max(2/|beta_k|) over the nonzero delta' intensities, or None when
-    the system is not a delta' system with a nonzero intensity."""
-    betas = sys.delta_prime_betas()
-    if betas is None or not np.any(betas != 0):
-        return None
-    return 4.0 * float(np.max(2.0 / np.abs(betas[betas != 0])))
-
-
 def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
-    """Number of bound states with kappa in (kappa_max/DEFAULT_GRID, kappa_max],
-    read off the exact count with no root search.
-
-    For a pure delta' system the count is n_-(T(kappa_max)) - n_-(T(lo)).
-    With kappa_max=None it is the exact total, measured the same way over
-    a window (lo, hi] that closed-form bounds show holds every state; by
-    Haynsworth's inertia additivity that total is the number of points
-    with negative intensity.  Other systems count H(kappa) and need
-    kappa_max.
-    """
-    if kappa_max is not None and kappa_max <= 0:
-        raise ValueError("kappa_max must be positive")
-    if sys._betas is not None:
-        if kappa_max is not None:
-            lo, hi = kappa_max / DEFAULT_GRID, kappa_max
-        elif np.any(sys._betas < 0):
-            lo, hi = _exact_window(sys)
-        else:
-            return 0            # T(kappa) > 0 for every kappa when beta >= 0
-        return _negatives(sys, hi) - _negatives(sys, lo)
-    if kappa_max is None:
-        raise ValueError("kappa_max required for non-delta' systems")
-    return _count(sys, kappa_max / DEFAULT_GRID) - _count(sys, kappa_max)
+    """Number of bound states, or of those with kappa <= kappa_max, from
+    the exact counts at the ends of the window (_window), with no root
+    search.  For a pure delta' system the total is the number of points
+    with negative intensity, by Haynsworth's inertia additivity."""
+    return len(_window(sys, kappa_max)[2])
 
 
 # ---------------------------------------------------------------------------

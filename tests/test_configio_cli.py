@@ -216,6 +216,20 @@ class TestCli:
                 if l and not l.startswith("#") and not l.startswith("kappa")]
         assert rows == []
 
+    def test_spectrum_finds_every_state_without_kappa_max(self, tmp_path):
+        # close wells bind deeper than any one alone; no window guess loses one
+        f = tmp_path / "found.ini"
+        f.write_text("[system]\npoints = 0 0.0962 0.1486\n" + "".join(
+            f"[condition {i}]\nkind = delta-prime\nbeta = {b}\n"
+            for i, b in enumerate((-3.9678, -4.0866, -3.5949), 1)))
+        for extra in ([], ["--kappa-max", "inf"]):
+            out = tmp_path / "spectrum.csv"
+            assert main(["spectrum", "--system", str(f), "--out", str(out)] + extra) == 0
+            lines = out.read_text().splitlines()
+            rows = [l for l in lines if l and not l.startswith("#") and not l.startswith("kappa")]
+            assert len(rows) == 3
+            assert f"# config: kappa_max = {extra[-1] if extra else None}" in lines
+
     def test_spectrum_non_lagrangian_relation_is_a_domain_error(self, tmp_path, capsys):
         # the verbatim nonlocal conditions: not self-adjoint, so no spectrum
         f = tmp_path / "verbatim.ini"
@@ -292,6 +306,9 @@ class TestCli:
         (["measure", "--atoms", "0.0:1.0", "--grids", "4,8"], "need n >= 8"),
         (["interactions", "lambda", "--kind", "transparent", "--lambda0", "0"], "lambda0"),
         (["measure", "--atoms", "0.0:1.0", "--grids", "512,512"], "distinct"),
+        (["spectrum", "--builtin", "delta-prime-pair", "--kappa-max", "nan"], "positive"),
+        (["approx", "--family", "3d"], "family 3d needs --gamma"),
+        (["approx", "--family", "4d"], "family 4d needs --gamma"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

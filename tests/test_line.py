@@ -15,6 +15,7 @@ from deltaprime.interactions import (
     Delta,
     DeltaMagnetic,
     DeltaPrime,
+    DeltaPrimePotential,
     Split,
     boundary_form,
     compose,
@@ -22,13 +23,11 @@ from deltaprime.interactions import (
 )
 from deltaprime.line import (
     COTH_EQ,
-    DEFAULT_GRID,
     TANH_EQ,
     PointSystem,
     boundary_form_defect,
     characteristic_root,
     count_negative,
-    default_kappa_max,
     delta_prime_pair,
     delta_prime_system,
     eigenfunction,
@@ -240,10 +239,32 @@ class TestCounting:
             assert sv[-1] > 0.1 * sv[0]
 
     def test_kappa_max_must_be_positive(self):
-        for sys in (delta_prime_pair(-1.0), nonlocal_example()):
-            for kappa_max in (-1.0, 0.0):
+        # NaN is rejected too; inf filters nothing
+        for sys, total in ((delta_prime_pair(-1.0), 2), (nonlocal_example(), 1)):
+            for kappa_max in (-1.0, 0.0, np.nan):
                 with pytest.raises(ValueError, match="positive"):
                     count_negative(sys, kappa_max)
+                with pytest.raises(ValueError, match="positive"):
+                    find_bound_states(sys, kappa_max)
+            assert count_negative(sys, np.inf) == len(find_bound_states(sys, np.inf)) == total
+
+    def test_threshold_resonances_are_not_states(self):
+        # a zero eigenvalue of H(0) is a zero-energy resonance: the free
+        # line (handed over as a global relation, so H(kappa) counts it)
+        # and a delta'-potential pair bind nothing
+        free = from_kinds([(x, Delta(0.0)) for x in (0.0, 0.5, 2.0)])
+        systems = [PointSystem(free.points, relation=free.relation),
+                   from_kinds([(0.0, DeltaPrimePotential(0.7)), (1.0, DeltaPrimePotential(-1.3))])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sys in systems:
+                assert count_negative(sys) == 0
+                assert find_bound_states(sys) == []
+            # a weak delta binds at kappa = -alpha/2, far below any fixed
+            # fraction of kappa_max
+            (st,) = find_bound_states(from_kinds([(0.0, Delta(-1e-6))]), 1.0)
+        assert st.near_threshold
+        assert abs(st.kappa - 5e-7) < 1e-12
 
     def test_count_needs_no_eigenfunctions(self, monkeypatch):
         def refuse(*args):
@@ -340,12 +361,11 @@ class TestBuilders:
         assert moved.normalized_relation() is pair.normalized_relation()
         np.testing.assert_array_equal(moved.points, pair.points + 3.0)
 
-    def test_default_kappa_max(self):
-        assert default_kappa_max(delta_prime_system([0.0, 1.0], [-0.5, 2.0])) == 16.0
-        assert default_kappa_max(delta_prime_system([0.0], [0.0])) is None
-        assert default_kappa_max(nonlocal_example()) is None
-        with pytest.raises(ValueError):
-            count_negative(nonlocal_example())
+    def test_count_without_kappa_max(self):
+        # every system has an exact total, global relations included
+        assert count_negative(nonlocal_example()) == 1
+        assert count_negative(delta_prime_system([0.0, 1.0], [-0.5, 2.0])) == 1
+        assert count_negative(delta_prime_system([0.0], [0.0])) == 0
 
     def test_relation_rank_validation(self):
         a = np.zeros((2, 4))
@@ -411,39 +431,62 @@ def _oracle_roots(count, lo, hi):
 
 @st.composite
 def local_systems(draw):
-    """A few delta or delta' points with mixed-sign intensities."""
+    """A few delta, delta' or mixed points with mixed-sign intensities, gaps down to 0.01."""
     n = draw(st.integers(1, 5))
-    gaps = draw(st.lists(st.floats(0.2, 1.5), min_size=n - 1, max_size=n - 1))
+    gaps = draw(st.lists(st.floats(0.01, 1.5), min_size=n - 1, max_size=n - 1))
     mags = draw(st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["delta", "delta-prime", "mixed"]))
+    if kind == "mixed":
+        prime = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        prime = np.full(n, kind == "delta-prime")
     pts = np.concatenate(([0.0], np.cumsum(gaps)))
-    return draw(st.sampled_from(["delta", "delta-prime"])), pts, np.array(mags) * np.array(signs)
+    return pts, np.array(mags) * np.array(signs), prime
+
+
+def krein_oracle(pts, c, prime):
+    """Number of bound states with decay rate above kappa > 0, from the
+    inertia of the point-interaction Krein matrix
+
+        K = [[diag(1/alpha) + E/(2 kappa), S/2], [S^T/2, -diag(1/beta) - (kappa/2) E]],
+
+    E_ij = e^{-kappa |x_i - x_j|}, S_ij = sign(x_i - x_j) E_ij, on the delta
+    points (alpha) and the delta' points (beta).  K decreases with kappa
+    and is singular exactly at bound states; the count is #{alpha < 0} +
+    #delta' - n_-(K).  With no delta' point it is the M-matrix count of
+    delta systems, with no delta point n_-(Q), Q = diag(1/beta) + (kappa/2) E.
+    """
+    v, d = pts[~prime], pts[prime]
+    base = int(np.sum(c[~prime] < 0)) + int(d.size)
+
+    def count(k):
+        e = lambda a, b: np.exp(-k * np.abs(a[:, None] - b[None, :]))
+        s = np.sign(v[:, None] - d[None, :]) * e(v, d) / 2.0
+        m = np.block([[np.diag(1.0 / c[~prime]) + e(v, v) / (2.0 * k), s],
+                      [s.T, -np.diag(1.0 / c[prime]) - 0.5 * k * e(d, d)]])
+        return base - int(np.sum(np.linalg.eigvalsh(m) < 0))
+
+    return count
 
 
 class TestKreinCount:
     @settings(max_examples=80, deadline=None)
     @given(case=local_systems())
     def test_counts_and_roots_match_krein_oracles(self, case):
-        # delta':  #neg Q(kappa), Q = diag(1/beta) + (kappa/2) e^{-kappa|x_i - x_j|};
-        # delta:   #{alpha < 0} - #neg M(kappa), M = diag(1/alpha) + e^{-kappa|x_i - x_j|}/(2 kappa);
-        # each counts the bound states with decay rate above kappa
-        kind, pts, c = case
-        e = lambda k: np.exp(-k * np.abs(pts[:, None] - pts[None, :]))
-        neg = lambda m: int(np.sum(np.linalg.eigvalsh(m) < 0))
-        if kind == "delta-prime":
-            sys = delta_prime_system(pts, c)
-            kappa_max = default_kappa_max(sys)
-            count = lambda k: neg(np.diag(1.0 / c) + 0.5 * k * e(k))
-        else:
-            sys = from_kinds([(x, Delta(a)) for x, a in zip(pts, c)])
-            kappa_max = 0.5 * float(np.sum(np.abs(c))) + 1.0
-            count = lambda k: int(np.sum(c < 0)) - neg(np.diag(1.0 / c) + e(k) / (2.0 * k))
-        want = _oracle_roots(count, kappa_max / DEFAULT_GRID, kappa_max)
+        # the search window holds every state: the oracle counts the full
+        # total at its lower end (a tiny kappa where it is 0) and none at hi
+        pts, c, prime = case
+        sys = from_kinds([(x, DeltaPrime(a) if p else Delta(a)) for x, a, p in zip(pts, c, prime)])
+        count = krein_oracle(pts, c, prime)
+        lo, hi, _ = line._window(sys, None)
+        lo, hi = max(lo, 1e-9), max(hi, 1e-9)
+        assert count(hi) == 0
+        want = _oracle_roots(count, lo, hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [s.kappa for s in find_bound_states(sys, kappa_max)]
-        assert count_negative(sys, kappa_max) == len(want)
-        assert len(got) == len(want)
+            got = [s.kappa for s in find_bound_states(sys)]
+        assert count_negative(sys) == len(got) == len(want) == count(lo)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -471,46 +514,45 @@ class TestTridiagonalRoute:
         dense = PointSystem(pts, relation=sys.relation)
         kappa = float(np.exp(log_kappa))
         assert count_negative(sys, kappa) == count_negative(dense, kappa)
-        kappa_max = default_kappa_max(sys) or 8.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [s.kappa for s in find_bound_states(sys, kappa_max)]
+            got = [s.kappa for s in find_bound_states(sys)]
+            assert len(find_bound_states(dense)) == len(got)
         p, c = pts[betas != 0], betas[betas != 0]
         e = lambda k: np.exp(-k * np.abs(p[:, None] - p[None, :]))
         count = lambda k: int(np.sum(np.linalg.eigvalsh(np.diag(1.0 / c) + 0.5 * k * e(k)) < 0))
-        want = _oracle_roots(count, kappa_max / DEFAULT_GRID, kappa_max)
-        assert len(got) == len(want) == len(find_bound_states(dense, kappa_max))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
         # the exact total is measured over a window from closed-form
         # bounds; the Q oracle confirms that no state lies outside it
         neg = int(np.sum(betas < 0))
-        assert count_negative(sys) == neg
+        assert count_negative(sys) == count_negative(dense) == neg
+        want = []
         if neg:
             lo, hi = line._exact_window(sys)
             assert (count(lo), count(hi)) == (neg, 0)
+            want = _oracle_roots(count, lo, hi)
+        assert len(got) == len(want) == neg
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("sys", [
         delta_prime_pair(-1.0), delta_prime_pair(-2.5),
         delta_prime_system([0.0, 0.8086714728159203], [-0.6032146333881763, -1.9645422881387398]),
     ])
     def test_window_ending_on_a_root(self, sys):
-        # at a window end on a root an eigenvalue of T sits within rounding
+        # with kappa_max on a root an eigenvalue of T sits within rounding
         # of zero, where the pivot count and LAPACK's bisection may disagree
-        roots = [s.kappa for s in find_bound_states(sys, default_kappa_max(sys))]
+        roots = [s.kappa for s in find_bound_states(sys)]
         for root in roots:
-            for end in root * (1.0 + np.arange(-3, 4) * np.finfo(float).eps):
-                for kappa_max in (end, end * DEFAULT_GRID):
-                    got = [s.kappa for s in find_bound_states(sys, kappa_max)]
-                    assert len(got) == count_negative(sys, kappa_max)
-                    for kappa in got:
-                        assert min(abs(kappa - r) for r in roots) <= 1e-12 * kappa
+            for kappa_max in root * (1.0 + np.arange(-3, 4) * np.finfo(float).eps):
+                got = [s.kappa for s in find_bound_states(sys, kappa_max)]
+                assert len(got) == count_negative(sys, kappa_max)
+                for kappa in got:
+                    assert min(abs(kappa - r) for r in roots) <= 1e-12 * kappa
 
     def test_search_leaves_the_dense_relation_unbuilt(self):
         # the route reads the per-point blocks; the dense 2N x 4N relation,
         # its row-normalized copy and the frame are never built
         sys = delta_prime_system([0.0, 0.3, 1.1, 1.2], [-1.0, -0.4, 0.5, -2.0])
-        assert len(find_bound_states(sys, default_kappa_max(sys))) == 3
-        assert count_negative(sys) == count_negative(sys, default_kappa_max(sys)) == 3
+        assert len(find_bound_states(sys)) == count_negative(sys) == 3
         assert not {"relation", "_normalized", "_plane"} & set(vars(sys))
 
     @settings(max_examples=60, deadline=None)
@@ -535,10 +577,10 @@ class TestTridiagonalRoute:
 
     def test_exact_total_outgrows_the_default_window(self):
         # close wells bind deeper than any one alone: the deepest state
-        # decays faster than default_kappa_max = 4 max 2/|beta|
+        # decays faster than the former default window end 4 max 2/|beta|
         sys = delta_prime_system([0.0, 0.0962, 0.1486], [-3.9678, -4.0866, -3.5949])
-        assert count_negative(sys, default_kappa_max(sys)) == 2
-        assert count_negative(sys) == 3
-        # the dense plane, counted over a window wide enough by hand
+        assert count_negative(sys, 4.0 * 2.0 / 3.5949) == 2
+        assert count_negative(sys) == len(find_bound_states(sys)) == 3
+        # the dense plane, counted over its own window
         dense = PointSystem(sys.points, relation=sys.relation)
-        assert count_negative(dense, 16.0) == 3
+        assert count_negative(dense) == len(find_bound_states(dense)) == 3

@@ -21,7 +21,6 @@ from deltaprime.line import (
     CLUSTER_RTOL,
     PointSystem,
     count_negative,
-    default_kappa_max,
     find_bound_states,
 )
 from deltaprime.measures import (
@@ -328,13 +327,13 @@ class TestBridge:
             sys = atomic_to_point_system(cantor_measure(depth), BetaFunction.constant(-1.0))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                states = find_bound_states(sys, default_kappa_max(sys))
+                states = find_bound_states(sys)
             assert len(states) == 2 ** depth
             assert count_negative(sys) == 2 ** depth
             dense = PointSystem(sys.points, relation=sys.relation)   # the H(kappa) route
             np.testing.assert_allclose(
                 [s.kappa for s in states],
-                [s.kappa for s in find_bound_states(dense, default_kappa_max(sys))], rtol=1e-11)
+                [s.kappa for s in find_bound_states(dense)], rtol=1e-11)
             # each state keeps its own Brent kappa, so clusters are runs of
             # roots within CLUSTER_RTOL, not equal kappas
             clusters = [[states[0]]]
@@ -357,7 +356,7 @@ class TestBridge:
         sys = atomic_to_point_system(cantor_measure(8), BetaFunction.constant(-1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = find_bound_states(sys, default_kappa_max(sys))
+            states = find_bound_states(sys)
         elapsed = time.perf_counter() - t0
         assert len(states) == 256
         amps = np.array([np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
