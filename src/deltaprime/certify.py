@@ -299,6 +299,11 @@ class SmoothIndicator:
         return float(out[0]) if scalar else out
 
 
+def _neighborhood(points: np.ndarray, delta: float) -> SmoothIndicator:
+    """Smoothed indicator supported exactly on the union of [x - delta, x + delta]."""
+    return SmoothIndicator([(x - delta / 2, x + delta / 2) for x in points], delta / 2)
+
+
 @dataclass
 class MeasureTestFunction:
     """Trial function (antiderivative of chi plus measure terms) for a subset.
@@ -384,10 +389,9 @@ def measure_test_build(
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs.max() + delta:
         raise ValueError("plateau start l must lie right of the support")
-    chi = SmoothIndicator([(x - delta / 2, x + delta / 2) for x in sel], delta / 2)
     return MeasureTestFunction(
-        chi, xs, ws, bs, a=float(xs.min() - delta - 1.0), l=float(l), r=float(r),
-        delta=float(delta), subset=subset,
+        _neighborhood(sel, delta), xs, ws, bs, a=float(xs.min() - delta - 1.0), l=float(l),
+        r=float(r), delta=float(delta), subset=subset,
     )
 
 
@@ -447,7 +451,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
         delta = min(0.5 * gap, 1.0) if np.isfinite(gap) else 1.0
         target = 0.25 * epsilon * mu_k
         halvings = 0
-        while 2 * delta >= gap or _merged_measure(sel, delta) > target:
+        while 2 * delta >= gap or _neighborhood(sel, delta).support_measure() > target:
             delta *= 0.5
             halvings += 1
             if halvings > MAX_HALVINGS:
@@ -461,10 +465,10 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     l_next = base_l
     for s, mu_k, delta in specs:
         tf = measure_test_build(s, mu, beta, delta, l=l_next, r=R_MIN)
-        r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
-        tf = measure_test_build(s, mu, beta, delta, l=l_next, r=r)
+        # the plateau c_k does not depend on r
+        tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
         funcs.append(tf)
-        l_next += 2.0 * r + PAD
+        l_next += 2.0 * tf.r + PAD
 
     _assert_measure_disjoint(funcs)
     forms = np.array([quadratic_form_measure(t) for t in funcs])
@@ -477,22 +481,6 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
             f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}"
         )
     return MeasureCertificate(len(funcs), epsilon, funcs, forms, bounds)
-
-
-def _merged_measure(points: np.ndarray, delta: float) -> float:
-    """Lebesgue measure of the union of [x - delta, x + delta]."""
-    ivs = sorted((x - delta, x + delta) for x in points)
-    total, cur_lo, cur_hi = 0.0, None, None
-    for lo, hi in ivs:
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
 
 
 def _assert_measure_disjoint(funcs: list[MeasureTestFunction]) -> None:

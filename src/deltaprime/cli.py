@@ -239,10 +239,7 @@ def cmd_certify(args) -> int:
                 f"secular={cert.secular_count} agree={ok}"
             )
         out_lines.append(f"agreement {agree}/{args.random_trials}")
-        print("\n".join(out_lines))
-        return 0
-
-    if args.positions and args.betas:
+    elif args.positions and args.betas:
         pts = [float(t) for t in args.positions.split(",")]
         betas = [float(t) for t in args.betas.split(",")]
         sysd = delta_prime_system(pts, betas)
@@ -267,11 +264,8 @@ def cmd_certify(args) -> int:
                           f"bound = {fmt(b)}"]
     else:
         raise SchemaError("give --positions/--betas, --cantor-depth, or --random-trials")
-    text = "\n".join(out_lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    with _out_stream(args.out) as s:
+        s.write("\n".join(out_lines) + "\n")
     return 0
 
 

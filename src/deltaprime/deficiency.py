@@ -125,18 +125,14 @@ def _f_pair(d: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     sig, tau = s.real, s.imag
     ad = np.abs(d)
     damp = np.exp(-tau * ad)
+    # sin(sigma |d|) / sigma, by its Taylor series where sigma |d| is tiny
     if abs(sig) * (np.max(ad, initial=0.0) + 1.0) < 1e-8:
         sin_over = ad * (1.0 - (sig * ad) ** 2 / 6.0)
-        sin_term = sig * sin_over
     else:
         sin_over = np.sin(sig * ad) / sig
-        sin_term = np.sin(sig * ad)
     mod2 = sig * sig + tau * tau
     f = damp * (np.cos(sig * ad) / tau + sin_over) / (4.0 * mod2)
-    if abs(sig) < 1e-300:
-        fp = -np.sign(d) * damp * ad / (4.0 * tau)
-    else:
-        fp = -np.sign(d) * damp * sin_term / (4.0 * sig * tau)
+    fp = -np.sign(d) * damp * sin_over / (4.0 * tau)
     return f, fp
 
 
@@ -257,9 +253,9 @@ def free_pair_check(mu: AtomicMeasure, z: complex = -1j) -> FreePairReport:
     vj, dj = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
     pvj, pdj = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
     for i, x in enumerate(mu.positions):
-        for sgn, (e1, e2), out_v, out_d in (
-            (1, (em, ep), vj, dj),
-            (1, (dm, dp), pvj, pdj),
+        for (e1, e2), out_v, out_d in (
+            ((em, ep), vj, dj),
+            ((dm, dp), pvj, pdj),
         ):
             v1p, d1p = element_one_sided(e1, x, +1)
             v1m, d1m = element_one_sided(e1, x, -1)

@@ -53,7 +53,8 @@ class AmbiguousClassification(DomainError):
 # -- line spectra ----------------------------------------------------------
 
 class NotAnEigenvalue(DomainError):
-    """Eigenfunction extraction requested off a secular root."""
+    """Eigenfunction extraction requested where no eigenvalue of the
+    counting matrix (T or H) vanishes: kappa is not a bound state."""
 
 
 class SplitNotSupported(DomainError):

@@ -8,8 +8,8 @@ relation A v = 0 on the stacked trace vector
 
 four entries per point, point-major.  A per-point system stores only
 its N blocks of A, two rows on the four traces of one point each; the
-dense 2N x 4N relation is built on demand, by the H(kappa) route and the
-matching matrix below.  Bound states are counted exactly by a Krein-Weyl
+dense 2N x 4N relation is built on demand, only by the H(kappa) route
+below.  Bound states are counted exactly by a Krein-Weyl
 inertia (Albeverio et al., Solvable Models in Quantum Mechanics, ch.
 II.3; Derkach-Malamud boundary triples).  Take the values Gamma0 =
 (v+_k, v-_k), the inward derivatives Gamma1 = (d+_k, -d-_k), and an
@@ -31,10 +31,10 @@ kappa tanh(kappa g_min / 2), H(kappa) > 0 above a closed-form hi, so
 eigenvalue of H increases with kappa, so the counts at the two ends of
 the window name the eigenvalues that cross zero inside it, each exactly
 once, and Brent's method finds every crossing however close two roots
-lie.  Eigenfunctions come from the null space of the matching matrix,
-whose interior amplitudes multiply exponentials anchored at the interval
-ends, e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, so no entry
-exceeds O(kappa).
+lie.  Each state comes from the eigenvector h of H whose eigenvalue
+vanishes at its root: the point values Gamma0 = X h fix the decaying
+solution on every piece, as amplitudes of exponentials anchored at the
+interval ends, e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}.
 
 Pure delta' systems (one matrix per point, each with a delta'
 intensity beta_k, so that delta_prime_betas() is not None) take an O(N)
@@ -48,12 +48,15 @@ tridiagonal.  Haynsworth inertia additivity gives
 with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots.
 Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
 those that cross zero in the window of _exact_window, each found by
-LAPACK bisection.  A null vector u of T (LAPACK inverse iteration,
-orthogonal within a cluster) is minus psi' at the points, -beta u is
-the value jump there, and the anchored amplitudes are prefix and suffix
-sums of the jumps.
-This route reads the per-point blocks and never builds the dense
-relation.
+LAPACK bisection.  A null vector u of T (LAPACK inverse iteration) is
+minus psi' at the points, -beta u is the value jump there, and the
+anchored amplitudes are prefix and suffix sums of the jumps.  This route
+reads the per-point blocks and never builds the dense relation.
+
+On both routes the eigenvectors of one cluster of roots are orthonormal,
+so its states are linearly independent, and a state's parity under the
+mirror image of symmetric points is read off its amplitudes, which the
+reflection reverses.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from .interactions import (
 DEFAULT_GRID = 2048          # unused here; kept because perfbench/workloads.py reads it
 NEAR_THRESHOLD = 1e-6
 THRESHOLD_RTOL = 1e-10       # relative eigenvalue of H(0) taken as a zero-energy resonance
-RESIDUAL_TOL = 1e-6          # relative singular value accepted as a root
+RESIDUAL_TOL = 1e-6          # relative eigenvalue of T or H accepted as a root
 STATE_RESIDUAL_TOL = 1e-8    # matching residual above which a state is flagged
 PARITY_TOL = 1e-8
 FRAME_RANK_TOL = 1e-12       # relative singular value of X kept in the frame
@@ -473,76 +476,99 @@ class BoundState:
 
 
 def eigenfunction(sys: PointSystem, kappa: float) -> BoundState:
-    """Null-vector extraction and L2 normalization at a secular root, from
-    the matching matrix for every kind of system."""
-    return _null_states(sys, [kappa])[0]
+    """The L2-normalized state at a root kappa > 0, from the eigenvector of
+    T(kappa) or H(kappa) whose eigenvalue lies nearest zero; raises
+    NotAnEigenvalue when that eigenvalue is not zero to RESIDUAL_TOL."""
+    if sys.n_points == 0 or not kappa > 0:
+        raise NotAnEigenvalue("bound states need a point and kappa > 0")
+    if sys._betas is None:
+        ev = _eigenvalues(sys, kappa)
+    else:
+        ev = eigh_tridiagonal(*_tridiagonal(sys, kappa), eigvals_only=True)
+    return _cluster_states(sys, [kappa], int(np.argmin(np.abs(ev))))[0]
 
 
-def _null_states(sys: PointSystem, kappas: list[float]) -> list[BoundState]:
-    """One state per root of a cluster, from the last len(kappas) right
-    singular vectors of the matching matrix at the cluster's mean."""
-    n = sys.n_points
-    if n == 0:
-        raise NotAnEigenvalue("empty system has no bound states")
-    mult = len(kappas)
-    a = sys.normalized_relation()
-    t = _traces(sys.points, float(np.mean(kappas)), np.eye(2 * n)).reshape(4 * n, 2 * n)
-    _, s, vh = np.linalg.svd(a @ t.astype(complex))
-    rel = s[-mult] / s[0]
-    if rel > RESIDUAL_TOL:
-        raise NotAnEigenvalue(
-            f"relative singular value {rel:.2e} of a {mult}-fold root at "
-            f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
-        )
-    states = []
-    for kappa, amp in zip(kappas, vh[::-1].conj()):
-        traces = t @ amp
-        residual = float(np.linalg.norm(a @ traces) / np.linalg.norm(traces))
-        states.append(_bound_state(sys, kappa, amp, residual))
-    return states
+def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[BoundState]:
+    """One state per root of a cluster, from the orthonormal eigenvectors
+    first.. of T (pure delta') or H at the cluster's mean kappa.
 
-
-def _tridiagonal_states(sys: PointSystem, kappas: list[float], first: int) -> list[BoundState]:
-    """One state per root of a cluster of a pure delta' system, from the
-    orthonormal eigenvectors first.. of T at the cluster's mean kappa.
-
-    A null vector u of T(kappa) is minus the derivative at the points and
-    c = -beta u the value jumps; the anchored amplitudes are prefix and
-    suffix sums of the jumps, so the extraction is O(N) per state.
+    The eigenvalues must vanish relative to their scale: sum |beta| u^2 for
+    T, where at a root the two terms of u^T T u cancel, and max(1, ||H||)
+    for H, as in _count.  Each state's residual is that of its one-sided
+    traces in the row-normalized conditions, block by block for a per-point
+    system.
     """
     n, mult = sys.n_points, len(kappas)
     kappa = float(np.mean(kappas))
-    lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
-                              select_range=(first, first + mult - 1))
-    # at a root the two terms of u^T T u = (2/kappa) u^T E^{-1} u + sum beta u^2 cancel
-    rel = np.abs(lam) / (np.abs(sys._betas) @ (u * u))
+    route = _h_amplitudes if sys._betas is None else _t_amplitudes
+    lam, scale, amps = route(sys, kappa, first, mult)
+    rel = np.abs(lam) / scale
     if rel.max() > RESIDUAL_TOL:
         raise NotAnEigenvalue(
-            f"relative eigenvalue {rel.max():.2e} of T for a {mult}-fold root at "
+            f"relative eigenvalue {rel.max():.2e} for a {mult}-fold root at "
             f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
         )
+    traces = _traces(sys.points, kappa, amps)
+    if sys._blocks is None:
+        miss = (sys.normalized_relation() @ traces.reshape(4 * n, mult)).reshape(n, 2, mult)
+    else:
+        miss = np.einsum("kij,kjm->kim", _row_normalized(sys._blocks), traces)
+    res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
+    return [_bound_state(sys, kj, amps[:, j], float(res[j])) for j, kj in enumerate(kappas)]
+
+
+def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
+    """Eigenvalues first.. of T(kappa), their scales and the anchored
+    amplitudes of their states, O(N) per state.
+
+    An eigenvector u of T at a root is minus the derivative at the points
+    and c = -beta u the value jumps; the amplitudes are prefix and suffix
+    sums of the jumps.
+    """
+    lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
+                              select_range=(first, first + mult - 1))
     # e^{-kappa g} across each gap
     r = np.exp(-kappa * np.diff(sys.points))[:, None]
     c = -sys._betas[:, None] * u
     # b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
     # a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}
     b, a = 0.5 * c, -0.5 * c
+    n = sys.n_points
     for i in range(1, n):
         b[i] += r[i - 1] * b[i - 1]
     for i in range(n - 2, -1, -1):
         a[i] += r[i] * a[i + 1]
     amps = np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).reshape(-1, mult), b[-1:]))
-    # the relation residual of the one-sided traces, block by block
-    traces = _traces(sys.points, kappa, amps)
-    blocks = _row_normalized(sys._blocks).real
-    res = np.linalg.norm(np.einsum("kij,kjm->kim", blocks, traces), axis=(0, 1))
-    res /= np.linalg.norm(traces, axis=(0, 1))
-    return [_bound_state(sys, kj, amps[:, j], float(res[j])) for j, kj in enumerate(kappas)]
+    return lam, np.abs(sys._betas) @ (u * u), amps
+
+
+def _h_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
+    """Eigenvalues first.. of H(kappa), their scale and the anchored
+    amplitudes of their states.
+
+    An eigenvector h of H at a root gives the point values Gamma0 = X h,
+    (v+_k, v-_k), which fix the decaying solution on every piece: c_L =
+    v-_1, c_R = v+_N, and on gap i [[r, 1], [1, r]] (a_i, b_i) =
+    (v+_i, v-_{i+1}) with r = e^{-kappa g_i}.
+    """
+    lam, h = np.linalg.eigh(_krein(sys, kappa))
+    scale = max(1.0, np.abs(lam).max())
+    v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
+    vp, vm = v[:, 0], v[:, 1]
+    g = np.diff(sys.points)[:, None]
+    r = np.exp(-kappa * g)
+    den = -np.expm1(-2.0 * kappa * g)          # 1 - r^2, accurate for small kappa g
+    a = (vm[1:] - r * vp[:-1]) / den
+    b = (vp[:-1] - r * vm[1:]) / den
+    amps = np.concatenate((vm[:1], np.stack((a, b), axis=1).reshape(-1, mult), vp[-1:]))
+    return lam[first:first + mult], scale, amps
 
 
 def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: float) -> BoundState:
     """Phase-fixed, L2-normalized state with amplitudes (c_L, a_1, b_1, ..., c_R)."""
     amp = amp.astype(complex)
+    lead = amp[np.argmax(np.abs(amp))]
+    amp = amp / (lead / abs(lead))              # the largest amplitude real and positive
     state = BoundState(
         kappa=float(kappa),
         energy=-float(kappa) ** 2,
@@ -553,7 +579,6 @@ def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: floa
         residual=residual,
         near_threshold=bool(kappa < NEAR_THRESHOLD),
     )
-    _normalize_phase(state)
     scale = np.sqrt(state.norm_squared())
     state.c_left /= scale
     state.c_right /= scale
@@ -562,30 +587,19 @@ def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: floa
     return state
 
 
-def _normalize_phase(state: BoundState) -> None:
-    amps = np.concatenate(([state.c_left], state.interior.ravel(), [state.c_right]))
-    lead = amps[np.argmax(np.abs(amps))]
-    phase = lead / abs(lead)
-    state.c_left /= phase
-    state.c_right /= phase
-    state.interior = state.interior / phase
-
-
 def _detect_parity(state: BoundState) -> str:
+    """Even or odd under the reflection x -> 2c - x of mirror-symmetric
+    points, which maps the flat amplitudes (c_L, a_1, b_1, ..., c_R) of a
+    state to their reverse."""
     pts = state.points
     c = 0.5 * (pts[0] + pts[-1])
     if not np.allclose(pts - c, -(pts[::-1] - c), atol=1e-12):
         return "none"
-    span = max(pts[-1] - pts[0], 1.0)
-    y = np.linspace(0.013, 1.71, 37) * span  # avoids the points themselves
-    fp = state.evaluate(c + y)
-    fm = state.evaluate(c - y)
-    scale = max(np.abs(fp).max(), np.abs(fm).max())
-    if scale == 0:
-        return "none"
-    if np.abs(fp - fm).max() / scale < PARITY_TOL:
+    amps = np.concatenate(([state.c_left], state.interior.ravel(), [state.c_right]))
+    scale = np.abs(amps).max()
+    if np.abs(amps - amps[::-1]).max() <= PARITY_TOL * scale:
         return "even"
-    if np.abs(fp + fm).max() / scale < PARITY_TOL:
+    if np.abs(amps + amps[::-1]).max() <= PARITY_TOL * scale:
         return "odd"
     return "none"
 
@@ -622,15 +636,15 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     """Every bound state, or those with kappa <= kappa_max (inf filters
     nothing), by descending kappa; states below NEAR_THRESHOLD are flagged.
 
-    Brent's method finds each eigenvalue crossing of _window.  Roots
-    closer than CLUSTER_RTOL (relative) form a cluster whose states come
-    from orthonormal null vectors at the cluster's mean kappa (the last
-    right singular vectors of the matching matrix, or eigenvectors of T),
-    so they are linearly independent.  Exactly as many states as the count
-    are returned: a failed extraction raises NotAnEigenvalue, and a state
-    whose matching residual exceeds STATE_RESIDUAL_TOL is kept and
-    reported via GridTooCoarse.  Raises NotSelfAdjoint when the condition
-    plane is not Lagrangian.
+    Brent's method finds each eigenvalue crossing of _window, of T for a
+    pure delta' system and of H otherwise.  Roots closer than CLUSTER_RTOL
+    (relative) form a cluster whose states come from the orthonormal
+    eigenvectors of the same matrix at the cluster's mean kappa, so they
+    are linearly independent.  Exactly as many states as the count are
+    returned: a failed extraction raises NotAnEigenvalue, and a state whose
+    matching residual exceeds STATE_RESIDUAL_TOL is kept and reported via
+    GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
+    Lagrangian.
     """
     lo, hi, crossing = _window(sys, kappa_max)
     if sys._betas is None:
@@ -656,12 +670,7 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
             clusters.append([(kappa, j)])
     states = []
     for cluster in clusters:
-        kappas = [kappa for kappa, _ in cluster]
-        if sys._betas is None:
-            found = _null_states(sys, kappas)
-        else:
-            found = _tridiagonal_states(sys, kappas, min(j for _, j in cluster))
-        for st in found:
+        for st in _cluster_states(sys, [kappa for kappa, _ in cluster], min(j for _, j in cluster)):
             if st.residual > STATE_RESIDUAL_TOL:
                 warnings.warn(
                     f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse

@@ -283,6 +283,20 @@ class TestCli:
         assert main(["certify", "--random-trials", "5", "--seed", "1"]) == 0
         assert "agreement 5/5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--positions", "0,1,2", "--betas=-1,1,-3"],
+        ["--cantor-depth", "2", "--beta", "-1", "--blocks", "2"],
+        ["--random-trials", "2", "--seed", "1"],
+    ], ids=["points", "cantor", "random"])
+    def test_certify_out_file(self, argv, tmp_path, capsys):
+        # every mode writes --out, and the file holds what stdout shows without it
+        assert main(["certify", *argv]) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "f.txt"
+        assert main(["certify", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == shown
+
     def test_deficiency_rank(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["deficiency", "--points", "0,1", "--z", "-1",

@@ -270,14 +270,20 @@ class TestCounting:
         def refuse(*args):
             raise AssertionError("count_negative extracted eigenfunctions")
 
-        monkeypatch.setattr(line, "_null_states", refuse)
+        # one system on each route: T for pure delta', H for a global relation
+        monkeypatch.setattr(line, "_cluster_states", refuse)
         assert count_negative(delta_prime_system([0.0, 25.0], [-1.0, -1.0])) == 2
+        assert count_negative(nonlocal_example()) == 1
+        # the patch is live: a search extracts through it
+        with pytest.raises(AssertionError, match="extracted"):
+            find_bound_states(nonlocal_example())
 
     def test_extraction_failure_raises(self, monkeypatch):
         # every counted root yields a state or the search fails loudly
         monkeypatch.setattr(line, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(NotAnEigenvalue):
-            find_bound_states(delta_prime_pair(-1.0), 10.0)
+        for sys in (delta_prime_pair(-1.0), nonlocal_example()):
+            with pytest.raises(NotAnEigenvalue):
+                find_bound_states(sys, 10.0)
 
 
 class TestEigenfunction:
@@ -308,16 +314,19 @@ class TestEigenfunction:
                 assert abs(st.norm_squared() - total) <= 8 * pts.size * np.finfo(float).eps * total
 
     def test_single_delta_shape(self):
-        sys = from_kinds([(0.0, Delta(-2.0))])
-        st = eigenfunction(sys, 1.0)
-        for x in (-0.7, 0.0, 1.3):
-            assert abs(abs(st.evaluate(x)) - np.exp(-abs(x))) < 1e-9
-        assert abs(st.norm_squared() - 1.0) < 1e-12
+        # |psi| = sqrt(kappa) e^{-kappa |x|}: a delta (H route) and a delta' (T route)
+        for kind, kappa in ((Delta(-2.0), 1.0), (DeltaPrime(-1.0), 2.0)):
+            st = eigenfunction(from_kinds([(0.0, kind)]), kappa)
+            for x in (-0.7, 0.0, 1.3):
+                assert abs(abs(st.evaluate(x)) - np.sqrt(kappa) * np.exp(-kappa * abs(x))) < 1e-9
+            assert abs(st.norm_squared() - 1.0) < 1e-12
 
     def test_off_root_raises(self):
-        sys = from_kinds([(0.0, Delta(-2.0))])
-        with pytest.raises(NotAnEigenvalue):
-            eigenfunction(sys, 1.5)
+        for kind in (Delta(-2.0), DeltaPrime(-1.0)):
+            sys = from_kinds([(0.0, kind)])
+            for kappa in (1.5, 0.0):
+                with pytest.raises(NotAnEigenvalue):
+                    eigenfunction(sys, kappa)
 
     def test_symmetric_systems_have_definite_parity(self):
         for beta in (-0.6, -1.7):
@@ -485,9 +494,47 @@ class TestKreinCount:
         want = _oracle_roots(count, lo, hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [s.kappa for s in find_bound_states(sys)]
+            states = find_bound_states(sys)
+        got = [s.kappa for s in states]
         assert count_negative(sys) == len(got) == len(want) == count(lo)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert all(s.residual <= 1e-10 for s in states)
+
+
+@st.composite
+def mirror_systems(draw):
+    """delta and delta' points mirrored about 0, with an optional one at 0."""
+    m = draw(st.integers(1, 3))
+    half = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    kind = st.builds(lambda prime, c: DeltaPrime(c) if prime else Delta(c),
+                     st.booleans(), st.floats(0.2, 5.0) | st.floats(-5.0, -0.2))
+    right = draw(st.lists(kind, min_size=m, max_size=m))
+    middle = draw(st.lists(kind, max_size=1))
+    pts = np.concatenate((-half[::-1], [0.0] * len(middle), half))
+    return from_kinds(list(zip(pts, right[::-1] + middle + right)))
+
+
+class TestParity:
+    @settings(max_examples=60, deadline=None)
+    @given(sys=mirror_systems())
+    def test_simple_roots_of_mirror_systems_have_exact_parity(self, sys):
+        # per point (T or H) and as a global relation (H); the reflection
+        # x -> -x is checked on psi itself, off the points
+        span = sys.points[-1] - sys.points[0]
+        ys = np.linspace(0.013, 1.71, 37) * max(span, 1.0)
+        ys = ys[np.abs(ys[:, None] - sys.points[None, :]).min(axis=1) > 1e-6]
+        for s in (sys, PointSystem(sys.points, relation=sys.relation)):
+            states = find_bound_states(s)
+            kappas = np.array([st_.kappa for st_ in states])
+            for st_ in states:
+                others = np.delete(kappas, np.flatnonzero(kappas == st_.kappa)[0])
+                if np.any(np.abs(others - st_.kappa) <= 1e-4 * st_.kappa):
+                    continue          # not a simple root: any basis of the cluster will do
+                assert st_.parity in ("even", "odd")
+                sign = 1.0 if st_.parity == "even" else -1.0
+                fp, fm = st_.evaluate(ys), st_.evaluate(-ys)
+                scale = max(np.abs(fp).max(), np.abs(fm).max())
+                assert np.abs(fm - sign * fp).max() <= 1e-7 * scale
 
 
 @st.composite
