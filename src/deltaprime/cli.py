@@ -101,6 +101,8 @@ def cmd_interactions(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_approx(args) -> int:
+    if not args.eps_ratio > 1:
+        raise SchemaError("--eps-ratio must be greater than 1")
     eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
     lam = complex(args.lam)
     if args.family in ("3d", "4d") and args.gamma is None:
@@ -221,7 +223,9 @@ def cmd_measure(args) -> int:
 
 def cmd_certify(args) -> int:
     out_lines = [f"# deltaprime {__version__}"]
-    if args.random_trials:
+    if args.random_trials is not None:
+        if args.random_trials < 1:
+            raise SchemaError("--random-trials must be at least 1")
         rng = np.random.default_rng(args.seed)
         agree = 0
         for t in range(args.random_trials):

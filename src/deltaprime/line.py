@@ -27,14 +27,15 @@ on the diagonal and kappa csch(kappa g) off it, which tend to -1/g and
 eigenvalue of H(0) within rounding of zero is a zero-energy resonance
 (the free line, delta'-potentials), not a state.  As -M(kappa) >=
 kappa tanh(kappa g_min / 2), H(kappa) > 0 above a closed-form hi, so
-[0, hi] holds every state and kappa_max only caps it.  Each ordered
-eigenvalue of H increases with kappa, so the counts at the two ends of
-the window name the eigenvalues that cross zero inside it, each exactly
-once, and Brent's method finds every crossing however close two roots
-lie.  Each state comes from the eigenvector h of H whose eigenvalue
-vanishes at its root: the point values Gamma0 = X h fix the decaying
-solution on every piece, as amplitudes of exponentials anchored at the
-interval ends, e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}.
+[0, hi] holds every state.  Each ordered eigenvalue of H increases with
+kappa, so the counts at the two ends of the window name the eigenvalues
+that cross zero inside it, each exactly once, and Brent's method finds
+every crossing however close two roots lie.  kappa_max never moves the
+window: it selects branches by the count at min(hi, kappa_max).  Each
+state comes from the eigenvector h of H whose eigenvalue vanishes at its
+root: the point values Gamma0 = X h fix the decaying solution on every
+piece, as amplitudes of exponentials anchored at the interval ends,
+e^{kappa(x - x_{i+1})} and e^{-kappa(x - x_i)}, by one 2 x 2 solve per gap.
 
 Pure delta' systems (one matrix per point, each with a delta'
 intensity beta_k, so that delta_prime_betas() is not None) take an O(N)
@@ -49,9 +50,9 @@ with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots.
 Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
 those that cross zero in the window of _exact_window, each found by
 LAPACK bisection.  A null vector u of T (LAPACK inverse iteration) is
-minus psi' at the points, -beta u is the value jump there, and the
-anchored amplitudes are prefix and suffix sums of the jumps.  This route
-reads the per-point blocks and never builds the dense relation.
+minus psi' at the points, where psi' is continuous; psi'/kappa is itself
+a decaying solution, so the same gap solve on -u/kappa gives the state.
+This route reads the per-point blocks and never builds the dense relation.
 
 On both routes the eigenvectors of one cluster of roots are orthonormal,
 so its states are linearly independent, and a state's parity under the
@@ -519,49 +520,37 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
 
 def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
     """Eigenvalues first.. of T(kappa), their scales and the anchored
-    amplitudes of their states, O(N) per state.
-
-    An eigenvector u of T at a root is minus the derivative at the points
-    and c = -beta u the value jumps; the amplitudes are prefix and suffix
-    sums of the jumps.
-    """
+    amplitudes of their states.  An eigenvector u of T at a root is -psi'
+    at the points, where psi' is continuous, so psi'/kappa is the decaying
+    solution with value -u/kappa on both sides of every point and
+    amplitudes (c_L, a_i, -b_i, -c_R)."""
     lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
                               select_range=(first, first + mult - 1))
-    # e^{-kappa g} across each gap
-    r = np.exp(-kappa * np.diff(sys.points))[:, None]
-    c = -sys._betas[:, None] * u
-    # b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
-    # a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}
-    b, a = 0.5 * c, -0.5 * c
-    n = sys.n_points
-    for i in range(1, n):
-        b[i] += r[i - 1] * b[i - 1]
-    for i in range(n - 2, -1, -1):
-        a[i] += r[i] * a[i + 1]
-    amps = np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).reshape(-1, mult), b[-1:]))
-    return lam, np.abs(sys._betas) @ (u * u), amps
+    d = -u / kappa
+    return lam, np.abs(sys._betas) @ (u * u), _anchored(sys.points, kappa, d, d, -1.0)
 
 
 def _h_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
     """Eigenvalues first.. of H(kappa), their scale and the anchored
-    amplitudes of their states.
-
-    An eigenvector h of H at a root gives the point values Gamma0 = X h,
-    (v+_k, v-_k), which fix the decaying solution on every piece: c_L =
-    v-_1, c_R = v+_N, and on gap i [[r, 1], [1, r]] (a_i, b_i) =
-    (v+_i, v-_{i+1}) with r = e^{-kappa g_i}.
-    """
+    amplitudes of their states, from the point values Gamma0 = X h,
+    (v+_k, v-_k), of the eigenvectors h."""
     lam, h = np.linalg.eigh(_krein(sys, kappa))
     scale = max(1.0, np.abs(lam).max())
     v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
-    vp, vm = v[:, 0], v[:, 1]
-    g = np.diff(sys.points)[:, None]
+    return lam[first:first + mult], scale, _anchored(sys.points, kappa, v[:, 0], v[:, 1])
+
+
+def _anchored(points: np.ndarray, kappa: float, vp, vm, sign: float = 1.0) -> np.ndarray:
+    """Flat amplitudes (c_L, a_1, b_1, ..., c_R), a column per state, of the
+    decaying solutions with values vp = psi(x_k+0), vm = psi(x_k-0), shape
+    (N, m): c_L = vm_1, c_R = vp_N and, on gap i, [[r, 1], [1, r]] (a_i, b_i)
+    = (vp_i, vm_{i+1}), r = e^{-kappa g_i}.  sign multiplies b_i and c_R."""
+    g = np.diff(points)[:, None]
     r = np.exp(-kappa * g)
     den = -np.expm1(-2.0 * kappa * g)          # 1 - r^2, accurate for small kappa g
     a = (vm[1:] - r * vp[:-1]) / den
-    b = (vp[:-1] - r * vm[1:]) / den
-    amps = np.concatenate((vm[:1], np.stack((a, b), axis=1).reshape(-1, mult), vp[-1:]))
-    return lam[first:first + mult], scale, amps
+    b = sign * (vp[:-1] - r * vm[1:]) / den
+    return np.concatenate((vm[:1], np.stack((a, b), 1).reshape(-1, vp.shape[1]), sign * vp[-1:]))
 
 
 def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: float) -> BoundState:
@@ -592,8 +581,7 @@ def _detect_parity(state: BoundState) -> str:
     points, which maps the flat amplitudes (c_L, a_1, b_1, ..., c_R) of a
     state to their reverse."""
     pts = state.points
-    c = 0.5 * (pts[0] + pts[-1])
-    if not np.allclose(pts - c, -(pts[::-1] - c), atol=1e-12):
+    if np.abs(pts + pts[::-1] - (pts[0] + pts[-1])).max() > 1e-12 * np.abs(pts).max():
         return "none"
     amps = np.concatenate(([state.c_left], state.interior.ravel(), [state.c_right]))
     scale = np.abs(amps).max()
@@ -605,15 +593,16 @@ def _detect_parity(state: BoundState) -> str:
 
 
 def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range]:
-    """(lo, hi] holding every bound state with kappa <= kappa_max, and the
+    """[lo, hi] holding every bound state, from closed-form bounds, and the
     indices of the ordered eigenvalues (of T for a pure delta' system, of H
-    otherwise) that cross zero in it, each at one state.
+    otherwise) that cross zero in it at the states with kappa <= kappa_max,
+    selected by the count at min(hi, kappa_max).
 
-    Pure delta': _exact_window capped at kappa_max.  Otherwise lo = 0,
-    where C(0+) is the total, and hi = 0 when that is 0.  Else, with c from
-    _frame, H(kappa) >= (kappa tanh(kappa g_min/2) s_min(X)^2 +
-    lambda_min(X^H Y)) I, and tanh u >= tanh(1) min(u, 1) makes it > 0
-    above hi = max(c/tanh 1, sqrt(2c/(g_min tanh 1))), capped at kappa_max.
+    Pure delta': _exact_window.  Otherwise lo = 0, where C(0+) is the total,
+    and hi = 0 when that is 0.  Else, with c from _frame, H(kappa) >=
+    (kappa tanh(kappa g_min/2) s_min(X)^2 + lambda_min(X^H Y)) I, and
+    tanh u >= tanh(1) min(u, 1) makes it > 0 above
+    hi = max(c/tanh 1, sqrt(2c/(g_min tanh 1))).
     """
     kappa_max = np.inf if kappa_max is None else kappa_max
     if not kappa_max > 0:
@@ -622,14 +611,14 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         if not np.any(sys._betas < 0):
             return 0.0, 0.0, range(0)        # T(kappa) > 0 for every kappa when beta >= 0
         lo, hi = _exact_window(sys)
-        hi = min(hi, kappa_max)              # below lo, T > 0 and no eigenvalue crosses
-        return lo, hi, range(_negatives(sys, lo), _negatives(sys, hi))
+        # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
+        return lo, hi, range(_negatives(sys, min(hi, kappa_max)))
     total = _count(sys, 0.0)
     if total == 0:
         return 0.0, 0.0, range(0)
     c = sys._plane[3] / np.tanh(1.0)
-    hi = min(max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf))), kappa_max)
-    return 0.0, hi, range(_count(sys, hi), total)
+    hi = max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf)))
+    return 0.0, hi, range(_count(sys, min(hi, kappa_max)), total)
 
 
 def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
@@ -637,27 +626,27 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     nothing), by descending kappa; states below NEAR_THRESHOLD are flagged.
 
     Brent's method finds each eigenvalue crossing of _window, of T for a
-    pure delta' system and of H otherwise.  Roots closer than CLUSTER_RTOL
-    (relative) form a cluster whose states come from the orthonormal
-    eigenvectors of the same matrix at the cluster's mean kappa, so they
-    are linearly independent.  Exactly as many states as the count are
-    returned: a failed extraction raises NotAnEigenvalue, and a state whose
-    matching residual exceeds STATE_RESIDUAL_TOL is kept and reported via
+    pure delta' system and of H otherwise, over a bracket that does not
+    depend on kappa_max: a capped search returns the roots of the uncapped
+    one that the count selects, bit for bit, and one of them may lie a few
+    ulps above kappa_max.  Roots closer than CLUSTER_RTOL (relative) form
+    a cluster whose states come from the orthonormal eigenvectors of the
+    same matrix at the cluster's mean kappa, so they are linearly
+    independent.  Exactly as many states as the count are returned: a
+    failed extraction raises NotAnEigenvalue, and a state whose matching
+    residual exceeds STATE_RESIDUAL_TOL is kept and reported via
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
     Lagrangian.
     """
     lo, hi, crossing = _window(sys, kappa_max)
     if sys._betas is None:
-        value = lambda k, j: _eigenvalues(sys, k)[j]
+        # every root shares the bracket, so H is diagonalized at its ends once
+        ends = {lo: _eigenvalues(sys, lo), hi: _eigenvalues(sys, hi)} if crossing else {}
+        value = lambda k, j: (ends[k] if k in ends else _eigenvalues(sys, k))[j]
     else:
-        def value(k, j):
-            # kappa lambda_j has the sign of lambda_j and is linear in kappa
-            # for a lone point (2 + kappa beta), which saves Brent steps
-            v = k * _t_eigenvalue(sys, k, j)
-            # the pivot count and LAPACK's bisection may disagree on an
-            # eigenvalue within rounding of zero at a capped upper end; the
-            # count decides, and such a root is the end itself
-            return min(v, 0.0) if k == hi else v
+        # kappa lambda_j has the sign of lambda_j and is linear in kappa
+        # for a lone point (2 + kappa beta), which saves Brent steps
+        value = lambda k, j: k * _t_eigenvalue(sys, k, j)
     roots = [
         (brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j)
         for j in crossing
@@ -680,10 +669,10 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
 
 
 def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
-    """Number of bound states, or of those with kappa <= kappa_max, from
-    the exact counts at the ends of the window (_window), with no root
-    search.  For a pure delta' system the total is the number of points
-    with negative intensity, by Haynsworth's inertia additivity."""
+    """Number of bound states, or of those with kappa <= kappa_max, from the
+    exact counts of _window, the total and the count at min(hi, kappa_max),
+    with no root search.  For a pure delta' system the total is the number
+    of points with negative intensity, by Haynsworth's inertia additivity."""
     return len(_window(sys, kappa_max)[2])
 
 

@@ -32,6 +32,24 @@ def quadratic_form_point_numeric(t) -> float:
     return total + t.beta * 1.0
 
 
+def jump_sum_amplitudes(points, betas, kappa: float, u: np.ndarray) -> np.ndarray:
+    """Flat amplitudes (c_L, a_1, b_1, ..., c_R) of the delta' state whose
+    derivative at the points is -u, an eigenvector of T(kappa) at a root,
+    as prefix and suffix sums of the value jumps c = -beta u:
+
+        b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
+        a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}.
+    """
+    r = np.exp(-kappa * np.diff(points))
+    c = -np.asarray(betas) * u
+    b, a = 0.5 * c, -0.5 * c
+    for i in range(1, len(c)):
+        b[i] += r[i - 1] * b[i - 1]
+    for i in range(len(c) - 2, -1, -1):
+        a[i] += r[i] * a[i + 1]
+    return np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).ravel(), b[-1:]))
+
+
 def secular_values(sys: line.PointSystem, kappas) -> np.ndarray:
     """Secular function det H(kappa) on an array of decay rates kappa > 0.
 

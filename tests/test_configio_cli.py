@@ -323,6 +323,9 @@ class TestCli:
         (["spectrum", "--builtin", "delta-prime-pair", "--kappa-max", "nan"], "positive"),
         (["approx", "--family", "3d"], "family 3d needs --gamma"),
         (["approx", "--family", "4d"], "family 4d needs --gamma"),
+        (["approx", "--family", "5d", "--eps-ratio", "0"], "--eps-ratio"),
+        (["certify", "--random-trials", "-3"], "--random-trials"),
+        (["certify", "--random-trials", "0"], "--random-trials"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import eigh_tridiagonal, null_space
 
 from deltaprime import line
 from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitNotSupported
@@ -35,7 +35,7 @@ from deltaprime.line import (
     from_kinds,
     nonlocal_example,
 )
-from oracles import secular_values
+from oracles import jump_sum_amplitudes, secular_values
 
 # frozen independent oracles (brentq on the matching equations)
 KAPPA_ODD = 1.9611797513715394    # root of k = 1 + tanh k
@@ -333,6 +333,18 @@ class TestEigenfunction:
             states = find_bound_states(delta_prime_pair(beta), 4.0 * 2.0 / abs(beta))
             assert {st.parity for st in states} == {"even", "odd"}
 
+    def test_parity_needs_exactly_mirrored_points(self):
+        # a palindrome of amplitudes is even only on mirror-symmetric points;
+        # points 1e-5 off their mirror image are not, at any scale
+        amps = np.array([1.0, 0.5, 0.2, 0.3, 0.3, 0.2, 0.5, 1.0])
+        for pts, parity in (([-2.0, -1.0, 1.0, 2.0], "even"), ([-2.0, -1.0, 1.00001, 2.0], "none"),
+                            ([1e3, 1e3 + 1.0, 1e3 + 2.0, 1e3 + 3.0], "even")):
+            state = line.BoundState(1.0, -1.0, amps[0], amps[-1], amps[1:-1].reshape(-1, 2),
+                                    np.array(pts), residual=0.0)
+            assert line._detect_parity(state) == parity
+        states = find_bound_states(delta_prime_system([-2.0, -1.0, 1.00001, 2.0], [-1.0] * 4))
+        assert len(states) == 4 and {st.parity for st in states} == {"none"}
+
 
 class TestBuilders:
     def test_from_kinds_matches_direct(self):
@@ -500,6 +512,17 @@ class TestKreinCount:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         assert all(s.residual <= 1e-10 for s in states)
 
+    def test_window_ends_are_diagonalized_once_per_search(self, monkeypatch):
+        # every root shares the bracket [0, hi]: H(0) is diagonalized by the
+        # total and once for Brent, H(hi) by the count at hi and once for Brent
+        sys = from_kinds([(0.0, Delta(-2.0)), (3.0, Delta(-1.5)), (6.0, Delta(-3.0))])
+        _, hi, crossing = line._window(sys, None)
+        seen = []
+        eigenvalues = line._eigenvalues
+        monkeypatch.setattr(line, "_eigenvalues", lambda s, k: seen.append(k) or eigenvalues(s, k))
+        assert len(find_bound_states(sys)) == len(crossing) == 3
+        assert seen.count(0.0) <= 2 and seen.count(hi) <= 2
+
 
 @st.composite
 def mirror_systems(draw):
@@ -580,13 +603,28 @@ class TestTridiagonalRoute:
         assert len(got) == len(want) == neg
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=delta_prime_systems())
+    def test_gap_solve_matches_the_jump_sums(self, case):
+        # the state with psi' = -u at the points, u an eigenvector of T at a
+        # root: one 2 x 2 solve per gap against sums of the jumps -beta u
+        pts, betas = case
+        sys = delta_prime_system(pts, betas)
+        for s in find_bound_states(sys):
+            diag, off = line._tridiagonal(sys, s.kappa)
+            j = int(np.argmin(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True))))
+            _, u = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
+            want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
+            got = line._t_amplitudes(sys, s.kappa, j, 1)[2][:, 0]
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
     @pytest.mark.parametrize("sys", [
         delta_prime_pair(-1.0), delta_prime_pair(-2.5),
         delta_prime_system([0.0, 0.8086714728159203], [-0.6032146333881763, -1.9645422881387398]),
     ])
     def test_window_ending_on_a_root(self, sys):
-        # with kappa_max on a root an eigenvalue of T sits within rounding
-        # of zero, where the pivot count and LAPACK's bisection may disagree
+        # kappa_max on a root: the pivot count there decides whether that
+        # root is selected, and a selected root is the uncapped Brent root
         roots = [s.kappa for s in find_bound_states(sys)]
         for root in roots:
             for kappa_max in root * (1.0 + np.arange(-3, 4) * np.finfo(float).eps):
@@ -631,3 +669,44 @@ class TestTridiagonalRoute:
         # the dense plane, counted over its own window
         dense = PointSystem(sys.points, relation=sys.relation)
         assert count_negative(dense) == len(find_bound_states(dense)) == 3
+
+    def test_close_weak_wells_keep_small_residuals(self):
+        # gaps of 1e-3 to 0.02 and weak binding, kappa ~ 2/|beta|, make each
+        # 2 x 2 gap solve ill-conditioned, like 1/(kappa g)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            n = int(rng.integers(2, 9))
+            pts = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 0.02, n - 1))))
+            states = find_bound_states(delta_prime_system(pts, -rng.uniform(5.0, 50.0, n)))
+            assert len(states) == n
+            assert max(s.residual for s in states) <= 1e-11
+
+
+class TestCappedSearch:
+    # kappa_max never moves the bracket; it selects branches by the count at
+    # min(hi, kappa_max), so a capped search solves each branch exactly as
+    # the uncapped one does
+    @settings(max_examples=60, deadline=None)
+    @given(case=delta_prime_systems(), data=st.data())
+    def test_delta_prime_capped_roots_are_uncapped_ones(self, case, data):
+        self.check(delta_prime_system(*case), data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=local_systems(), data=st.data())
+    def test_krein_capped_roots_are_uncapped_ones(self, case, data):
+        pts, c, prime = case
+        self.check(from_kinds([(x, DeltaPrime(a) if p else Delta(a))
+                               for x, a, p in zip(pts, c, prime)]), data)
+
+    @staticmethod
+    def check(sys, data):
+        uncapped = [s.kappa for s in find_bound_states(sys)]
+        # anywhere, or within a few ulps of a root
+        kappa_max = st.floats(-4.0, 3.0).map(np.exp)
+        if uncapped:
+            kappa_max |= st.tuples(st.sampled_from(uncapped), st.integers(-3, 3)).map(
+                lambda t: t[0] * (1.0 + t[1] * np.finfo(float).eps))
+        kappa_max = data.draw(kappa_max)
+        m = count_negative(sys, kappa_max)
+        capped = [s.kappa for s in find_bound_states(sys, kappa_max)]
+        assert capped == uncapped[len(uncapped) - m:]

@@ -359,6 +359,7 @@ class TestBridge:
             states = find_bound_states(sys)
         elapsed = time.perf_counter() - t0
         assert len(states) == 256
+        assert max(s.residual for s in states) <= 1e-11
         amps = np.array([np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
                          for s in states])
         sv = np.linalg.svd(amps, compute_uv=False)
