@@ -10,15 +10,17 @@ parabolas far to the right; its quadratic form has the closed value
 Calibrating (eps, r) drives the form to beta/2 < 0, and disjointly
 supported copies give an n-dimensional strictly negative subspace: a
 certificate that at least n negative eigenvalues exist.  The measure
-version integrates a smoothed indicator chi of a subset against the
-measure, closes with the same parabola pair, and its form splits into
-the three integrals I1 = int |chi|^2 dx, I2 = (2/3) c^2 / r,
-I3 = int beta |chi|^2 dmu.
+version integrates a smoothed indicator chi of a subset of atoms
+against the measure and closes with the same parabola pair.  It is
+built from its subset's atoms alone: chi is 1 on them, and its
+support keeps a gap to every other atom, so its form splits into the
+three integrals I1 = int |chi|^2 dx, I2 = (2/3) c^2 / r and
+I3 = int beta |chi|^2 dmu = sum over the subset of beta w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,19 @@ _RAMP_SQ_INT = (_RAMP * _RAMP).integ()   # int_0^u s^2
 R_MIN = 1.0
 PAD = 1.0
 MAX_HALVINGS = 60
+
+
+def _closing(u, p, r):
+    """(value, slope) of the closing parabola pair at u = x - l >= 0.
+
+    Falls from the plateau p with zero slope at u = 0, turns at u = r
+    and reaches zero with zero slope at u = 2r; zero beyond.
+    """
+    u = np.minimum(u, 2 * r)
+    near = u < r
+    w = np.where(near, u, 2 * r - u)
+    q = p * w ** 2 / (2 * r * r)
+    return np.where(near, p - q, q), -p * w / (r * r)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +100,8 @@ class TestFunction:
         out[m] = p - (y[m] - e) ** 2 / (2 * e)
         m = (y >= e) & (y < l)
         out[m] = p
-        m = (y >= l) & (y < l + r)
-        out[m] = p - p * (l - y[m]) ** 2 / (2 * r * r)
-        m = (y >= l + r) & (y < l + 2 * r)
-        out[m] = p * (l + 2 * r - y[m]) ** 2 / (2 * r * r)
+        m = y >= l
+        out[m] = _closing(y[m] - l, p, r)[0]
         return float(out[0]) if scalar else out
 
     def derivative(self, x):
@@ -101,10 +114,8 @@ class TestFunction:
         out[m] = (y[m] + e) / e
         m = (y >= 0) & (y < e)
         out[m] = (e - y[m]) / e
-        m = (y >= l) & (y < l + r)
-        out[m] = p * (l - y[m]) / (r * r)
-        m = (y >= l + r) & (y < l + 2 * r)
-        out[m] = -p * (l + 2 * r - y[m]) / (r * r)
+        m = y >= l
+        out[m] = _closing(y[m] - l, p, r)[1]
         return float(out[0]) if scalar else out
 
     def one_sided(self, x: float, side: int) -> tuple[float, float]:
@@ -209,10 +220,17 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
 
 
 def _assert_regions_disjoint(regions: list[tuple[float, float]]) -> None:
-    for i, (a1, b1) in enumerate(regions):
-        for a2, b2 in regions[i + 1:]:
-            if max(a1, a2) < min(b1, b2):
-                raise SupportOverlap(f"active regions [{a1},{b1}] and [{a2},{b2}] overlap")
+    """Raise SupportOverlap if two of the nonempty open intervals overlap.
+
+    Sorted by left end, if region i overlaps a later region j then it
+    also overlaps region i + 1, which starts no later than j; so
+    comparing sorted neighbours finds every overlap.
+    """
+    iv = np.array(sorted(regions), dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(iv[1:, 0] < iv[:-1, 1])
+    if bad.size:
+        (a1, b1), (a2, b2) = iv[bad[0]], iv[bad[0] + 1]
+        raise SupportOverlap(f"active regions [{a1},{b1}] and [{a2},{b2}] overlap")
 
 
 def _assert_disjoint(funcs: list[TestFunction], all_points: np.ndarray) -> None:
@@ -308,65 +326,44 @@ def _neighborhood(points: np.ndarray, delta: float) -> SmoothIndicator:
 class MeasureTestFunction:
     """Trial function (antiderivative of chi plus measure terms) for a subset.
 
-    For x <= l the function is int_a^x chi + int_(a,x) beta chi dmu; it
-    takes the plateau value c_k right of the support and closes through
+    `positions` holds the subset's atoms in increasing order and `jumps`
+    their beta w.  chi is 1 on those atoms and 0 on every other atom,
+    so for x <= l the function is int_{-inf}^x chi plus the jumps of the
+    subset atoms below x; it takes the plateau value
+    c_k = int chi + sum(jumps) right of the support and closes through
     two parabolas on [l, l+2r].
     """
 
     chi: SmoothIndicator
-    atom_positions: np.ndarray
-    atom_weights: np.ndarray
-    beta_at_atoms: np.ndarray
-    a: float
+    positions: np.ndarray
+    jumps: np.ndarray
     l: float
     r: float
     delta: float
-    subset: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.chi_at_atoms = self.chi(self.atom_positions)
-        self.c_k = float(
-            self.chi.integral()
-            + np.sum(self.beta_at_atoms * self.atom_weights * self.chi_at_atoms)
-        )
+        self.c_k = float(self.chi.integral() + np.sum(self.jumps))
 
     def evaluate(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.chi.cumulative(x)
-        # atomic part: atoms strictly below x contribute beta w chi
-        contrib = self.beta_at_atoms * self.atom_weights * self.chi_at_atoms
-        idx = np.searchsorted(self.atom_positions, x, side="left")
-        cum = np.concatenate(([0.0], np.cumsum(contrib)))
-        out = out + cum[idx]
-        c, l, r = self.c_k, self.l, self.r
-        m = (x >= l) & (x < l + r)
-        out[m] = c - c * (l - x[m]) ** 2 / (2 * r * r)
-        m = (x >= l + r) & (x < l + 2 * r)
-        out[m] = c * (l + 2 * r - x[m]) ** 2 / (2 * r * r)
-        out[x >= l + 2 * r] = 0.0
-        out[x < self.a] = 0.0
+        cum = np.concatenate(([0.0], np.cumsum(self.jumps)))
+        out = self.chi.cumulative(x) + cum[np.searchsorted(self.positions, x, side="left")]
+        m = x >= self.l
+        out[m] = _closing(x[m] - self.l, self.c_k, self.r)[0]
         return float(out[0]) if scalar else out
 
     def one_sided(self, x: float, side: int) -> tuple[float, float]:
-        if x < self.l:
-            val = float(self.evaluate(x))
-            j = np.searchsorted(self.atom_positions, x)
-            if side > 0 and j < self.atom_positions.size and self.atom_positions[j] == x:
-                val += float(
-                    self.beta_at_atoms[j] * self.atom_weights[j] * self.chi_at_atoms[j]
-                )
-            return val, float(self.chi(x))
-        c, l, r = self.c_k, self.l, self.r
-        if x < l + r:
-            return float(self.evaluate(x)), c * (l - x) / (r * r)
-        if x < l + 2 * r:
-            return float(self.evaluate(x)), -c * (l + 2 * r - x) / (r * r)
-        return 0.0, 0.0
+        if x >= self.l:
+            val, slope = _closing(x - self.l, self.c_k, self.r)
+            return float(val), float(slope)
+        val = float(self.evaluate(x))
+        if side > 0:  # the right limit at a subset atom takes its jump
+            val += float(self.jumps[self.positions == x].sum())
+        return val, float(self.chi(x))
 
     def jump_points(self) -> list[float]:
-        mask = self.beta_at_atoms * self.atom_weights * self.chi_at_atoms != 0
-        return list(self.atom_positions[mask])
+        return list(self.positions[self.jumps != 0])
 
 
 def measure_test_build(
@@ -377,21 +374,22 @@ def measure_test_build(
     l: float,
     r: float,
 ) -> MeasureTestFunction:
-    """Assemble the trial function of one closed subset of atoms, anchored
-    at a = min(atoms) - delta - 1."""
-    subset = np.asarray(subset, dtype=int)
+    """Assemble the trial function of one closed subset of atoms.
+
+    Every atom outside the subset must lie farther than delta from it,
+    so chi vanishes there and only the subset's atoms enter.
+    """
+    subset = np.sort(np.asarray(subset, dtype=int))
     xs = mu.positions
-    ws = mu.weights
-    bs = beta.at_atoms(mu)
     sel = xs[subset]
     others = np.delete(xs, subset)
     if others.size and np.min(np.abs(others[:, None] - sel[None, :])) <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs.max() + delta:
         raise ValueError("plateau start l must lie right of the support")
+    jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
     return MeasureTestFunction(
-        _neighborhood(sel, delta), xs, ws, bs, a=float(xs.min() - delta - 1.0), l=float(l),
-        r=float(r), delta=float(delta), subset=subset,
+        _neighborhood(sel, delta), sel, jumps, l=float(l), r=float(r), delta=float(delta)
     )
 
 
@@ -399,7 +397,7 @@ def measure_form_breakdown(t: MeasureTestFunction) -> tuple[float, float, float]
     """The three integrals of the quadratic form: I1, I2, I3."""
     i1 = t.chi.square_integral()
     i2 = (2.0 / 3.0) * t.c_k ** 2 / t.r
-    i3 = float(np.sum(t.beta_at_atoms * t.atom_weights * t.chi_at_atoms ** 2))
+    i3 = float(np.sum(t.jumps))
     return i1, i2, i3
 
 
@@ -470,7 +468,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
         funcs.append(tf)
         l_next += 2.0 * tf.r + PAD
 
-    _assert_measure_disjoint(funcs)
+    _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])
     forms = np.array([quadratic_form_measure(t) for t in funcs])
     bounds = np.array(
         [-0.125 * epsilon * float(ws[s].sum()) for s, _, _ in specs]
@@ -481,7 +479,3 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
             f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}"
         )
     return MeasureCertificate(len(funcs), epsilon, funcs, forms, bounds)
-
-
-def _assert_measure_disjoint(funcs: list[MeasureTestFunction]) -> None:
-    _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])

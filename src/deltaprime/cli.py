@@ -226,6 +226,8 @@ def cmd_certify(args) -> int:
     if args.random_trials is not None:
         if args.random_trials < 1:
             raise SchemaError("--random-trials must be at least 1")
+        if args.n_max < 1:
+            raise SchemaError("--n-max must be at least 1")
         rng = np.random.default_rng(args.seed)
         agree = 0
         for t in range(args.random_trials):

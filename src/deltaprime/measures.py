@@ -14,9 +14,11 @@ the negative eigenvalues of its symmetrized Nystrom matrix.  That
 matrix is the inverse of a symmetric tridiagonal matrix (a three-point
 finite-difference delta' operator), so negative_spectrum solves the
 tridiagonal inverse directly in O(n k) time and O(n) memory.  The
-per-grid count is exact by Sylvester's law of inertia: it counts the
-negative atoms whose beta_k w_k outweighs the node spacing across them,
-so a grid sees every negative atom once h < min |beta_k w_k|.  No dense
+per-grid count is #{dg < 0}, the number of negative steps of the
+kernel diagonal g_i = G(x_i, x_i); it is exact by Sylvester's law of
+inertia, with no cut on small eigenvalues.  It counts the negative
+atoms whose beta_k w_k outweighs the node spacing across them, so a
+grid sees every negative atom once h < min |beta_k w_k|.  No dense
 matrix is assembled.
 """
 
@@ -40,7 +42,6 @@ from .errors import (
 )
 
 ATOM_TOL = 1e-12
-NEG_EIG_REL = 1e-12   # kernel eigenvalues below -NEG_EIG_REL * ||M|| count as negative
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +305,8 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     L diag(dg) L^T with L the all-ones lower triangle and dg = diff(g,
     prepend=0), so the inverse of M = S K S, S = diag(sqrt(h)), is the
     symmetric tridiagonal T = S^-1 L^-T diag(1/dg) L^-1 S^-1.  By
-    Sylvester's law of inertia T has exactly #{dg < 0} negative
-    eigenvalues; bisection computes them together with the first
-    nonnegative one, which fixes max|nu| = 1/min|lambda| for the cut.
+    Sylvester's law of inertia T has exactly count = #{dg < 0} negative
+    eigenvalues, and they are the first count that bisection returns.
     Bisection resolves each eigenvalue to about eps ||T|| absolutely, and
     ||T|| grows like 1/(h |dg_i|): shallow eigenvalues lose relative
     accuracy as the node spacing across a negative atom nears
@@ -319,11 +319,12 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     r = 1.0 / dg
     diag = (r + np.append(r[1:], 0.0)) / h
     off = -r[1:] / np.sqrt(h[:-1] * h[1:])
-    # dg[0] = x_0 - a > 0, so index #{dg < 0} <= n - 1 exists
+    # dg[0] = x_0 - a > 0, so index count <= n - 1 exists; the range takes it
+    # too, as the range sets the bisection and so the digits the golden files pin
+    count = int(np.count_nonzero(dg < 0.0))
     lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                           select_range=(0, int(np.count_nonzero(dg < 0.0))))
-    nu = 1.0 / lam
-    return lam[nu < -NEG_EIG_REL * float(np.abs(nu).max())]
+                           select_range=(0, count))
+    return lam[:count]
 
 
 def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpectrumResult:

@@ -1,12 +1,17 @@
 """Trial functions, quadratic forms, and variational certificates."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from deltaprime.certify import (
     SmoothIndicator,
     TestFunction,
+    _assert_regions_disjoint,
     certify_count_measure,
     certify_count_points,
     choose_params,
@@ -15,10 +20,16 @@ from deltaprime.certify import (
     quadratic_form_measure,
     quadratic_form_point,
 )
-from deltaprime.errors import NeighborhoodOverlap, SubsetNotNegative
+from deltaprime.errors import NeighborhoodOverlap, SubsetNotNegative, SupportOverlap
 from deltaprime.interactions import TransmissionMatrix
 from deltaprime.line import delta_prime_system
-from deltaprime.measures import AtomicMeasure, BetaFunction, cantor_blocks, cantor_measure
+from deltaprime.measures import (
+    AtomicMeasure,
+    BetaFunction,
+    cantor_blocks,
+    cantor_measure,
+    mu_derivative,
+)
 from oracles import quadratic_form_point_numeric
 
 
@@ -148,6 +159,23 @@ class TestPointCertificate:
             certify_count_points(sys)
 
 
+class TestRegionsDisjoint:
+    @pytest.mark.parametrize("regions, overlap", [
+        ([(0.0, 2.0), (1.0, 3.0)], True),                # sorted neighbours overlap
+        ([(3.0, 4.0), (0.0, 10.0), (1.0, 2.0)], True),   # one long region holds two short ones
+        ([(5.0, 6.0), (0.0, 5.5), (1.0, 2.0)], True),    # long region reaches past its neighbour
+        ([(1.0, 2.0), (0.0, 1.0)], False),               # touching open intervals
+        ([(2.0, 3.0), (0.0, 1.0), (1.0, 2.0)], False),
+        ([], False),
+    ])
+    def test_sorted_sweep(self, regions, overlap):
+        if overlap:
+            with pytest.raises(SupportOverlap):
+                _assert_regions_disjoint(regions)
+        else:
+            _assert_regions_disjoint(regions)
+
+
 class TestFlatCutoffs:
     def test_flat_traces_satisfy_all_intensities(self):
         # functions constant near a point have psi_s = 0, d± = 0; the
@@ -250,8 +278,6 @@ class TestMeasureTrialFunction:
         assert abs(i3 - (-1.0 * 0.5 - 2.0 * 0.7)) < 1e-14
 
     def test_satisfies_measure_boundary_conditions(self):
-        from deltaprime.measures import mu_derivative
-
         mu = AtomicMeasure([0.0, 0.3], [0.5, 0.7])
         beta = BetaFunction([-1.0, -2.0])
         t = measure_test_build([0, 1], mu, beta, 0.05, 2.0, 4.0)
@@ -260,6 +286,51 @@ class TestMeasureTrialFunction:
         np.testing.assert_allclose(
             data.dpsi_dmu, beta.at_atoms(mu) * data.dpsi_r, atol=1e-12
         )
+
+
+@st.composite
+def subset_trials(draw):
+    """1-6 atoms with unequal weights and beta, a shuffled subset, delta below the gap."""
+    m = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=m - 1, max_size=m - 1))
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ws = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    bs = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    subset = draw(st.permutations(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))))
+    others = np.delete(xs, subset)
+    gap = np.min(np.abs(others[:, None] - xs[subset][None, :])) if others.size else 1.0
+    delta = draw(st.floats(0.05, 0.95)) * gap
+    return AtomicMeasure(xs, ws), BetaFunction(bs), subset, delta
+
+
+class TestSubsetOnlyTrialFunction:
+    @settings(max_examples=80, deadline=None)
+    @given(trial=subset_trials())
+    def test_built_from_the_subset_atoms(self, trial):
+        mu, beta, subset, delta = trial
+        t = measure_test_build(subset, mu, beta, delta, l=mu.support[1] + delta + 1.0, r=2.0)
+        s = np.sort(subset)
+        bw = beta.at_atoms(mu)[s] * mu.weights[s]
+        np.testing.assert_array_equal(t.positions, mu.positions[s])
+        assert t.jumps.size == len(subset)
+        assert t.c_k == pytest.approx(t.chi.integral() + math.fsum(bw), rel=1e-14, abs=1e-14)
+        assert measure_form_breakdown(t)[2] == pytest.approx(math.fsum(bw), rel=1e-14, abs=1e-14)
+        # chi is 1 on the subset and 0 on every other atom
+        np.testing.assert_array_equal(t.chi(mu.positions), np.isin(np.arange(len(mu)), s))
+        for x, jump in zip(t.positions, bw):
+            vm, _ = t.one_sided(x, -1)
+            vp, _ = t.one_sided(x, +1)
+            assert vp - vm == pytest.approx(jump, rel=1e-12, abs=1e-12)
+        # so the delta' conditions hold on every atom of the measure
+        data = mu_derivative(t, mu)
+        np.testing.assert_allclose(data.dpsi_prime_dmu, 0.0, atol=1e-12)
+        np.testing.assert_allclose(data.dpsi_dmu, beta.at_atoms(mu) * data.dpsi_r, atol=1e-11)
+
+    def test_singleton_block_carries_one_atom(self):
+        mu = cantor_measure(6)
+        t = measure_test_build([5], mu, BetaFunction.constant(-1.0), 1e-4, l=2.0, r=1.0)
+        assert t.positions.size == t.jumps.size == 1
+        assert t.positions[0] == mu.positions[5]
 
 
 class TestMeasureCertificate:
@@ -287,6 +358,12 @@ class TestMeasureCertificate:
                                      cantor_blocks(6, 6))
         assert cert.count == 64
         assert np.all(cert.forms <= cert.bounds + 1e-12)
+
+    def test_cantor_depth10_singletons(self):
+        cert = certify_count_measure(cantor_measure(10), BetaFunction.constant(-1.0),
+                                     cantor_blocks(10, 10))
+        assert cert.count == 1024
+        assert np.all(cert.forms <= cert.bounds)
 
     def test_positive_beta_rejected(self):
         mu = AtomicMeasure([0.0], [1.0])

@@ -326,6 +326,7 @@ class TestCli:
         (["approx", "--family", "5d", "--eps-ratio", "0"], "--eps-ratio"),
         (["certify", "--random-trials", "-3"], "--random-trials"),
         (["certify", "--random-trials", "0"], "--random-trials"),
+        (["certify", "--random-trials", "2", "--n-max", "0"], "--n-max"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

@@ -24,7 +24,6 @@ from deltaprime.line import (
     find_bound_states,
 )
 from deltaprime.measures import (
-    NEG_EIG_REL,
     AtomicMeasure,
     BetaFunction,
     GreenKernel,
@@ -216,10 +215,15 @@ class TestNegativeSpectrum:
                 negative_spectrum(k, sizes)
 
 
+# the dense eigenvalues carry rounding of about eps ||M||; below this
+# fraction of ||M|| a negative one is taken for a zero
+DENSE_CUT = 1e-12
+
+
 def dense_negatives(kern, n):
     """Oracle: negative operator eigenvalues from the dense Nystrom matrix."""
     nu = eigh(discretize(kern, n).matrix, eigvals_only=True)
-    neg = nu[nu < -NEG_EIG_REL * np.abs(nu).max()]
+    neg = nu[nu < -DENSE_CUT * np.abs(nu).max()]
     return np.sort(1.0 / neg)
 
 
