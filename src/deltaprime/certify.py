@@ -88,45 +88,24 @@ class TestFunction:
     def support(self) -> tuple[float, float]:
         return (self.x0 - self.eps, self.x0 + self.l + 2 * self.r)
 
-    def evaluate(self, x):
-        scalar = np.ndim(x) == 0
-        y = np.atleast_1d(np.asarray(x, dtype=float)) - self.x0
-        e, b, l, r = self.eps, self.beta, self.l, self.r
-        p = b + e
-        out = np.zeros_like(y)
-        m = (y >= -e) & (y < 0)
-        out[m] = (y[m] + e) ** 2 / (2 * e)
-        m = (y >= 0) & (y < e)
-        out[m] = p - (y[m] - e) ** 2 / (2 * e)
-        m = (y >= e) & (y < l)
-        out[m] = p
-        m = y >= l
-        out[m] = _closing(y[m] - l, p, r)[0]
-        return float(out[0]) if scalar else out
-
-    def derivative(self, x):
-        scalar = np.ndim(x) == 0
-        y = np.atleast_1d(np.asarray(x, dtype=float)) - self.x0
+    def one_sided(self, x, side: int):
+        """(value, derivative) limit at x from the right (+1) or left (-1)."""
+        y = np.asarray(x, dtype=float) - self.x0
         e, l, r = self.eps, self.l, self.r
         p = self.beta + e
-        out = np.zeros_like(y)
-        m = (y >= -e) & (y < 0)
-        out[m] = (y[m] + e) / e
-        m = (y >= 0) & (y < e)
-        out[m] = (e - y[m]) / e
-        m = y >= l
-        out[m] = _closing(y[m] - l, p, r)[1]
-        return float(out[0]) if scalar else out
+        # pieces: zero, rising parabola, falling parabola, plateau, closing pair
+        piece = np.searchsorted([-e, 0.0, e, l], y, side="right" if side > 0 else "left")
+        yc = np.clip(y, -e, e)
+        cv, cd = _closing(np.maximum(y - l, 0.0), p, r)
+        val = np.choose(piece, (0.0, (yc + e) ** 2 / (2 * e), p - (yc - e) ** 2 / (2 * e), p, cv))
+        der = np.choose(piece, (0.0, (yc + e) / e, (e - yc) / e, 0.0, cd))
+        return (val.item(), der.item()) if y.ndim == 0 else (val, der)
 
-    def one_sided(self, x: float, side: int) -> tuple[float, float]:
-        """(value, derivative) limit at x from the right (+1) or left (-1)."""
-        y = x - self.x0
-        if y == 0.0:
-            if side > 0:
-                return self.beta + self.eps / 2.0, 1.0
-            return self.eps / 2.0, 1.0
-        # continuous away from the jump; both side limits agree
-        return float(self.evaluate(x)), float(self.derivative(x))
+    def evaluate(self, x):
+        return self.one_sided(x, +1)[0]
+
+    def derivative(self, x):
+        return self.one_sided(x, +1)[1]
 
     def jump_points(self) -> list[float]:
         return [self.x0]
@@ -344,26 +323,36 @@ class MeasureTestFunction:
     def __post_init__(self):
         self.c_k = float(self.chi.integral() + np.sum(self.jumps))
 
-    def evaluate(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def one_sided(self, x, side: int):
+        """(value, derivative) limit at x from the right (+1) or left (-1);
+        the right limit at a subset atom takes its jump."""
+        x = np.asarray(x, dtype=float)
         cum = np.concatenate(([0.0], np.cumsum(self.jumps)))
-        out = self.chi.cumulative(x) + cum[np.searchsorted(self.positions, x, side="left")]
-        m = x >= self.l
-        out[m] = _closing(x[m] - self.l, self.c_k, self.r)[0]
-        return float(out[0]) if scalar else out
+        below = np.searchsorted(self.positions, x, side="right" if side > 0 else "left")
+        cv, cd = _closing(np.maximum(x - self.l, 0.0), self.c_k, self.r)
+        close = x >= self.l
+        val = np.where(close, cv, self.chi.cumulative(x) + cum[below])
+        der = np.where(close, cd, self.chi(x))
+        return (val.item(), der.item()) if x.ndim == 0 else (val, der)
 
-    def one_sided(self, x: float, side: int) -> tuple[float, float]:
-        if x >= self.l:
-            val, slope = _closing(x - self.l, self.c_k, self.r)
-            return float(val), float(slope)
-        val = float(self.evaluate(x))
-        if side > 0:  # the right limit at a subset atom takes its jump
-            val += float(self.jumps[self.positions == x].sum())
-        return val, float(self.chi(x))
+    def evaluate(self, x):
+        return self.one_sided(x, -1)[0]
 
     def jump_points(self) -> list[float]:
         return list(self.positions[self.jumps != 0])
+
+
+def _outside_gap(xs: np.ndarray, subset) -> float:
+    """Distance from the atoms xs[subset] to the nearest other atom (inf if none).
+
+    The atoms are sorted, so the distance is attained by index neighbours,
+    one in the subset and one outside it: only the edges (j, j + 1) that
+    cross the subset's boundary are compared, in O(|subset|).
+    """
+    inside = set(np.asarray(subset).tolist())
+    cross = [j for i in inside for j in (i - 1, i)
+             if 0 <= j < xs.size - 1 and (j in inside) != (j + 1 in inside)]
+    return float(min((xs[j + 1] - xs[j] for j in cross), default=np.inf))
 
 
 def measure_test_build(
@@ -382,10 +371,9 @@ def measure_test_build(
     subset = np.sort(np.asarray(subset, dtype=int))
     xs = mu.positions
     sel = xs[subset]
-    others = np.delete(xs, subset)
-    if others.size and np.min(np.abs(others[:, None] - sel[None, :])) <= delta:
+    if _outside_gap(xs, subset) <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
-    if l <= xs.max() + delta:
+    if l <= xs[-1] + delta:
         raise ValueError("plateau start l must lie right of the support")
     jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
     return MeasureTestFunction(
@@ -435,18 +423,16 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     if seen.size != np.unique(seen).size:
         raise ValueError("subsets must be disjoint")
 
-    sup = max((float(bs[s].max()) for s in subsets), default=-1.0)
-    if sup >= 0:
+    epsilon = -max((float(bs[s].max()) for s in subsets), default=-1.0)
+    if epsilon <= 0:
         raise SubsetNotNegative("every subset needs beta <= -eps < 0")
-    epsilon = min((-float(bs[s].max()) for s in subsets), default=1.0)
 
     specs = []
     for s in subsets:
         mu_k = float(ws[s].sum())
         sel = xs[s]
-        others = np.delete(xs, s)
-        gap = float(np.min(np.abs(others[:, None] - sel[None, :]))) if others.size else np.inf
-        delta = min(0.5 * gap, 1.0) if np.isfinite(gap) else 1.0
+        gap = _outside_gap(xs, s)
+        delta = min(0.5 * gap, 1.0)
         target = 0.25 * epsilon * mu_k
         halvings = 0
         while 2 * delta >= gap or _neighborhood(sel, delta).support_measure() > target:
@@ -458,9 +444,8 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
                 )
         specs.append((s, mu_k, delta))
 
-    base_l = float(xs.max()) + max((d for _, _, d in specs), default=0.0) + PAD
     funcs = []
-    l_next = base_l
+    l_next = float(xs[-1]) + max((d for _, _, d in specs), default=0.0) + PAD
     for s, mu_k, delta in specs:
         tf = measure_test_build(s, mu, beta, delta, l=l_next, r=R_MIN)
         # the plateau c_k does not depend on r
@@ -470,12 +455,8 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
 
     _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])
     forms = np.array([quadratic_form_measure(t) for t in funcs])
-    bounds = np.array(
-        [-0.125 * epsilon * float(ws[s].sum()) for s, _, _ in specs]
-    )
+    bounds = np.array([-0.125 * epsilon * mu_k for _, mu_k, _ in specs])
     bad = forms > bounds + 1e-12
     if np.any(bad):
-        raise AssertionError(
-            f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}"
-        )
+        raise AssertionError(f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}")
     return MeasureCertificate(len(funcs), epsilon, funcs, forms, bounds)

@@ -16,6 +16,10 @@ quadrature.  With s = sigma + i tau = sqrt(z):
     F'(d) = -sign(d) e^{-tau |d|} sin(sigma |d|) / (4 sigma tau),
 
 with the removable sigma -> 0 limits sin(sigma d)/sigma -> d.
+
+Elements implement the one_sided/jump_points protocol of `measures`,
+so free_pair_check is the mu-boundary data (mu_derivative) of the pair
+g_z * mu, g_conj(z) * mu and of their derivatives.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BranchCut, EvaluationOnAtom, IllConditioned
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, mu_derivative
 
 GCONV = "g"
 GPRIMECONV = "g_prime"
@@ -70,6 +74,24 @@ class DeficiencyElement:
             raise ValueError(f"kind must be {GCONV!r} or {GPRIMECONV!r}")
         _sqrt_upper(self.z)  # validates the branch
 
+    def one_sided(self, x, side: int):
+        """(value, derivative) limit at x from the right (+1) or left (-1).
+
+        On an atom the jumping factor sign(x - x_k) of g_z' takes the
+        side; g'' = -z g off the atoms gives the derivative of g_z' * mu.
+        """
+        s = _sqrt_upper(self.z)
+        x = np.asarray(x, dtype=float)
+        d = x[..., None] - self.measure.positions
+        ex = np.exp(1j * s * np.abs(d))
+        g = ((0.5j / s) * ex) @ self.measure.weights
+        gp = (-0.5 * np.where(d == 0.0, side, np.sign(d)) * ex) @ self.measure.weights
+        val, der = (g, gp) if self.kind == GCONV else (gp, -self.z * g)
+        return (val.item(), der.item()) if x.ndim == 0 else (val, der)
+
+    def jump_points(self) -> list[float]:
+        return self.measure.positions.tolist()
+
 
 def element_eval(e: DeficiencyElement, x):
     """Pointwise value; GPrimeConv refuses evaluation on atoms."""
@@ -82,30 +104,6 @@ def element_eval(e: DeficiencyElement, x):
     for xk, wk in zip(xs, ws):
         out += wk * fn(xa - xk, e.z)
     return complex(out[0]) if np.ndim(x) == 0 else out
-
-
-def element_one_sided(e: DeficiencyElement, x: float, side: int) -> tuple[complex, complex]:
-    """(value, derivative) limit at x from the right (+1) or left (-1)."""
-    s = _sqrt_upper(e.z)
-    xs, ws = e.measure.positions, e.measure.weights
-    val = 0.0 + 0.0j
-    der = 0.0 + 0.0j
-    for xk, wk in zip(xs, ws):
-        d = x - xk
-        on_atom = abs(d) < 1e-14
-        if e.kind == GCONV:
-            val += wk * g_z(d, e.z)
-            if on_atom:
-                der += wk * (-0.5 * side)
-            else:
-                der += wk * g_z_prime(d, e.z)
-        else:
-            if on_atom:
-                val += wk * (-0.5 * side)
-            else:
-                val += wk * g_z_prime(d, e.z)
-            der += wk * (-e.z) * g_z(d, e.z)   # g'' = -z g off the atom
-    return val, der
 
 
 def e_functional(e: DeficiencyElement) -> complex:
@@ -226,41 +224,22 @@ class FreePairReport:
 
     @property
     def max_jump(self) -> float:
-        return float(
-            max(
-                np.abs(self.value_jumps).max(initial=0.0),
-                np.abs(self.derivative_jumps).max(initial=0.0),
-                np.abs(self.prime_value_jumps).max(initial=0.0),
-                np.abs(self.prime_derivative_jumps).max(initial=0.0),
-            )
-        )
+        return float(max(np.abs(j).max(initial=0.0) for j in (
+            self.value_jumps, self.derivative_jumps,
+            self.prime_value_jumps, self.prime_derivative_jumps)))
 
 
 def free_pair_check(mu: AtomicMeasure, z: complex = -1j) -> FreePairReport:
     """Jump cancellation in g_z*mu - g_conj(z)*mu and its derivative.
 
-    The derivative jump -w_k of each convolution is z-independent, so
-    the differences are jump-free at every atom (they belong to the
-    smooth Sobolev class); all four jump families must vanish to
-    rounding.
+    Each jump is w dpsi/dmu from the mu-boundary data of the convolutions.
+    The derivative jump -w_k of each convolution is z-independent, so the
+    differences are jump-free at every atom (they belong to the smooth
+    Sobolev class); all four jump families must vanish to rounding.
     """
-    zm, zp = z, np.conj(z)
-    em = DeficiencyElement(GCONV, mu, zm)
-    ep = DeficiencyElement(GCONV, mu, zp)
-    dm = DeficiencyElement(GPRIMECONV, mu, zm)
-    dp = DeficiencyElement(GPRIMECONV, mu, zp)
-    n = len(mu)
-    vj, dj = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    pvj, pdj = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    for i, x in enumerate(mu.positions):
-        for (e1, e2), out_v, out_d in (
-            ((em, ep), vj, dj),
-            ((dm, dp), pvj, pdj),
-        ):
-            v1p, d1p = element_one_sided(e1, x, +1)
-            v1m, d1m = element_one_sided(e1, x, -1)
-            v2p, d2p = element_one_sided(e2, x, +1)
-            v2m, d2m = element_one_sided(e2, x, -1)
-            out_v[i] = (v1p - v1m) - (v2p - v2m)
-            out_d[i] = (d1p - d1m) - (d2p - d2m)
-    return FreePairReport(mu.positions, vj, dj, pvj, pdj)
+    jumps = []
+    for kind in (GCONV, GPRIMECONV):
+        a, b = (mu_derivative(DeficiencyElement(kind, mu, zz), mu) for zz in (z, np.conj(z)))
+        jumps += [mu.weights * (a.dpsi_dmu - b.dpsi_dmu),
+                  mu.weights * (a.dpsi_prime_dmu - b.dpsi_prime_dmu)]
+    return FreePairReport(mu.positions, *jumps)

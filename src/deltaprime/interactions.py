@@ -97,6 +97,9 @@ class TransmissionMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("transmission matrix must be 2x2")
+        bad = m[~np.isfinite(m)]
+        if bad.size:
+            raise ValueError(f"transmission matrix entries must be finite, got {bad[0]}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -121,6 +121,9 @@ class PointSystem:
         relation: Optional[np.ndarray] = None,
     ):
         self.points = np.array(points, dtype=float)
+        bad = self.points[~np.isfinite(self.points)]
+        if bad.size:
+            raise ValueError(f"points must be finite, got {bad[0]}")
         if self.points.size > 1 and not np.all(np.diff(self.points) > 0):
             raise ValueError("points must be strictly increasing")
         n = self.points.size
@@ -448,23 +451,25 @@ class BoundState:
     parity: str = "none"
     near_threshold: bool = False
 
-    def evaluate(self, x) -> np.ndarray:
-        """psi(x); at a point the interval to its right applies."""
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape, dtype=complex)
+    def one_sided(self, x, side: int):
+        """(psi, psi') limit at x from the right (+1) or left (-1)."""
+        x = np.asarray(x, dtype=float)
         pts, k = self.points, self.kappa
-        idx = pts.searchsorted(x, side="right")      # number of points <= x
-        left = idx == 0
-        out[left] = self.c_left * np.exp(k * (x[left] - pts[0]))
-        right = idx == pts.size
-        out[right] = self.c_right * np.exp(-k * (x[right] - pts[-1]))
-        seg = ~(left | right)
-        if seg.any():
-            i, xs = idx[seg] - 1, x[seg]
-            a, b = self.interior[i].T
-            out[seg] = a * np.exp(k * (xs - pts[i + 1])) + b * np.exp(-k * (xs - pts[i]))
-        return complex(out[0]) if scalar else out
+        idx = pts.searchsorted(x, side="right" if side > 0 else "left")
+        # piece idx is a e^{k(x - hi)} + b e^{-k(x - lo)} with lo, hi its end points;
+        # the outer pieces have b = 0 (left) or a = 0 (right), kept finite by the clamps
+        a, b = np.vstack(([self.c_left, 0.0], self.interior, [0.0, self.c_right]))[idx].T
+        ea = np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
+        eb = np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
+        val, der = a * ea + b * eb, k * (a * ea - b * eb)
+        return (val.item(), der.item()) if x.ndim == 0 else (val, der)
+
+    def evaluate(self, x):
+        """psi(x); at a point the interval to its right applies."""
+        return self.one_sided(x, +1)[0]
+
+    def jump_points(self) -> list[float]:
+        return self.points.tolist()
 
     def norm_squared(self) -> float:
         k = self.kappa

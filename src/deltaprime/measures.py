@@ -3,9 +3,17 @@
 A finite atomic Radon measure carries the generalized boundary data:
 the measure derivative of a function is its jump divided by the atom
 weight, and the delta' conditions read dpsi'/dmu = 0,
-dpsi/dmu = beta psi'_r on every atom.  Boxing the operator between a
-Dirichlet end at `a` and a Neumann end at `b` makes its inverse an
-integral operator with the explicitly known kernel
+dpsi/dmu = beta psi'_r on every atom.  Every function the package
+reads this data from implements one protocol: one_sided(x, side)
+returns the (value, derivative) limit from the right (side +1) or the
+left (-1) at a scalar or an array of points, with the same shape (a
+Python float or complex for a scalar), and jump_points() lists where it
+may jump.  x is on an atom only when it equals the atom's float
+exactly.  mu_derivative reads every atom with two one_sided calls.
+
+Boxing the operator between a Dirichlet end at `a` and a Neumann end at
+`b` makes its inverse an integral operator with the explicitly known
+kernel
 
     G(x, s) = min(x, s) - a + sum_{x_k < min(x,s)} beta(x_k) w_k,
 
@@ -60,6 +68,10 @@ class AtomicMeasure:
         w = np.atleast_1d(np.array(self.weights, dtype=float))
         if x.shape != w.shape:
             raise ValueError("positions and weights must align")
+        for name, v in (("positions", x), ("weights", w)):
+            bad = v[~np.isfinite(v)]
+            if bad.size:
+                raise ValueError(f"atom {name} must be finite, got {bad[0]}")
         if x.size > 1 and not np.all(np.diff(x) > 0):
             raise ValueError("atom positions must be strictly increasing")
         if np.any(w <= 0):
@@ -158,31 +170,29 @@ class MeasureBoundaryData:
 def mu_derivative(psi, mu: AtomicMeasure) -> MeasureBoundaryData:
     """Boundary data of a piecewise function with jumps only on the atoms.
 
-    `psi` must expose one_sided(x, side) -> (value, derivative) and
-    jump_points().  On an atom of weight w, dpsi/dmu is the value jump
-    divided by w and dpsi'/dmu the derivative jump divided by w.
+    `psi` implements the one_sided/jump_points protocol of this module.
+    On an atom of weight w, dpsi/dmu is the value jump divided by w and
+    dpsi'/dmu the derivative jump divided by w; the arrays take the
+    dtype of psi's limits.
     """
     xs, ws = mu.positions, mu.weights
-    for p in psi.jump_points():
-        if np.min(np.abs(xs - p)) > ATOM_TOL:
-            raise JumpOffSupport(f"jump at {p} off the measure support")
-    n = len(mu)
-    out = MeasureBoundaryData(
-        np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    )
-    for i, (x, w) in enumerate(zip(xs, ws)):
-        vm, dm = psi.one_sided(x, -1)
-        vp, dp = psi.one_sided(x, +1)
-        out.dpsi_dmu[i] = (vp - vm) / w
-        out.dpsi_prime_dmu[i] = (dp - dm) / w
-        out.psi_r[i] = 0.5 * (vp + vm)
-        out.dpsi_r[i] = 0.5 * (dp + dm)
-    return out
+    p = np.asarray(psi.jump_points(), dtype=float)
+    i = np.searchsorted(xs, p)
+    near = np.minimum(np.abs(p - xs[np.maximum(i - 1, 0)]),
+                      np.abs(xs[np.minimum(i, xs.size - 1)] - p))
+    if np.any(near > ATOM_TOL):
+        raise JumpOffSupport(f"jump at {p[near > ATOM_TOL][0]} off the measure support")
+    vm, dm = psi.one_sided(xs, -1)
+    vp, dp = psi.one_sided(xs, +1)
+    return MeasureBoundaryData((vp - vm) / ws, (dp - dm) / ws, 0.5 * (vp + vm), 0.5 * (dp + dm))
 
 
 @dataclass
 class PiecewiseFunction:
-    """Helper wrapper: callables (f, f') valid between consecutive breakpoints."""
+    """Helper wrapper: callables (f, f') valid between consecutive breakpoints.
+
+    The callables take and return arrays.
+    """
 
     breakpoints: np.ndarray
     values: list          # piece i valid on (breakpoints[i-1], breakpoints[i])
@@ -193,22 +203,19 @@ class PiecewiseFunction:
         if len(self.values) != self.breakpoints.size + 1:
             raise ValueError("need one piece more than breakpoints")
 
-    def _piece(self, x: float, side: int) -> int:
-        i = np.searchsorted(self.breakpoints, x, side="right" if side > 0 else "left")
-        return int(i)
-
-    def one_sided(self, x: float, side: int) -> tuple[float, float]:
-        i = self._piece(x, side)
-        return float(self.values[i](x)), float(self.derivatives[i](x))
+    def one_sided(self, x, side: int):
+        x = np.asarray(x, dtype=float)
+        piece = np.searchsorted(self.breakpoints, x, side="right" if side > 0 else "left")
+        val, der = np.zeros(x.shape), np.zeros(x.shape)
+        for i in np.unique(piece):
+            m = piece == i
+            val[m], der[m] = self.values[i](x[m]), self.derivatives[i](x[m])
+        return (val.item(), der.item()) if x.ndim == 0 else (val, der)
 
     def jump_points(self) -> list[float]:
-        out = []
-        for b in self.breakpoints:
-            vm, _ = self.one_sided(b, -1)
-            vp, _ = self.one_sided(b, +1)
-            if vm != vp:
-                out.append(float(b))
-        return out
+        vm, _ = self.one_sided(self.breakpoints, -1)
+        vp, _ = self.one_sided(self.breakpoints, +1)
+        return self.breakpoints[vm != vp].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +232,8 @@ class GreenKernel:
     beta: BetaFunction
 
     def __post_init__(self):
+        if not np.isfinite([self.a, self.b]).all():
+            raise ValueError(f"box ends must be finite, got a = {self.a}, b = {self.b}")
         lo, hi = self.mu.support
         if not (self.a < lo and hi < self.b):
             raise ValueError("the box (a, b) must contain the support")

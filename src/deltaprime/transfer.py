@@ -36,6 +36,10 @@ class DeltaComb:
         a = np.atleast_1d(np.array(self.strengths, dtype=float))
         if x.shape != a.shape:
             raise ValueError("positions and strengths must align")
+        for name, v in (("positions", x), ("strengths", a)):
+            bad = v[~np.isfinite(v)]
+            if bad.size:
+                raise ValueError(f"comb {name} must be finite, got {bad[0]}")
         if x.size > 1 and not np.all(np.diff(x) > 0):
             raise ValueError("positions must be strictly increasing")
         x.setflags(write=False)
@@ -248,6 +252,8 @@ def limit_diagnose(
     (the transfer-matrix signature of separated Dirichlet conditions).
     Otherwise divergent; mixed signals raise AmbiguousClassification.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     eps_seq = np.asarray(eps_seq, dtype=float)
     if eps_seq.size < 3:
         raise ValueError("need at least three eps values")

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from deltaprime import line
 from deltaprime.deficiency import GPRIMECONV, DeficiencyElement, _sqrt_upper, element_eval
-from deltaprime.measures import GreenKernel, _cells
+from deltaprime.measures import GreenKernel, MeasureBoundaryData, _cells
 
 NUMERIC_RADIUS = 40.0     # e_functional_numeric truncates at this many decay lengths
 NUMERIC_NODES = 200_001
@@ -98,3 +98,17 @@ def e_functional_numeric(e: DeficiencyElement) -> complex:
     vals = element_eval(e, xs)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return complex(trapezoid(vals, xs))
+
+
+def mu_derivative_loop(psi, mu) -> MeasureBoundaryData:
+    """Per-atom reference for measures.mu_derivative: two scalar one_sided
+    calls per atom, divided by its weight one at a time."""
+    out = MeasureBoundaryData(*(np.zeros(len(mu), dtype=complex) for _ in range(4)))
+    for i, (x, w) in enumerate(zip(mu.positions, mu.weights)):
+        vm, dm = psi.one_sided(float(x), -1)
+        vp, dp = psi.one_sided(float(x), +1)
+        out.dpsi_dmu[i] = (vp - vm) / w
+        out.dpsi_prime_dmu[i] = (dp - dm) / w
+        out.psi_r[i] = 0.5 * (vp + vm)
+        out.dpsi_r[i] = 0.5 * (dp + dm)
+    return out

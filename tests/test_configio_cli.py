@@ -327,6 +327,14 @@ class TestCli:
         (["certify", "--random-trials", "-3"], "--random-trials"),
         (["certify", "--random-trials", "0"], "--random-trials"),
         (["certify", "--random-trials", "2", "--n-max", "0"], "--n-max"),
+        (["certify", "--positions", "0,inf", "--betas=-1,-1"], "finite"),
+        (["approx", "--family", "3d", "--gamma", "nan"], "finite"),
+        (["approx", "--family", "3d", "--gamma", "0.5", "--lam", "nan"], "finite"),
+        (["interactions", "lambda", "--kind", "delta-prime", "--beta", "nan"], "finite"),
+        (["spectrum", "--builtin", "delta-prime-pair", "--beta", "nan"], "finite"),
+        (["measure", "--atoms", "0.0:inf"], "finite"),
+        (["measure", "--atoms", "0.0:1.0", "--box-margin", "inf"], "finite"),
+        (["deficiency", "--points", "0,inf", "--z", "-1"], "finite"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

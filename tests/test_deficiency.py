@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from deltaprime.deficiency import (
@@ -10,7 +12,6 @@ from deltaprime.deficiency import (
     DeficiencyElement,
     e_functional,
     element_eval,
-    element_one_sided,
     free_pair_check,
     g_z,
     g_z_prime,
@@ -202,6 +203,15 @@ class TestFreePair:
         # contrast: one convolution alone has derivative jump -w per atom
         mu = AtomicMeasure([0.0], [1.5])
         e = DeficiencyElement(GCONV, mu, -1j)
-        _, dp = element_one_sided(e, 0.0, +1)
-        _, dm = element_one_sided(e, 0.0, -1)
+        _, dp = e.one_sided(0.0, +1)
+        _, dm = e.one_sided(0.0, -1)
         assert abs((dp - dm) + 1.5) < 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 8), data=st.data(), re=st.floats(-5.0, 5.0),
+           im=st.floats(0.05, 5.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_smooth_pair_identity(self, m, data, re, im, sign):
+        gaps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1, max_size=m - 1))
+        ws = data.draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+        mu = AtomicMeasure(np.concatenate(([0.0], np.cumsum(gaps))), ws)
+        assert free_pair_check(mu, complex(re, sign * im)).max_jump <= 1e-12 * mu.total_mass

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from deltaprime.certify import TestFunction
+from deltaprime.certify import TestFunction, measure_test_build
+from deltaprime.deficiency import GCONV, GPRIMECONV, DeficiencyElement
 from deltaprime.errors import (
     DepthTooLarge,
     DomainError,
@@ -35,7 +36,7 @@ from deltaprime.measures import (
     mu_derivative,
     negative_spectrum,
 )
-from oracles import discretize
+from oracles import discretize, mu_derivative_loop
 
 
 class TestCantor:
@@ -103,6 +104,85 @@ class TestMuDerivative:
         )
         with pytest.raises(JumpOffSupport):
             mu_derivative(psi, mu)
+
+
+def one_sided_implementers():
+    """(name, function, measure): one of each one_sided implementer, its
+    jumps on the atoms of the measure."""
+    mu = AtomicMeasure([0.0, 0.3, 0.7, 1.2], [0.5, 0.7, 1.1, 0.4])
+    beta = BetaFunction([-1.0, -2.0, 0.5, -0.8])
+    piecewise = PiecewiseFunction(
+        [0.3, 1.2], [np.sin, lambda x: 2.0 + x ** 2, np.cos],
+        [np.cos, lambda x: 2.0 * x, lambda x: -np.sin(x)])
+    out = [("TestFunction", TestFunction(0.3, 0.1, -2.0, 1.0, 3.0), mu),
+           ("MeasureTestFunction", measure_test_build([1, 2], mu, beta, 0.1, 3.0, 2.0), mu),
+           ("PiecewiseFunction", piecewise, mu)]
+    out += [(f"DeficiencyElement-{kind}", DeficiencyElement(kind, mu, -1.0 + 0.5j), mu)
+            for kind in (GCONV, GPRIMECONV)]
+    states = find_bound_states(atomic_to_point_system(mu, beta))
+    return out + [(f"BoundState-{i}", s, mu) for i, s in enumerate(states)]
+
+
+IMPLEMENTERS = one_sided_implementers()
+
+
+class TestOneSidedProtocol:
+    @pytest.mark.parametrize("name, psi, mu", IMPLEMENTERS)
+    def test_one_call_matches_the_atom_loop(self, name, psi, mu):
+        data, ref = mu_derivative(psi, mu), mu_derivative_loop(psi, mu)
+        fields = ("dpsi_dmu", "dpsi_prime_dmu", "psi_r", "dpsi_r")
+        scale = max(np.abs(getattr(ref, f)).max() for f in fields)
+        for f in fields:
+            assert getattr(data, f).shape == (len(mu),)
+            assert np.abs(getattr(data, f) - getattr(ref, f)).max() <= 1e-14 * scale, f
+
+    @pytest.mark.parametrize("name, psi, mu", IMPLEMENTERS)
+    def test_scalar_in_python_number_out(self, name, psi, mu):
+        for x in (0.3, 0.5):
+            for side in (-1, +1):
+                v, d = psi.one_sided(x, side)
+                assert type(v) in (float, complex) and type(d) in (float, complex)
+                va, da = psi.one_sided(np.array([x, x]), side)
+                assert va.shape == da.shape == (2,)
+                assert va[0] == pytest.approx(v, rel=1e-14) and da[0] == pytest.approx(d, rel=1e-14)
+
+
+@st.composite
+def atomic_bridges(draw):
+    """1-6 atoms at least 0.01 apart, weights in [0.1, 2], beta in [-3, 3].
+
+    Attractive beta stays at or below -1e-3: between about -1e-105 and 0
+    the decay rate 2/|beta w| is too large for the line solver to
+    normalize the state in double precision, a limit of the solver that
+    this property does not test.
+    """
+    m = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1, max_size=m - 1))
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ws = draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+    beta = st.floats(-3.0, 3.0).filter(lambda b: not -1e-3 < b < 0.0)
+    bs = draw(st.lists(beta, min_size=m, max_size=m))
+    return AtomicMeasure(xs, ws), BetaFunction(bs)
+
+
+def assert_measure_conditions(mu, beta):
+    """Every bridge state meets dpsi'/dmu = 0 and dpsi/dmu = beta psi'_r."""
+    for state in find_bound_states(atomic_to_point_system(mu, beta)):
+        data = mu_derivative(state, mu)
+        scale = max(np.abs(data.psi_r).max(), np.abs(data.dpsi_r).max())
+        assert np.abs(data.dpsi_prime_dmu).max() <= 1e-9 * scale
+        assert np.abs(data.dpsi_dmu - beta.at_atoms(mu) * data.dpsi_r).max() <= 1e-9 * scale
+
+
+class TestBridgeStatesMeetTheMeasureConditions:
+    @settings(max_examples=80, deadline=None)
+    @given(system=atomic_bridges())
+    def test_random_atomic_measures(self, system):
+        assert_measure_conditions(*system)
+
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    def test_cantor(self, depth):
+        assert_measure_conditions(cantor_measure(depth), BetaFunction.constant(-1.0))
 
 
 class TestGreenKernel:
