@@ -12,10 +12,14 @@ supported copies give an n-dimensional strictly negative subspace: a
 certificate that at least n negative eigenvalues exist.  The measure
 version integrates a smoothed indicator chi of a subset of atoms
 against the measure and closes with the same parabola pair.  It is
-built from its subset's atoms alone: chi is 1 on them, and its
+built once, from its subset's atoms alone: chi is 1 on them, and its
 support keeps a gap to every other atom, so its form splits into the
 three integrals I1 = int |chi|^2 dx, I2 = (2/3) c^2 / r and
 I3 = int beta |chi|^2 dmu = sum over the subset of beta w.
+
+Both certificates check disjointness by one sweep over sorted open
+regions; a point certificate's are its bumps split at their points, its
+closing intervals and every interaction point as a zero-width (p, p).
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .errors import (
     SupportOverlap,
 )
 
-# quintic smoothstep ramp: C^2, 0 -> 1 on [0, 1]
+# quintic smoothstep ramp: C^2, 0 -> 1 on [0, 1], with int_0^1 s = 1/2 exactly
 _RAMP = Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
 _RAMP_INT = _RAMP.integ()            # int_0^u s
-_RAMP_SQ_INT = (_RAMP * _RAMP).integ()   # int_0^u s^2
+_RAMP_SQ_INT = float((_RAMP * _RAMP).integ()(1.0))   # int_0^1 s^2
 
 # measure certificates: smallest closing half-width r, spacing between
 # consecutive closing intervals, and the cap on delta halvings
@@ -169,12 +173,6 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
     pts = sys.points
     neg = np.nonzero(betas < 0)[0]
     n = neg.size
-    if n == 0:
-        cert = PointCertificate(0, pts[neg], betas[neg], [], np.zeros((0, 0)))
-        if verify_secular:
-            cert.secular_count = count_negative(sys)
-        return cert
-
     gaps = np.diff(pts)
     eps0 = 0.45 * float(gaps.min()) if gaps.size else 0.5
     eps0 = min(eps0, 0.5)
@@ -185,7 +183,11 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
         TestFunction(pts[k], e, betas[k], l, r)
         for k, (e, r, l) in zip(neg, params)
     ]
-    _assert_disjoint(funcs, pts)
+    # bumps split at their own points, closing intervals, and each point as (p, p)
+    _assert_regions_disjoint(
+        [iv for t in funcs for iv in ((t.x0 - t.eps, t.x0), (t.x0, t.x0 + t.eps),
+                                      (t.x0 + t.l, t.x0 + t.l + 2 * t.r))]
+        + [(p, p) for p in pts.tolist()])
 
     gram = np.diag([0.5 * betas[k] for k in neg])
     cert = PointCertificate(n, pts[neg], betas[neg], funcs, gram)
@@ -199,7 +201,8 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
 
 
 def _assert_regions_disjoint(regions: list[tuple[float, float]]) -> None:
-    """Raise SupportOverlap if two of the nonempty open intervals overlap.
+    """Raise SupportOverlap if two of the open intervals overlap; a
+    zero-width region (p, p) overlaps one that holds p strictly inside.
 
     Sorted by left end, if region i overlaps a later region j then it
     also overlaps region i + 1, which starts no later than j; so
@@ -210,19 +213,6 @@ def _assert_regions_disjoint(regions: list[tuple[float, float]]) -> None:
     if bad.size:
         (a1, b1), (a2, b2) = iv[bad[0]], iv[bad[0] + 1]
         raise SupportOverlap(f"active regions [{a1},{b1}] and [{a2},{b2}] overlap")
-
-
-def _assert_disjoint(funcs: list[TestFunction], all_points: np.ndarray) -> None:
-    # intervals where t' != 0, plus the jump cores
-    _assert_regions_disjoint([iv for t in funcs for iv in (
-        (t.x0 - t.eps, t.x0 + t.eps), (t.x0 + t.l, t.x0 + t.l + 2 * t.r))])
-    for t in funcs:
-        for p in all_points:
-            if p != t.x0 and (
-                t.x0 - t.eps < p < t.x0 + t.eps
-                or t.x0 + t.l < p < t.x0 + t.l + 2 * t.r
-            ):
-                raise SupportOverlap(f"interaction point {p} inside an active region")
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +261,16 @@ class SmoothIndicator:
         return float(out[0]) if scalar else out
 
     def integral(self) -> float:
-        ramp = float(_RAMP_INT(1.0))  # = 1/2
-        return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * ramp * len(self.cores)
+        return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * 0.5 * len(self.cores)
 
     def square_integral(self) -> float:
-        ramp = float(_RAMP_SQ_INT(1.0))
-        return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * ramp * len(self.cores)
+        return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * _RAMP_SQ_INT * len(self.cores)
 
     def cumulative(self, x) -> np.ndarray:
         """int_{-inf}^x chi, exact per polynomial piece."""
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
-        ramp_full = self.rho * float(_RAMP_INT(1.0))
         for lo, hi in self.cores:
             # up-ramp
             u = np.clip((x - lo + self.rho) / self.rho, 0.0, 1.0)
@@ -292,7 +279,7 @@ class SmoothIndicator:
             out += np.clip(x - lo, 0.0, hi - lo)
             # down-ramp: integral of s mirrored
             w = np.clip((x - hi) / self.rho, 0.0, 1.0)
-            out += ramp_full - self.rho * _RAMP_INT(1.0 - w)
+            out += self.rho * 0.5 - self.rho * _RAMP_INT(1.0 - w)
         return float(out[0]) if scalar else out
 
 
@@ -371,14 +358,18 @@ def measure_test_build(
     subset = np.sort(np.asarray(subset, dtype=int))
     xs = mu.positions
     sel = xs[subset]
-    if _outside_gap(xs, subset) <= delta:
+    jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
+    return _trial(xs, sel, _outside_gap(xs, subset), jumps, _neighborhood(sel, delta), delta, l, r)
+
+
+def _trial(xs, sel, gap, jumps, chi, delta, l, r) -> MeasureTestFunction:
+    """The one construction path: a subset's trial function from its sorted atoms sel,
+    its gap to the other atoms xs, its jumps beta w and chi, its delta-neighborhood."""
+    if gap <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs[-1] + delta:
         raise ValueError("plateau start l must lie right of the support")
-    jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
-    return MeasureTestFunction(
-        _neighborhood(sel, delta), sel, jumps, l=float(l), r=float(r), delta=float(delta)
-    )
+    return MeasureTestFunction(chi, sel, jumps, l=float(l), r=float(r), delta=float(delta))
 
 
 def measure_form_breakdown(t: MeasureTestFunction) -> tuple[float, float, float]:
@@ -430,24 +421,26 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     specs = []
     for s in subsets:
         mu_k = float(ws[s].sum())
-        sel = xs[s]
+        s_sorted = np.sort(s)
+        sel = xs[s_sorted]
         gap = _outside_gap(xs, s)
         delta = min(0.5 * gap, 1.0)
         target = 0.25 * epsilon * mu_k
         halvings = 0
-        while 2 * delta >= gap or _neighborhood(sel, delta).support_measure() > target:
+        # chi is built only where the gap admits delta, so the last one built is the trial's
+        while 2 * delta >= gap or (chi := _neighborhood(sel, delta)).support_measure() > target:
             delta *= 0.5
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise DomainError(
                     "delta halving cap hit: neighborhood measure cannot reach (1/4) eps mu"
                 )
-        specs.append((s, mu_k, delta))
+        specs.append((sel, gap, bs[s_sorted] * ws[s_sorted], chi, mu_k, delta))
 
     funcs = []
-    l_next = float(xs[-1]) + max((d for _, _, d in specs), default=0.0) + PAD
-    for s, mu_k, delta in specs:
-        tf = measure_test_build(s, mu, beta, delta, l=l_next, r=R_MIN)
+    l_next = float(xs[-1]) + max((spec[-1] for spec in specs), default=0.0) + PAD
+    for sel, gap, jumps, chi, mu_k, delta in specs:
+        tf = _trial(xs, sel, gap, jumps, chi, delta, l=l_next, r=R_MIN)
         # the plateau c_k does not depend on r
         tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
         funcs.append(tf)
@@ -455,7 +448,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
 
     _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])
     forms = np.array([quadratic_form_measure(t) for t in funcs])
-    bounds = np.array([-0.125 * epsilon * mu_k for _, mu_k, _ in specs])
+    bounds = np.array([-0.125 * epsilon * spec[4] for spec in specs])
     bad = forms > bounds + 1e-12
     if np.any(bad):
         raise AssertionError(f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}")

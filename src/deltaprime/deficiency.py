@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BranchCut, EvaluationOnAtom, IllConditioned
-from .measures import AtomicMeasure, mu_derivative
+from .measures import ATOM_TOL, AtomicMeasure, _atom_distance, mu_derivative
 
 GCONV = "g"
 GPRIMECONV = "g_prime"
@@ -97,7 +97,7 @@ def element_eval(e: DeficiencyElement, x):
     """Pointwise value; GPrimeConv refuses evaluation on atoms."""
     xs, ws = e.measure.positions, e.measure.weights
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if e.kind == GPRIMECONV and np.min(np.abs(xa[:, None] - xs[None, :])) < 1e-12:
+    if e.kind == GPRIMECONV and _atom_distance(xs, xa).min() < ATOM_TOL:
         raise EvaluationOnAtom("derivative family is discontinuous on atoms")
     fn = g_z if e.kind == GCONV else g_z_prime
     out = np.zeros(xa.shape, dtype=complex)

@@ -1,9 +1,23 @@
-"""Exception and warning taxonomy shared across the package.
+"""Exception and warning taxonomy, and the one input-array rule, shared across the package.
 
 DomainError subclasses map to CLI exit code 1 (math-domain failures,
 poles, infeasible configurations); SchemaError maps to exit code 2
 (malformed configs).  Warnings never abort a computation.
 """
+
+import numpy as np
+
+
+def _checked_floats(values, name: str, increasing: bool = False) -> np.ndarray:
+    """A read-only 1-d float copy of values; ValueError unless finite and, if asked, increasing."""
+    a = np.array(values, dtype=float, ndmin=1)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    if increasing and a.size > 1 and not (a[1:] > a[:-1]).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    a.setflags(write=False)
+    return a
 
 
 class DomainError(ValueError):

@@ -57,12 +57,15 @@ This route reads the per-point blocks and never builds the dense relation.
 On both routes the eigenvectors of one cluster of roots are orthonormal,
 so its states are linearly independent, and a state's parity under the
 mirror image of symmetric points is read off its amplitudes, which the
-reflection reverses.
+reflection reverses.  Residuals read the traces from BoundState.one_sided.
+A weak attractive delta' intensity binds at kappa ~ 2/|beta|; the search
+raises DomainError where -kappa^2 is not a finite float.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,10 +77,12 @@ from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from .errors import (
+    DomainError,
     GridTooCoarse,
     NotAnEigenvalue,
     NotSelfAdjoint,
     SplitNotSupported,
+    _checked_floats,
 )
 from .interactions import (
     InteractionKind,
@@ -120,12 +125,7 @@ class PointSystem:
         lambdas: Optional[Sequence[TransmissionMatrix]] = None,
         relation: Optional[np.ndarray] = None,
     ):
-        self.points = np.array(points, dtype=float)
-        bad = self.points[~np.isfinite(self.points)]
-        if bad.size:
-            raise ValueError(f"points must be finite, got {bad[0]}")
-        if self.points.size > 1 and not np.all(np.diff(self.points) > 0):
-            raise ValueError("points must be strictly increasing")
+        self.points = _checked_floats(points, "points", increasing=True)
         n = self.points.size
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
@@ -343,15 +343,6 @@ def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
     return np.linalg.eigvalsh(_krein(sys, kappa))
 
 
-def _count(sys: PointSystem, kappa: float) -> int:
-    """Number of bound states with decay rate above kappa.  At kappa = 0 an
-    eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero is
-    a zero-energy resonance, not a state."""
-    ev = _eigenvalues(sys, kappa)
-    tol = THRESHOLD_RTOL * max(1.0, np.abs(ev).max(initial=0.0)) if kappa == 0 else 0.0
-    return int(np.sum(ev < -tol))
-
-
 # ---------------------------------------------------------------------------
 # Krein-Sturm route for pure delta' systems
 # ---------------------------------------------------------------------------
@@ -359,7 +350,9 @@ def _count(sys: PointSystem, kappa: float) -> int:
 def _tridiagonal(sys: PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
     E_ij = e^{-kappa |x_i - x_j|}, whose inverse is tridiagonal."""
-    kg = kappa * (sys.points[1:] - sys.points[:-1])
+    g = sys.points[1:] - sys.points[:-1]
+    # r underflows to 0 long before kappa g = 1e3; capping there keeps a huge kappa finite
+    kg = kappa * g if kappa <= 1e150 else np.minimum(kappa, 1e3 / g) * g
     r = np.exp(-kg)
     t = r / -np.expm1(-2.0 * kg)                # r / (1 - r^2), finite for small kappa g
     s = r * t                                   # 1/(1 - r^2) - 1
@@ -407,30 +400,13 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
     eigenvalues of diag(beta) stay negative in T(hi).
     """
     attract = -sys._betas[sys._betas < 0]
-    weakest = attract.min()
-    g = np.diff(sys.points).min(initial=np.inf)
+    # Python floats overflow to inf without a warning, as hi does for a weak intensity
+    weakest = float(attract.min())
+    g = float(np.diff(sys.points).min(initial=np.inf))
     lo = 1.0 / (sys.n_points * float(attract.max()))
     # (2/kappa)(1 + 2/(kappa g)) equals min|beta_-| at half of hi
-    hi = 2.0 * (1.0 + np.sqrt(1.0 + 4.0 * weakest / g)) / weakest
-    return lo, float(hi)
-
-
-def _traces(points: np.ndarray, kappa: float, amps: np.ndarray) -> np.ndarray:
-    """One-sided traces (v+, v-, d+, d-) at every point, shape (N, 4, ...),
-    of decaying solutions with amplitudes amps = (c_L, a_1, b_1, ...,
-    a_{N-1}, b_{N-1}, c_R) along the first axis.
-
-    The tails are c_L e^{kappa(x-x_1)} and c_R e^{-kappa(x-x_N)}, interval i
-    carries a_i e^{kappa(x-x_{i+1})} + b_i e^{-kappa(x-x_i)}.
-    """
-    grow = np.concatenate((amps[:1], amps[1:-1:2]))      # left of each point: c_L, a_1, ...
-    decay = np.concatenate((amps[2:-1:2], amps[-1:]))    # right of each point: b_1, ..., c_R
-    r = np.exp(-kappa * np.diff(points)).reshape((-1,) + (1,) * (amps.ndim - 1))
-    zero = np.zeros_like(amps[:1])
-    ahead = np.concatenate((r * grow[1:], zero))         # a_{j+1} e^{-kappa g_j} at x_j + 0
-    behind = np.concatenate((zero, r * decay[:-1]))      # b_{j-1} e^{-kappa g_{j-1}} at x_j - 0
-    return np.stack((ahead + decay, grow + behind,
-                     kappa * (ahead - decay), kappa * (grow - behind)), axis=1)
+    hi = 2.0 * (1.0 + math.sqrt(1.0 + 4.0 * weakest / g)) / weakest
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +476,14 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
 
     The eigenvalues must vanish relative to their scale: sum |beta| u^2 for
     T, where at a root the two terms of u^T T u cancel, and max(1, ||H||)
-    for H, as in _count.  Each state's residual is that of its one-sided
-    traces in the row-normalized conditions, block by block for a per-point
-    system.
+    for H, as at the threshold in _window.  Each state's residual is that of
+    its one-sided traces (BoundState.one_sided on the unscaled amplitudes) in
+    the row-normalized conditions, block by block for a per-point system.
+    Raises DomainError when a root's energy -kappa^2 is not a finite float.
     """
-    n, mult = sys.n_points, len(kappas)
+    n, mult, deepest = sys.n_points, len(kappas), max(kappas)
+    if not math.isfinite(deepest * deepest):
+        raise _too_deep(sys, deepest)
     kappa = float(np.mean(kappas))
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
     lam, scale, amps = route(sys, kappa, first, mult)
@@ -514,7 +493,12 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
             f"relative eigenvalue {rel.max():.2e} for a {mult}-fold root at "
             f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
         )
-    traces = _traces(sys.points, kappa, amps)
+    traces = []
+    for amp in amps.T:
+        raw = BoundState(kappa, 0.0, amp[0], amp[-1], amp[1:-1].reshape(-1, 2), sys.points, 0.0)
+        (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
+        traces.append(np.stack((vp, vm, dp, dm), axis=1))
+    traces = np.moveaxis(np.stack(traces), 0, -1)        # (N, 4, mult): v+, v-, d+, d-
     if sys._blocks is None:
         miss = (sys.normalized_relation() @ traces.reshape(4 * n, mult)).reshape(n, 2, mult)
     else:
@@ -558,11 +542,20 @@ def _anchored(points: np.ndarray, kappa: float, vp, vm, sign: float = 1.0) -> np
     return np.concatenate((vm[:1], np.stack((a, b), 1).reshape(-1, vp.shape[1]), sign * vp[-1:]))
 
 
+def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
+    """The error for a state at decay rate kappa whose energy -kappa^2 is not
+    a finite float, naming a delta' system's weakest attractive intensity."""
+    weakest = "" if sys._betas is None else (
+        f": the delta' intensity {sys._betas[sys._betas < 0].max():.3g} binds at kappa ~ 2/|beta|")
+    return DomainError(f"a bound state decays at kappa = {kappa:.3g}, so its energy -kappa^2 "
+                       f"is not a finite float{weakest}")
+
+
 def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: float) -> BoundState:
     """Phase-fixed, L2-normalized state with amplitudes (c_L, a_1, b_1, ..., c_R)."""
     amp = amp.astype(complex)
-    lead = amp[np.argmax(np.abs(amp))]
-    amp = amp / (lead / abs(lead))              # the largest amplitude real and positive
+    # the largest amplitude becomes 1, so the norm of a fast-decaying state cannot underflow
+    amp = amp / amp[np.argmax(np.abs(amp))]
     state = BoundState(
         kappa=float(kappa),
         energy=-float(kappa) ** 2,
@@ -597,11 +590,12 @@ def _detect_parity(state: BoundState) -> str:
     return "none"
 
 
-def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range]:
-    """[lo, hi] holding every bound state, from closed-form bounds, and the
+def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range, dict]:
+    """[lo, hi] holding every bound state, from closed-form bounds, the
     indices of the ordered eigenvalues (of T for a pure delta' system, of H
     otherwise) that cross zero in it at the states with kappa <= kappa_max,
-    selected by the count at min(hi, kappa_max).
+    selected by the count at min(hi, kappa_max), and the eigenvalues of H
+    at each kappa where the counts diagonalized it (none for delta').
 
     Pure delta': _exact_window.  Otherwise lo = 0, where C(0+) is the total,
     and hi = 0 when that is 0.  Else, with c from _frame, H(kappa) >=
@@ -614,16 +608,21 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         raise ValueError("kappa_max must be positive")
     if sys._betas is not None:
         if not np.any(sys._betas < 0):
-            return 0.0, 0.0, range(0)        # T(kappa) > 0 for every kappa when beta >= 0
+            return 0.0, 0.0, range(0), {}    # T(kappa) > 0 for every kappa when beta >= 0
         lo, hi = _exact_window(sys)
         # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
-        return lo, hi, range(_negatives(sys, min(hi, kappa_max)))
-    total = _count(sys, 0.0)
+        return lo, hi, range(_negatives(sys, min(hi, kappa_max))), {}
+    ends = {0.0: _eigenvalues(sys, 0.0)}
+    # an eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero
+    # is a zero-energy resonance, not a state
+    total = int(np.sum(ends[0.0] < -THRESHOLD_RTOL * max(1.0, np.abs(ends[0.0]).max(initial=0.0))))
     if total == 0:
-        return 0.0, 0.0, range(0)
+        return 0.0, 0.0, range(0), ends
     c = sys._plane[3] / np.tanh(1.0)
     hi = max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf)))
-    return 0.0, hi, range(_count(sys, min(hi, kappa_max)), total)
+    cap = min(hi, kappa_max)
+    ends[cap] = _eigenvalues(sys, cap)
+    return 0.0, hi, range(int(np.sum(ends[cap] < 0.0)), total), ends
 
 
 def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
@@ -643,19 +642,29 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
     Lagrangian.
     """
-    lo, hi, crossing = _window(sys, kappa_max)
+    lo, hi, crossing, ends = _window(sys, kappa_max)
+    if not math.isfinite(hi):
+        raise _too_deep(sys, hi)
     if sys._betas is None:
-        # every root shares the bracket, so H is diagonalized at its ends once
-        ends = {lo: _eigenvalues(sys, lo), hi: _eigenvalues(sys, hi)} if crossing else {}
+        # every root shares the bracket [0, hi]: H is diagonalized once per end
+        if crossing and hi not in ends:
+            ends[hi] = _eigenvalues(sys, hi)
         value = lambda k, j: (ends[k] if k in ends else _eigenvalues(sys, k))[j]
     else:
         # kappa lambda_j has the sign of lambda_j and is linear in kappa
         # for a lone point (2 + kappa beta), which saves Brent steps
         value = lambda k, j: k * _t_eigenvalue(sys, k, j)
-    roots = [
-        (brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j)
-        for j in crossing
-    ]
+    try:
+        roots = [
+            (brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j)
+            for j in crossing
+        ]
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as err:
+        # one sign at both ends, where the counts prove a change: below eps ||T||, eps ||H||
+        raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies "
+                          "below the resolution of the eigenvalue solver") from err
     clusters = []
     for kappa, j in sorted(roots, reverse=True):
         if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:

@@ -47,6 +47,7 @@ from .errors import (
     GridTooCoarse,
     JumpOffSupport,
     UnconvergedEigenvalue,
+    _checked_floats,
 )
 
 ATOM_TOL = 1e-12
@@ -64,20 +65,12 @@ class AtomicMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.array(self.positions, dtype=float))
-        w = np.atleast_1d(np.array(self.weights, dtype=float))
+        x = _checked_floats(self.positions, "atom positions", increasing=True)
+        w = _checked_floats(self.weights, "atom weights")
         if x.shape != w.shape:
             raise ValueError("positions and weights must align")
-        for name, v in (("positions", x), ("weights", w)):
-            bad = v[~np.isfinite(v)]
-            if bad.size:
-                raise ValueError(f"atom {name} must be finite, got {bad[0]}")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
-            raise ValueError("atom positions must be strictly increasing")
         if np.any(w <= 0):
             raise ValueError("atom weights must be positive")
-        x.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "weights", w)
 
@@ -115,6 +108,13 @@ class BetaFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("beta must be finite on the atoms")
         return vals
+
+
+def _atom_distance(xs: np.ndarray, p) -> np.ndarray:
+    """Distance from each point p to the nearest of the sorted atoms xs."""
+    i = np.searchsorted(xs, p)
+    return np.minimum(np.abs(p - xs[np.maximum(i - 1, 0)]),
+                      np.abs(xs[np.minimum(i, xs.size - 1)] - p))
 
 
 def cantor_measure(depth: int, interval: tuple[float, float] = (0.0, 1.0)) -> AtomicMeasure:
@@ -177,9 +177,7 @@ def mu_derivative(psi, mu: AtomicMeasure) -> MeasureBoundaryData:
     """
     xs, ws = mu.positions, mu.weights
     p = np.asarray(psi.jump_points(), dtype=float)
-    i = np.searchsorted(xs, p)
-    near = np.minimum(np.abs(p - xs[np.maximum(i - 1, 0)]),
-                      np.abs(xs[np.minimum(i, xs.size - 1)] - p))
+    near = _atom_distance(xs, p)
     if np.any(near > ATOM_TOL):
         raise JumpOffSupport(f"jump at {p[near > ATOM_TOL][0]} off the measure support")
     vm, dm = psi.one_sided(xs, -1)
@@ -248,7 +246,7 @@ class GreenKernel:
 def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
     """G(x,s) = min(x,s) - a + sum of beta*w over atoms strictly below min."""
     xs = k.mu.positions
-    if np.min(np.abs(xs - x)) < ATOM_TOL or np.min(np.abs(xs - s)) < ATOM_TOL:
+    if _atom_distance(xs, np.array([x, s], dtype=float)).min() < ATOM_TOL:
         raise EvaluationOnAtom("kernel evaluation requested on an atom")
     if not (k.a < x < k.b and k.a < s < k.b):
         raise ValueError("kernel arguments must lie inside the box")
@@ -288,12 +286,9 @@ def _cells(k: GreenKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights = np.repeat(lengths / counts, counts)
     within = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     grid = np.repeat(edges[:-1], counts) + (within + 0.5) * weights
-    idx = np.searchsorted(xs, grid, side="left")
-    nearest = np.minimum(np.abs(grid - xs[np.maximum(idx - 1, 0)]),
-                         np.abs(xs[np.minimum(idx, xs.size - 1)] - grid))
-    if nearest.min() < 10 * ATOM_TOL:
+    if _atom_distance(xs, grid).min() < 10 * ATOM_TOL:
         raise EvaluationOnAtom("grid node collided with an atom")
-    return grid, weights, idx
+    return grid, weights, np.searchsorted(xs, grid, side="left")
 
 
 @dataclass

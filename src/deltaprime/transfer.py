@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousClassification, ComplexCoefficient, GammaPole
+from .errors import AmbiguousClassification, ComplexCoefficient, GammaPole, _checked_floats
 from .interactions import POLE_TOL, TransmissionMatrix, theta_of_gamma
 
 SERIES_CUT = 1e-4  # |lam*eps| below which sin(u)/lam switches to its series
@@ -32,18 +32,10 @@ class DeltaComb:
     strengths: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.array(self.positions, dtype=float))
-        a = np.atleast_1d(np.array(self.strengths, dtype=float))
+        x = _checked_floats(self.positions, "comb positions", increasing=True)
+        a = _checked_floats(self.strengths, "comb strengths")
         if x.shape != a.shape:
             raise ValueError("positions and strengths must align")
-        for name, v in (("positions", x), ("strengths", a)):
-            bad = v[~np.isfinite(v)]
-            if bad.size:
-                raise ValueError(f"comb {name} must be finite, got {bad[0]}")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
-            raise ValueError("positions must be strictly increasing")
-        x.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "strengths", a)
 
@@ -65,14 +57,10 @@ class PiecewisePotential:
     values: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.breakpoints, dtype=float)
-        v = np.array(self.values, dtype=float)
+        b = _checked_floats(self.breakpoints, "breakpoints", increasing=True)
+        v = _checked_floats(self.values, "potential values")
         if b.size != v.size + 1:
             raise ValueError("need len(breakpoints) == len(values) + 1")
-        if not np.all(np.diff(b) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        b.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
 

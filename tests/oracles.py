@@ -6,7 +6,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from deltaprime import line
+from deltaprime.certify import PAD, R_MIN, _neighborhood, measure_test_build, quadratic_form_measure
 from deltaprime.deficiency import GPRIMECONV, DeficiencyElement, _sqrt_upper, element_eval
+from deltaprime.errors import SupportOverlap
 from deltaprime.measures import GreenKernel, MeasureBoundaryData, _cells
 
 NUMERIC_RADIUS = 40.0     # e_functional_numeric truncates at this many decay lengths
@@ -112,3 +114,54 @@ def mu_derivative_loop(psi, mu) -> MeasureBoundaryData:
         out.psi_r[i] = 0.5 * (vp + vm)
         out.dpsi_r[i] = 0.5 * (dp + dm)
     return out
+
+
+def assert_disjoint_loop(funcs, points) -> None:
+    """Per-pair reference for the point certificate's overlap check.
+
+    Raises SupportOverlap if two of the open bumps (x0 - eps, x0 + eps) and
+    closing intervals (x0 + l, x0 + l + 2r) of the trial functions overlap,
+    or if an interaction point other than a function's own lies strictly
+    inside one of its two regions.
+    """
+    regions = [iv for t in funcs for iv in (
+        (t.x0 - t.eps, t.x0 + t.eps), (t.x0 + t.l, t.x0 + t.l + 2 * t.r))]
+    for i, (a1, b1) in enumerate(regions):
+        for a2, b2 in regions[i + 1:]:
+            if a1 < b2 and a2 < b1:
+                raise SupportOverlap(f"active regions [{a1},{b1}] and [{a2},{b2}] overlap")
+    for t in funcs:
+        for p in points:
+            if p != t.x0 and (
+                t.x0 - t.eps < p < t.x0 + t.eps
+                or t.x0 + t.l < p < t.x0 + t.l + 2 * t.r
+            ):
+                raise SupportOverlap(f"interaction point {p} inside an active region")
+
+
+def measure_certificate_rebuilt(mu, beta, subsets):
+    """Reference for certify.certify_count_measure: (epsilon, functions,
+    forms, bounds) with each trial function rebuilt by measure_test_build,
+    which evaluates beta on every atom and finds the gap again, after a first
+    pass that takes each gap from all pairs of subset and outside atoms."""
+    xs, ws = mu.positions, mu.weights
+    epsilon = -max(float(beta.at_atoms(mu)[s].max()) for s in subsets)
+    specs = []
+    for s in subsets:
+        mu_k = float(ws[s].sum())
+        others = np.delete(xs, s)
+        gap = np.min(np.abs(others[:, None] - xs[s][None, :])) if others.size else np.inf
+        delta = min(0.5 * gap, 1.0)
+        while 2 * delta >= gap or _neighborhood(xs[s], delta).support_measure() > 0.25 * epsilon * mu_k:
+            delta *= 0.5
+        specs.append((s, mu_k, delta))
+    l_next = float(xs[-1]) + max(d for _, _, d in specs) + PAD
+    funcs = []
+    for s, mu_k, delta in specs:
+        t = measure_test_build(s, mu, beta, delta, l=l_next, r=R_MIN)
+        t.r = max(R_MIN, 16.0 * t.c_k ** 2 / (epsilon * mu_k))
+        funcs.append(t)
+        l_next += 2.0 * t.r + PAD
+    forms = np.array([quadratic_form_measure(t) for t in funcs])
+    bounds = np.array([-0.125 * epsilon * mu_k for _, mu_k, _ in specs])
+    return epsilon, funcs, forms, bounds

@@ -1,6 +1,7 @@
 """Trial functions, quadratic forms, and variational certificates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from deltaprime import certify
 from deltaprime.certify import (
     SmoothIndicator,
     TestFunction,
@@ -26,11 +28,12 @@ from deltaprime.line import delta_prime_system
 from deltaprime.measures import (
     AtomicMeasure,
     BetaFunction,
+    atomic_to_point_system,
     cantor_blocks,
     cantor_measure,
     mu_derivative,
 )
-from oracles import quadratic_form_point_numeric
+from oracles import assert_disjoint_loop, measure_certificate_rebuilt, quadratic_form_point_numeric
 
 
 class TestPointTrialFunction:
@@ -113,6 +116,22 @@ class TestChooseParams:
             choose_params([1.0], 0.1, 0.0)
 
 
+@st.composite
+def point_certificates(draw):
+    """Points, intensities of either sign and (eps, r, l) per attractive
+    point, all multiples of 1/4: bumps, closing intervals and points then
+    overlap in every combination, or touch end to end."""
+    quarters = lambda lo, hi: st.integers(lo, hi).map(lambda k: k / 4.0)
+    pts = np.array(sorted(draw(st.sets(quarters(0, 24), min_size=1, max_size=6))))
+    betas = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=pts.size,
+                                   max_size=pts.size)))
+    params = []
+    for _ in range(int(np.sum(betas < 0))):
+        eps = draw(quarters(1, 8))
+        params.append((eps, draw(quarters(1, 8)), eps + draw(quarters(0, 24))))
+    return pts, betas, params
+
+
 class TestPointCertificate:
     def test_mixed_signs(self):
         sys = delta_prime_system([0.0, 1.0, 2.0], [-1.0, 1.0, -3.0])
@@ -125,6 +144,32 @@ class TestPointCertificate:
         sys = delta_prime_system([0.0, 1.0], [0.5, 1.0])
         cert = certify_count_points(sys)
         assert cert.count == 0 and cert.gram.shape == (0, 0)
+
+    def test_cantor_depth10_bridge(self):
+        sys = atomic_to_point_system(cantor_measure(10), BetaFunction.constant(-1.0))
+        cert = certify_count_points(sys)
+        assert cert.count == cert.secular_count == 1024
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_certificates())
+    def test_one_sweep_matches_the_per_point_loop(self, case):
+        # certify_count_points with the drawn (eps, r, l) raises SupportOverlap
+        # exactly where the per-pair, per-point reference does
+        pts, betas, params = case
+        neg = np.flatnonzero(betas < 0)
+        funcs = [TestFunction(pts[k], e, betas[k], l, r) for k, (e, r, l) in zip(neg, params)]
+        try:
+            assert_disjoint_loop(funcs, pts)
+            overlap = False
+        except SupportOverlap:
+            overlap = True
+        with mock.patch.object(certify, "choose_params", lambda *args: params):
+            if overlap:
+                with pytest.raises(SupportOverlap):
+                    certify_count_points(delta_prime_system(pts, betas), verify_secular=False)
+            else:
+                cert = certify_count_points(delta_prime_system(pts, betas), verify_secular=False)
+                assert cert.count == neg.size
 
     def test_close_pair(self):
         sys = delta_prime_system([0.0, 0.5], [-1.0, -1.0])
@@ -364,6 +409,22 @@ class TestMeasureCertificate:
                                      cantor_blocks(10, 10))
         assert cert.count == 1024
         assert np.all(cert.forms <= cert.bounds)
+
+    @pytest.mark.parametrize("level", [10, 4])
+    def test_depth10_fields_match_the_rebuilt_construction(self, level):
+        # each trial function built once carries the bits of one rebuilt by
+        # measure_test_build from beta on every atom and a second gap search
+        mu, beta, blocks = cantor_measure(10), BetaFunction.constant(-1.0), cantor_blocks(10, level)
+        cert = certify_count_measure(mu, beta, blocks)
+        epsilon, funcs, forms, bounds = measure_certificate_rebuilt(mu, beta, blocks)
+        assert cert.count == len(funcs) == 2 ** level and cert.epsilon == epsilon
+        np.testing.assert_array_equal(cert.forms, forms)
+        np.testing.assert_array_equal(cert.bounds, bounds)
+        for t, ref in zip(cert.functions, funcs):
+            assert (t.delta, t.r, t.l, t.c_k) == (ref.delta, ref.r, ref.l, ref.c_k)
+            assert (t.chi.cores, t.chi.rho) == (ref.chi.cores, ref.chi.rho)
+            np.testing.assert_array_equal(t.positions, ref.positions)
+            np.testing.assert_array_equal(t.jumps, ref.jumps)
 
     def test_positive_beta_rejected(self):
         mu = AtomicMeasure([0.0], [1.0])

@@ -239,6 +239,15 @@ class TestCli:
         assert main(["spectrum", "--system", str(f), "--kappa-max", "10"]) == 1
         assert "not Lagrangian" in capsys.readouterr().err
 
+    def test_spectrum_weak_delta_prime_is_a_domain_error(self, tmp_path, capsys):
+        # beta = -1e-158 binds at kappa ~ 2e158, whose energy overflows
+        f = tmp_path / "weak.ini"
+        f.write_text("[system]\npoints = 0 0.5\n" + "".join(
+            f"[condition {i}]\nkind = delta-prime\nbeta = {b}\n"
+            for i, b in enumerate(("-1e-158", "-1.0"), 1)))
+        assert main(["spectrum", "--system", str(f)]) == 1
+        assert "delta' intensity -1e-158" in capsys.readouterr().err
+
     def test_spectrum_identical_config_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (a, b):

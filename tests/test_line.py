@@ -500,7 +500,7 @@ class TestKreinCount:
         pts, c, prime = case
         sys = from_kinds([(x, DeltaPrime(a) if p else Delta(a)) for x, a, p in zip(pts, c, prime)])
         count = krein_oracle(pts, c, prime)
-        lo, hi, _ = line._window(sys, None)
+        lo, hi, _, _ = line._window(sys, None)
         lo, hi = max(lo, 1e-9), max(hi, 1e-9)
         assert count(hi) == 0
         want = _oracle_roots(count, lo, hi)
@@ -513,15 +513,19 @@ class TestKreinCount:
         assert all(s.residual <= 1e-10 for s in states)
 
     def test_window_ends_are_diagonalized_once_per_search(self, monkeypatch):
-        # every root shares the bracket [0, hi]: H(0) is diagonalized by the
-        # total and once for Brent, H(hi) by the count at hi and once for Brent
+        # every root shares the bracket [0, hi]: the counts of _window
+        # diagonalize H(0) and H(min(hi, kappa_max)), and Brent reuses them,
+        # so no kappa is diagonalized twice, capped or not
         sys = from_kinds([(0.0, Delta(-2.0)), (3.0, Delta(-1.5)), (6.0, Delta(-3.0))])
-        _, hi, crossing = line._window(sys, None)
-        seen = []
         eigenvalues = line._eigenvalues
-        monkeypatch.setattr(line, "_eigenvalues", lambda s, k: seen.append(k) or eigenvalues(s, k))
-        assert len(find_bound_states(sys)) == len(crossing) == 3
-        assert seen.count(0.0) <= 2 and seen.count(hi) <= 2
+        for kappa_max, n in ((None, 3), (1.2, 2)):
+            _, hi, crossing, _ = line._window(sys, kappa_max)
+            seen = []
+            monkeypatch.setattr(line, "_eigenvalues", lambda s, k: seen.append(k) or eigenvalues(s, k))
+            assert len(find_bound_states(sys, kappa_max)) == len(crossing) == n
+            monkeypatch.setattr(line, "_eigenvalues", eigenvalues)
+            assert seen.count(0.0) == seen.count(hi) == 1
+            assert len(seen) == len(set(seen))
 
 
 @st.composite
@@ -643,18 +647,19 @@ class TestTridiagonalRoute:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), data=st.data(), kappa=st.floats(0.1, 5.0))
     def test_traces_match_the_evaluated_state(self, n, data, kappa):
-        # (v+, v-, d+, d-) from the amplitudes against psi just right and
-        # left of each point, derivatives by second-order one-sided
-        # differences on nodes h, 2h, 3h away from it
+        # one_sided at the points, the traces (v+, d+) and (v-, d-) that the
+        # residuals read, against psi just right and left of each point,
+        # derivatives by second-order one-sided differences on nodes h, 2h,
+        # 3h away from it
         gaps = data.draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
         parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n))
         pts = np.concatenate(([0.0], np.cumsum(gaps)))
         amps = np.array(parts[::2]) + 1j * np.array(parts[1::2])
         state = line.BoundState(kappa, -kappa ** 2, amps[0], amps[-1], amps[1:-1].reshape(-1, 2),
                                 pts, residual=0.0)
-        got = line._traces(pts, kappa, amps)
         h = 1e-5
-        for side, value, deriv in ((1.0, got[:, 0], got[:, 2]), (-1.0, got[:, 1], got[:, 3])):
+        for side in (1.0, -1.0):
+            value, deriv = state.one_sided(pts, int(side))
             np.testing.assert_allclose(value, state.evaluate(pts + side * 1e-12), rtol=0, atol=1e-10)
             f1, f2, f3 = (state.evaluate(pts + side * m * h) for m in (1, 2, 3))
             np.testing.assert_allclose(deriv, side * (8 * f2 - 5 * f1 - 3 * f3) / (2 * h),
@@ -680,6 +685,44 @@ class TestTridiagonalRoute:
             states = find_bound_states(delta_prime_system(pts, -rng.uniform(5.0, 50.0, n)))
             assert len(states) == n
             assert max(s.residual for s in states) <= 1e-11
+
+
+class TestWeakAttraction:
+    # a weak attractive delta' intensity binds at kappa ~ 2/|beta|: the state
+    # is normalized without underflow while -kappa^2 is a finite float, and
+    # beyond that the search raises DomainError naming the intensity
+    @staticmethod
+    def systems(b):
+        return delta_prime_system([0.0, 0.5], [b, -1.0]), delta_prime_system([0.0], [b])
+
+    @pytest.mark.parametrize("b", [-1e-110, -1e-150])
+    def test_fast_decaying_states_are_finite_unit_states(self, b):
+        for sys in self.systems(b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states = find_bound_states(sys)
+            assert len(states) == count_negative(sys)
+            assert states[0].kappa == pytest.approx(2.0 / abs(b), rel=1e-12)
+            for s in states:
+                amps = np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
+                assert np.all(np.isfinite(amps)) and np.isfinite(s.energy)
+                assert s.norm_squared() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [-1e-158, -1e-300, -1e-310])
+    def test_energy_beyond_the_float_range_raises(self, b):
+        for sys in self.systems(b):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=f"intensity {b:.3g} "):
+                    find_bound_states(sys)
+                assert count_negative(sys) == len(sys.points)
+
+    def test_eigenvalue_below_the_solver_resolution_raises(self):
+        # the crossing eigenvalue of T, about |beta| = 1e-20, lies below the
+        # bisection's resolution eps ||T|| ~ 2e-16, so its sign at the window
+        # ends is noise
+        with pytest.raises(DomainError, match="resolution"):
+            find_bound_states(delta_prime_system([0.0, 1.0, 2.0], [1.0, -1e-20, 0.0]))
 
 
 class TestCappedSearch:

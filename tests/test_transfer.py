@@ -166,6 +166,17 @@ class TestFamilies:
 
 
 class TestPiecewisePotential:
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        ([0.0, 1.0], [1.0, 2.0], "len"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0], "strictly increasing"),
+        ([0.0, np.inf], [1.0], "must be finite, got inf"),
+        ([0.0, 1.0], [np.nan], "must be finite, got nan"),
+    ])
+    def test_invalid_input_rejected(self, breakpoints, values, message):
+        # a non-finite breakpoint or value would give an all-NaN pc_transfer
+        with pytest.raises(ValueError, match=message):
+            PiecewisePotential(breakpoints, values)
+
     def test_zero_potential(self):
         pot = PiecewisePotential([0.0, 1.3], [0.0])
         np.testing.assert_allclose(
