@@ -173,16 +173,11 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
     pts = sys.points
     neg = np.nonzero(betas < 0)[0]
     n = neg.size
-    gaps = np.diff(pts)
-    eps0 = 0.45 * float(gaps.min()) if gaps.size else 0.5
-    eps0 = min(eps0, 0.5)
+    eps0 = min(0.45 * float(np.diff(pts).min(initial=np.inf)), 0.5)
     diameter = float(pts[-1] - pts[0]) if pts.size > 1 else 0.0
     params = choose_params(betas[neg], eps0, diameter)
 
-    funcs = [
-        TestFunction(pts[k], e, betas[k], l, r)
-        for k, (e, r, l) in zip(neg, params)
-    ]
+    funcs = [TestFunction(pts[k], e, betas[k], l, r) for k, (e, r, l) in zip(neg, params)]
     # bumps split at their own points, closing intervals, and each point as (p, p)
     _assert_regions_disjoint(
         [iv for t in funcs for iv in ((t.x0 - t.eps, t.x0), (t.x0, t.x0 + t.eps),
@@ -194,9 +189,7 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
     if verify_secular:
         cert.secular_count = count_negative(sys)
         if cert.secular_count < n:
-            raise AssertionError(
-                f"secular count {cert.secular_count} below certified bound {n}"
-            )
+            raise AssertionError(f"secular count {cert.secular_count} below certified bound {n}")
     return cert
 
 
@@ -356,20 +349,20 @@ def measure_test_build(
     so chi vanishes there and only the subset's atoms enter.
     """
     subset = np.sort(np.asarray(subset, dtype=int))
-    xs = mu.positions
-    sel = xs[subset]
     jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
-    return _trial(xs, sel, _outside_gap(xs, subset), jumps, _neighborhood(sel, delta), delta, l, r)
+    return _trial(mu.positions, subset, _outside_gap(mu.positions, subset), jumps, delta, l, r)
 
 
-def _trial(xs, sel, gap, jumps, chi, delta, l, r) -> MeasureTestFunction:
-    """The one construction path: a subset's trial function from its sorted atoms sel,
-    its gap to the other atoms xs, its jumps beta w and chi, its delta-neighborhood."""
+def _trial(xs, subset, gap, jumps, delta, l, r) -> MeasureTestFunction:
+    """The one construction path: the trial function of the sorted atom
+    indices subset of xs, with gap to the other atoms and jumps beta w."""
     if gap <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs[-1] + delta:
         raise ValueError("plateau start l must lie right of the support")
-    return MeasureTestFunction(chi, sel, jumps, l=float(l), r=float(r), delta=float(delta))
+    sel = xs[subset]
+    return MeasureTestFunction(_neighborhood(sel, delta), sel, jumps, l=float(l), r=float(r),
+                               delta=float(delta))
 
 
 def measure_form_breakdown(t: MeasureTestFunction) -> tuple[float, float, float]:
@@ -421,26 +414,25 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     specs = []
     for s in subsets:
         mu_k = float(ws[s].sum())
-        s_sorted = np.sort(s)
-        sel = xs[s_sorted]
+        sel = xs[s]
         gap = _outside_gap(xs, s)
         delta = min(0.5 * gap, 1.0)
         target = 0.25 * epsilon * mu_k
         halvings = 0
-        # chi is built only where the gap admits delta, so the last one built is the trial's
-        while 2 * delta >= gap or (chi := _neighborhood(sel, delta)).support_measure() > target:
+        while 2 * delta >= gap or _neighborhood(sel, delta).support_measure() > target:
             delta *= 0.5
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise DomainError(
                     "delta halving cap hit: neighborhood measure cannot reach (1/4) eps mu"
                 )
-        specs.append((sel, gap, bs[s_sorted] * ws[s_sorted], chi, mu_k, delta))
+        s = np.sort(s)
+        specs.append((s, gap, bs[s] * ws[s], mu_k, delta))
 
     funcs = []
-    l_next = float(xs[-1]) + max((spec[-1] for spec in specs), default=0.0) + PAD
-    for sel, gap, jumps, chi, mu_k, delta in specs:
-        tf = _trial(xs, sel, gap, jumps, chi, delta, l=l_next, r=R_MIN)
+    l_next = float(xs[-1]) + max((delta for *_, delta in specs), default=0.0) + PAD
+    for s, gap, jumps, mu_k, delta in specs:
+        tf = _trial(xs, s, gap, jumps, delta, l=l_next, r=R_MIN)
         # the plateau c_k does not depend on r
         tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
         funcs.append(tf)
@@ -448,7 +440,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
 
     _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])
     forms = np.array([quadratic_form_measure(t) for t in funcs])
-    bounds = np.array([-0.125 * epsilon * spec[4] for spec in specs])
+    bounds = np.array([-0.125 * epsilon * mu_k for _, _, _, mu_k, _ in specs])
     bad = forms > bounds + 1e-12
     if np.any(bad):
         raise AssertionError(f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}")

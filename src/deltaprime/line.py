@@ -58,8 +58,8 @@ On both routes the eigenvectors of one cluster of roots are orthonormal,
 so its states are linearly independent, and a state's parity under the
 mirror image of symmetric points is read off its amplitudes, which the
 reflection reverses.  Residuals read the traces from BoundState.one_sided.
-A weak attractive delta' intensity binds at kappa ~ 2/|beta|; the search
-raises DomainError where -kappa^2 is not a finite float.
+A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
+marks an energy -kappa^2 beyond the floats and eigenvalues below eps ||T||.
 """
 
 from __future__ import annotations
@@ -351,8 +351,8 @@ def _tridiagonal(sys: PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
     E_ij = e^{-kappa |x_i - x_j|}, whose inverse is tridiagonal."""
     g = sys.points[1:] - sys.points[:-1]
-    # r underflows to 0 long before kappa g = 1e3; capping there keeps a huge kappa finite
-    kg = kappa * g if kappa <= 1e150 else np.minimum(kappa, 1e3 / g) * g
+    # the cap changes no entry (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
+    kg = np.minimum(kappa, 1e3 / g) * g
     r = np.exp(-kg)
     t = r / -np.expm1(-2.0 * kg)                # r / (1 - r^2), finite for small kappa g
     s = r * t                                   # 1/(1 - r^2) - 1
@@ -428,17 +428,20 @@ class BoundState:
     near_threshold: bool = False
 
     def one_sided(self, x, side: int):
-        """(psi, psi') limit at x from the right (+1) or left (-1)."""
+        """(psi, psi') limit at x from the right (+1) or left (-1); leading axes
+        of the amplitudes (interior: S + (N-1, 2)) carry states and lead the result."""
         x = np.asarray(x, dtype=float)
-        pts, k = self.points, self.kappa
+        pts, k, inner = self.points, self.kappa, self.interior
         idx = pts.searchsorted(x, side="right" if side > 0 else "left")
         # piece idx is a e^{k(x - hi)} + b e^{-k(x - lo)} with lo, hi its end points;
         # the outer pieces have b = 0 (left) or a = 0 (right), kept finite by the clamps
-        a, b = np.vstack(([self.c_left, 0.0], self.interior, [0.0, self.c_right]))[idx].T
-        ea = np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
-        eb = np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
-        val, der = a * ea + b * eb, k * (a * ea - b * eb)
-        return (val.item(), der.item()) if x.ndim == 0 else (val, der)
+        ab = np.zeros(inner.shape[:-2] + (pts.size + 1, 2), np.result_type(inner, self.c_left))
+        ab[..., 1:-1, :], ab[..., 0, 0], ab[..., -1, 1] = inner, self.c_left, self.c_right
+        ab = ab[..., idx, :]
+        grow = ab[..., 0] * np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
+        decay = ab[..., 1] * np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
+        val, der = grow + decay, k * (grow - decay)
+        return (val.item(), der.item()) if val.ndim == 0 else (val, der)
 
     def evaluate(self, x):
         """psi(x); at a point the interval to its right applies."""
@@ -479,7 +482,8 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     for H, as at the threshold in _window.  Each state's residual is that of
     its one-sided traces (BoundState.one_sided on the unscaled amplitudes) in
     the row-normalized conditions, block by block for a per-point system.
-    Raises DomainError when a root's energy -kappa^2 is not a finite float.
+    Raises DomainError when a root's energy -kappa^2 is not a finite float,
+    or when T's eigenvalues vanish to eps ||T|| but not to their scale.
     """
     n, mult, deepest = sys.n_points, len(kappas), max(kappas)
     if not math.isfinite(deepest * deepest):
@@ -487,18 +491,21 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     kappa = float(np.mean(kappas))
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
     lam, scale, amps = route(sys, kappa, first, mult)
-    rel = np.abs(lam) / scale
-    if rel.max() > RESIDUAL_TOL:
-        raise NotAnEigenvalue(
-            f"relative eigenvalue {rel.max():.2e} for a {mult}-fold root at "
-            f"kappa={kappas[0]:.9g} exceeds {RESIDUAL_TOL:g}"
-        )
-    traces = []
-    for amp in amps.T:
-        raw = BoundState(kappa, 0.0, amp[0], amp[-1], amp[1:-1].reshape(-1, 2), sys.points, 0.0)
-        (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
-        traces.append(np.stack((vp, vm, dp, dm), axis=1))
-    traces = np.moveaxis(np.stack(traces), 0, -1)        # (N, 4, mult): v+, v-, d+, d-
+    if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
+        worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
+        if sys._betas is not None:
+            # bisection resolves T's eigenvalues only to eps ||T||, which may exceed their scale
+            diag, off = _tridiagonal(sys, kappa)
+            tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)   # Gershgorin
+            if worst <= np.finfo(float).eps * tnorm:
+                raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
+        raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
+                              f"scale {np.min(scale):.2e} at the {root}")
+    raw = BoundState(kappa, 0.0, amps[0], amps[-1], amps[1:-1].T.reshape(mult, n - 1, 2),
+                     sys.points, 0.0)
+    (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
+    # (N, 4, mult): v+, v-, d+, d-, laid out state by state for the norms' summation order
+    traces = np.ascontiguousarray(np.stack((vp, vm, dp, dm), axis=-1)).transpose(1, 2, 0)
     if sys._blocks is None:
         miss = (sys.normalized_relation() @ traces.reshape(4 * n, mult)).reshape(n, 2, mult)
     else:
@@ -597,11 +604,11 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     selected by the count at min(hi, kappa_max), and the eigenvalues of H
     at each kappa where the counts diagonalized it (none for delta').
 
-    Pure delta': _exact_window.  Otherwise lo = 0, where C(0+) is the total,
-    and hi = 0 when that is 0.  Else, with c from _frame, H(kappa) >=
-    (kappa tanh(kappa g_min/2) s_min(X)^2 + lambda_min(X^H Y)) I, and
-    tanh u >= tanh(1) min(u, 1) makes it > 0 above
-    hi = max(c/tanh 1, sqrt(2c/(g_min tanh 1))).
+    Pure delta': _exact_window, and hi = kappa_max where that overflows.
+    Otherwise lo = 0, where C(0+) is the total, and hi = 0 when that is 0.
+    Else, with c from _frame, H(kappa) >= (kappa tanh(kappa g_min/2)
+    s_min(X)^2 + lambda_min(X^H Y)) I, and tanh u >= tanh(1) min(u, 1)
+    makes it > 0 above hi = max(c/tanh 1, sqrt(2c/(g_min tanh 1))).
     """
     kappa_max = np.inf if kappa_max is None else kappa_max
     if not kappa_max > 0:
@@ -610,6 +617,7 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         if not np.any(sys._betas < 0):
             return 0.0, 0.0, range(0), {}    # T(kappa) > 0 for every kappa when beta >= 0
         lo, hi = _exact_window(sys)
+        hi = hi if math.isfinite(hi) else kappa_max    # the selected branches cross below a cap
         # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
         return lo, hi, range(_negatives(sys, min(hi, kappa_max))), {}
     ends = {0.0: _eigenvalues(sys, 0.0)}
@@ -640,7 +648,8 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     failed extraction raises NotAnEigenvalue, and a state whose matching
     residual exceeds STATE_RESIDUAL_TOL is kept and reported via
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
-    Lagrangian.
+    Lagrangian, and DomainError when -kappa^2 is not a finite float or an
+    eigenvalue lies below the solver's resolution eps ||T|| or eps ||H||.
     """
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
@@ -654,17 +663,16 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         # kappa lambda_j has the sign of lambda_j and is linear in kappa
         # for a lone point (2 + kappa beta), which saves Brent steps
         value = lambda k, j: k * _t_eigenvalue(sys, k, j)
-    try:
-        roots = [
-            (brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j)
-            for j in crossing
-        ]
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as err:
-        # one sign at both ends, where the counts prove a change: below eps ||T||, eps ||H||
-        raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies "
-                          "below the resolution of the eigenvalue solver") from err
+    roots = []
+    for j in crossing:
+        try:
+            roots.append((brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j))
+        except ValueError:
+            if not value(lo, j) * value(hi, j) > 0:
+                raise                           # not brentq's one-sign bracket
+            # the counts prove a sign change: it lies below eps ||T|| or eps ||H||
+            raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies below "
+                              "the resolution of the eigenvalue solver") from None
     clusters = []
     for kappa, j in sorted(roots, reverse=True):
         if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:

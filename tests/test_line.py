@@ -724,6 +724,41 @@ class TestWeakAttraction:
         with pytest.raises(DomainError, match="resolution"):
             find_bound_states(delta_prime_system([0.0, 1.0, 2.0], [1.0, -1e-20, 0.0]))
 
+    @pytest.mark.parametrize("pts, betas", [
+        ([0.0, 0.77, 1.55], [-9.3e-19, -9.8e-19, -0.385]),
+        ([0.0, 0.94, 1.62, 2.61], [-1.5e-256, 0.0, -8.6e-92, 1.41]),
+    ])
+    def test_root_eigenvalues_below_the_solver_resolution_raise(self, pts, betas):
+        # Brent lands both weak branches on one root: their eigenvalues there
+        # vanish to eps ||T|| but not relative to their scale sum |beta| u^2,
+        # which may underflow to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="resolution"):
+                find_bound_states(delta_prime_system(pts, betas))
+
+    def test_decay_rate_near_the_float_limit_keeps_t_finite(self):
+        # hi ~ 1.3e308 across a unit gap: 2 kappa g would overflow in T(hi)
+        # without the cap on kappa g
+        sys = delta_prime_system([0.0, 1.0], [-3e-308, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="intensity -3e-308 "):
+                find_bound_states(sys)
+            assert count_negative(sys) == 2
+
+    def test_a_finite_cap_closes_an_overflowing_window(self):
+        # hi overflows for beta = -1e-310; the cap excludes that state and
+        # brackets the other one
+        sys = delta_prime_system([0.0, 0.5], [-1e-310, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (state,) = find_bound_states(sys, 10.0)
+        assert state.kappa == pytest.approx(2.0, rel=1e-12)
+        assert state.residual <= 1e-12
+        with pytest.raises(DomainError, match="not a finite float"):
+            find_bound_states(sys, np.inf)
+
 
 class TestCappedSearch:
     # kappa_max never moves the bracket; it selects branches by the count at

@@ -1,5 +1,6 @@
 """Atomic measures, the Green kernel, Nystrom spectra, and the line bridge."""
 
+import re
 import time
 import warnings
 
@@ -171,13 +172,19 @@ class TestBridgeStatesMeetTheMeasureConditions:
     @settings(max_examples=80, deadline=None)
     @given(system=atomic_bridges())
     def test_random_atomic_measures(self, system):
-        # a weak attractive beta w binds at kappa ~ 2/|beta w|; where that
-        # state leaves double precision the solver raises DomainError
+        # a weak attractive beta w binds at kappa ~ 2/|beta w|; the solver
+        # raises DomainError where -kappa^2 leaves the float range or the
+        # crossing eigenvalue of T falls below eps ||T||, and only there
+        mu, beta = system
         try:
-            states = find_bound_states(atomic_to_point_system(*system))
-        except DomainError:
+            states = find_bound_states(atomic_to_point_system(mu, beta))
+        except DomainError as err:
+            bs = beta.at_atoms(mu)
+            weak = np.any((-1e-3 < bs) & (bs < 0.0))
+            if not weak or not re.search("not a finite float|below the resolution", str(err)):
+                raise
             return
-        assert_measure_conditions(*system, states)
+        assert_measure_conditions(mu, beta, states)
 
     @pytest.mark.parametrize("depth", [2, 4, 6])
     def test_cantor(self, depth):
