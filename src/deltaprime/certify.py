@@ -278,7 +278,7 @@ class SmoothIndicator:
 
 def _neighborhood(points: np.ndarray, delta: float) -> SmoothIndicator:
     """Smoothed indicator supported exactly on the union of [x - delta, x + delta]."""
-    return SmoothIndicator([(x - delta / 2, x + delta / 2) for x in points], delta / 2)
+    return SmoothIndicator([(x - delta / 2, x + delta / 2) for x in points.tolist()], delta / 2)
 
 
 @dataclass
@@ -301,7 +301,7 @@ class MeasureTestFunction:
     delta: float
 
     def __post_init__(self):
-        self.c_k = float(self.chi.integral() + np.sum(self.jumps))
+        self.c_k = float(self.chi.integral() + self.jumps.sum())
 
     def one_sided(self, x, side: int):
         """(value, derivative) limit at x from the right (+1) or left (-1);
@@ -322,17 +322,21 @@ class MeasureTestFunction:
         return list(self.positions[self.jumps != 0])
 
 
-def _outside_gap(xs: np.ndarray, subset) -> float:
-    """Distance from the atoms xs[subset] to the nearest other atom (inf if none).
+def _outside_gaps(xs: np.ndarray, subsets: Sequence[np.ndarray]) -> list[float]:
+    """Distance from each disjoint subset's atoms to the nearest atom outside it (inf if none).
 
-    The atoms are sorted, so the distance is attained by index neighbours,
-    one in the subset and one outside it: only the edges (j, j + 1) that
-    cross the subset's boundary are compared, in O(|subset|).
+    The atoms are sorted, so each distance is attained by index neighbours in
+    different subsets (or one in none): one O(N) pass serves every subset.
     """
-    inside = set(np.asarray(subset).tolist())
-    cross = [j for i in inside for j in (i - 1, i)
-             if 0 <= j < xs.size - 1 and (j in inside) != (j + 1 in inside)]
-    return float(min((xs[j + 1] - xs[j] for j in cross), default=np.inf))
+    label = np.full(xs.size, len(subsets))     # the last slot: atoms in no subset
+    for k, s in enumerate(subsets):
+        label[s] = k
+    j = np.flatnonzero(label[:-1] != label[1:])
+    d = xs[j + 1] - xs[j]
+    gaps = np.full(len(subsets) + 1, np.inf)
+    np.minimum.at(gaps, label[j], d)
+    np.minimum.at(gaps, label[j + 1], d)
+    return gaps[:-1].tolist()
 
 
 def measure_test_build(
@@ -349,14 +353,9 @@ def measure_test_build(
     so chi vanishes there and only the subset's atoms enter.
     """
     subset = np.sort(np.asarray(subset, dtype=int))
+    xs = mu.positions
     jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
-    return _trial(mu.positions, subset, _outside_gap(mu.positions, subset), jumps, delta, l, r)
-
-
-def _trial(xs, subset, gap, jumps, delta, l, r) -> MeasureTestFunction:
-    """The one construction path: the trial function of the sorted atom
-    indices subset of xs, with gap to the other atoms and jumps beta w."""
-    if gap <= delta:
+    if _outside_gaps(xs, [subset])[0] <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs[-1] + delta:
         raise ValueError("plateau start l must lie right of the support")
@@ -369,7 +368,7 @@ def measure_form_breakdown(t: MeasureTestFunction) -> tuple[float, float, float]
     """The three integrals of the quadratic form: I1, I2, I3."""
     i1 = t.chi.square_integral()
     i2 = (2.0 / 3.0) * t.c_k ** 2 / t.r
-    i3 = float(np.sum(t.jumps))
+    i3 = float(t.jumps.sum())
     return i1, i2, i3
 
 
@@ -402,37 +401,38 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     """
     xs, ws = mu.positions, mu.weights
     bs = beta.at_atoms(mu)
+    bw = bs * ws
     subsets = [np.asarray(s, dtype=int) for s in subsets]
     seen = np.concatenate(subsets) if subsets else np.array([], dtype=int)
-    if seen.size != np.unique(seen).size:
-        raise ValueError("subsets must be disjoint")
+    if seen.size != np.unique(seen).size or not all(s.size for s in subsets):
+        raise ValueError("subsets must be nonempty and disjoint")
 
-    epsilon = -max((float(bs[s].max()) for s in subsets), default=-1.0)
+    epsilon = -float(bs[seen].max()) if seen.size else 1.0
     if epsilon <= 0:
         raise SubsetNotNegative("every subset needs beta <= -eps < 0")
 
     specs = []
-    for s in subsets:
+    for s, gap in zip(subsets, _outside_gaps(xs, subsets)):
         mu_k = float(ws[s].sum())
-        sel = xs[s]
-        gap = _outside_gap(xs, s)
+        order = np.sort(s)
+        sel = xs[order]
         delta = min(0.5 * gap, 1.0)
         target = 0.25 * epsilon * mu_k
         halvings = 0
-        while 2 * delta >= gap or _neighborhood(sel, delta).support_measure() > target:
+        # the loop ends on a delta whose indicator chi was built and fits
+        while 2 * delta >= gap or (chi := _neighborhood(sel, delta)).support_measure() > target:
             delta *= 0.5
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise DomainError(
                     "delta halving cap hit: neighborhood measure cannot reach (1/4) eps mu"
                 )
-        s = np.sort(s)
-        specs.append((s, gap, bs[s] * ws[s], mu_k, delta))
+        specs.append((chi, sel, bw[order], mu_k, delta))
 
     funcs = []
     l_next = float(xs[-1]) + max((delta for *_, delta in specs), default=0.0) + PAD
-    for s, gap, jumps, mu_k, delta in specs:
-        tf = _trial(xs, s, gap, jumps, delta, l=l_next, r=R_MIN)
+    for chi, sel, jumps, mu_k, delta in specs:
+        tf = MeasureTestFunction(chi, sel, jumps, l=l_next, r=R_MIN, delta=delta)
         # the plateau c_k does not depend on r
         tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
         funcs.append(tf)
@@ -440,7 +440,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
 
     _assert_regions_disjoint([iv for t in funcs for iv in (t.chi.support, (t.l, t.l + 2 * t.r))])
     forms = np.array([quadratic_form_measure(t) for t in funcs])
-    bounds = np.array([-0.125 * epsilon * mu_k for _, _, _, mu_k, _ in specs])
+    bounds = np.array([-0.125 * epsilon * mu_k for *_, mu_k, _ in specs])
     bad = forms > bounds + 1e-12
     if np.any(bad):
         raise AssertionError(f"certificate forms {forms[bad]} exceed bounds {bounds[bad]}")

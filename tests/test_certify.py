@@ -442,3 +442,23 @@ class TestMeasureCertificate:
         mu = cantor_measure(1)
         with pytest.raises(ValueError):
             certify_count_measure(mu, BetaFunction.constant(-1.0), [[0, 1], [1]])
+
+    def test_empty_subset_rejected(self):
+        mu = cantor_measure(1)
+        with pytest.raises(ValueError, match="nonempty"):
+            certify_count_measure(mu, BetaFunction.constant(-1.0), [[0], []])
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(-1, 3), min_size=1, max_size=9),
+           gaps=st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=8))
+    def test_outside_gaps_match_all_pairs(self, labels, gaps):
+        # atoms labelled -1 lie in no subset
+        xs = np.concatenate(([0.0], np.cumsum(gaps)))[:len(labels)]
+        labels = np.array(labels)
+        subsets = [np.flatnonzero(labels == k) for k in np.unique(labels[labels >= 0])]
+        want = []
+        for s in subsets:
+            others = np.delete(xs, s)
+            want.append(float(np.min(np.abs(others[:, None] - xs[s][None, :])))
+                        if others.size else math.inf)
+        assert certify._outside_gaps(xs, subsets) == want
