@@ -72,9 +72,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -375,10 +372,12 @@ def _negatives(sys: PointSystem, kappa: float) -> int:
     return count
 
 
-def _t_eigenvalue(sys: PointSystem, kappa: float, j: int) -> float:
+def _t_eigenvalue(sys: PointSystem, kappa: float, j: int, dstebz) -> float:
     """Ordered eigenvalue j of T(kappa) by LAPACK bisection, called as
     eigh_tridiagonal(select="i") calls it but without the input checks
-    that cost more than the bisection itself on a few points."""
+    that cost more than the bisection itself on a few points.  The caller
+    passes scipy's dstebz, imported once per solve: Brent calls this once
+    per kappa, where an import statement would slow every call."""
     diag, off = _tridiagonal(sys, kappa)
     if diag.size == 1:
         return float(diag[0])
@@ -469,6 +468,7 @@ def eigenfunction(sys: PointSystem, kappa: float) -> BoundState:
     if sys._betas is None:
         ev = _eigenvalues(sys, kappa)
     else:
+        from scipy.linalg import eigh_tridiagonal
         ev = eigh_tridiagonal(*_tridiagonal(sys, kappa), eigvals_only=True)
     return _cluster_states(sys, [kappa], int(np.argmin(np.abs(ev))))[0]
 
@@ -520,6 +520,7 @@ def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tupl
     at the points, where psi' is continuous, so psi'/kappa is the decaying
     solution with value -u/kappa on both sides of every point and
     amplitudes (c_L, a_i, -b_i, -c_R)."""
+    from scipy.linalg import eigh_tridiagonal
     lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
                               select_range=(first, first + mult - 1))
     d = -u / kappa
@@ -654,15 +655,19 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
         raise _too_deep(sys, hi)
+    if not crossing:
+        return []
+    from scipy.optimize import brentq
     if sys._betas is None:
         # every root shares the bracket [0, hi]: H is diagonalized once per end
-        if crossing and hi not in ends:
+        if hi not in ends:
             ends[hi] = _eigenvalues(sys, hi)
         value = lambda k, j: (ends[k] if k in ends else _eigenvalues(sys, k))[j]
     else:
         # kappa lambda_j has the sign of lambda_j and is linear in kappa
         # for a lone point (2 + kappa beta), which saves Brent steps
-        value = lambda k, j: k * _t_eigenvalue(sys, k, j)
+        from scipy.linalg.lapack import dstebz
+        value = lambda k, j: k * _t_eigenvalue(sys, k, j, dstebz)
     roots = []
     for j in crossing:
         try:
@@ -714,6 +719,7 @@ def characteristic_root(kind: str) -> float:
         f = lambda k: k - 1.0 - 1.0 / np.tanh(k)
     else:
         raise ValueError("kind must be 'tanh' or 'coth'")
+    from scipy.optimize import brentq
     return float(brentq(f, 1.5, 3.0, xtol=1e-14, rtol=8.9e-16))
 
 

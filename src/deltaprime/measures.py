@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DepthTooLarge,
@@ -320,12 +319,15 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     dg = np.diff(grid - k.a + k.atom_offsets[idx], prepend=0.0)
     if np.any(dg == 0.0):
         raise DomainError(f"kernel matrix is singular on the n = {n} grid")
+    count = int(np.count_nonzero(dg < 0.0))
+    if count == 0:
+        return np.empty(0)
+    from scipy.linalg import eigh_tridiagonal
     r = 1.0 / dg
     diag = (r + np.append(r[1:], 0.0)) / h
     off = -r[1:] / np.sqrt(h[:-1] * h[1:])
     # dg[0] = x_0 - a > 0, so index count <= n - 1 exists; the range takes it
     # too, as the range sets the bisection and so the digits the golden files pin
-    count = int(np.count_nonzero(dg < 0.0))
     lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                            select_range=(0, count))
     return lam[:count]

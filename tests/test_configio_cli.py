@@ -1,5 +1,6 @@
 """Config parsing, CSV determinism, and the CLI contract."""
 
+import ast
 import io
 import os
 import subprocess
@@ -75,6 +76,34 @@ atoms =
 kind = per-atom
 values = -1.0 2.0
 """
+
+SRC = Path(__file__).parent.parent / "src"
+# the expression a fresh interpreter prints to say whether any scipy module loaded
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+# the functions evaluated once per kappa: an import statement there would run
+# on every Brent step, so the solve imports scipy once and hands it in
+PER_KAPPA = {"_t_eigenvalue", "_tridiagonal", "_negatives"}
+
+
+def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on `args`, importing the package from src/, with `env` added."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=text, timeout=120)
+
+
+def imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def module_scope(node: ast.AST):
+    """Every node that runs when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from module_scope(child)
 
 
 class TestSystemParsing:
@@ -351,25 +380,49 @@ class TestCli:
         assert err.startswith("error: ") and message in err
 
     def test_measure_bytes_independent_of_blas_threads(self):
-        src = str(Path(__file__).parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "deltaprime.cli", "measure", "--cantor-depth", "3",
+        argv = ["-m", "deltaprime.cli", "measure", "--cantor-depth", "3",
                 "--beta", "-1", "--grids", "512,1024,2048"]
         outs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            proc = fresh_python(*argv, text=False, OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_import_leaves_out_scipy_integrate(self):
-        # quadrature serves only the test oracles; the CLI import floor skips it
-        src = str(Path(__file__).parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, deltaprime.cli; print('scipy.integrate' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
+    def test_import_leaves_out_scipy(self):
+        # scipy loads inside the solves that call it, so the CLI import floor is numpy's
+        proc = fresh_python("-c", f"import sys, deltaprime.cli; print({SCIPY_LOADED})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv, loads_scipy", [
+        pytest.param("interactions characteristic --gamma 6", False, id="interactions"),
+        pytest.param("approx --family 5d --preset dirichlet", False, id="approx"),
+        pytest.param("certify --positions 0,1,2 --betas=-1,1,-3", False, id="certify-points"),
+        pytest.param("certify --cantor-depth 2 --beta -1 --blocks 2", False, id="certify-cantor"),
+        pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1", False, id="deficiency"),
+        # positive control: Brent and LAPACK bisection find the pair's states
+        pytest.param("spectrum --builtin delta-prime-pair --beta -1", True, id="spectrum"),
+    ])
+    def test_only_solves_load_scipy(self, argv, loads_scipy):
+        code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
+                f"print({SCIPY_LOADED}); sys.exit(status)")
+        proc = fresh_python("-c", code, *argv.split())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+
+    def test_scipy_imports_sit_in_solves_not_per_kappa(self):
+        module_level, per_kappa, seen = [], [], set()
+        for path in sorted((SRC / "deltaprime").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            module_level += [f"{path.name}:{n.lineno}" for n in module_scope(tree)
+                             if imports_scipy(n)]
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name in PER_KAPPA:
+                    seen.add(fn.name)
+                    per_kappa += [f"{path.name}:{n.lineno} in {fn.name}" for n in ast.walk(fn)
+                                  if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert seen == PER_KAPPA          # a renamed function must not empty the guard
+        assert module_level == [], "module-level scipy import"
+        assert per_kappa == [], "import statement in a per-kappa function"

@@ -272,11 +272,19 @@ class TestNegativeSpectrum:
         assert list(res.counts) == [1, 1, 1]
         assert abs(res.eigenvalues[0] + 4.0) < 2e-3 * 4.0
 
-    def test_positive_beta_has_none(self):
+    def test_positive_beta_has_none(self, monkeypatch):
+        # a grid with no negative step returns no digits, so no bisection runs for it
+        import scipy.linalg
+
+        def solver(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal called on a grid with no negative step")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solver)
         mu = cantor_measure(1)
         k = GreenKernel(-1.0, 2.0, mu, BetaFunction.constant(1.0))
         res = negative_spectrum(k, [128, 256])
         assert list(res.counts) == [0, 0]
+        assert [lam.tolist() for lam in res.per_grid] == [[], []]
         assert res.eigenvalues.size == 0
 
     def test_kernel_positive_when_beta_nonnegative(self):
