@@ -204,18 +204,13 @@ class Split:
 
 
 @dataclass(frozen=True)
-class GeneralLambda:
-    matrix: TransmissionMatrix
-
-
-@dataclass(frozen=True)
 class GeneralB:
     b: SelfAdjointB
 
 
 InteractionKind = Union[
     Delta, DeltaPrime, DeltaPrimePotential, DeltaMagnetic,
-    Transparent, Split, GeneralLambda, GeneralB,
+    Transparent, Split, GeneralB,
 ]
 
 
@@ -242,8 +237,6 @@ def lambda_of(kind: InteractionKind) -> TransmissionMatrix:
     elif isinstance(kind, Transparent):
         l0 = kind.lambda0
         m = 1j * np.array([[0.0, -1.0 / l0], [l0, 0.0]], dtype=complex)
-    elif isinstance(kind, GeneralLambda):
-        return kind.matrix
     elif isinstance(kind, GeneralB):
         return b_to_lambda(kind.b)
     else:

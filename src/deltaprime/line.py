@@ -55,16 +55,16 @@ a decaying solution, so the same gap solve on -u/kappa gives the state.
 This route reads the per-point blocks and never builds the dense relation.
 
 On both routes the eigenvectors of one cluster of roots are orthonormal,
-so its states are linearly independent, and a state's parity under the
-mirror image of symmetric points is read off its amplitudes, which the
-reflection reverses.  Residuals read the traces from BoundState.one_sided.
+so its states are linearly independent.  A state is its kappa and one
+piece table, the (a, b) of every piece; its parity under the mirror image
+of symmetric points is read off that table, which the reflection reverses
+in both axes.  Residuals read the traces from BoundState.one_sided.
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
 marks an energy -kappa^2 beyond the floats and eigenvalues below eps ||T||.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,15 +126,14 @@ class PointSystem:
         n = self.points.size
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
-        self.lambdas = list(lambdas) if lambdas is not None else None
         self._blocks = self._betas = None
-        if self.lambdas is not None:
-            if len(self.lambdas) != n:
+        if lambdas is not None:
+            if len(lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
-            for lam in self.lambdas:
+            for lam in lambdas:
                 if not lam.is_self_adjoint_plane(1e-9):
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
-            mats = np.array([lam.entries for lam in self.lambdas]).reshape(n, 2, 2)
+            mats = np.array([lam.entries for lam in lambdas]).reshape(n, 2, 2)
             self._blocks = _per_point_blocks(mats)
             self._betas = _delta_prime_betas(mats)
         elif relation is not None:
@@ -188,13 +187,6 @@ class PointSystem:
         """Per-point delta' intensities (read-only), or None if not a pure
         delta' system."""
         return self._betas
-
-    def translated(self, c: float) -> "PointSystem":
-        # conditions act on traces only, so the shifted system shares them,
-        # with whatever dense form has been built so far
-        out = copy.copy(self)
-        out.points = self.points + c
-        return out
 
 
 def _per_point_blocks(mats: np.ndarray) -> np.ndarray:
@@ -412,31 +404,51 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
 # bound states
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BoundState:
-    """Decaying solution at energy -kappa^2 with its matching data."""
+    """Decaying solution at energy -kappa^2 with its matching data.
+
+    pieces, shape S + (N+1, 2), holds on piece i the (a, b) of
+    psi = a e^{kappa(x - hi)} + b e^{-kappa(x - lo)}, lo and hi the piece's
+    end points; the left tail's b and the right tail's a are 0.  Leading
+    axes S carry the states of one cluster.
+    """
 
     kappa: float
-    energy: float
-    c_left: complex
-    c_right: complex
-    interior: np.ndarray          # (N-1, 2) anchored amplitudes (a_i, b_i)
+    pieces: np.ndarray
     points: np.ndarray
     residual: float
     parity: str = "none"
-    near_threshold: bool = False
+
+    @property
+    def energy(self) -> float:
+        return -self.kappa ** 2
+
+    @property
+    def near_threshold(self) -> bool:
+        return self.kappa < NEAR_THRESHOLD
+
+    @property
+    def c_left(self):
+        return self.pieces[..., 0, 0][()]
+
+    @property
+    def c_right(self):
+        return self.pieces[..., -1, 1][()]
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The (a_i, b_i) of the N - 1 gaps, shape S + (N-1, 2)."""
+        return self.pieces[..., 1:-1, :]
 
     def one_sided(self, x, side: int):
         """(psi, psi') limit at x from the right (+1) or left (-1); leading axes
-        of the amplitudes (interior: S + (N-1, 2)) carry states and lead the result."""
+        of pieces lead the result."""
         x = np.asarray(x, dtype=float)
-        pts, k, inner = self.points, self.kappa, self.interior
+        pts, k = self.points, self.kappa
         idx = pts.searchsorted(x, side="right" if side > 0 else "left")
-        # piece idx is a e^{k(x - hi)} + b e^{-k(x - lo)} with lo, hi its end points;
-        # the outer pieces have b = 0 (left) or a = 0 (right), kept finite by the clamps
-        ab = np.zeros(inner.shape[:-2] + (pts.size + 1, 2), np.result_type(inner, self.c_left))
-        ab[..., 1:-1, :], ab[..., 0, 0], ab[..., -1, 1] = inner, self.c_left, self.c_right
-        ab = ab[..., idx, :]
+        ab = self.pieces[..., idx, :]
+        # the clamps keep the tails' zero terms finite
         grow = ab[..., 0] * np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
         decay = ab[..., 1] * np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
         val, der = grow + decay, k * (grow - decay)
@@ -449,48 +461,43 @@ class BoundState:
     def jump_points(self) -> list[float]:
         return self.points.tolist()
 
-    def norm_squared(self) -> float:
-        k = self.kappa
+    def norm_squared(self):
+        """||psi||^2, shaped like the leading axes of pieces; kappa is a float
+        or has those axes too, one decay rate per state."""
+        k, p = np.asarray(self.kappa)[..., None], self.pieces
         g = self.points[1:] - self.points[:-1]
-        a, b = self.interior.T
+        a, b = p[..., 1:-1, 0], p[..., 1:-1, 1]
         e = np.exp(-k * g)
         gaps = ((np.abs(a) ** 2 + np.abs(b) ** 2) * (1 - e * e) / (2 * k)
                 + 2 * np.real(a * np.conj(b)) * e * g)
-        return float((abs(self.c_left) ** 2 + abs(self.c_right) ** 2) / (2 * k) + gaps.sum())
-
-
-def eigenfunction(sys: PointSystem, kappa: float) -> BoundState:
-    """The L2-normalized state at a root kappa > 0, from the eigenvector of
-    T(kappa) or H(kappa) whose eigenvalue lies nearest zero; raises
-    NotAnEigenvalue when that eigenvalue is not zero to RESIDUAL_TOL."""
-    if sys.n_points == 0 or not kappa > 0:
-        raise NotAnEigenvalue("bound states need a point and kappa > 0")
-    if sys._betas is None:
-        ev = _eigenvalues(sys, kappa)
-    else:
-        from scipy.linalg import eigh_tridiagonal
-        ev = eigh_tridiagonal(*_tridiagonal(sys, kappa), eigvals_only=True)
-    return _cluster_states(sys, [kappa], int(np.argmin(np.abs(ev))))[0]
+        c = p[..., (0, -1), (0, 1)]         # c_left, c_right
+        # hypot, then pow: |c|^2 rounded as the scalar abs(c) ** 2 rounds it, on any leading axes
+        tails = np.float_power(np.hypot(c.real, c.imag), 2)
+        return (tails[..., 0] + tails[..., 1]) / (2 * k[..., 0]) + gaps.sum(axis=-1)
 
 
 def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[BoundState]:
     """One state per root of a cluster, from the orthonormal eigenvectors
-    first.. of T (pure delta') or H at the cluster's mean kappa.
+    first.. of T (pure delta') or H at the cluster's mean kappa: the one
+    builder of BoundState.
 
     The eigenvalues must vanish relative to their scale: sum |beta| u^2 for
     T, where at a root the two terms of u^T T u cancel, and max(1, ||H||)
     for H, as at the threshold in _window.  Each state's residual is that of
-    its one-sided traces (BoundState.one_sided on the unscaled amplitudes) in
+    its one-sided traces (BoundState.one_sided on the unscaled tables) in
     the row-normalized conditions, block by block for a per-point system.
-    Raises DomainError when a root's energy -kappa^2 is not a finite float,
-    or when T's eigenvalues vanish to eps ||T|| but not to their scale.
+    Each state is then scaled so that its largest amplitude is 1, so its
+    norm cannot underflow, normalized at its own kappa and labelled by
+    _parities; the states are read-only views of one table.  Raises
+    DomainError when a root's energy -kappa^2 is not a finite float, or
+    when T's eigenvalues vanish to eps ||T|| but not to their scale.
     """
     n, mult, deepest = sys.n_points, len(kappas), max(kappas)
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
     kappa = float(np.mean(kappas))
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
-    lam, scale, amps = route(sys, kappa, first, mult)
+    lam, scale, tables = route(sys, kappa, first, mult)
     if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
         worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
         if sys._betas is not None:
@@ -501,8 +508,7 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
                 raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
         raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
                               f"scale {np.min(scale):.2e} at the {root}")
-    raw = BoundState(kappa, 0.0, amps[0], amps[-1], amps[1:-1].T.reshape(mult, n - 1, 2),
-                     sys.points, 0.0)
+    raw = BoundState(kappa, tables, sys.points, 0.0)
     (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
     # (N, 4, mult): v+, v-, d+, d-, laid out state by state for the norms' summation order
     traces = np.ascontiguousarray(np.stack((vp, vm, dp, dm), axis=-1)).transpose(1, 2, 0)
@@ -511,43 +517,67 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     else:
         miss = np.einsum("kij,kjm->kim", _row_normalized(sys._blocks), traces)
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
-    return [_bound_state(sys, kj, amps[:, j], float(res[j])) for j, kj in enumerate(kappas)]
+    flat = tables.reshape(mult, -1).astype(complex)
+    pieces = (flat / flat[np.arange(mult), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
+    pieces /= np.sqrt(BoundState(np.array(kappas), pieces, sys.points, 0.0).norm_squared())[:, None, None]
+    pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
+    pieces.setflags(write=False)
+    parities = _parities(sys.points, pieces)
+    return [BoundState(float(kj), pieces[j], sys.points, float(res[j]), parities[j])
+            for j, kj in enumerate(kappas)]
 
 
 def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of T(kappa), their scales and the anchored
-    amplitudes of their states.  An eigenvector u of T at a root is -psi'
-    at the points, where psi' is continuous, so psi'/kappa is the decaying
-    solution with value -u/kappa on both sides of every point and
-    amplitudes (c_L, a_i, -b_i, -c_R)."""
+    """Eigenvalues first.. of T(kappa), their scales and the piece tables
+    of their states.  An eigenvector u of T at a root is -psi' at the
+    points, where psi' is continuous, so psi'/kappa is the decaying
+    solution with value -u/kappa on both sides of every point, whose
+    decay column flips sign as the derivative of a decaying exponential."""
     from scipy.linalg import eigh_tridiagonal
     lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
                               select_range=(first, first + mult - 1))
     d = -u / kappa
-    return lam, np.abs(sys._betas) @ (u * u), _anchored(sys.points, kappa, d, d, -1.0)
+    tables = _anchored(sys.points, kappa, d, d)
+    tables[:, 1:, 1] *= -1.0
+    return lam, np.abs(sys._betas) @ (u * u), tables
 
 
 def _h_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of H(kappa), their scale and the anchored
-    amplitudes of their states, from the point values Gamma0 = X h,
-    (v+_k, v-_k), of the eigenvectors h."""
+    """Eigenvalues first.. of H(kappa), their scale and the piece tables
+    of their states, from the point values Gamma0 = X h, (v+_k, v-_k), of
+    the eigenvectors h."""
     lam, h = np.linalg.eigh(_krein(sys, kappa))
     scale = max(1.0, np.abs(lam).max())
     v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
     return lam[first:first + mult], scale, _anchored(sys.points, kappa, v[:, 0], v[:, 1])
 
 
-def _anchored(points: np.ndarray, kappa: float, vp, vm, sign: float = 1.0) -> np.ndarray:
-    """Flat amplitudes (c_L, a_1, b_1, ..., c_R), a column per state, of the
-    decaying solutions with values vp = psi(x_k+0), vm = psi(x_k-0), shape
-    (N, m): c_L = vm_1, c_R = vp_N and, on gap i, [[r, 1], [1, r]] (a_i, b_i)
-    = (vp_i, vm_{i+1}), r = e^{-kappa g_i}.  sign multiplies b_i and c_R."""
+def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
+    """Piece tables, shape (m, N+1, 2), of the decaying solutions with
+    values vp = psi(x_k+0), vm = psi(x_k-0), shape (N, m): the left tail's
+    a is vm_1, the right tail's b is vp_N and, on gap i, [[r, 1], [1, r]]
+    (a_i, b_i) = (vp_i, vm_{i+1}), r = e^{-kappa g_i}."""
     g = np.diff(points)[:, None]
     r = np.exp(-kappa * g)
     den = -np.expm1(-2.0 * kappa * g)          # 1 - r^2, accurate for small kappa g
-    a = (vm[1:] - r * vp[:-1]) / den
-    b = sign * (vp[:-1] - r * vm[1:]) / den
-    return np.concatenate((vm[:1], np.stack((a, b), 1).reshape(-1, vp.shape[1]), sign * vp[-1:]))
+    out = np.zeros((vp.shape[1], points.size + 1, 2), np.result_type(vp, vm))
+    out[:, 0, 0], out[:, -1, 1] = vm[0], vp[-1]
+    out[:, 1:-1, 0] = ((vm[1:] - r * vp[:-1]) / den).T
+    out[:, 1:-1, 1] = ((vp[:-1] - r * vm[1:]) / den).T
+    return out
+
+
+def _parities(points: np.ndarray, pieces: np.ndarray) -> list[str]:
+    """Even, odd or none for each state of pieces, shape (m, N+1, 2), under
+    the reflection x -> 2c - x of mirror-symmetric points, which maps a
+    table to pieces[..., ::-1, ::-1]."""
+    if np.abs(points + points[::-1] - (points[0] + points[-1])).max() > 1e-12 * np.abs(points).max():
+        return ["none"] * len(pieces)
+    mirror = pieces[..., ::-1, ::-1]
+    tol = PARITY_TOL * np.abs(pieces).max(axis=(-2, -1))
+    even = np.abs(pieces - mirror).max(axis=(-2, -1)) <= tol
+    odd = np.abs(pieces + mirror).max(axis=(-2, -1)) <= tol
+    return ["even" if e else "odd" if o else "none" for e, o in zip(even, odd)]
 
 
 def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
@@ -557,45 +587,6 @@ def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
         f": the delta' intensity {sys._betas[sys._betas < 0].max():.3g} binds at kappa ~ 2/|beta|")
     return DomainError(f"a bound state decays at kappa = {kappa:.3g}, so its energy -kappa^2 "
                        f"is not a finite float{weakest}")
-
-
-def _bound_state(sys: PointSystem, kappa: float, amp: np.ndarray, residual: float) -> BoundState:
-    """Phase-fixed, L2-normalized state with amplitudes (c_L, a_1, b_1, ..., c_R)."""
-    amp = amp.astype(complex)
-    # the largest amplitude becomes 1, so the norm of a fast-decaying state cannot underflow
-    amp = amp / amp[np.argmax(np.abs(amp))]
-    state = BoundState(
-        kappa=float(kappa),
-        energy=-float(kappa) ** 2,
-        c_left=amp[0],
-        c_right=amp[-1],
-        interior=amp[1:-1].reshape(-1, 2),
-        points=sys.points,
-        residual=residual,
-        near_threshold=bool(kappa < NEAR_THRESHOLD),
-    )
-    scale = np.sqrt(state.norm_squared())
-    state.c_left /= scale
-    state.c_right /= scale
-    state.interior = state.interior / scale
-    state.parity = _detect_parity(state)
-    return state
-
-
-def _detect_parity(state: BoundState) -> str:
-    """Even or odd under the reflection x -> 2c - x of mirror-symmetric
-    points, which maps the flat amplitudes (c_L, a_1, b_1, ..., c_R) of a
-    state to their reverse."""
-    pts = state.points
-    if np.abs(pts + pts[::-1] - (pts[0] + pts[-1])).max() > 1e-12 * np.abs(pts).max():
-        return "none"
-    amps = np.concatenate(([state.c_left], state.interior.ravel(), [state.c_right]))
-    scale = np.abs(amps).max()
-    if np.abs(amps - amps[::-1]).max() <= PARITY_TOL * scale:
-        return "even"
-    if np.abs(amps + amps[::-1]).max() <= PARITY_TOL * scale:
-        return "odd"
-    return "none"
 
 
 def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range, dict]:

@@ -313,7 +313,9 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     Bisection resolves each eigenvalue to about eps ||T|| absolutely, and
     ||T|| grows like 1/(h |dg_i|): shallow eigenvalues lose relative
     accuracy as the node spacing across a negative atom nears
-    |beta_k w_k|, where dg_i vanishes.
+    |beta_k w_k|, where dg_i vanishes.  Raises DomainError when the
+    shallowest of them is not below -eps ||T||, with ||T|| bounded by
+    Gershgorin, max|diag| + 2 max|off|.
     """
     grid, h, idx = _cells(k, n)
     dg = np.diff(grid - k.a + k.atom_offsets[idx], prepend=0.0)
@@ -329,8 +331,12 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     # dg[0] = x_0 - a > 0, so index count <= n - 1 exists; the range takes it
     # too, as the range sets the bisection and so the digits the golden files pin
     lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                           select_range=(0, count))
-    return lam[:count]
+                           select_range=(0, count))[:count]
+    tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+    if not lam[-1] < -np.finfo(float).eps * tnorm:
+        raise DomainError(f"a negative eigenvalue on the n = {n} grid lies below the "
+                          "resolution of the eigenvalue solver")
+    return lam
 
 
 def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpectrumResult:
@@ -349,7 +355,8 @@ def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpect
     Richardson-refined with an error estimate.  Raises
     UnconvergedEigenvalue when matched values disagree beyond 10x the
     estimated rate, DomainError when some dg vanishes (singular kernel
-    matrix), and ValueError unless at least two distinct grid sizes are
+    matrix) or a grid's shallowest negative eigenvalue lies below the
+    resolution of the eigenvalue solver, and ValueError unless at least two distinct grid sizes are
     given.
     """
     sizes = np.asarray(sorted(refine), dtype=int)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousClassification, ComplexCoefficient, GammaPole, _checked_floats
-from .interactions import POLE_TOL, TransmissionMatrix, theta_of_gamma
+from .interactions import POLE_TOL, TransmissionMatrix
 
 SERIES_CUT = 1e-4  # |lam*eps| below which sin(u)/lam switches to its series
 
@@ -194,12 +194,6 @@ def family_5d(preset: str, eps: float) -> DeltaComb:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(FAMILY_5D_PRESETS)}")
     xs = [0.0, eps, 2.0 * eps, 3.0 * eps]
     return DeltaComb(xs, [a / eps for a in alphas])
-
-
-def family_3d_limit(gamma: float) -> TransmissionMatrix:
-    """Oracle for the family_3d limit: diag(theta, 1/theta)."""
-    th = theta_of_gamma(gamma)
-    return TransmissionMatrix(np.diag([th, 1.0 / th]))
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,14 @@ def quadratic_form_point_numeric(t) -> float:
 
 
 def jump_sum_amplitudes(points, betas, kappa: float, u: np.ndarray) -> np.ndarray:
-    """Flat amplitudes (c_L, a_1, b_1, ..., c_R) of the delta' state whose
-    derivative at the points is -u, an eigenvector of T(kappa) at a root,
-    as prefix and suffix sums of the value jumps c = -beta u:
+    """Piece table, shape (N+1, 2), of the delta' state whose derivative at
+    the points is -u, an eigenvector of T(kappa) at a root, as prefix and
+    suffix sums of the value jumps c = -beta u:
 
         b_i = sum_{j <= i} (c_j/2) e^{-kappa(x_i - x_j)},
-        a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)}.
+        a_i = -sum_{j >= i} (c_j/2) e^{-kappa(x_j - x_i)},
+
+    with row 0 = (a_1, 0), row i = (a_{i+1}, b_i) and row N = (0, b_N).
     """
     r = np.exp(-kappa * np.diff(points))
     c = -np.asarray(betas) * u
@@ -49,7 +51,7 @@ def jump_sum_amplitudes(points, betas, kappa: float, u: np.ndarray) -> np.ndarra
         b[i] += r[i - 1] * b[i - 1]
     for i in range(len(c) - 2, -1, -1):
         a[i] += r[i] * a[i + 1]
-    return np.concatenate((a[:1], np.stack((a[1:], b[:-1]), axis=1).ravel(), b[-1:]))
+    return np.stack((np.append(a, 0.0), np.insert(b, 0, 0.0)), axis=1)
 
 
 def secular_values(sys: line.PointSystem, kappas) -> np.ndarray:

@@ -30,7 +30,6 @@ from deltaprime.line import (
     count_negative,
     delta_prime_pair,
     delta_prime_system,
-    eigenfunction,
     find_bound_states,
     from_kinds,
     nonlocal_example,
@@ -220,9 +219,10 @@ class TestCounting:
             assert count_negative(delta_prime_system(pts, betas)) == int(np.sum(betas < 0))
 
     def test_translation_invariance(self):
-        sys = delta_prime_system([0.0, 0.7, 1.9], [-1.0, -0.5, -2.5])
-        base = [st.kappa for st in find_bound_states(sys, 20.0)]
-        shifted = [st.kappa for st in find_bound_states(sys.translated(13.7), 20.0)]
+        pts, betas = np.array([0.0, 0.7, 1.9]), [-1.0, -0.5, -2.5]
+        base = [st.kappa for st in find_bound_states(delta_prime_system(pts, betas), 20.0)]
+        moved = PointSystem(pts + 13.7, lambdas=[lambda_of(DeltaPrime(b)) for b in betas])
+        shifted = [st.kappa for st in find_bound_states(moved, 20.0)]
         np.testing.assert_allclose(base, shifted, atol=1e-10)
 
     def test_far_pairs_give_two_independent_states(self):
@@ -288,45 +288,55 @@ class TestCounting:
 
 class TestEigenfunction:
     def test_evaluate_and_norm_match_a_segment_loop(self):
-        # reference: one pass per interval, the right interval at each point
-        systems = [(delta_prime_system([0.0, 0.4, 1.1, 1.5], [-1.0, -0.7, 0.5, -2.0]), 20.0),
-                   (nonlocal_example(), 10.0)]
-        for sys, kappa_max in systems:
-            for st in find_bound_states(sys, kappa_max):
-                pts, k = st.points, st.kappa
-                xs = np.concatenate((np.linspace(pts[0] - 2.0, pts[-1] + 2.0, 1001), pts))
-                want = np.zeros(xs.shape, dtype=complex)
-                left, right = xs < pts[0], xs >= pts[-1]
-                want[left] = st.c_left * np.exp(k * (xs[left] - pts[0]))
-                want[right] = st.c_right * np.exp(-k * (xs[right] - pts[-1]))
-                total = (abs(st.c_left) ** 2 + abs(st.c_right) ** 2) / (2 * k)
-                for i in range(pts.size - 1):
-                    seg = (xs >= pts[i]) & (xs < pts[i + 1])
-                    a, b = st.interior[i]
-                    want[seg] = a * np.exp(k * (xs[seg] - pts[i + 1])) + b * np.exp(
-                        -k * (xs[seg] - pts[i]))
-                    e = np.exp(-k * (pts[i + 1] - pts[i]))
-                    total += (abs(a) ** 2 + abs(b) ** 2) * (1 - e * e) / (2 * k)
-                    total += 2 * np.real(a * np.conj(b)) * e * (pts[i + 1] - pts[i])
-                np.testing.assert_array_equal(st.evaluate(xs), want)
-                assert st.evaluate(pts[1]) == want[-pts.size + 1]
-                # same terms, summed in another order
-                assert abs(st.norm_squared() - total) <= 8 * pts.size * np.finfo(float).eps * total
+        # reference: one pass per piece of a hand-written table, the right
+        # piece at each point; the tails are a e^{k(x - x_1)} and b e^{-k(x - x_N)}
+        rng = np.random.default_rng(11)
+        for pts, k in ((np.array([0.0, 0.4, 1.1, 1.5]), 1.7), (np.array([-1.0, 1.0]), 0.6),
+                       (np.array([2.0]), 3.0)):
+            table = rng.standard_normal((pts.size + 1, 2)) + 1j * rng.standard_normal((pts.size + 1, 2))
+            table[0, 1] = table[-1, 0] = 0.0
+            st = line.BoundState(k, table, pts, residual=0.0)
+            xs = np.concatenate((np.linspace(pts[0] - 2.0, pts[-1] + 2.0, 1001), pts))
+            want = np.zeros(xs.shape, dtype=complex)
+            left, right = xs < pts[0], xs >= pts[-1]
+            want[left] = table[0, 0] * np.exp(k * (xs[left] - pts[0]))
+            want[right] = table[-1, 1] * np.exp(-k * (xs[right] - pts[-1]))
+            total = (abs(table[0, 0]) ** 2 + abs(table[-1, 1]) ** 2) / (2 * k)
+            for i in range(pts.size - 1):
+                seg = (xs >= pts[i]) & (xs < pts[i + 1])
+                a, b = table[i + 1]
+                want[seg] = a * np.exp(k * (xs[seg] - pts[i + 1])) + b * np.exp(
+                    -k * (xs[seg] - pts[i]))
+                e = np.exp(-k * (pts[i + 1] - pts[i]))
+                total += (abs(a) ** 2 + abs(b) ** 2) * (1 - e * e) / (2 * k)
+                total += 2 * np.real(a * np.conj(b)) * e * (pts[i + 1] - pts[i])
+            np.testing.assert_array_equal(st.evaluate(xs), want)
+            assert st.evaluate(pts[-1]) == want[-1]
+            # same terms, summed in another order
+            assert abs(st.norm_squared() - total) <= 8 * pts.size * np.finfo(float).eps * total
+            # the views name the table's entries
+            assert (st.c_left, st.c_right) == (table[0, 0], table[-1, 1])
+            np.testing.assert_array_equal(st.interior, table[1:-1])
 
     def test_single_delta_shape(self):
         # |psi| = sqrt(kappa) e^{-kappa |x|}: a delta (H route) and a delta' (T route)
         for kind, kappa in ((Delta(-2.0), 1.0), (DeltaPrime(-1.0), 2.0)):
-            st = eigenfunction(from_kinds([(0.0, kind)]), kappa)
+            (st,) = find_bound_states(from_kinds([(0.0, kind)]))
+            assert st.kappa == pytest.approx(kappa, rel=1e-12)
+            assert st.energy == -st.kappa ** 2 and not st.near_threshold
             for x in (-0.7, 0.0, 1.3):
                 assert abs(abs(st.evaluate(x)) - np.sqrt(kappa) * np.exp(-kappa * abs(x))) < 1e-9
             assert abs(st.norm_squared() - 1.0) < 1e-12
+            with pytest.raises((ValueError, AttributeError)):
+                st.pieces[0, 0] = 2.0
+            with pytest.raises(AttributeError):
+                st.kappa = 1.0
 
     def test_off_root_raises(self):
+        # the builder refuses a kappa whose eigenvalue of T or H is not zero
         for kind in (Delta(-2.0), DeltaPrime(-1.0)):
-            sys = from_kinds([(0.0, kind)])
-            for kappa in (1.5, 0.0):
-                with pytest.raises(NotAnEigenvalue):
-                    eigenfunction(sys, kappa)
+            with pytest.raises(NotAnEigenvalue):
+                line._cluster_states(from_kinds([(0.0, kind)]), [1.5], 0)
 
     def test_symmetric_systems_have_definite_parity(self):
         for beta in (-0.6, -1.7):
@@ -336,12 +346,13 @@ class TestEigenfunction:
     def test_parity_needs_exactly_mirrored_points(self):
         # a palindrome of amplitudes is even only on mirror-symmetric points;
         # points 1e-5 off their mirror image are not, at any scale
-        amps = np.array([1.0, 0.5, 0.2, 0.3, 0.3, 0.2, 0.5, 1.0])
+        table = np.array([[1.0, 0.0], [0.5, 0.2], [0.3, 0.3], [0.2, 0.5], [0.0, 1.0]])
         for pts, parity in (([-2.0, -1.0, 1.0, 2.0], "even"), ([-2.0, -1.0, 1.00001, 2.0], "none"),
                             ([1e3, 1e3 + 1.0, 1e3 + 2.0, 1e3 + 3.0], "even")):
-            state = line.BoundState(1.0, -1.0, amps[0], amps[-1], amps[1:-1].reshape(-1, 2),
-                                    np.array(pts), residual=0.0)
-            assert line._detect_parity(state) == parity
+            assert line._parities(np.array(pts), table[None]) == [parity]
+        # the odd mirror, and a cluster of both, labelled state by state
+        odd = np.array([[1.0, 0.0], [0.5, 0.2], [0.3, -0.3], [-0.2, -0.5], [0.0, -1.0]])
+        assert line._parities(np.array([-2.0, -1.0, 1.0, 2.0]), np.stack((odd, table))) == ["odd", "even"]
         states = find_bound_states(delta_prime_system([-2.0, -1.0, 1.00001, 2.0], [-1.0] * 4))
         assert len(states) == 4 and {st.parity for st in states} == {"none"}
 
@@ -376,11 +387,9 @@ class TestBuilders:
             pair.relation[0, 0] = 2.0
         with pytest.raises(ValueError):
             pair.normalized_relation()[0, 0] = 2.0
-        # both are built on demand; the shifted copy shares what is built
-        moved = pair.translated(3.0)
-        assert moved.relation is pair.relation
-        assert moved.normalized_relation() is pair.normalized_relation()
-        np.testing.assert_array_equal(moved.points, pair.points + 3.0)
+        # both are built on demand, once
+        assert pair.relation is pair.relation
+        assert pair.normalized_relation() is pair.normalized_relation()
 
     def test_count_without_kappa_max(self):
         # every system has an exact total, global relations included
@@ -619,7 +628,7 @@ class TestTridiagonalRoute:
             j = int(np.argmin(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True))))
             _, u = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
             want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
-            got = line._t_amplitudes(sys, s.kappa, j, 1)[2][:, 0]
+            got = line._t_amplitudes(sys, s.kappa, j, 1)[2][0]
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("sys", [
@@ -652,11 +661,11 @@ class TestTridiagonalRoute:
         # derivatives by second-order one-sided differences on nodes h, 2h,
         # 3h away from it
         gaps = data.draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
-        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n))
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n + 4, max_size=4 * n + 4))
         pts = np.concatenate(([0.0], np.cumsum(gaps)))
-        amps = np.array(parts[::2]) + 1j * np.array(parts[1::2])
-        state = line.BoundState(kappa, -kappa ** 2, amps[0], amps[-1], amps[1:-1].reshape(-1, 2),
-                                pts, residual=0.0)
+        table = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(n + 1, 2)
+        table[0, 1] = table[-1, 0] = 0.0
+        state = line.BoundState(kappa, table, pts, residual=0.0)
         h = 1e-5
         for side in (1.0, -1.0):
             value, deriv = state.one_sided(pts, int(side))
@@ -704,8 +713,7 @@ class TestWeakAttraction:
             assert len(states) == count_negative(sys)
             assert states[0].kappa == pytest.approx(2.0 / abs(b), rel=1e-12)
             for s in states:
-                amps = np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
-                assert np.all(np.isfinite(amps)) and np.isfinite(s.energy)
+                assert np.all(np.isfinite(s.pieces)) and np.isfinite(s.energy)
                 assert s.norm_squared() == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("b", [-1e-158, -1e-300, -1e-310])

@@ -322,6 +322,14 @@ def dense_negatives(kern, n):
     return np.sort(1.0 / neg)
 
 
+def diagonal_steps(kern, n):
+    """Steps dg_i of the kernel diagonal g_i = G(x_i, x_i) and the cell
+    widths h_i on the n-cell grid."""
+    op = discretize(kern, n)
+    g = np.array([green_kernel_value(kern, x, x) for x in op.grid])
+    return np.diff(g, prepend=0.0), op.weights
+
+
 @st.composite
 def few_atom_kernels(draw):
     """1-4 atoms, mixed-sign beta, and a box margin."""
@@ -342,12 +350,18 @@ class TestTridiagonalRoute:
     def test_matches_dense_oracle(self, kern, n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = negative_spectrum(kern, [n, 2 * n])
+            try:
+                res = negative_spectrum(kern, [n, 2 * n])
+            except DomainError as err:
+                # bisection cannot resolve T where a kernel-diagonal step nearly vanishes
+                steps = [diagonal_steps(kern, size) for size in (n, 2 * n)]
+                if "resolution" in str(err) and any(np.any(np.abs(dg) < 1e-10 * h) for dg, h in steps):
+                    return
+                raise
         for size, lam in zip(res.grid_sizes, res.per_grid):
             oracle = dense_negatives(kern, int(size))
-            grid = discretize(kern, int(size)).grid
-            g = np.array([green_kernel_value(kern, x, x) for x in grid])
-            assert lam.size == oracle.size == np.count_nonzero(np.diff(g, prepend=0.0) < 0)
+            dg, _ = diagonal_steps(kern, int(size))
+            assert lam.size == oracle.size == np.count_nonzero(dg < 0)
             np.testing.assert_allclose(lam, oracle, rtol=1e-10)
 
     def test_cantor_depth_8_at_scale(self):
@@ -372,8 +386,22 @@ class TestTridiagonalRoute:
         # so beta w = -1/8 makes dg vanish exactly
         mu = AtomicMeasure([0.5], [1.0])
         k = GreenKernel(0.0, 1.0, mu, BetaFunction.constant(-0.125))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="singular"):
             negative_spectrum(k, [8, 16])
+        # on 16 cells the node spacing across the first atom equals |beta w| = 0.1
+        # up to rounding, so ||T|| ~ 1/(h |dg|) swamps bisection: it returned
+        # [-36.12, 7.0017, 7.0017] against the dense [-22.59, -6.083, -0.9392]
+        k = GreenKernel(-0.5, 1.1, AtomicMeasure([0.0, 0.1, 0.475, 0.6], [1 / 3, 1.0, 1.0, 1.0]),
+                        BetaFunction([-0.3, -1.0, -1.0, -1.0]))
+        dg, h = diagonal_steps(k, 16)
+        assert np.abs(dg).min() < 1e-10 * h[np.abs(dg).argmin()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            with pytest.raises(DomainError, match="below the resolution of the eigenvalue solver"):
+                negative_spectrum(k, [16, 32])
+            res = negative_spectrum(k, [32, 64])
+        for size, lam in zip(res.grid_sizes, res.per_grid):
+            np.testing.assert_allclose(lam, dense_negatives(k, int(size)), rtol=1e-10)
 
 
 class TestBridge:
@@ -390,8 +418,7 @@ class TestBridge:
     def test_zero_beta_is_free(self):
         mu = cantor_measure(1)
         sys = atomic_to_point_system(mu, BetaFunction.constant(0.0))
-        for lam in sys.lambdas:
-            np.testing.assert_array_equal(lam.entries, np.eye(2))
+        np.testing.assert_array_equal(sys.delta_prime_betas(), [0.0, 0.0])
 
     def test_oracle_agreement_two_atoms(self):
         mu = AtomicMeasure([0.0, 0.6], [1.0, 0.8])
@@ -443,11 +470,7 @@ class TestBridge:
                     clusters.append([s])
             assert max(len(c) for c in clusters) == {4: 1, 5: 2, 6: 4}[depth]
             for cluster in clusters:
-                amps = np.array([
-                    np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
-                    for s in cluster
-                ])
-                sv = np.linalg.svd(amps, compute_uv=False)
+                sv = np.linalg.svd([s.pieces.ravel() for s in cluster], compute_uv=False)
                 assert sv[-1] > 0.5 * sv[0]
 
     def test_cantor_depth8_bridge_in_seconds(self):
@@ -459,9 +482,7 @@ class TestBridge:
         elapsed = time.perf_counter() - t0
         assert len(states) == 256
         assert max(s.residual for s in states) <= 1e-11
-        amps = np.array([np.concatenate(([s.c_left], s.interior.ravel(), [s.c_right]))
-                         for s in states])
-        sv = np.linalg.svd(amps, compute_uv=False)
+        sv = np.linalg.svd([s.pieces.ravel() for s in states], compute_uv=False)
         assert sv[-1] > 0.1 * sv[0]
         # 1-2 s on a 2-core x86 VM; the dense H(kappa) route takes minutes at
         # depth 8, so a loose bound still tells the routes apart under load

@@ -12,7 +12,6 @@ from deltaprime.transfer import (
     PiecewisePotential,
     comb_transfer,
     family_3d,
-    family_3d_limit,
     family_4d,
     family_5d,
     free_propagator,
@@ -219,7 +218,7 @@ class TestLimitDiagnose:
         rep = limit_diagnose(lambda e: family_3d(2.0 / 3.0, e), 1.0, EPS_SEQ)
         assert rep.classification == LIMIT
         np.testing.assert_allclose(
-            rep.limit.entries, family_3d_limit(2.0 / 3.0).entries, atol=1e-8
+            rep.limit.entries, lambda_of(DeltaPrimePotential(2.0 / 3.0)).entries, atol=1e-8
         )
         assert abs(rep.observed_order - 1.0) < 0.1
 
