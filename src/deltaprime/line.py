@@ -46,12 +46,13 @@ tridiagonal.  Haynsworth inertia additivity gives
 
     C(kappa) = #{beta < 0} - n_-(T(kappa)),   T(kappa) = (2/kappa) E^{-1} + diag(beta),
 
-with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots.
+with T symmetric tridiagonal, so a count is the signs of N LDL^T pivots;
+deltaprime.tridiagonal owns that count, the bisection and its resolution.
 Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
-those that cross zero in the window of _exact_window, each found by
-LAPACK bisection.  A null vector u of T (LAPACK inverse iteration) is
-minus psi' at the points, where psi' is continuous; psi'/kappa is itself
-a decaying solution, so the same gap solve on -u/kappa gives the state.
+those that cross zero in the window of _exact_window.  A null vector u of
+T (LAPACK inverse iteration) is minus psi' at the points, where psi' is
+continuous; psi'/kappa is a decaying solution, so the same gap solve on
+-u/kappa gives the state.
 This route reads the per-point blocks and never builds the dense relation.
 
 On both routes the eigenvectors of one cluster of roots are orthonormal,
@@ -73,6 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import tridiagonal
 from .errors import (
     DomainError,
     GridTooCoarse,
@@ -97,8 +99,10 @@ PARITY_TOL = 1e-8
 FRAME_RANK_TOL = 1e-12       # relative singular value of X kept in the frame
 DEFECT_TOL = 1e-8            # boundary-form defect above which a plane is rejected
 CLUSTER_RTOL = 1e-10         # roots closer than this (relative) form one cluster
+# ROOT_RTOL bounds Brent's bracket, not the error in kappa: the eps ||T|| resolution
+# of the eigenvalue Brent reads sets that, 1.7e-11 to 1.2e-10 relative at Cantor depth 10
 ROOT_RTOL = 4 * np.finfo(float).eps
-ROOT_XTOL = np.finfo(float).smallest_subnormal   # brentq needs xtol > 0; ROOT_RTOL governs
+ROOT_XTOL = np.finfo(float).smallest_subnormal   # brentq needs xtol > 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,34 +355,6 @@ def _tridiagonal(sys: PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray
     return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
 
 
-def _negatives(sys: PointSystem, kappa: float) -> int:
-    """n_-(T(kappa)) from the signs of the LDL^T pivots; the count of
-    delta' states with decay rate above kappa is #{beta < 0} minus this."""
-    diag, off = _tridiagonal(sys, kappa)
-    count, pivot = 0, 1.0
-    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
-        pivot = a - b2 / pivot
-        if pivot == 0.0:                        # counted as negative, as in LAPACK's bisection
-            pivot = -np.finfo(float).tiny
-        count += pivot < 0.0
-    return count
-
-
-def _t_eigenvalue(sys: PointSystem, kappa: float, j: int, dstebz) -> float:
-    """Ordered eigenvalue j of T(kappa) by LAPACK bisection, called as
-    eigh_tridiagonal(select="i") calls it but without the input checks
-    that cost more than the bisection itself on a few points.  The caller
-    passes scipy's dstebz, imported once per solve: Brent calls this once
-    per kappa, where an import statement would slow every call."""
-    diag, off = _tridiagonal(sys, kappa)
-    if diag.size == 1:
-        return float(diag[0])
-    _, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, j + 1, j + 1, 0.0, "E")
-    if info:
-        raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
-    return float(w[0])
-
-
 def _exact_window(sys: PointSystem) -> tuple[float, float]:
     """(lo, hi) outside which a delta' system with some beta < 0 has no
     state, from closed-form bounds that do not use the count.
@@ -490,22 +466,18 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     norm cannot underflow, normalized at its own kappa and labelled by
     _parities; the states are read-only views of one table.  Raises
     DomainError when a root's energy -kappa^2 is not a finite float, or
-    when T's eigenvalues vanish to eps ||T|| but not to their scale.
+    when the eigenvalues vanish to their route's resolution but not to their scale.
     """
     n, mult, deepest = sys.n_points, len(kappas), max(kappas)
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
     kappa = float(np.mean(kappas))
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
-    lam, scale, tables = route(sys, kappa, first, mult)
+    lam, scale, resolution, tables = route(sys, kappa, first, mult)
     if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
         worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
-        if sys._betas is not None:
-            # bisection resolves T's eigenvalues only to eps ||T||, which may exceed their scale
-            diag, off = _tridiagonal(sys, kappa)
-            tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)   # Gershgorin
-            if worst <= np.finfo(float).eps * tnorm:
-                raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
+        if worst <= resolution():
+            raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
         raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
                               f"scale {np.min(scale):.2e} at the {root}")
     raw = BoundState(kappa, tables, sys.points, 0.0)
@@ -528,28 +500,30 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
 
 
 def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of T(kappa), their scales and the piece tables
-    of their states.  An eigenvector u of T at a root is -psi' at the
-    points, where psi' is continuous, so psi'/kappa is the decaying
-    solution with value -u/kappa on both sides of every point, whose
-    decay column flips sign as the derivative of a decaying exponential."""
+    """Eigenvalues first.. of T(kappa), their scales, T's resolution as a
+    function, as only a miss reads it, and the piece tables of their states.
+    An eigenvector u of T at a root is -psi' at the points, where psi' is
+    continuous, so psi'/kappa is the decaying solution with value -u/kappa on
+    both sides of every point, whose decay column flips sign as the derivative
+    of a decaying exponential."""
     from scipy.linalg import eigh_tridiagonal
-    lam, u = eigh_tridiagonal(*_tridiagonal(sys, kappa), select="i",
-                              select_range=(first, first + mult - 1))
+    diag, off = _tridiagonal(sys, kappa)
+    lam, u = eigh_tridiagonal(diag, off, select="i", select_range=(first, first + mult - 1))
     d = -u / kappa
     tables = _anchored(sys.points, kappa, d, d)
     tables[:, 1:, 1] *= -1.0
-    return lam, np.abs(sys._betas) @ (u * u), tables
+    return lam, np.abs(sys._betas) @ (u * u), lambda: tridiagonal.resolution(diag, off), tables
 
 
 def _h_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of H(kappa), their scale and the piece tables
-    of their states, from the point values Gamma0 = X h, (v+_k, v-_k), of
-    the eigenvectors h."""
+    """Eigenvalues first.. of H(kappa), their scale, eps times it (as a
+    function, as for T) and the piece tables of their states, from the point
+    values Gamma0 = X h, (v+_k, v-_k), of the eigenvectors h."""
     lam, h = np.linalg.eigh(_krein(sys, kappa))
     scale = max(1.0, np.abs(lam).max())
     v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
-    return lam[first:first + mult], scale, _anchored(sys.points, kappa, v[:, 0], v[:, 1])
+    return (lam[first:first + mult], scale, lambda: np.finfo(float).eps * scale,
+            _anchored(sys.points, kappa, v[:, 0], v[:, 1]))
 
 
 def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
@@ -611,7 +585,7 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         lo, hi = _exact_window(sys)
         hi = hi if math.isfinite(hi) else kappa_max    # the selected branches cross below a cap
         # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
-        return lo, hi, range(_negatives(sys, min(hi, kappa_max))), {}
+        return lo, hi, range(tridiagonal.negatives(*_tridiagonal(sys, min(hi, kappa_max)))), {}
     ends = {0.0: _eigenvalues(sys, 0.0)}
     # an eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero
     # is a zero-energy resonance, not a state
@@ -658,7 +632,7 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         # kappa lambda_j has the sign of lambda_j and is linear in kappa
         # for a lone point (2 + kappa beta), which saves Brent steps
         from scipy.linalg.lapack import dstebz
-        value = lambda k, j: k * _t_eigenvalue(sys, k, j, dstebz)
+        value = lambda k, j: k * tridiagonal.eigenvalues(*_tridiagonal(sys, k), j, j, dstebz)[0]
     roots = []
     for j in crossing:
         try:

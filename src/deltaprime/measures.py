@@ -39,6 +39,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import tridiagonal
 from .errors import (
     DepthTooLarge,
     DomainError,
@@ -310,12 +311,11 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     symmetric tridiagonal T = S^-1 L^-T diag(1/dg) L^-1 S^-1.  By
     Sylvester's law of inertia T has exactly count = #{dg < 0} negative
     eigenvalues, and they are the first count that bisection returns.
-    Bisection resolves each eigenvalue to about eps ||T|| absolutely, and
-    ||T|| grows like 1/(h |dg_i|): shallow eigenvalues lose relative
-    accuracy as the node spacing across a negative atom nears
-    |beta_k w_k|, where dg_i vanishes.  Raises DomainError when the
-    shallowest of them is not below -eps ||T||, with ||T|| bounded by
-    Gershgorin, max|diag| + 2 max|off|.
+    ||T|| grows like 1/(h |dg_i|), so the bisection's absolute resolution
+    (tridiagonal.resolution) costs shallow eigenvalues relative accuracy
+    as the node spacing across a negative atom nears |beta_k w_k|, where
+    dg_i vanishes.  Raises DomainError when the shallowest of them is not
+    below minus that resolution.
     """
     grid, h, idx = _cells(k, n)
     dg = np.diff(grid - k.a + k.atom_offsets[idx], prepend=0.0)
@@ -324,16 +324,14 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     count = int(np.count_nonzero(dg < 0.0))
     if count == 0:
         return np.empty(0)
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz
     r = 1.0 / dg
     diag = (r + np.append(r[1:], 0.0)) / h
     off = -r[1:] / np.sqrt(h[:-1] * h[1:])
     # dg[0] = x_0 - a > 0, so index count <= n - 1 exists; the range takes it
     # too, as the range sets the bisection and so the digits the golden files pin
-    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                           select_range=(0, count))[:count]
-    tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
-    if not lam[-1] < -np.finfo(float).eps * tnorm:
+    lam = tridiagonal.eigenvalues(diag, off, 0, count, dstebz)[:count]
+    if not lam[-1] < -tridiagonal.resolution(diag, off):
         raise DomainError(f"a negative eigenvalue on the n = {n} grid lies below the "
                           "resolution of the eigenvalue solver")
     return lam

@@ -1,0 +1,43 @@
+"""Symmetric tridiagonal matrices (diag, off): the negative count, the
+eigenvalues by index and their resolution, for the delta' T(kappa) of
+line and the Nystrom inverse of measures, which each build their own.
+
+Counts are Sylvester inertia; eigenvalues are LAPACK's Sturm bisection,
+dstebz, which the caller imports once per solve and passes in, since
+these run once per kappa and this module imports no scipy.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+
+def negatives(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of negative eigenvalues, the signs of the LDL^T pivots.  A
+    zero pivot counts as negative, as in LAPACK's bisection."""
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        pivot = a - b2 / pivot
+        if pivot == 0.0:
+            pivot = -sys.float_info.min   # a Python float: the next b2 / pivot is -inf, no warning
+        count += pivot < 0.0
+    return count
+
+
+def eigenvalues(diag: np.ndarray, off: np.ndarray, first: int, last: int, dstebz) -> np.ndarray:
+    """Ordered eigenvalues first..last (from 0, inclusive) by dstebz, called as scipy's
+    tridiagonal eigensolver calls it for values by index, so with the same digits, but
+    without the input checks that cost more than the bisection on a few points."""
+    if diag.size == 1:
+        return diag.copy()                      # dstebz takes no empty off
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
+    return w[:m]
+
+
+def resolution(diag: np.ndarray, off: np.ndarray) -> float:
+    """eps ||T||, ||T|| by Gershgorin: the absolute accuracy of a bisection eigenvalue."""
+    return np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))

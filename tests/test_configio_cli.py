@@ -80,9 +80,10 @@ values = -1.0 2.0
 SRC = Path(__file__).parent.parent / "src"
 # the expression a fresh interpreter prints to say whether any scipy module loaded
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
-# the functions evaluated once per kappa: an import statement there would run
-# on every Brent step, so the solve imports scipy once and hands it in
-PER_KAPPA = {"_t_eigenvalue", "_tridiagonal", "_negatives"}
+# the functions evaluated once per kappa, by (module, name) as a generic name
+# could match elsewhere: an import statement there would run on every Brent
+# step, so the solve imports scipy once and hands it in
+PER_KAPPA = {("line", "_tridiagonal"), ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues")}
 
 
 def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
@@ -419,8 +420,8 @@ class TestCli:
             module_level += [f"{path.name}:{n.lineno}" for n in module_scope(tree)
                              if imports_scipy(n)]
             for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef) and fn.name in PER_KAPPA:
-                    seen.add(fn.name)
+                if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in PER_KAPPA:
+                    seen.add((path.stem, fn.name))
                     per_kappa += [f"{path.name}:{n.lineno} in {fn.name}" for n in ast.walk(fn)
                                   if isinstance(n, (ast.Import, ast.ImportFrom))]
         assert seen == PER_KAPPA          # a renamed function must not empty the guard

@@ -628,7 +628,7 @@ class TestTridiagonalRoute:
             j = int(np.argmin(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True))))
             _, u = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
             want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
-            got = line._t_amplitudes(sys, s.kappa, j, 1)[2][0]
+            got = line._t_amplitudes(sys, s.kappa, j, 1)[3][0]
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("sys", [

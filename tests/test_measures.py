@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+from deltaprime import tridiagonal
 from deltaprime.certify import TestFunction, measure_test_build
 from deltaprime.deficiency import GCONV, GPRIMECONV, DeficiencyElement
 from deltaprime.errors import (
@@ -274,18 +275,19 @@ class TestNegativeSpectrum:
 
     def test_positive_beta_has_none(self, monkeypatch):
         # a grid with no negative step returns no digits, so no bisection runs for it
-        import scipy.linalg
-
         def solver(*args, **kwargs):
-            raise AssertionError("eigh_tridiagonal called on a grid with no negative step")
+            raise AssertionError("bisection called on a grid with no negative step")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solver)
+        monkeypatch.setattr(tridiagonal, "eigenvalues", solver)
         mu = cantor_measure(1)
         k = GreenKernel(-1.0, 2.0, mu, BetaFunction.constant(1.0))
         res = negative_spectrum(k, [128, 256])
         assert list(res.counts) == [0, 0]
         assert [lam.tolist() for lam in res.per_grid] == [[], []]
         assert res.eigenvalues.size == 0
+        # the patched entry is the one the route calls: a negative beta reaches it
+        with pytest.raises(AssertionError, match="bisection called"):
+            negative_spectrum(GreenKernel(-1.0, 2.0, mu, BetaFunction.constant(-1.0)), [128, 256])
 
     def test_kernel_positive_when_beta_nonnegative(self):
         mu = cantor_measure(2)

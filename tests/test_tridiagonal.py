@@ -1,0 +1,67 @@
+"""The tridiagonal core against LAPACK: the count, eigenvalues by index, the resolution."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
+
+from deltaprime import tridiagonal
+
+
+@st.composite
+def integer_tridiagonals(draw):
+    """(diag, off), n = 1..10, small integers times one power of two: the
+    scaling is exact, so the many exact zero pivots of small integers stay."""
+    n = draw(st.integers(1, 10))
+    ints = lambda size: np.array(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)),
+                                 dtype=float)
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return scale * ints(n), scale * ints(n - 1)
+
+
+@st.composite
+def float_tridiagonals(draw):
+    """(diag, off), n = 1..10, with entries of any sign and size up to 1e6."""
+    n = draw(st.integers(1, 10))
+    floats = st.floats(-1e6, 1e6, allow_subnormal=False)
+    return (np.array(draw(st.lists(floats, min_size=n, max_size=n))),
+            np.array(draw(st.lists(floats, min_size=n - 1, max_size=n - 1))))
+
+
+class TestNegatives:
+    @settings(max_examples=300, deadline=None)
+    @given(t=integer_tridiagonals())
+    # a zero pivot, then b^2 / pivot overflows: a count, not a numpy warning
+    @example(t=(np.array([0.0, 2.0, 0.0]), np.array([-3.0, -3.0])))
+    def test_matches_the_lapack_count_with_zero_as_negative(self, t):
+        # eigenvalues in (vl, 0] by bisection, so an exact zero counts, as a zero pivot does
+        diag, off = t
+        vl = -np.abs(diag).max() - 2.0 * np.abs(off).max(initial=0.0) - 1.0
+        lapack = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(vl, 0.0))
+        assert tridiagonal.negatives(diag, off) == lapack.size
+
+    def test_lone_zero_is_negative(self):
+        assert tridiagonal.negatives(np.zeros(1), np.zeros(0)) == 1
+
+
+class TestEigenvalues:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(integer_tridiagonals(), float_tridiagonals()), data=st.data())
+    def test_bit_identical_to_eigh_tridiagonal(self, t, data):
+        # the contract that keeps the digits the measure golden files pin
+        diag, off = t
+        first = data.draw(st.integers(0, diag.size - 1))
+        last = data.draw(st.integers(first, diag.size - 1))
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(first, last))
+        got = tridiagonal.eigenvalues(diag, off, first, last, dstebz)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestResolution:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(integer_tridiagonals(), float_tridiagonals()))
+    def test_bounds_eps_times_the_spectral_radius(self, t):
+        diag, off = t
+        radius = np.abs(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))).max()
+        assert tridiagonal.resolution(diag, off) >= np.finfo(float).eps * radius
