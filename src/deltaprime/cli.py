@@ -44,7 +44,7 @@ from .measures import (
     cantor_measure,
     negative_spectrum,
 )
-from .transfer import LIMIT, family_3d, family_4d, family_5d, limit_diagnose
+from .transfer import FAMILY_5D_PRESETS, LIMIT, family_3d, family_4d, family_5d, limit_diagnose
 
 
 def _out_stream(path: str | None):
@@ -86,13 +86,11 @@ def cmd_interactions(args) -> int:
         for g in vals[1:]:
             total = gamma_compose(total, g)
         print(f"gamma = {fmt(total)}")
-    elif args.action == "characteristic":
+    else:   # characteristic: argparse admits no other action
         if args.gamma is None:
             raise SchemaError("characteristic needs --gamma")
         c = gamma_to_characteristic(args.gamma)
         print(f"xi = {fmt(c.xi)}  s = {c.s:+d}")
-    else:
-        raise SchemaError(f"unknown action {args.action!r}")
     return 0
 
 
@@ -113,11 +111,9 @@ def cmd_approx(args) -> int:
     elif args.family == "4d":
         fam = lambda e: family_4d(args.gamma, args.sign, e)
         label = f"4d gamma={args.gamma} sign={args.sign:+d}"
-    elif args.family == "5d":
+    else:   # 5d: argparse admits no other family
         fam = lambda e: family_5d(args.preset, e)
         label = f"5d preset={args.preset}"
-    else:
-        raise SchemaError(f"unknown family {args.family!r}")
 
     report = limit_diagnose(fam, lam, eps_seq)
     config = {
@@ -182,7 +178,11 @@ def _build_measure(args):
         mu = cantor_measure(args.cantor_depth, tuple(args.interval))
         config = {"cantor_depth": args.cantor_depth, "interval": tuple(args.interval)}
     elif args.atoms:
-        pairs = [tuple(map(float, tok.split(":"))) for tok in args.atoms.split(",")]
+        tokens = args.atoms.split(",")
+        bad = [tok for tok in tokens if tok.count(":") != 1]
+        if bad:
+            raise SchemaError(f"--atoms needs 'position:weight' pairs, got {bad[0]!r}")
+        pairs = [tuple(map(float, tok.split(":"))) for tok in tokens]
         mu = AtomicMeasure([p for p, _ in pairs], [w for _, w in pairs])
         config = {"atoms": args.atoms}
     else:
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--family", required=True, choices=["3d", "4d", "5d"])
     pa.add_argument("--gamma", type=float)
     pa.add_argument("--sign", type=int, default=1)
-    pa.add_argument("--preset", choices=["free", "dirichlet"], default="free")
+    pa.add_argument("--preset", choices=list(FAMILY_5D_PRESETS), default="free")
     pa.add_argument("--lam", default="1.0")
     pa.add_argument("--eps-start", type=float, default=1e-2)
     pa.add_argument("--eps-ratio", type=float, default=10.0)

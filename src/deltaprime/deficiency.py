@@ -54,13 +54,6 @@ def g_z(x, z: complex):
     return (0.5j / s) * np.exp(1j * s * np.abs(x))
 
 
-def g_z_prime(x, z: complex):
-    """Derivative of g_z away from the origin; odd, jump -1 at 0."""
-    s = _sqrt_upper(z)
-    x = np.asarray(x, dtype=float)
-    return -0.5 * np.sign(x) * np.exp(1j * s * np.abs(x))
-
-
 @dataclass(frozen=True)
 class DeficiencyElement:
     """g_z * mu (kind 'g') or (g_z * mu)' (kind 'g_prime')."""
@@ -95,15 +88,10 @@ class DeficiencyElement:
 
 def element_eval(e: DeficiencyElement, x):
     """Pointwise value; GPrimeConv refuses evaluation on atoms."""
-    xs, ws = e.measure.positions, e.measure.weights
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if e.kind == GPRIMECONV and _atom_distance(xs, xa).min() < ATOM_TOL:
+    if e.kind == GPRIMECONV and _atom_distance(e.measure.positions, xa).min() < ATOM_TOL:
         raise EvaluationOnAtom("derivative family is discontinuous on atoms")
-    fn = g_z if e.kind == GCONV else g_z_prime
-    out = np.zeros(xa.shape, dtype=complex)
-    for xk, wk in zip(xs, ws):
-        out += wk * fn(xa - xk, e.z)
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    return e.one_sided(x, +1)[0]
 
 
 def e_functional(e: DeficiencyElement) -> complex:

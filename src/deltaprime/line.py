@@ -6,15 +6,16 @@ relation A v = 0 on the stacked trace vector
 
     v = (psi(x_k+0), psi(x_k-0), psi'(x_k+0), psi'(x_k-0))_{k=1..N},
 
-four entries per point, point-major.  A per-point system stores only
-its N blocks of A, two rows on the four traces of one point each; the
-dense 2N x 4N relation is built on demand, only by the H(kappa) route
-below.  Bound states are counted exactly by a Krein-Weyl
-inertia (Albeverio et al., Solvable Models in Quantum Mechanics, ch.
-II.3; Derkach-Malamud boundary triples).  Take the values Gamma0 =
-(v+_k, v-_k), the inward derivatives Gamma1 = (d+_k, -d-_k), and an
-orthonormal frame of the condition plane with Gamma0 rows X and Gamma1
-rows Y, restricted to (ker X)^perp.  Then
+four entries per point, point-major.  Every system stores A as one stack
+of blocks: a per-point system as N blocks of two rows on the four traces
+of one point each, a global relation as the single 2N x 4N block.  The
+H(kappa) route below builds its frame one block at a time, so a
+per-point system never assembles a dense relation.  Bound states are
+counted exactly by a Krein-Weyl inertia (Albeverio et al., Solvable
+Models in Quantum Mechanics, ch. II.3; Derkach-Malamud boundary
+triples).  Take the values Gamma0 = (v+_k, v-_k), the inward derivatives
+Gamma1 = (d+_k, -d-_k), and an orthonormal frame of the condition plane
+with Gamma0 rows X and Gamma1 rows Y, restricted to (ker X)^perp.  Then
 
     H(kappa) = X^H Y - X^H M(kappa) X
 
@@ -53,7 +54,7 @@ those that cross zero in the window of _exact_window.  A null vector u of
 T (LAPACK inverse iteration) is minus psi' at the points, where psi' is
 continuous; psi'/kappa is a decaying solution, so the same gap solve on
 -u/kappa gives the state.
-This route reads the per-point blocks and never builds the dense relation.
+This route reads the intensities and never builds the frame.
 
 On both routes the eigenvectors of one cluster of roots are orthonormal,
 so its states are linearly independent.  A state is its kappa and one
@@ -112,12 +113,12 @@ ROOT_XTOL = np.finfo(float).smallest_subnormal   # brentq needs xtol > 0
 class PointSystem:
     """Point interactions on the line, per-point or globally coupled.
 
-    A per-point system stores one 2 x 4 block per point and, for a pure
-    delta' system, the intensities; a global relation is stored as given.
-    The dense 2N x 4N relation of a per-point system, the row-normalized
-    relation and the frame of the plane in boundary-triple coordinates
-    are built on first use, only by the routes that need them.  All stay
-    read-only.
+    The conditions are one read-only stack of blocks, shape (K, R, C): one
+    2 x 4 block per point (K = N), or a global relation as the single
+    2N x 4N block (K = 1).  A pure delta' system also stores its
+    intensities.  The row-normalized stack and the frame of the plane in
+    boundary-triple coordinates are built on first use, only by the routes
+    that need them.  All stay read-only.
     """
 
     def __init__(
@@ -130,7 +131,7 @@ class PointSystem:
         n = self.points.size
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
-        self._blocks = self._betas = None
+        self._betas = None
         if lambdas is not None:
             if len(lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
@@ -146,8 +147,7 @@ class PointSystem:
                 raise ValueError(f"relation must be {2*n}x{4*n}")
             if np.linalg.matrix_rank(relation, tol=1e-10) < 2 * n:
                 raise ValueError("relation must have full row rank")
-            relation.setflags(write=False)
-            self.relation = relation
+            self._blocks = relation[None]
         else:
             self._blocks = np.zeros((0, 2, 4), dtype=complex)
         for a in (self._blocks, self._betas):
@@ -155,19 +155,9 @@ class PointSystem:
                 a.setflags(write=False)
 
     @cached_property
-    def relation(self) -> np.ndarray:
-        """Dense block-diagonal 2N x 4N relation of a per-point system."""
-        n = self.n_points
-        a = np.zeros((n, 2, n, 4), dtype=complex)
-        k = np.arange(n)
-        a[k, :, k, :] = self._blocks
-        a = a.reshape(2 * n, 4 * n)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _normalized(self) -> np.ndarray:
-        a = _row_normalized(self.relation)
+    def _conditions(self) -> np.ndarray:
+        """The blocks with every row scaled to unit norm, for the residuals."""
+        a = self._blocks / np.linalg.norm(self._blocks, axis=-1, keepdims=True)
         a.setflags(write=False)
         return a
 
@@ -175,7 +165,7 @@ class PointSystem:
     def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """X, X^H Y, the defect of the frame and the decay bound constant c
         of _frame: the delta' route needs none of them."""
-        x, xy, defect, c = _frame(self.relation)
+        x, xy, defect, c = _frame(self._blocks)
         x.setflags(write=False)
         xy.setflags(write=False)
         return x, xy, defect, c
@@ -183,9 +173,6 @@ class PointSystem:
     @property
     def n_points(self) -> int:
         return self.points.size
-
-    def normalized_relation(self) -> np.ndarray:
-        return self._normalized
 
     def delta_prime_betas(self) -> Optional[np.ndarray]:
         """Per-point delta' intensities (read-only), or None if not a pure
@@ -213,27 +200,30 @@ def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
     return m[:, 0, 1].real
 
 
-def _row_normalized(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
-
-
-def _frame(relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """X, X^H Y, the boundary-form defect of the plane ker(relation) and
+def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """X, X^H Y, the boundary-form defect of the plane cut out by the stack
+    of condition blocks, shape (K, R, C), and
     c = max(0, -lambda_min(X^H Y)) / s_min(X)^2.
 
-    (X; Y) is an orthonormal basis of the plane in the coordinates
-    Gamma0 = (v+_k, v-_k), Gamma1 = (d+_k, -d-_k).  The defect
+    One batched SVD gives the null space of every block; placed on the
+    diagonal, they are an orthonormal basis (X; Y) of the plane in the
+    coordinates Gamma0 = (v+_k, v-_k), Gamma1 = (d+_k, -d-_k), so a
+    per-point system takes N SVDs of 2 x 4 blocks.  The defect
     ||X^H Y - Y^H X||_2 is the largest |omega(p, q)| over unit traces of
     the plane: zero iff the plane is Lagrangian.  X and X^H Y are then
     restricted to (ker X)^perp, on which the form does not vanish
     identically; c is taken there and bounds the decay rates (_window).
     """
-    rank, dim = relation.shape
+    k, rank, width = blocks.shape
+    dim = k * width
     if dim == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, 0.0
-    if not relation.imag.any():
-        relation = relation.real
-    basis = np.linalg.svd(relation)[2][rank:].conj().T.reshape(dim // 4, 4, -1)
+    if not blocks.imag.any():
+        blocks = blocks.real
+    null = np.linalg.svd(blocks)[2][:, rank:].conj().transpose(0, 2, 1)
+    basis = np.zeros((k, width, k, width - rank), null.dtype)
+    basis[np.arange(k), :, np.arange(k)] = null
+    basis = basis.reshape(dim // 4, 4, -1)
     x = basis[:, :2].reshape(dim // 2, -1)
     y = (basis[:, 2:] * np.array([[1.0], [-1.0]])).reshape(dim // 2, -1)
     form = x.conj().T @ y
@@ -461,14 +451,14 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     T, where at a root the two terms of u^T T u cancel, and max(1, ||H||)
     for H, as at the threshold in _window.  Each state's residual is that of
     its one-sided traces (BoundState.one_sided on the unscaled tables) in
-    the row-normalized conditions, block by block for a per-point system.
+    the row-normalized condition blocks, one product over the stack.
     Each state is then scaled so that its largest amplitude is 1, so its
     norm cannot underflow, normalized at its own kappa and labelled by
     _parities; the states are read-only views of one table.  Raises
     DomainError when a root's energy -kappa^2 is not a finite float, or
     when the eigenvalues vanish to their route's resolution but not to their scale.
     """
-    n, mult, deepest = sys.n_points, len(kappas), max(kappas)
+    mult, deepest = len(kappas), max(kappas)
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
     kappa = float(np.mean(kappas))
@@ -484,10 +474,8 @@ def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[B
     (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
     # (N, 4, mult): v+, v-, d+, d-, laid out state by state for the norms' summation order
     traces = np.ascontiguousarray(np.stack((vp, vm, dp, dm), axis=-1)).transpose(1, 2, 0)
-    if sys._blocks is None:
-        miss = (sys.normalized_relation() @ traces.reshape(4 * n, mult)).reshape(n, 2, mult)
-    else:
-        miss = np.einsum("kij,kjm->kim", _row_normalized(sys._blocks), traces)
+    rows = sys._conditions
+    miss = np.einsum("kij,kjm->kim", rows, traces.reshape(len(rows), -1, mult))
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
     flat = tables.reshape(mult, -1).astype(complex)
     pieces = (flat / flat[np.arange(mult), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)

@@ -54,6 +54,17 @@ def jump_sum_amplitudes(points, betas, kappa: float, u: np.ndarray) -> np.ndarra
     return np.stack((np.append(a, 0.0), np.insert(b, 0, 0.0)), axis=1)
 
 
+def dense_relation(sys: line.PointSystem, normalized: bool = False) -> np.ndarray:
+    """The 2N x 4N relation of sys: its condition blocks on the diagonal,
+    or with normalized=True the row-normalized blocks the residuals read.
+    A global relation is its own single block."""
+    blocks = sys._conditions if normalized else sys._blocks
+    k, rows, cols = blocks.shape
+    a = np.zeros((k, rows, k, cols), dtype=blocks.dtype)
+    a[np.arange(k), :, np.arange(k)] = blocks
+    return a.reshape(k * rows, k * cols)
+
+
 def secular_values(sys: line.PointSystem, kappas) -> np.ndarray:
     """Secular function det H(kappa) on an array of decay rates kappa > 0.
 

@@ -74,7 +74,7 @@ from deltaprime.transfer import (
     pc_transfer,
     PiecewisePotential,
 )
-from oracles import quadratic_form_point_numeric
+from oracles import dense_relation, quadratic_form_point_numeric
 
 NOMINAL_LAMBDA0 = 1.968   # inconsistent with the tanh equation; see module docstring
 NOMINAL_LAMBDA1 = 2.03
@@ -137,7 +137,7 @@ def test_criterion_2_delta_prime_pair():
         odd.c_right, odd.evaluate(1.0 - 1e-12), -k * odd.c_right, d_in(1.0),
     ])
     for sysname, sysd in (("nonlocal", nonlocal_example()), ("pair", pair)):
-        res = np.linalg.norm(sysd.normalized_relation() @ traces) / np.linalg.norm(traces)
+        res = np.linalg.norm(dense_relation(sysd, normalized=True) @ traces) / np.linalg.norm(traces)
         assert res < 1e-8, f"odd state residual {res:.2e} on {sysname}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -374,6 +374,9 @@ class TestCli:
         (["measure", "--atoms", "0.0:inf"], "finite"),
         (["measure", "--atoms", "0.0:1.0", "--box-margin", "inf"], "finite"),
         (["deficiency", "--points", "0,inf", "--z", "-1"], "finite"),
+        (["measure", "--atoms", "0.0"], "'position:weight' pairs, got '0.0'"),
+        (["measure", "--atoms", "0.0:1.0:2.0"], "'position:weight' pairs, got '0.0:1.0:2.0'"),
+        (["measure", "--atoms", "0.0:1.0,2.0"], "got '2.0'"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

@@ -34,7 +34,7 @@ from deltaprime.line import (
     from_kinds,
     nonlocal_example,
 )
-from oracles import jump_sum_amplitudes, secular_values
+from oracles import dense_relation, jump_sum_amplitudes, secular_values
 
 # frozen independent oracles (brentq on the matching equations)
 KAPPA_ODD = 1.9611797513715394    # root of k = 1 + tanh k
@@ -135,7 +135,7 @@ class TestNonlocalExample:
         (st,) = find_bound_states(nl, 10.0)
         assert st.residual < 1e-8
         v = trace_vector(st, nl.points)
-        a = nl.normalized_relation()
+        a = dense_relation(nl, normalized=True)
         assert np.linalg.norm(a @ v) / np.linalg.norm(v) < 1e-6  # FD-twisted traces
 
     def test_shared_eigenfunction_property(self):
@@ -151,7 +151,7 @@ class TestNonlocalExample:
             st.evaluate(-1.0 + 1e-12), st.c_left, d_in(-1.0), k * st.c_left,
             st.c_right, st.evaluate(1.0 - 1e-12), -k * st.c_right, d_in(1.0),
         ])
-        amat = pair.normalized_relation()
+        amat = dense_relation(pair, normalized=True)
         res = np.linalg.norm(amat @ traces) / np.linalg.norm(traces)
         assert res < 1e-8
 
@@ -173,7 +173,7 @@ class TestNonlocalExample:
             st.evaluate(-1.0 + 1e-12), st.c_left, d_in(-1.0), k * st.c_left,
             st.c_right, st.evaluate(1.0 - 1e-12), -k * st.c_right, d_in(1.0),
         ])
-        amat = verb.normalized_relation()
+        amat = dense_relation(verb, normalized=True)
         res = np.linalg.norm(amat @ traces) / np.linalg.norm(traces)
         assert res > 1e-3
 
@@ -181,7 +181,7 @@ class TestNonlocalExample:
         # sup of |omega(p, q)| over unit traces p, q of the plane is the
         # spectral norm of the form on an orthonormal basis of the plane
         verb = nonlocal_example(verbatim=True)
-        basis = null_space(verb.relation)
+        basis = null_space(dense_relation(verb))
         traces = [BoundaryTraces(*b.reshape(-1, 4).T) for b in basis.T]
         form = np.array([[boundary_form(p, q).sum() for p in traces] for q in traces])
         assert abs(boundary_form_defect(verb) - np.linalg.norm(form, 2)) < 1e-12
@@ -253,7 +253,7 @@ class TestCounting:
         # line (handed over as a global relation, so H(kappa) counts it)
         # and a delta'-potential pair bind nothing
         free = from_kinds([(x, Delta(0.0)) for x in (0.0, 0.5, 2.0)])
-        systems = [PointSystem(free.points, relation=free.relation),
+        systems = [PointSystem(free.points, relation=dense_relation(free)),
                    from_kinds([(0.0, DeltaPrimePotential(0.7)), (1.0, DeltaPrimePotential(-1.3))])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -376,20 +376,20 @@ class TestBuilders:
         # constant-1 function: traces (1, 1, 0, 0) at each point
         pair = delta_prime_pair(-1.0)
         v = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        assert np.linalg.norm(pair.normalized_relation() @ v) < 1e-14
+        assert np.linalg.norm(dense_relation(pair, normalized=True) @ v) < 1e-14
 
     def test_empty_system(self):
         assert find_bound_states(PointSystem([]), 5.0) == []
 
     def test_relation_built_once_and_read_only(self):
-        pair = delta_prime_pair(-1.0)
-        with pytest.raises(ValueError):
-            pair.relation[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            pair.normalized_relation()[0, 0] = 2.0
-        # both are built on demand, once
-        assert pair.relation is pair.relation
-        assert pair.normalized_relation() is pair.normalized_relation()
+        # the condition blocks, per point or one global relation, are
+        # read-only, and so is their row-normalized copy, built once per system
+        for sys in (delta_prime_pair(-1.0), nonlocal_example()):
+            for a in (sys._blocks, sys._conditions):
+                with pytest.raises(ValueError):
+                    a[0, 0, 0] = 2.0
+            assert sys._conditions is sys._conditions
+            np.testing.assert_allclose(np.linalg.norm(sys._conditions, axis=-1), 1.0, rtol=1e-15)
 
     def test_count_without_kappa_max(self):
         # every system has an exact total, global relations included
@@ -417,7 +417,7 @@ class TestGauge:
         for n in (1, 2, 4):
             real, gauged = self.gauged(n)
             sysg = PointSystem(self.PTS[:n], lambdas=gauged)
-            assert np.abs(sysg.relation.imag).max() > 0.1
+            assert np.abs(sysg._blocks.imag).max() > 0.1
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = [st.kappa for st in find_bound_states(sysg, 5.0)]
@@ -431,7 +431,7 @@ class TestGauge:
         rng = np.random.default_rng(5)
         real, gauged = self.gauged(4)
         mix = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        relation = mix @ PointSystem(self.PTS, lambdas=gauged).relation
+        relation = mix @ dense_relation(PointSystem(self.PTS, lambdas=gauged))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = [st.kappa for st in find_bound_states(PointSystem(self.PTS, relation=relation), 5.0)]
@@ -520,6 +520,14 @@ class TestKreinCount:
         assert count_negative(sys) == len(got) == len(want) == count(lo)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         assert all(s.residual <= 1e-10 for s in states)
+        # the same plane as one global block: its frame comes from one SVD of
+        # the dense relation, the per-point frame from N SVDs of 2 x 4 blocks
+        dense = PointSystem(pts, relation=dense_relation(sys))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dense_states = find_bound_states(dense)
+        assert count_negative(dense) == len(dense_states) == len(got)
+        np.testing.assert_allclose([s.kappa for s in dense_states], got, rtol=1e-10, atol=1e-12)
 
     def test_window_ends_are_diagonalized_once_per_search(self, monkeypatch):
         # every root shares the bracket [0, hi]: the counts of _window
@@ -559,7 +567,7 @@ class TestParity:
         span = sys.points[-1] - sys.points[0]
         ys = np.linspace(0.013, 1.71, 37) * max(span, 1.0)
         ys = ys[np.abs(ys[:, None] - sys.points[None, :]).min(axis=1) > 1e-6]
-        for s in (sys, PointSystem(sys.points, relation=sys.relation)):
+        for s in (sys, PointSystem(sys.points, relation=dense_relation(sys))):
             states = find_bound_states(s)
             kappas = np.array([st_.kappa for st_ in states])
             for st_ in states:
@@ -594,7 +602,7 @@ class TestTridiagonalRoute:
         # route's own error reaches ~8e-13 when gaps are 0.01
         pts, betas = case
         sys = delta_prime_system(pts, betas)
-        dense = PointSystem(pts, relation=sys.relation)
+        dense = PointSystem(pts, relation=dense_relation(sys))
         kappa = float(np.exp(log_kappa))
         assert count_negative(sys, kappa) == count_negative(dense, kappa)
         with warnings.catch_warnings():
@@ -646,12 +654,19 @@ class TestTridiagonalRoute:
                 for kappa in got:
                     assert min(abs(kappa - r) for r in roots) <= 1e-12 * kappa
 
-    def test_search_leaves_the_dense_relation_unbuilt(self):
-        # the route reads the per-point blocks; the dense 2N x 4N relation,
-        # its row-normalized copy and the frame are never built
+    def test_search_leaves_the_dense_relation_unbuilt(self, monkeypatch):
+        # the route reads the intensities and the per-point blocks: the
+        # frame of the condition plane is never built
+        def refuse(blocks):
+            raise AssertionError("the delta' search built the frame")
+
+        monkeypatch.setattr(line, "_frame", refuse)
         sys = delta_prime_system([0.0, 0.3, 1.1, 1.2], [-1.0, -0.4, 0.5, -2.0])
         assert len(find_bound_states(sys)) == count_negative(sys) == 3
-        assert not {"relation", "_normalized", "_plane"} & set(vars(sys))
+        assert "_plane" not in vars(sys)
+        # the patch is live: the H route builds the frame through it
+        with pytest.raises(AssertionError, match="built the frame"):
+            count_negative(nonlocal_example())
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), data=st.data(), kappa=st.floats(0.1, 5.0))
@@ -681,7 +696,7 @@ class TestTridiagonalRoute:
         assert count_negative(sys, 4.0 * 2.0 / 3.5949) == 2
         assert count_negative(sys) == len(find_bound_states(sys)) == 3
         # the dense plane, counted over its own window
-        dense = PointSystem(sys.points, relation=sys.relation)
+        dense = PointSystem(sys.points, relation=dense_relation(sys))
         assert count_negative(dense) == len(find_bound_states(dense)) == 3
 
     def test_close_weak_wells_keep_small_residuals(self):

@@ -38,7 +38,7 @@ from deltaprime.measures import (
     mu_derivative,
     negative_spectrum,
 )
-from oracles import discretize, mu_derivative_loop
+from oracles import dense_relation, discretize, mu_derivative_loop
 
 
 class TestCantor:
@@ -458,7 +458,7 @@ class TestBridge:
                 states = find_bound_states(sys)
             assert len(states) == 2 ** depth
             assert count_negative(sys) == 2 ** depth
-            dense = PointSystem(sys.points, relation=sys.relation)   # the H(kappa) route
+            dense = PointSystem(sys.points, relation=dense_relation(sys))   # the H(kappa) route
             np.testing.assert_allclose(
                 [s.kappa for s in states],
                 [s.kappa for s in find_bound_states(dense)], rtol=1e-11)
