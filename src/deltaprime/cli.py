@@ -51,6 +51,23 @@ def _out_stream(path: str | None):
     return open(path, "w") if path else nullcontext(sys.stdout)
 
 
+def _comma_list(text: str, option: str, parse=float, what: str = "numbers") -> list:
+    """The entries of a comma-list option, each read by parse; a SchemaError
+    names the option and the first entry parse rejects."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            raise SchemaError(f"{option} needs a comma list of {what}, got {tok!r}") from None
+    return out
+
+
+def _atom(tok: str) -> tuple[float, float]:
+    position, weight = tok.split(":")      # ValueError unless exactly one ':'
+    return float(position), float(weight)
+
+
 def _print_matrix(m: np.ndarray, label: str) -> None:
     print(label)
     for row in np.asarray(m):
@@ -178,17 +195,13 @@ def _build_measure(args):
         mu = cantor_measure(args.cantor_depth, tuple(args.interval))
         config = {"cantor_depth": args.cantor_depth, "interval": tuple(args.interval)}
     elif args.atoms:
-        tokens = args.atoms.split(",")
-        bad = [tok for tok in tokens if tok.count(":") != 1]
-        if bad:
-            raise SchemaError(f"--atoms needs 'position:weight' pairs, got {bad[0]!r}")
-        pairs = [tuple(map(float, tok.split(":"))) for tok in tokens]
+        pairs = _comma_list(args.atoms, "--atoms", _atom, "'position:weight' pairs")
         mu = AtomicMeasure([p for p, _ in pairs], [w for _, w in pairs])
         config = {"atoms": args.atoms}
     else:
         raise SchemaError("give --measure FILE, --cantor-depth or --atoms")
     if args.beta_values:
-        beta = BetaFunction([float(t) for t in args.beta_values.split(",")])
+        beta = BetaFunction(_comma_list(args.beta_values, "--beta-values"))
         config["beta_values"] = args.beta_values
     else:
         beta = BetaFunction.constant(args.beta)
@@ -198,7 +211,7 @@ def _build_measure(args):
 
 def cmd_measure(args) -> int:
     mu, beta, config = _build_measure(args)
-    grids = [int(g) for g in args.grids.split(",")]
+    grids = _comma_list(args.grids, "--grids", int, "integers")
     rows = []
     for margin in args.box_margin:
         lo, hi = mu.support
@@ -246,8 +259,11 @@ def cmd_certify(args) -> int:
             )
         out_lines.append(f"agreement {agree}/{args.random_trials}")
     elif args.positions and args.betas:
-        pts = [float(t) for t in args.positions.split(",")]
-        betas = [float(t) for t in args.betas.split(",")]
+        pts = _comma_list(args.positions, "--positions")
+        betas = _comma_list(args.betas, "--betas")
+        if len(pts) != len(betas):
+            raise SchemaError(f"--positions and --betas need one entry per point, "
+                              f"got {len(pts)} and {len(betas)}")
         sysd = delta_prime_system(pts, betas)
         cert = vc.certify_count_points(sysd)
         out_lines += ["[certificate]", "mode = points", f"count = {cert.count}",
@@ -281,8 +297,8 @@ def cmd_certify(args) -> int:
 
 def cmd_deficiency(args) -> int:
     z = complex(args.z)
-    pts = [float(t) for t in args.points.split(",")]
-    drop = [float(t) for t in args.drop_prime_at.split(",")] if args.drop_prime_at else []
+    pts = _comma_list(args.points, "--points")
+    drop = _comma_list(args.drop_prime_at, "--drop-prime-at") if args.drop_prime_at else []
     fam = df.point_family(pts, z, drop_prime_at=drop)
     rank = df.gram_rank(fam)
     rows = []

@@ -103,7 +103,7 @@ CLUSTER_RTOL = 1e-10         # roots closer than this (relative) form one cluste
 # ROOT_RTOL bounds Brent's bracket, not the error in kappa: the eps ||T|| resolution
 # of the eigenvalue Brent reads sets that, 1.7e-11 to 1.2e-10 relative at Cantor depth 10
 ROOT_RTOL = 4 * np.finfo(float).eps
-ROOT_XTOL = np.finfo(float).smallest_subnormal   # brentq needs xtol > 0
+ROOT_XTOL = np.finfo(float).smallest_subnormal   # the least positive xtol: ROOT_RTOL sets the bracket
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +494,9 @@ def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tupl
     continuous, so psi'/kappa is the decaying solution with value -u/kappa on
     both sides of every point, whose decay column flips sign as the derivative
     of a decaying exponential."""
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
     diag, off = _tridiagonal(sys, kappa)
-    lam, u = eigh_tridiagonal(diag, off, select="i", select_range=(first, first + mult - 1))
+    lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1, dstebz, dstein)
     d = -u / kappa
     tables = _anchored(sys.points, kappa, d, d)
     tables[:, 1:, 1] *= -1.0
@@ -587,12 +587,71 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     return 0.0, hi, range(int(np.sum(ends[cap] < 0.0)), total), ends
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, Algorithms for
+    Minimization Without Derivatives, ch. 4), step for step as scipy's C
+    brentq takes it, so every root keeps its bits: arguments and values are
+    Python floats, a sign is C's signbit (-0.0 is negative), and a zero
+    divisor, inf or nan in C, fails the step test and bisects.
+
+    Raises ValueError when f(a) and f(b) have one sign or f returns NaN,
+    and RuntimeError after maxiter steps without convergence.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
+        return fx
+
+    negative = lambda v: math.copysign(1.0, v) < 0.0
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # the root stays between xcur and xblk; xpre is the previous iterate
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
     """Every bound state, or those with kappa <= kappa_max (inf filters
     nothing), by descending kappa; states below NEAR_THRESHOLD are flagged.
 
-    Brent's method finds each eigenvalue crossing of _window, of T for a
-    pure delta' system and of H otherwise, over a bracket that does not
+    Brent's method (_brent) finds each eigenvalue crossing of _window, of T
+    for a pure delta' system and of H otherwise, over a bracket that does not
     depend on kappa_max: a capped search returns the roots of the uncapped
     one that the count selects, bit for bit, and one of them may lie a few
     ulps above kappa_max.  Roots closer than CLUSTER_RTOL (relative) form
@@ -604,13 +663,14 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
     Lagrangian, and DomainError when -kappa^2 is not a finite float or an
     eigenvalue lies below the solver's resolution eps ||T|| or eps ||H||.
+    The H route runs on numpy alone; the delta' route loads scipy.linalg
+    for LAPACK's bisection and inverse iteration, once per search.
     """
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
         raise _too_deep(sys, hi)
     if not crossing:
         return []
-    from scipy.optimize import brentq
     if sys._betas is None:
         # every root shares the bracket [0, hi]: H is diagonalized once per end
         if hi not in ends:
@@ -618,16 +678,19 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         value = lambda k, j: (ends[k] if k in ends else _eigenvalues(sys, k))[j]
     else:
         # kappa lambda_j has the sign of lambda_j and is linear in kappa
-        # for a lone point (2 + kappa beta), which saves Brent steps
+        # for a lone point (2 + kappa beta), which saves Brent steps; a
+        # Python float product near the float limit overflows to inf, which
+        # keeps the sign, without numpy's overflow warning
         from scipy.linalg.lapack import dstebz
-        value = lambda k, j: k * tridiagonal.eigenvalues(*_tridiagonal(sys, k), j, j, dstebz)[0]
+        value = lambda k, j: float(k) * float(
+            tridiagonal.eigenvalues(*_tridiagonal(sys, k), j, j, dstebz)[0])
     roots = []
     for j in crossing:
         try:
-            roots.append((brentq(value, lo, hi, args=(j,), xtol=ROOT_XTOL, rtol=ROOT_RTOL), j))
+            roots.append((_brent(lambda k: value(k, j), lo, hi, ROOT_XTOL, ROOT_RTOL), j))
         except ValueError:
             if not value(lo, j) * value(hi, j) > 0:
-                raise                           # not brentq's one-sign bracket
+                raise                           # not _brent's one-sign bracket
             # the counts prove a sign change: it lies below eps ||T|| or eps ||H||
             raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies below "
                               "the resolution of the eigenvalue solver") from None
@@ -665,15 +728,15 @@ COTH_EQ = "coth"
 
 
 def characteristic_root(kind: str) -> float:
-    """Positive root of k = 1 + tanh(k) (odd mode) or k = 1 + coth(k) (even)."""
+    """Positive root of k = 1 + tanh(k) (odd mode) or k = 1 + coth(k) (even),
+    by _brent on [1.5, 3], with no scipy."""
     if kind == TANH_EQ:
         f = lambda k: k - 1.0 - np.tanh(k)
     elif kind == COTH_EQ:
         f = lambda k: k - 1.0 - 1.0 / np.tanh(k)
     else:
         raise ValueError("kind must be 'tanh' or 'coth'")
-    from scipy.optimize import brentq
-    return float(brentq(f, 1.5, 3.0, xtol=1e-14, rtol=8.9e-16))
+    return _brent(f, 1.5, 3.0, 1e-14, 8.9e-16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Symmetric tridiagonal matrices (diag, off): the negative count, the
-eigenvalues by index and their resolution, for the delta' T(kappa) of
-line and the Nystrom inverse of measures, which each build their own.
+eigenvalues and eigenvectors by index and their resolution, for the delta'
+T(kappa) of line and the Nystrom inverse of measures, which each build their own.
 
 Counts are Sylvester inertia; eigenvalues are LAPACK's Sturm bisection,
-dstebz, which the caller imports once per solve and passes in, since
-these run once per kappa and this module imports no scipy.
+dstebz, and eigenvectors its inverse iteration, dstein, which the caller
+imports once per solve and passes in, since these run once per kappa or
+cluster and this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -32,10 +33,31 @@ def eigenvalues(diag: np.ndarray, off: np.ndarray, first: int, last: int, dstebz
     without the input checks that cost more than the bisection on a few points."""
     if diag.size == 1:
         return diag.copy()                      # dstebz takes no empty off
-    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, "E")
+    return _bisect(diag, off, first, last, dstebz, "E")[0]
+
+
+def eigenvectors(diag: np.ndarray, off: np.ndarray, first: int, last: int, dstebz,
+                 dstein) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered eigenvalues first..last and their orthonormal eigenvectors as columns,
+    by dstebz in block order, dstein and a sort, as scipy's tridiagonal eigensolver
+    computes them for vectors by index, so with the same digits and without its checks."""
+    if diag.size == 1:
+        return diag.copy(), np.ones((1, 1))
+    w, iblock, isplit = _bisect(diag, off, first, last, dstebz, "B")
+    v, info = dstein(diag, off, w, iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"inverse iteration on T failed (LAPACK info={info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+def _bisect(diag, off, first, last, dstebz, order: str):
+    """dstebz's eigenvalues first..last in `order` ("E" sorted, "B" by block), with
+    the block and split indices dstein reads."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, order)
     if info:
         raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
-    return w[:m]
+    return w[:m], iblock, isplit
 
 
 def resolution(diag: np.ndarray, off: np.ndarray) -> float:

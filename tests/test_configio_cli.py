@@ -83,7 +83,8 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
 # step, so the solve imports scipy once and hands it in
-PER_KAPPA = {("line", "_tridiagonal"), ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues")}
+PER_KAPPA = {("line", "_tridiagonal"), ("line", "_brent"), ("tridiagonal", "negatives"),
+             ("tridiagonal", "eigenvalues")}
 
 
 def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
@@ -383,6 +384,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv, option, token", [
+        pytest.param(["measure", "--atoms", "0:1,x:1"], "--atoms", "x:1", id="atoms"),
+        pytest.param(["measure", "--atoms", "0:1", "--beta-values", "x"], "--beta-values", "x",
+                     id="beta-values"),
+        pytest.param(["measure", "--atoms", "0:1", "--grids", "8,x"], "--grids", "x", id="grids"),
+        pytest.param(["measure", "--atoms", "0:1", "--grids", "8,16.5"], "--grids", "16.5",
+                     id="grids-not-integer"),
+        pytest.param(["certify", "--positions", "0,x", "--betas=-1,-1"], "--positions", "x",
+                     id="positions"),
+        pytest.param(["certify", "--positions", "0,1", "--betas=-1,x"], "--betas", "x", id="betas"),
+        pytest.param(["deficiency", "--points", "0,x"], "--points", "x", id="points"),
+        pytest.param(["deficiency", "--points", "0,1", "--drop-prime-at", "x"], "--drop-prime-at", "x",
+                     id="drop-prime-at"),
+    ])
+    def test_bad_list_entry_names_the_option(self, capsys, argv, option, token):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} needs a comma list of ")
+        assert err.rstrip().endswith(f"got {token!r}")
+
+    def test_certify_lists_of_different_lengths_name_both_options(self, capsys):
+        assert main(["certify", "--positions", "0,1", "--betas=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --positions and --betas need one entry per point")
+
     def test_measure_bytes_independent_of_blas_threads(self):
         argv = ["-m", "deltaprime.cli", "measure", "--cantor-depth", "3",
                 "--beta", "-1", "--grids", "512,1024,2048"]
@@ -406,8 +432,10 @@ class TestCli:
         pytest.param("certify --positions 0,1,2 --betas=-1,1,-3", False, id="certify-points"),
         pytest.param("certify --cantor-depth 2 --beta -1 --blocks 2", False, id="certify-cantor"),
         pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1", False, id="deficiency"),
-        # positive control: Brent and LAPACK bisection find the pair's states
+        # positive control: LAPACK bisection finds the pair's states
         pytest.param("spectrum --builtin delta-prime-pair --beta -1", True, id="spectrum"),
+        # H-route states come from numpy's eigh and the package's Brent
+        pytest.param("spectrum --builtin nonlocal-example", False, id="spectrum-nonlocal"),
     ])
     def test_only_solves_load_scipy(self, argv, loads_scipy):
         code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
@@ -415,6 +443,25 @@ class TestCli:
         proc = fresh_python("-c", code, *argv.split())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+
+    def test_delta_prime_spectrum_loads_lapack_not_optimize(self):
+        code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
+                "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules); "
+                "sys.exit(status)")
+        proc = fresh_python("-c", code, "spectrum", "--builtin", "delta-prime-pair", "--beta", "-1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True False"
+
+    def test_no_module_imports_scipy_optimize(self):
+        # Brent's method is line._brent: root finding needs no scipy
+        found = []
+        for path in sorted((SRC / "deltaprime").glob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                names = [a.name for a in n.names] if isinstance(n, ast.Import) else (
+                    [f"{n.module}.{a.name}" for a in n.names] if isinstance(n, ast.ImportFrom) else [])
+                found += [f"{path.name}:{n.lineno}" for name in names
+                          if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+        assert found == []
 
     def test_scipy_imports_sit_in_solves_not_per_kappa(self):
         module_level, per_kappa, seen = [], [], set()

@@ -1,5 +1,6 @@
 """Point systems on the line: secular roots, bound states, counting."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, null_space
+from scipy.optimize import brentq
 
-from deltaprime import line
+from deltaprime import line, measures
 from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitNotSupported
 from deltaprime.interactions import (
     BoundaryTraces,
@@ -17,6 +19,7 @@ from deltaprime.interactions import (
     DeltaPrime,
     DeltaPrimePotential,
     Split,
+    TransmissionMatrix,
     boundary_form,
     compose,
     lambda_of,
@@ -811,3 +814,85 @@ class TestCappedSearch:
         m = count_negative(sys, kappa_max)
         capped = [s.kappa for s in find_bound_states(sys, kappa_max)]
         assert capped == uncapped[len(uncapped) - m:]
+
+
+@pytest.fixture
+def twin_brent(monkeypatch):
+    """Runs scipy's brentq beside every _brent call of the package, on the
+    same f, bracket and tolerances: both must evaluate f at the same points
+    and return the same root, bit for bit.  Gives the list of roots compared."""
+    brent, roots = line._brent, []
+
+    def twin(f, a, b, xtol, rtol, maxiter=100):
+        seen = [], []
+        want = brentq(lambda x: seen[0].append(float(x)) or f(x), a, b,
+                      xtol=xtol, rtol=rtol, maxiter=maxiter)
+        got = brent(lambda x: seen[1].append(x) or f(x), a, b, xtol, rtol, maxiter)
+        assert type(got) is float and got.hex() == float(want).hex()
+        assert [x.hex() for x in seen[1]] == [x.hex() for x in seen[0]]
+        roots.append(got)
+        return got
+
+    monkeypatch.setattr(line, "_brent", twin)
+    return roots
+
+
+class TestBrent:
+    # _brent ports scipy's C brentq step for step, so the package's roots
+    # keep their bits without importing scipy.optimize
+
+    def test_delta_prime_sweeps_match_brentq(self, twin_brent):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
+            betas = rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n)
+            assert len(find_bound_states(delta_prime_system(pts, betas))) == np.sum(betas < 0)
+        bridge = measures.atomic_to_point_system(measures.cantor_measure(3),
+                                                 measures.BetaFunction.constant(-1.0))
+        assert len(find_bound_states(bridge)) == 8
+        assert len(twin_brent) > 150
+
+    def test_h_route_systems_match_brentq(self, twin_brent):
+        # delta and mixed systems, their delta-magnetic gauges and the nonlocal example
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.5, n - 1))))
+            c = rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n)
+            kinds = [rng.choice([Delta, DeltaPrime])(a) for a in c]
+            find_bound_states(from_kinds(list(zip(pts, kinds))))
+            mats = [np.exp(1j * rng.uniform(-np.pi, np.pi)) * lambda_of(Delta(a)).entries for a in c]
+            find_bound_states(PointSystem(pts, lambdas=[TransmissionMatrix(m) for m in mats]))
+        assert len(find_bound_states(nonlocal_example())) == 1
+        assert len(twin_brent) > 30
+
+    def test_characteristic_roots_match_brentq(self, twin_brent):
+        assert [characteristic_root(TANH_EQ), characteristic_root(COTH_EQ)] == twin_brent
+
+    @pytest.mark.parametrize("f, a, b", [
+        pytest.param(lambda x: x, 0.0, 1.0, id="f(a)=0"),
+        pytest.param(lambda x: x - 1.0, 0.0, 1.0, id="f(b)=0"),
+        pytest.param(lambda x: -x - 0.0, -1.0, 0.0, id="f(b)=-0"),
+        pytest.param(lambda x: x ** 3 - 0.1, 0.0, 1.0, id="cubic"),
+        # the inverse quadratic divisor dblk dpre (fblk - fpre), about 1e-480,
+        # underflows to 0 at every such step: C bisects on its inf or nan
+        pytest.param(lambda x: 1e-160 * (x ** 3 - 0.1), 0.0, 1.0, id="zero-divisor"),
+    ])
+    def test_edge_roots_match_brentq(self, f, a, b):
+        want = brentq(f, a, b, xtol=line.ROOT_XTOL, rtol=line.ROOT_RTOL)
+        got = line._brent(f, a, b, line.ROOT_XTOL, line.ROOT_RTOL)
+        assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("f, maxiter, error, message", [
+        pytest.param(lambda x: x + 2.0, 100, ValueError, "different signs", id="one-sign"),
+        pytest.param(lambda x: math.nan, 100, ValueError, "NaN", id="nan-at-a"),
+        pytest.param(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 100, ValueError, "NaN",
+                     id="nan-inside"),
+        pytest.param(lambda x: x ** 3 - 0.1, 3, RuntimeError, "Failed to converge", id="maxiter"),
+    ])
+    def test_errors_match_brentq(self, f, maxiter, error, message):
+        with pytest.raises(error, match=message):
+            brentq(f, 0.0, 1.0, xtol=line.ROOT_XTOL, rtol=line.ROOT_RTOL, maxiter=maxiter)
+        with pytest.raises(error, match=message):
+            line._brent(f, 0.0, 1.0, line.ROOT_XTOL, line.ROOT_RTOL, maxiter)

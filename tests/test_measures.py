@@ -187,6 +187,19 @@ class TestBridgeStatesMeetTheMeasureConditions:
             return
         assert_measure_conditions(mu, beta, states)
 
+    def test_subnormal_attractive_beta_is_too_deep(self):
+        # beta = -DBL_MIN binds near kappa 7e307, so Brent's bracket reaches
+        # 1.4e308 and kappa lambda_j(kappa) overflows there: the search must
+        # keep the sign quietly and end in the energy's DomainError
+        mu = AtomicMeasure([0.0, 0.4116945016531226, 1.0588675451500298, 1.8865609765697293,
+                            2.3865609765697293],
+                           [0.998486015643474, 1.2578972821526426, 1.0, 0.5403237222425842,
+                            0.22830357962986395])
+        beta = BetaFunction([-2.9999999999999996, -2.2250738585072014e-308, 1.084697527752133,
+                             2.9244187022496497, -2.6317383309545557])
+        with pytest.raises(DomainError, match="not a finite float"):
+            find_bound_states(atomic_to_point_system(mu, beta))
+
     @pytest.mark.parametrize("depth", [2, 4, 6])
     def test_cantor(self, depth):
         mu, beta = cantor_measure(depth), BetaFunction.constant(-1.0)

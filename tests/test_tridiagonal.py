@@ -1,10 +1,12 @@
-"""The tridiagonal core against LAPACK: the count, eigenvalues by index, the resolution."""
+"""The tridiagonal core against LAPACK: the count, eigenvalues and eigenvectors by
+index, the resolution."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstein
 
 from deltaprime import tridiagonal
 
@@ -56,6 +58,26 @@ class TestEigenvalues:
         want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(first, last))
         got = tridiagonal.eigenvalues(diag, off, first, last, dstebz)
         assert got.tobytes() == want.tobytes()
+
+
+class TestEigenvectors:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(integer_tridiagonals(), float_tridiagonals()), data=st.data())
+    def test_bit_identical_to_eigh_tridiagonal(self, t, data):
+        # the contract that keeps the delta' states of line bit for bit
+        diag, off = t
+        first = data.draw(st.integers(0, diag.size - 1))
+        last = data.draw(st.integers(first, diag.size - 1))
+        try:
+            want = eigh_tridiagonal(diag, off, select="i", select_range=(first, last))
+        except np.linalg.LinAlgError:
+            # dstebz or dstein failed: so must the direct calls
+            with pytest.raises(np.linalg.LinAlgError):
+                tridiagonal.eigenvectors(diag, off, first, last, dstebz, dstein)
+            return
+        got = tridiagonal.eigenvectors(diag, off, first, last, dstebz, dstein)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestResolution:
