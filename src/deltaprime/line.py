@@ -53,14 +53,16 @@ Each ordered eigenvalue of T decreases with kappa; Brent's method runs on
 those that cross zero in the window of _exact_window.  A null vector u of
 T (LAPACK inverse iteration) is minus psi' at the points, where psi' is
 continuous; psi'/kappa is a decaying solution, so the same gap solve on
--u/kappa gives the state.
-This route reads the intensities and never builds the frame.
+-u/kappa gives the state.  This route never builds the frame.
 
-On both routes the eigenvectors of one cluster of roots are orthonormal,
-so its states are linearly independent.  A state is its kappa and one
-piece table, the (a, b) of every piece; its parity under the mirror image
-of symmetric points is read off that table, which the reflection reverses
-in both axes.  Residuals read the traces from BoundState.one_sided.
+On both routes all roots of a search advance together, one Brent step of
+each per round, and the delta' route builds T once per round.  The states
+of a search are built in one pass: an eigen-solve per cluster of roots,
+whose orthonormal eigenvectors give independent states, then the traces
+(BoundState.one_sided), residuals, norms and parities of all at once.  A
+state is its kappa and one piece table, the (a, b) of every piece; its
+parity on mirror-symmetric points is read off that table, which the
+reflection reverses in both axes.
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
 marks an energy -kappa^2 beyond the floats and eigenvalues below eps ||T||.
 """
@@ -330,18 +332,18 @@ def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
 # Krein-Sturm route for pure delta' systems
 # ---------------------------------------------------------------------------
 
-def _tridiagonal(sys: PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(sys: PointSystem, kappa) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
-    E_ij = e^{-kappa |x_i - x_j|}, whose inverse is tridiagonal."""
+    E_ij = e^{-kappa |x_i - x_j|}; a column of kappa gives the rows of each."""
     g = sys.points[1:] - sys.points[:-1]
     # the cap changes no entry (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
     kg = np.minimum(kappa, 1e3 / g) * g
     r = np.exp(-kg)
     t = r / -np.expm1(-2.0 * kg)                # r / (1 - r^2), finite for small kappa g
     s = r * t                                   # 1/(1 - r^2) - 1
-    diag = np.ones(sys.n_points)
-    diag[:-1] += s
-    diag[1:] += s
+    diag = np.ones(kg.shape[:-1] + (sys.n_points,))
+    diag[..., :-1] += s
+    diag[..., 1:] += s
     return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
 
 
@@ -409,9 +411,9 @@ class BoundState:
 
     def one_sided(self, x, side: int):
         """(psi, psi') limit at x from the right (+1) or left (-1); leading axes
-        of pieces lead the result."""
+        of pieces lead the result, and kappa is a float or has those axes too."""
         x = np.asarray(x, dtype=float)
-        pts, k = self.points, self.kappa
+        pts, k = self.points, np.reshape(self.kappa, np.shape(self.kappa) + (1,) * x.ndim)
         idx = pts.searchsorted(x, side="right" if side > 0 else "left")
         ab = self.pieces[..., idx, :]
         # the clamps keep the tails' zero terms finite
@@ -442,49 +444,50 @@ class BoundState:
         return (tails[..., 0] + tails[..., 1]) / (2 * k[..., 0]) + gaps.sum(axis=-1)
 
 
-def _cluster_states(sys: PointSystem, kappas: list[float], first: int) -> list[BoundState]:
-    """One state per root of a cluster, from the orthonormal eigenvectors
-    first.. of T (pure delta') or H at the cluster's mean kappa: the one
-    builder of BoundState.
-
-    The eigenvalues must vanish relative to their scale: sum |beta| u^2 for
-    T, where at a root the two terms of u^T T u cancel, and max(1, ||H||)
-    for H, as at the threshold in _window.  Each state's residual is that of
-    its one-sided traces (BoundState.one_sided on the unscaled tables) in
-    the row-normalized condition blocks, one product over the stack.
-    Each state is then scaled so that its largest amplitude is 1, so its
-    norm cannot underflow, normalized at its own kappa and labelled by
-    _parities; the states are read-only views of one table.  Raises
-    DomainError when a root's energy -kappa^2 is not a finite float, or
-    when the eigenvalues vanish to their route's resolution but not to their scale.
-    """
-    mult, deepest = len(kappas), max(kappas)
-    if not math.isfinite(deepest * deepest):
-        raise _too_deep(sys, deepest)
-    kappa = float(np.mean(kappas))
+def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[BoundState]:
+    """Every state of a search, clusters of (kappa, j) by descending kappa:
+    the one builder of BoundState.  Per cluster, eigenvectors j.. of T (pure
+    delta') or H at its mean kappa give the tables; their eigenvalues must
+    vanish relative to sum |beta| u^2 for T, where the two terms of u^T T u
+    cancel at a root, or max(1, ||H||), as in _window.  Then once for all: the
+    residual of the one-sided traces in the row-normalized blocks, a scaling
+    to largest amplitude 1, so the norm cannot underflow, the norm at each
+    root and _parities.  The first failing cluster raises DomainError when
+    -kappa^2 is not a float or the eigenvalues vanish only to their route's
+    resolution, else NotAnEigenvalue."""
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
-    lam, scale, resolution, tables = route(sys, kappa, first, mult)
-    if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
-        worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
-        if worst <= resolution():
-            raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
-        raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
-                              f"scale {np.min(scale):.2e} at the {root}")
-    raw = BoundState(kappa, tables, sys.points, 0.0)
+    means, tables = [], []
+    for cluster in clusters:
+        kappas = [kappa for kappa, _ in cluster]
+        mult, deepest = len(kappas), max(kappas)
+        if not math.isfinite(deepest * deepest):
+            raise _too_deep(sys, deepest)
+        kappa = float(np.mean(kappas))
+        lam, scale, resolution, table = route(sys, kappa, min(j for _, j in cluster), mult)
+        if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
+            worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
+            if worst <= resolution():
+                raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
+            raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
+                                  f"scale {np.min(scale):.2e} at the {root}")
+        means += [kappa] * mult
+        tables.append(table)
+    roots, tables = [kappa for cluster in clusters for kappa, _ in cluster], np.concatenate(tables)
+    raw = BoundState(np.array(means), tables, sys.points, 0.0)
     (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
-    # (N, 4, mult): v+, v-, d+, d-, laid out state by state for the norms' summation order
+    # (N, 4, states): v+, v-, d+, d-, laid out state by state for the norms' summation order
     traces = np.ascontiguousarray(np.stack((vp, vm, dp, dm), axis=-1)).transpose(1, 2, 0)
     rows = sys._conditions
-    miss = np.einsum("kij,kjm->kim", rows, traces.reshape(len(rows), -1, mult))
+    miss = np.einsum("kij,kjm->kim", rows, traces.reshape(len(rows), -1, len(roots)))
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
-    flat = tables.reshape(mult, -1).astype(complex)
-    pieces = (flat / flat[np.arange(mult), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
-    pieces /= np.sqrt(BoundState(np.array(kappas), pieces, sys.points, 0.0).norm_squared())[:, None, None]
+    flat = tables.reshape(len(roots), -1).astype(complex)
+    pieces = (flat / flat[np.arange(len(roots)), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
+    pieces /= np.sqrt(BoundState(np.array(roots), pieces, sys.points, 0.0).norm_squared())[:, None, None]
     pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
     pieces.setflags(write=False)
     parities = _parities(sys.points, pieces)
-    return [BoundState(float(kj), pieces[j], sys.points, float(res[j]), parities[j])
-            for j, kj in enumerate(kappas)]
+    return [BoundState(kappa, pieces[i], sys.points, float(res[i]), parities[i])
+            for i, kappa in enumerate(roots)]
 
 
 def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
@@ -588,24 +591,35 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b] by Brent's method (Brent 1973, Algorithms for
-    Minimization Without Derivatives, ch. 4), step for step as scipy's C
-    brentq takes it, so every root keeps its bits: arguments and values are
-    Python floats, a sign is C's signbit (-0.0 is negative), and a zero
+    """A root of f in [a, b]: _brent_steps driven by one f; the first send starts it."""
+    steps, fx = _brent_steps(a, b, xtol, rtol, maxiter), None
+    while True:
+        try:
+            fx = f(steps.send(fx))
+        except StopIteration as done:
+            return done.value
+
+
+def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 100):
+    """Brent's method (Brent 1973, Algorithms for Minimization Without
+    Derivatives, ch. 4): yields each x, receives f(x), returns the root, step
+    for step as scipy's C brentq, so every root keeps its bits: x and f(x)
+    are Python floats, a sign is C's signbit (-0.0 is negative), and a zero
     divisor, inf or nan in C, fails the step test and bisects.
 
     Raises ValueError when f(a) and f(b) have one sign or f returns NaN,
     and RuntimeError after maxiter steps without convergence.
     """
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def value(x: float):
+        fx = float((yield x))
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x} is NaN; Brent's method cannot continue")
         return fx
 
     negative = lambda v: math.copysign(1.0, v) < 0.0
     xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = yield from value(xpre)
+    fcur = yield from value(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -642,24 +656,58 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = yield from value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
+def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float, int]]:
+    """(kappa, j), the root in [lo, hi] of each eigenvalue j of crossing, by one
+    _brent_steps per j in lockstep: a round evaluates every pending kappa in one
+    values(kappas, js) call.  As the counts prove a sign change, a one-sign bracket
+    means it lies below eps ||T|| or eps ||H||: a DomainError."""
+    steps = {j: _brent_steps(lo, hi, ROOT_XTOL, ROOT_RTOL) for j in crossing}
+    pending, roots = {j: next(s) for j, s in steps.items()}, []
+    while pending:
+        for j, fx in zip(list(pending), values(list(pending.values()), list(pending))):
+            try:
+                pending[j] = steps[j].send(fx)
+            except StopIteration as done:
+                roots.append((done.value, j))
+                del pending[j]
+            except ValueError:
+                if not math.prod(values([lo, hi], [j, j])) > 0:
+                    raise                       # not _brent_steps' one-sign bracket
+                raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies "
+                                  "below the resolution of the eigenvalue solver") from None
+    return roots
+
+
+def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict, dstebz) -> list:
+    """Eigenvalue js[i] at kappas[i]: of H, diagonalized once per kappa into ends, or
+    of T as kappa lambda_j, from one T build for all: linear in kappa for a lone point
+    (2 + kappa beta), which saves Brent steps, and a Python float, so inf, not a warning."""
+    if sys._betas is None:
+        ends.update((k, _eigenvalues(sys, k)) for k in set(kappas) - ends.keys())
+        return [ends[k][j] for k, j in zip(kappas, js)]
+    diag, off = _tridiagonal(sys, np.array(kappas)[:, None])
+    return [k * float(tridiagonal.eigenvalues(d, o, j, j, dstebz)[0])
+            for k, d, o, j in zip(kappas, diag, off, js)]
 
 
 def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
     """Every bound state, or those with kappa <= kappa_max (inf filters
     nothing), by descending kappa; states below NEAR_THRESHOLD are flagged.
 
-    Brent's method (_brent) finds each eigenvalue crossing of _window, of T
-    for a pure delta' system and of H otherwise, over a bracket that does not
-    depend on kappa_max: a capped search returns the roots of the uncapped
-    one that the count selects, bit for bit, and one of them may lie a few
-    ulps above kappa_max.  Roots closer than CLUSTER_RTOL (relative) form
-    a cluster whose states come from the orthonormal eigenvectors of the
-    same matrix at the cluster's mean kappa, so they are linearly
-    independent.  Exactly as many states as the count are returned: a
-    failed extraction raises NotAnEigenvalue, and a state whose matching
-    residual exceeds STATE_RESIDUAL_TOL is kept and reported via
+    Brent's method finds every eigenvalue crossing of _window, of T for a
+    pure delta' system and of H otherwise, all in lockstep (_lockstep), over a
+    bracket that does not depend on kappa_max: a capped search returns the
+    roots of the uncapped one that the count selects, bit for bit, and one of
+    them may lie a few ulps above kappa_max.  Roots closer than CLUSTER_RTOL
+    (relative) form a cluster whose states come from the orthonormal
+    eigenvectors of one matrix, so they are linearly independent; _states
+    builds every state in one pass.  Exactly as many states as the count are
+    returned: a failed extraction raises NotAnEigenvalue, and a state whose
+    matching residual exceeds STATE_RESIDUAL_TOL is kept and reported via
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
     Lagrangian, and DomainError when -kappa^2 is not a finite float or an
     eigenvalue lies below the solver's resolution eps ||T|| or eps ||H||.
@@ -671,43 +719,20 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         raise _too_deep(sys, hi)
     if not crossing:
         return []
-    if sys._betas is None:
-        # every root shares the bracket [0, hi]: H is diagonalized once per end
-        if hi not in ends:
-            ends[hi] = _eigenvalues(sys, hi)
-        value = lambda k, j: (ends[k] if k in ends else _eigenvalues(sys, k))[j]
-    else:
-        # kappa lambda_j has the sign of lambda_j and is linear in kappa
-        # for a lone point (2 + kappa beta), which saves Brent steps; a
-        # Python float product near the float limit overflows to inf, which
-        # keeps the sign, without numpy's overflow warning
+    dstebz = None
+    if sys._betas is not None:
         from scipy.linalg.lapack import dstebz
-        value = lambda k, j: float(k) * float(
-            tridiagonal.eigenvalues(*_tridiagonal(sys, k), j, j, dstebz)[0])
-    roots = []
-    for j in crossing:
-        try:
-            roots.append((_brent(lambda k: value(k, j), lo, hi, ROOT_XTOL, ROOT_RTOL), j))
-        except ValueError:
-            if not value(lo, j) * value(hi, j) > 0:
-                raise                           # not _brent's one-sign bracket
-            # the counts prove a sign change: it lies below eps ||T|| or eps ||H||
-            raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies below "
-                              "the resolution of the eigenvalue solver") from None
+    roots = _lockstep(lambda kappas, js: _values(sys, kappas, js, ends, dstebz), lo, hi, crossing)
     clusters = []
     for kappa, j in sorted(roots, reverse=True):
         if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:
             clusters[-1].append((kappa, j))
         else:
             clusters.append([(kappa, j)])
-    states = []
-    for cluster in clusters:
-        for st in _cluster_states(sys, [kappa for kappa, _ in cluster], min(j for _, j in cluster)):
-            if st.residual > STATE_RESIDUAL_TOL:
-                warnings.warn(
-                    f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse
-                )
-            states.append(st)
+    states = _states(sys, clusters)
+    for st in states:
+        if st.residual > STATE_RESIDUAL_TOL:
+            warnings.warn(f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse)
     return states
 
 

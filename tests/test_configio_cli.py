@@ -83,7 +83,8 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
 # step, so the solve imports scipy once and hands it in
-PER_KAPPA = {("line", "_tridiagonal"), ("line", "_brent"), ("tridiagonal", "negatives"),
+PER_KAPPA = {("line", "_tridiagonal"), ("line", "_brent"), ("line", "_brent_steps"),
+             ("line", "_lockstep"), ("line", "_values"), ("tridiagonal", "negatives"),
              ("tridiagonal", "eigenvalues")}
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, null_space
 from scipy.optimize import brentq
 
-from deltaprime import line, measures
+from deltaprime import line, measures, tridiagonal
 from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitNotSupported
 from deltaprime.interactions import (
     BoundaryTraces,
@@ -274,7 +274,7 @@ class TestCounting:
             raise AssertionError("count_negative extracted eigenfunctions")
 
         # one system on each route: T for pure delta', H for a global relation
-        monkeypatch.setattr(line, "_cluster_states", refuse)
+        monkeypatch.setattr(line, "_states", refuse)
         assert count_negative(delta_prime_system([0.0, 25.0], [-1.0, -1.0])) == 2
         assert count_negative(nonlocal_example()) == 1
         # the patch is live: a search extracts through it
@@ -339,7 +339,7 @@ class TestEigenfunction:
         # the builder refuses a kappa whose eigenvalue of T or H is not zero
         for kind in (Delta(-2.0), DeltaPrime(-1.0)):
             with pytest.raises(NotAnEigenvalue):
-                line._cluster_states(from_kinds([(0.0, kind)]), [1.5], 0)
+                line._states(from_kinds([(0.0, kind)]), [[(1.5, 0)]])
 
     def test_symmetric_systems_have_definite_parity(self):
         for beta in (-0.6, -1.7):
@@ -818,27 +818,43 @@ class TestCappedSearch:
 
 @pytest.fixture
 def twin_brent(monkeypatch):
-    """Runs scipy's brentq beside every _brent call of the package, on the
-    same f, bracket and tolerances: both must evaluate f at the same points
-    and return the same root, bit for bit.  Gives the list of roots compared."""
-    brent, roots = line._brent, []
+    """Replays every _brent_steps run of the package, the one-root _brent
+    and the lockstep search alike, into scipy's brentq on the same bracket
+    and tolerances: brentq must ask for the same points, in order, as the
+    generator yielded, and return the same root, bit for bit.  Gives the
+    list of roots compared."""
+    steps, roots = line._brent_steps, []
 
-    def twin(f, a, b, xtol, rtol, maxiter=100):
-        seen = [], []
-        want = brentq(lambda x: seen[0].append(float(x)) or f(x), a, b,
-                      xtol=xtol, rtol=rtol, maxiter=maxiter)
-        got = brent(lambda x: seen[1].append(x) or f(x), a, b, xtol, rtol, maxiter)
+    def twin(a, b, xtol, rtol, maxiter=100):
+        pairs, run = [], steps(a, b, xtol, rtol, maxiter)
+        x = next(run)
+        while True:
+            fx = yield x
+            pairs.append((x, fx))
+            try:
+                x = run.send(fx)
+            except StopIteration as done:
+                got = done.value
+                break
+        replay = iter(pairs)
+
+        def f(x):
+            want_x, fx = next(replay)
+            assert float(x).hex() == want_x.hex()
+            return fx
+
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        assert next(replay, None) is None
         assert type(got) is float and got.hex() == float(want).hex()
-        assert [x.hex() for x in seen[1]] == [x.hex() for x in seen[0]]
         roots.append(got)
         return got
 
-    monkeypatch.setattr(line, "_brent", twin)
+    monkeypatch.setattr(line, "_brent_steps", twin)
     return roots
 
 
 class TestBrent:
-    # _brent ports scipy's C brentq step for step, so the package's roots
+    # _brent_steps ports scipy's C brentq step for step, so the package's roots
     # keep their bits without importing scipy.optimize
 
     def test_delta_prime_sweeps_match_brentq(self, twin_brent):
@@ -896,3 +912,73 @@ class TestBrent:
             brentq(f, 0.0, 1.0, xtol=line.ROOT_XTOL, rtol=line.ROOT_RTOL, maxiter=maxiter)
         with pytest.raises(error, match=message):
             line._brent(f, 0.0, 1.0, line.ROOT_XTOL, line.ROOT_RTOL, maxiter)
+
+
+class TestLockstep:
+    # a search advances all its roots together, on one batched T(kappa) per
+    # round, and builds all its states in one pass: both keep the bits of the
+    # one-root runs and of the per-cluster builds
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=delta_prime_systems(),
+           kappas=st.lists(st.floats(1e-6, 1e6) | st.floats(1e6, 1e300), min_size=1, max_size=8))
+    def test_tridiagonal_rows_are_the_scalar_builds(self, case, kappas):
+        sys = delta_prime_system(*case)
+        diag, off = line._tridiagonal(sys, np.array(kappas)[:, None])
+        assert diag.shape == (len(kappas), sys.n_points) and off.shape == (len(kappas), sys.n_points - 1)
+        for kappa, d, o in zip(kappas, diag, off):
+            want_d, want_o = line._tridiagonal(sys, kappa)
+            assert d.tobytes() == want_d.tobytes() and o.tobytes() == want_o.tobytes()
+
+    @staticmethod
+    def systems(rng):
+        """Random delta' sweeps, a depth-5 Cantor bridge and H-route systems."""
+        out = []
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            pts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))))
+            out.append(delta_prime_system(pts, rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n)))
+        out.append(measures.atomic_to_point_system(measures.cantor_measure(5),
+                                                   measures.BetaFunction.constant(-1.0)))
+        # far-apart copies of one well: roots within CLUSTER_RTOL form clusters
+        out.append(delta_prime_system([0.0, 1.0, 40.0, 41.0], [-1.0] * 4))
+        out.append(delta_prime_system([-2.0, -1.0, 1.0, 2.0], [-0.7, -1.3, -1.3, -0.7]))
+        out.append(from_kinds([(0.0, Delta(-2.0)), (30.0, Delta(-2.0))]))
+        out.append(from_kinds([(-1.0, DeltaPrime(-1.5)), (0.0, Delta(-1.0)), (1.0, DeltaPrime(-1.5))]))
+        out.append(nonlocal_example())
+        return out
+
+    def test_roots_are_the_one_root_runs(self):
+        from scipy.linalg.lapack import dstebz
+        for sys in self.systems(np.random.default_rng(19)):
+            lo, hi, crossing, ends = line._window(sys, None)
+            if sys.delta_prime_betas() is None:
+                value = lambda k, j: line._eigenvalues(sys, k)[j]
+            else:
+                value = lambda k, j: float(k) * float(
+                    tridiagonal.eigenvalues(*line._tridiagonal(sys, k), j, j, dstebz)[0])
+            want = sorted((line._brent(lambda k: value(k, j), lo, hi, line.ROOT_XTOL, line.ROOT_RTOL), j)
+                          for j in crossing)
+            got = line._lockstep(lambda ks, js: line._values(sys, ks, js, ends, dstebz), lo, hi, crossing)
+            assert [(k.hex(), j) for k, j in sorted(got)] == [(k.hex(), j) for k, j in want]
+            kappas = [s.kappa for s in find_bound_states(sys)]
+            assert [k.hex() for k in kappas] == [k.hex() for k, _ in reversed(want)]
+
+    def test_states_of_all_clusters_are_those_of_each_alone(self, monkeypatch):
+        builder, seen = line._states, []
+        monkeypatch.setattr(line, "_states", lambda sys, clusters: seen.append(clusters) or
+                            builder(sys, clusters))
+        multiple = 0
+        for sys in self.systems(np.random.default_rng(20)):
+            seen.clear()
+            together = find_bound_states(sys)
+            if not together:
+                continue
+            (clusters,) = seen
+            alone = [s for cluster in clusters for s in builder(sys, [cluster])]
+            multiple += sum(len(cluster) > 1 for cluster in clusters)
+            assert len(together) == len(alone)
+            for a, b in zip(together, alone):
+                assert a.kappa.hex() == b.kappa.hex() and a.parity == b.parity
+                assert a.pieces.shape == b.pieces.shape and a.pieces.tobytes() == b.pieces.tobytes()
+        assert multiple >= 2

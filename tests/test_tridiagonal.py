@@ -49,13 +49,23 @@ class TestNegatives:
 
 class TestEigenvalues:
     @settings(max_examples=300, deadline=None)
-    @given(t=st.one_of(integer_tridiagonals(), float_tridiagonals()), data=st.data())
-    def test_bit_identical_to_eigh_tridiagonal(self, t, data):
+    @given(t=st.one_of(integer_tridiagonals(), float_tridiagonals()),
+           picks=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    # dstebz fails to converge (info=2) on eigenvalue 4 of this integer matrix
+    @example(t=(np.array([0.0, 2.0, 2.0, -2.0, 0.0, -2.0]), np.array([0.0, 0.0, 2.0, 0.0, 1.0])),
+             picks=(4, 4))
+    def test_bit_identical_to_eigh_tridiagonal(self, t, picks):
         # the contract that keeps the digits the measure golden files pin
         diag, off = t
-        first = data.draw(st.integers(0, diag.size - 1))
-        last = data.draw(st.integers(first, diag.size - 1))
-        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(first, last))
+        first, last = sorted(min(p, diag.size - 1) for p in picks)
+        try:
+            want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                    select_range=(first, last))
+        except np.linalg.LinAlgError:
+            # dstebz failed: so must the direct call
+            with pytest.raises(np.linalg.LinAlgError):
+                tridiagonal.eigenvalues(diag, off, first, last, dstebz)
+            return
         got = tridiagonal.eigenvalues(diag, off, first, last, dstebz)
         assert got.tobytes() == want.tobytes()
 
