@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:   # invalid arguments rejected by the library
+    except (ValueError, OSError) as exc:   # invalid arguments, or a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -497,9 +497,8 @@ def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tupl
     continuous, so psi'/kappa is the decaying solution with value -u/kappa on
     both sides of every point, whose decay column flips sign as the derivative
     of a decaying exponential."""
-    from scipy.linalg.lapack import dstebz, dstein
     diag, off = _tridiagonal(sys, kappa)
-    lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1, dstebz, dstein)
+    lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1)
     d = -u / kappa
     tables = _anchored(sys.points, kappa, d, d)
     tables[:, 1:, 1] *= -1.0
@@ -682,7 +681,7 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
     return roots
 
 
-def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict, dstebz) -> list:
+def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict) -> list:
     """Eigenvalue js[i] at kappas[i]: of H, diagonalized once per kappa into ends, or
     of T as kappa lambda_j, from one T build for all: linear in kappa for a lone point
     (2 + kappa beta), which saves Brent steps, and a Python float, so inf, not a warning."""
@@ -690,7 +689,7 @@ def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict, ds
         ends.update((k, _eigenvalues(sys, k)) for k in set(kappas) - ends.keys())
         return [ends[k][j] for k, j in zip(kappas, js)]
     diag, off = _tridiagonal(sys, np.array(kappas)[:, None])
-    return [k * float(tridiagonal.eigenvalues(d, o, j, j, dstebz)[0])
+    return [k * float(tridiagonal.eigenvalues(d, o, j, j)[0])
             for k, d, o, j in zip(kappas, diag, off, js)]
 
 
@@ -711,18 +710,15 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
     Lagrangian, and DomainError when -kappa^2 is not a finite float or an
     eigenvalue lies below the solver's resolution eps ||T|| or eps ||H||.
-    The H route runs on numpy alone; the delta' route loads scipy.linalg
-    for LAPACK's bisection and inverse iteration, once per search.
+    The H route runs on numpy alone; the delta' route runs LAPACK's
+    bisection and inverse iteration through the tridiagonal core's handle.
     """
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
         raise _too_deep(sys, hi)
     if not crossing:
         return []
-    dstebz = None
-    if sys._betas is not None:
-        from scipy.linalg.lapack import dstebz
-    roots = _lockstep(lambda kappas, js: _values(sys, kappas, js, ends, dstebz), lo, hi, crossing)
+    roots = _lockstep(lambda kappas, js: _values(sys, kappas, js, ends), lo, hi, crossing)
     clusters = []
     for kappa, j in sorted(roots, reverse=True):
         if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:

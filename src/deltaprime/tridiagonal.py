@@ -3,16 +3,20 @@ eigenvalues and eigenvectors by index and their resolution, for the delta'
 T(kappa) of line and the Nystrom inverse of measures, which each build their own.
 
 Counts are Sylvester inertia; eigenvalues are LAPACK's Sturm bisection,
-dstebz, and eigenvectors its inverse iteration, dstein, which the caller
-imports once per solve and passes in, since these run once per kappa or
-cluster and this module imports no scipy.
+dstebz, and eigenvectors its inverse iteration, dstein, through _lapack, the
+one handle to scipy's compiled LAPACK, so no caller imports scipy.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
+
+_LAPACK = None   # scipy's compiled LAPACK extension, once _lapack has loaded it
 
 
 def negatives(diag: np.ndarray, off: np.ndarray) -> int:
@@ -27,37 +31,55 @@ def negatives(diag: np.ndarray, off: np.ndarray) -> int:
     return count
 
 
-def eigenvalues(diag: np.ndarray, off: np.ndarray, first: int, last: int, dstebz) -> np.ndarray:
+def eigenvalues(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
     """Ordered eigenvalues first..last (from 0, inclusive) by dstebz, called as scipy's
     tridiagonal eigensolver calls it for values by index, so with the same digits, but
     without the input checks that cost more than the bisection on a few points."""
     if diag.size == 1:
         return diag.copy()                      # dstebz takes no empty off
-    return _bisect(diag, off, first, last, dstebz, "E")[0]
+    return _bisect(diag, off, first, last, "E")[0]
 
 
-def eigenvectors(diag: np.ndarray, off: np.ndarray, first: int, last: int, dstebz,
-                 dstein) -> tuple[np.ndarray, np.ndarray]:
+def eigenvectors(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered eigenvalues first..last and their orthonormal eigenvectors as columns,
     by dstebz in block order, dstein and a sort, as scipy's tridiagonal eigensolver
     computes them for vectors by index, so with the same digits and without its checks."""
     if diag.size == 1:
         return diag.copy(), np.ones((1, 1))
-    w, iblock, isplit = _bisect(diag, off, first, last, dstebz, "B")
-    v, info = dstein(diag, off, w, iblock, isplit)
+    w, iblock, isplit = _bisect(diag, off, first, last, "B")
+    v, info = _lapack().dstein(diag, off, w, iblock, isplit)
     if info:
         raise np.linalg.LinAlgError(f"inverse iteration on T failed (LAPACK info={info})")
     order = np.argsort(w)
     return w[order], v[:, order]
 
 
-def _bisect(diag, off, first, last, dstebz, order: str):
+def _bisect(diag, off, first, last, order: str):
     """dstebz's eigenvalues first..last in `order` ("E" sorted, "B" by block), with
     the block and split indices dstein reads."""
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, order)
+    m, w, iblock, isplit, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, order)
     if info:
         raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
     return w[:m], iblock, isplit
+
+
+def _lapack():
+    """scipy's compiled LAPACK, scipy/linalg/_flapack, loaded once from its file after
+    the top-level scipy init, which sets up the bundled libraries, so scipy.linalg's
+    package init never runs.  The handle stays out of sys.modules and scipy's namespace,
+    so scipy.linalg inits its own copy.  Relies on scipy's file layout, checked on 1.17.1."""
+    global _LAPACK
+    if _LAPACK is None:
+        import scipy
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = PathFinder.find_spec("_flapack", [where])
+        if spec is None:
+            raise ImportError(f"no compiled LAPACK extension _flapack in {where}")
+        module = module_from_spec(spec)
+        sys.modules.pop(spec.name, None)        # where CPython enters a single-phase extension
+        spec.loader.exec_module(module)
+        _LAPACK = module
+    return _LAPACK
 
 
 def resolution(diag: np.ndarray, off: np.ndarray) -> float:

@@ -80,12 +80,15 @@ values = -1.0 2.0
 SRC = Path(__file__).parent.parent / "src"
 # the expression a fresh interpreter prints to say whether any scipy module loaded
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+# modules the scipy.linalg package init loads and a LAPACK solve must not
+LAPACK_SKIPS = ("scipy.linalg", "scipy.optimize", "scipy._lib._array_api", "numpy.f2py",
+                "numpy.testing")
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
-# step, so the solve imports scipy once and hands it in
+# step, so LAPACK is read from the handle tridiagonal._lapack loads once
 PER_KAPPA = {("line", "_tridiagonal"), ("line", "_brent"), ("line", "_brent_steps"),
              ("line", "_lockstep"), ("line", "_values"), ("tridiagonal", "negatives"),
-             ("tridiagonal", "eigenvalues")}
+             ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
 
 
 def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
@@ -99,6 +102,18 @@ def imports_scipy(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(a.name.split(".")[0] == "scipy" for a in node.names)
     return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def importers(package: str) -> list[str]:
+    """file:line of every import of `package` or a module in it in src/deltaprime."""
+    found = []
+    for path in sorted((SRC / "deltaprime").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in n.names] if isinstance(n, ast.Import) else (
+                [f"{n.module}.{a.name}" for a in n.names] if isinstance(n, ast.ImportFrom) else [])
+            found += [f"{path.name}:{n.lineno}" for name in names
+                      if name == package or name.startswith(package + ".")]
+    return found
 
 
 def module_scope(node: ast.AST):
@@ -385,6 +400,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["spectrum", "--system", "{missing}/pair.ini"], id="system"),
+        pytest.param(["measure", "--measure", "{missing}/cantor.ini"], id="measure"),
+        pytest.param(["measure", "--atoms", "0:1", "--grids", "512,1024",
+                      "--out", "{missing}/x.csv"], id="out"),
+    ])
+    def test_unopenable_file_exit_two(self, capsys, tmp_path, argv):
+        # an input file or --out that cannot be opened is a usage error, not a traceback
+        missing = tmp_path / "missing"
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and "No such file" in err
+
     @pytest.mark.parametrize("argv, option, token", [
         pytest.param(["measure", "--atoms", "0:1,x:1"], "--atoms", "x:1", id="atoms"),
         pytest.param(["measure", "--atoms", "0:1", "--beta-values", "x"], "--beta-values", "x",
@@ -435,6 +463,8 @@ class TestCli:
         pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1", False, id="deficiency"),
         # positive control: LAPACK bisection finds the pair's states
         pytest.param("spectrum --builtin delta-prime-pair --beta -1", True, id="spectrum"),
+        # positive control: LAPACK bisection finds the Nystrom eigenvalues
+        pytest.param("measure --cantor-depth 3 --beta -1 --grids 512,1024,2048", True, id="measure"),
         # H-route states come from numpy's eigh and the package's Brent
         pytest.param("spectrum --builtin nonlocal-example", False, id="spectrum-nonlocal"),
     ])
@@ -445,24 +475,25 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads_scipy)
 
-    def test_delta_prime_spectrum_loads_lapack_not_optimize(self):
-        code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
-                "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules); "
+    def test_lapack_solves_load_the_core_handle_alone(self):
+        # the handle is loaded (LAPACK ran), and none of the package inits it skips
+        code = ("import sys; from deltaprime.cli import main; from deltaprime import tridiagonal; "
+                "status = main(sys.argv[1:]); "
+                f"print(tridiagonal._LAPACK is not None, [m for m in {LAPACK_SKIPS} if m in sys.modules]); "
                 "sys.exit(status)")
-        proc = fresh_python("-c", code, "spectrum", "--builtin", "delta-prime-pair", "--beta", "-1")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "True False"
+        for argv in ("spectrum --builtin delta-prime-pair --beta -1",
+                     "measure --cantor-depth 3 --beta -1 --grids 512,1024,2048"):
+            proc = fresh_python("-c", code, *argv.split())
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "True []", argv
+
+    def test_no_module_imports_scipy_linalg(self):
+        # LAPACK comes from tridiagonal._lapack, which loads the extension by its file
+        assert importers("scipy.linalg") == []
 
     def test_no_module_imports_scipy_optimize(self):
         # Brent's method is line._brent: root finding needs no scipy
-        found = []
-        for path in sorted((SRC / "deltaprime").glob("*.py")):
-            for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                names = [a.name for a in n.names] if isinstance(n, ast.Import) else (
-                    [f"{n.module}.{a.name}" for a in n.names] if isinstance(n, ast.ImportFrom) else [])
-                found += [f"{path.name}:{n.lineno}" for name in names
-                          if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
-        assert found == []
+        assert importers("scipy.optimize") == []
 
     def test_scipy_imports_sit_in_solves_not_per_kappa(self):
         module_level, per_kappa, seen = [], [], set()

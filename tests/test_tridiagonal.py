@@ -1,14 +1,17 @@
 """The tridiagonal core against LAPACK: the count, eigenvalues and eigenvectors by
-index, the resolution."""
+index, the resolution, and the core's own handle to scipy's compiled LAPACK."""
+
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz, dstein
 
 from deltaprime import tridiagonal
+from test_configio_cli import fresh_python
 
 
 @st.composite
@@ -64,9 +67,9 @@ class TestEigenvalues:
         except np.linalg.LinAlgError:
             # dstebz failed: so must the direct call
             with pytest.raises(np.linalg.LinAlgError):
-                tridiagonal.eigenvalues(diag, off, first, last, dstebz)
+                tridiagonal.eigenvalues(diag, off, first, last)
             return
-        got = tridiagonal.eigenvalues(diag, off, first, last, dstebz)
+        got = tridiagonal.eigenvalues(diag, off, first, last)
         assert got.tobytes() == want.tobytes()
 
 
@@ -83,9 +86,9 @@ class TestEigenvectors:
         except np.linalg.LinAlgError:
             # dstebz or dstein failed: so must the direct calls
             with pytest.raises(np.linalg.LinAlgError):
-                tridiagonal.eigenvectors(diag, off, first, last, dstebz, dstein)
+                tridiagonal.eigenvectors(diag, off, first, last)
             return
-        got = tridiagonal.eigenvectors(diag, off, first, last, dstebz, dstein)
+        got = tridiagonal.eigenvectors(diag, off, first, last)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -97,3 +100,54 @@ class TestResolution:
         diag, off = t
         radius = np.abs(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))).max()
         assert tridiagonal.resolution(diag, off) >= np.finfo(float).eps * radius
+
+
+# a fresh interpreter: a delta' solve loads the core's handle, then scipy.linalg
+# inits its own copy of the extension, and the two give the same bytes
+REVERSE_ORDER = """
+import sys
+import numpy as np
+from deltaprime import tridiagonal
+from deltaprime.line import delta_prime_system, find_bound_states
+assert len(find_bound_states(delta_prime_system([0.0, 1.0], [-1.0, -1.0]))) == 2
+assert tridiagonal._LAPACK is not None and 'scipy.linalg' not in sys.modules
+from scipy.linalg import eigh_tridiagonal
+rng = np.random.default_rng(20)
+for n in (2, 3, 8, 33, 200):
+    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    first, last = sorted(rng.integers(0, n, 2).tolist())
+    want = eigh_tridiagonal(diag, off, select='i', select_range=(first, last))
+    got = tridiagonal.eigenvectors(diag, off, first, last)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), n
+    want = eigh_tridiagonal(diag, off, eigvals_only=True, select='i', select_range=(first, last))
+    assert tridiagonal.eigenvalues(diag, off, first, last).tobytes() == want.tobytes(), n
+print('same bytes')
+"""
+
+
+class TestLapackHandle:
+    def test_loaded_once_apart_from_scipy_linalg_and_sys_modules(self):
+        handle = tridiagonal._lapack()
+        assert handle is tridiagonal._lapack()          # loaded once, then kept
+        assert handle is not scipy.linalg.lapack._flapack
+        assert all(m is not handle for m in list(sys.modules.values()))
+
+    def test_dstebz_and_dstein_bytes_match_scipy_linalg_lapack(self):
+        handle, rng = tridiagonal._lapack(), np.random.default_rng(20)
+        as_bytes = lambda outputs: [np.asarray(o).tobytes() for o in outputs]
+        for n in (2, 3, 8, 33, 200):
+            diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+            off[rng.integers(0, n - 1)] = 0.0           # a split, so dstein sees two blocks
+            first, last = sorted(rng.integers(1, n + 1, 2).tolist())
+            for order in ("E", "B"):
+                args = (diag, off, 2, 0.0, 0.0, first, last, 0.0, order)
+                got = handle.dstebz(*args)
+                assert as_bytes(got) == as_bytes(scipy.linalg.lapack.dstebz(*args))
+            m, w, iblock, isplit, _ = got
+            args = (diag, off, w[:m], iblock, isplit)
+            assert as_bytes(handle.dstein(*args)) == as_bytes(scipy.linalg.lapack.dstein(*args))
+
+    def test_reverse_import_order_gives_the_same_bytes(self):
+        proc = fresh_python("-c", REVERSE_ORDER)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "same bytes"
