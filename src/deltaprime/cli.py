@@ -11,8 +11,8 @@ usage/schema error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,6 @@ from .measures import (
 from .transfer import FAMILY_5D_PRESETS, LIMIT, family_3d, family_4d, family_5d, limit_diagnose
 
 
-def _out_stream(path: str | None):
-    return open(path, "w") if path else nullcontext(sys.stdout)
-
-
 def _comma_list(text: str, option: str, parse=float, what: str = "numbers") -> list:
     """The entries of a comma-list option, each read by parse; a SchemaError
     names the option and the first entry parse rejects."""
@@ -68,17 +64,17 @@ def _atom(tok: str) -> tuple[float, float]:
     return float(position), float(weight)
 
 
-def _print_matrix(m: np.ndarray, label: str) -> None:
-    print(label)
+def _print_matrix(m: np.ndarray, label: str, out) -> None:
+    print(label, file=out)
     for row in np.asarray(m):
-        print("   " + "  ".join(f"{fmt(v):>24s}" for v in row))
+        print("   " + "  ".join(f"{fmt(v):>24s}" for v in row), file=out)
 
 
 # ---------------------------------------------------------------------------
 # interactions
 # ---------------------------------------------------------------------------
 
-def cmd_interactions(args) -> int:
+def cmd_interactions(args, out) -> None:
     # --gamma may repeat (compose); every other action reads the first value
     args.gamma = args.gamma_list[0] if args.gamma_list else None
     if args.action == "lambda":
@@ -88,13 +84,13 @@ def cmd_interactions(args) -> int:
         val = getattr(args, pname)
         if val is None:
             raise SchemaError(f"kind {args.kind} needs --{pname}")
-        _print_matrix(lambda_of(ctor(val)).entries, f"Lambda[{args.kind}]")
+        _print_matrix(lambda_of(ctor(val)).entries, f"Lambda[{args.kind}]", out)
     elif args.action == "b-to-lambda":
         b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
-        _print_matrix(b_to_lambda(b).entries, "Lambda[B]")
+        _print_matrix(b_to_lambda(b).entries, "Lambda[B]", out)
     elif args.action == "unitary":
         b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
-        _print_matrix(b_to_unitary(b), "U_hat[B] = (B-i)^(-1)(B+i)")
+        _print_matrix(b_to_unitary(b), "U_hat[B] = (B-i)^(-1)(B+i)", out)
     elif args.action == "compose":
         vals = args.gamma_list or []
         if len(vals) < 2:
@@ -102,20 +98,19 @@ def cmd_interactions(args) -> int:
         total = vals[0]
         for g in vals[1:]:
             total = gamma_compose(total, g)
-        print(f"gamma = {fmt(total)}")
+        print(f"gamma = {fmt(total)}", file=out)
     else:   # characteristic: argparse admits no other action
         if args.gamma is None:
             raise SchemaError("characteristic needs --gamma")
         c = gamma_to_characteristic(args.gamma)
-        print(f"xi = {fmt(c.xi)}  s = {c.s:+d}")
-    return 0
+        print(f"xi = {fmt(c.xi)}  s = {c.s:+d}", file=out)
 
 
 # ---------------------------------------------------------------------------
 # approx
 # ---------------------------------------------------------------------------
 
-def cmd_approx(args) -> int:
+def cmd_approx(args, out) -> None:
     if not args.eps_ratio > 1:
         raise SchemaError("--eps-ratio must be greater than 1")
     eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
@@ -148,9 +143,7 @@ def cmd_approx(args) -> int:
         ])
     else:
         rows.append(["classification", report.classification, "", "", ""])
-    with _out_stream(args.out) as s:
-        write_csv(s, ["eps", "m11", "m12", "m21", "m22"], rows, config)
-    return 0
+    write_csv(out, ["eps", "m11", "m12", "m21", "m22"], rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def _build_system(args):
     raise SchemaError("give --builtin or --system FILE")
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, out) -> None:
     sys_, config = _build_system(args)
     config["kappa_max"] = args.kappa_max
     states = find_bound_states(sys_, args.kappa_max)
@@ -177,10 +170,7 @@ def cmd_spectrum(args) -> int:
         [st.kappa, st.energy, st.parity, st.residual, st.near_threshold]
         for st in states
     ]
-    with _out_stream(args.out) as s:
-        write_csv(s, ["kappa", "energy", "parity", "residual", "near_threshold"],
-                  rows, config)
-    return 0
+    write_csv(out, ["kappa", "energy", "parity", "residual", "near_threshold"], rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def _build_measure(args):
     return mu, beta, config
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args, out) -> None:
     mu, beta, config = _build_measure(args)
     grids = _comma_list(args.grids, "--grids", int, "integers")
     rows = []
@@ -224,17 +214,14 @@ def cmd_measure(args) -> int:
             + list(res.eigenvalues)
         )
     config.update({"grids": args.grids, "box_margin": list(args.box_margin)})
-    with _out_stream(args.out) as s:
-        write_csv(s, ["box_margin", "n", "stage", "count_negative", "eigenvalues..."],
-                  rows, config)
-    return 0
+    write_csv(out, ["box_margin", "n", "stage", "count_negative", "eigenvalues..."], rows, config)
 
 
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, out) -> None:
     out_lines = [f"# deltaprime {__version__}"]
     if args.random_trials is not None:
         if args.random_trials < 1:
@@ -286,16 +273,14 @@ def cmd_certify(args) -> int:
                           f"bound = {fmt(b)}"]
     else:
         raise SchemaError("give --positions/--betas, --cantor-depth, or --random-trials")
-    with _out_stream(args.out) as s:
-        s.write("\n".join(out_lines) + "\n")
-    return 0
+    out.write("\n".join(out_lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # deficiency
 # ---------------------------------------------------------------------------
 
-def cmd_deficiency(args) -> int:
+def cmd_deficiency(args, out) -> None:
     z = complex(args.z)
     pts = _comma_list(args.points, "--points")
     drop = _comma_list(args.drop_prime_at, "--drop-prime-at") if args.drop_prime_at else []
@@ -308,10 +293,8 @@ def cmd_deficiency(args) -> int:
             fmt(df.e_functional(e)),
         ])
     config = {"points": args.points, "z": fmt(z), "drop_prime_at": args.drop_prime_at or ""}
-    with _out_stream(args.out) as s:
-        write_csv(s, ["kind", "point", "mass", "e_functional"], rows, config)
-        s.write(f"# gram_rank = {rank} (family size {len(fam)})\n")
-    return 0
+    write_csv(out, ["kind", "point", "mass", "e_functional"], rows, config)
+    out.write(f"# gram_rank = {rank} (family size {len(fam)})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  Its report goes to --out or stdout once it has
+    returned: --out is checked for writing first, without truncating it, so
+    a path that cannot be written fails before the solve and a failed
+    command leaves an existing --out as it was."""
+    args = build_parser().parse_args(argv)
+    path, report = getattr(args, "out", None), io.StringIO()
     try:
-        return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if path:
+            open(path, "a").close()
+        args.func(args, report)
+        if path:
+            Path(path).write_text(report.getvalue())
+        else:
+            sys.stdout.write(report.getvalue())
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:   # invalid arguments, or a file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

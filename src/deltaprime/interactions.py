@@ -323,16 +323,29 @@ def normalize_eta(eta: float) -> float:
 # unitary charts of Lagrangian planes
 # ---------------------------------------------------------------------------
 #
-# Two Darboux charts are in use:
-#   plain:  Gamma1 = (d+, -d-),          Gamma2 = (v+, v-)
-#   hatted: Ghat1  = (dpsi_s, psi_s),    Ghat2  = (psi_r, -dpsi_r)
+# A Darboux chart is one constant 4x4 matrix taking the traces
+# (v+, v-, d+, d-) to the stacked coordinates (G1; G2):
+#   plain:  G1 = (d+, -d-),          G2 = (v+, v-)
+#   hatted: G1 = (dpsi_s, psi_s),    G2 = (psi_r, -dpsi_r)
 # Each parametrizes self-adjoint planes via the Cayley condition
-#   G1 + i G2 = U (G1 - i G2).
-# The charts describe the same plane, so U and U_hat are linked by the
-# explicit linear change of trace coordinates below, which is fully
-# determined by the chart definitions.
+#   G1 + i G2 = U (G1 - i G2),
+# whose plane is spanned by the columns G1 = (U + I)/2, G2 = (U - I)/2i.
+# So every conversion is traces -> chart -> Cayley unitary, and
+# unitary -> chart -> traces is its one inverse.
 
-def _cayley_from_columns(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+_PLAIN = np.array([[0.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 0.0, -1.0],
+                   [1.0, 0.0, 0.0, 0.0],
+                   [0.0, 1.0, 0.0, 0.0]])
+_HATTED = np.array([[0.0, 0.0, 1.0, -1.0],
+                    [1.0, -1.0, 0.0, 0.0],
+                    [0.5, 0.5, 0.0, 0.0],
+                    [0.0, 0.0, -0.5, -0.5]])
+
+
+def _cayley_from_columns(chart: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Cayley unitary, in chart, of the plane spanned by the columns of traces."""
+    g1, g2 = np.split(chart @ traces, 2)
     num = g1 + 1j * g2
     den = g1 - 1j * g2
     if abs(np.linalg.det(den)) < 1e-13 * max(1.0, np.abs(den).max() ** 2):
@@ -340,29 +353,17 @@ def _cayley_from_columns(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return num @ np.linalg.inv(den)
 
 
-def _plane_basis_from_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of (G1, G2) spanning the plane parametrized by u."""
-    u = np.asarray(u, dtype=complex)
-    g1 = 0.5 * (u + np.eye(2))
-    g2 = (u - np.eye(2)) / 2j
-    return g1, g2
-
-
-def _traces_from_plain(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Stack (v+, v-, d+, d-) rows from plain-chart basis columns."""
-    return np.vstack([g2[0], g2[1], g1[0], -g1[1]])
+def _traces(chart: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Columns (v+, v-, d+, d-) spanning the plane of the unitary u of chart."""
+    eye = np.eye(2)
+    return np.linalg.inv(chart) @ np.vstack([0.5 * (u + eye), (u - eye) / 2j])
 
 
 def unitary_of_lambda(lam: TransmissionMatrix) -> np.ndarray:
     """Plain-chart Cayley unitary of a transmission-matrix plane."""
-    m = lam.entries
     # basis: (v-, d-) = e1, e2; (v+, d+) = Lambda columns
-    v_plus, d_plus = m[0], m[1]
-    v_minus = np.array([1.0, 0.0], dtype=complex)
-    d_minus = np.array([0.0, 1.0], dtype=complex)
-    g1 = np.vstack([d_plus, -d_minus])
-    g2 = np.vstack([v_plus, v_minus])
-    return _cayley_from_columns(g1, g2)
+    m = lam.entries
+    return _cayley_from_columns(_PLAIN, np.vstack([m[0], [1.0, 0.0], m[1], [0.0, 1.0]]))
 
 
 def split_unitary(kind: Split) -> np.ndarray:
@@ -375,26 +376,12 @@ def split_unitary(kind: Split) -> np.ndarray:
 def u_hat_from_u(u: np.ndarray) -> np.ndarray:
     """Re-express a plain-chart unitary in the jump/mean chart.
 
-    The plane is reconstructed from u, its traces are converted to
-    (Ghat1, Ghat2) coordinates, and the hatted Cayley unitary is solved
-    for.  Raises PlaneNotGraph if the transformed plane is numerically
-    not a unitary graph (cannot happen for genuine Lagrangian planes).
+    Raises PlaneNotGraph if the plane of u is numerically not a unitary
+    graph in the hatted chart (cannot happen for genuine Lagrangian planes).
     """
-    g1, g2 = _plane_basis_from_unitary(u)
-    t = _traces_from_plain(g1, g2)
-    v_p, v_m, d_p, d_m = t
-    ghat1 = np.vstack([d_p - d_m, v_p - v_m])
-    ghat2 = np.vstack([0.5 * (v_p + v_m), -0.5 * (d_p + d_m)])
-    return _cayley_from_columns(ghat1, ghat2)
+    return _cayley_from_columns(_HATTED, _traces(_PLAIN, u))
 
 
 def u_from_u_hat(u_hat: np.ndarray) -> np.ndarray:
     """Inverse of u_hat_from_u."""
-    h1, h2 = _plane_basis_from_unitary(u_hat)
-    dpsi_s, psi_s = h1[0], h1[1]
-    psi_r, dpsi_r = h2[0], -h2[1]
-    v_p, v_m = psi_r + 0.5 * psi_s, psi_r - 0.5 * psi_s
-    d_p, d_m = dpsi_r + 0.5 * dpsi_s, dpsi_r - 0.5 * dpsi_s
-    g1 = np.vstack([d_p, -d_m])
-    g2 = np.vstack([v_p, v_m])
-    return _cayley_from_columns(g1, g2)
+    return _cayley_from_columns(_PLAIN, _traces(_HATTED, u_hat))

@@ -59,7 +59,8 @@ On both routes all roots of a search advance together, one Brent step of
 each per round, and the delta' route builds T once per round.  The states
 of a search are built in one pass: an eigen-solve per cluster of roots,
 whose orthonormal eigenvectors give independent states, then the traces
-(BoundState.one_sided), residuals, norms and parities of all at once.  A
+(read off the piece tables with the gap rates r = e^{-kappa g} of the gap
+solve), residuals, norms and parities of all at once.  A
 state is its kappa and one piece table, the (a, b) of every piece; its
 parity on mirror-symmetric points is read off that table, which the
 reflection reverses in both axes.
@@ -299,6 +300,15 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 # Krein-Weyl counting function
 # ---------------------------------------------------------------------------
 
+def _gaps(points: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """r = e^{-kappa g} and 1 - r^2 for every gap g of points, the latter
+    accurate for small kappa g; kappa is a float or a column of floats."""
+    g = points[1:] - points[:-1]
+    # the cap changes no value (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
+    kg = np.minimum(kappa, 1e3 / g) * g
+    return np.exp(-kg), -np.expm1(-2.0 * kg)
+
+
 def _krein(sys: PointSystem, kappa: float) -> np.ndarray:
     """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0."""
     x, xy, defect, _ = sys._plane
@@ -306,14 +316,12 @@ def _krein(sys: PointSystem, kappa: float) -> np.ndarray:
         raise NotSelfAdjoint(
             f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
         )
-    g = np.diff(sys.points)
     if kappa == 0:
-        kcoth = kcsch = 1.0 / g                       # the limits of kappa coth, kappa csch
+        kcoth = kcsch = 1.0 / np.diff(sys.points)     # the limits of kappa coth, kappa csch
     else:
-        e = np.exp(-kappa * g)
-        den = -np.expm1(-2.0 * kappa * g)
-        coth, csch = (1.0 + e * e) / den, 2.0 * e / den   # of kappa g, finite for large kappa g
-        kcoth, kcsch = kappa * coth, kappa * csch
+        r, den = _gaps(sys.points, kappa)
+        # coth and csch of kappa g, finite for large kappa g
+        kcoth, kcsch = kappa * ((1.0 + r * r) / den), kappa * (2.0 * r / den)
     # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
     m = np.full(x.shape[0], -kappa)
     m[0:-2:2] = m[3::2] = -kcoth
@@ -335,13 +343,10 @@ def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
 def _tridiagonal(sys: PointSystem, kappa) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
     E_ij = e^{-kappa |x_i - x_j|}; a column of kappa gives the rows of each."""
-    g = sys.points[1:] - sys.points[:-1]
-    # the cap changes no entry (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
-    kg = np.minimum(kappa, 1e3 / g) * g
-    r = np.exp(-kg)
-    t = r / -np.expm1(-2.0 * kg)                # r / (1 - r^2), finite for small kappa g
+    r, den = _gaps(sys.points, kappa)
+    t = r / den                                 # r / (1 - r^2), finite for small kappa g
     s = r * t                                   # 1/(1 - r^2) - 1
-    diag = np.ones(kg.shape[:-1] + (sys.n_points,))
+    diag = np.ones(r.shape[:-1] + (sys.n_points,))
     diag[..., :-1] += s
     diag[..., 1:] += s
     return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
@@ -379,7 +384,8 @@ class BoundState:
     pieces, shape S + (N+1, 2), holds on piece i the (a, b) of
     psi = a e^{kappa(x - hi)} + b e^{-kappa(x - lo)}, lo and hi the piece's
     end points; the left tail's b and the right tail's a are 0.  Leading
-    axes S carry the states of one cluster.
+    axes S serve only norm_squared, which normalizes the states of a search
+    at once; every other method reads one state.
     """
 
     kappa: float
@@ -410,12 +416,11 @@ class BoundState:
         return self.pieces[..., 1:-1, :]
 
     def one_sided(self, x, side: int):
-        """(psi, psi') limit at x from the right (+1) or left (-1); leading axes
-        of pieces lead the result, and kappa is a float or has those axes too."""
+        """(psi, psi') limit at x from the right (+1) or left (-1)."""
         x = np.asarray(x, dtype=float)
-        pts, k = self.points, np.reshape(self.kappa, np.shape(self.kappa) + (1,) * x.ndim)
+        pts, k = self.points, self.kappa
         idx = pts.searchsorted(x, side="right" if side > 0 else "left")
-        ab = self.pieces[..., idx, :]
+        ab = self.pieces[idx]
         # the clamps keep the tails' zero terms finite
         grow = ab[..., 0] * np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
         decay = ab[..., 1] * np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
@@ -433,11 +438,10 @@ class BoundState:
         """||psi||^2, shaped like the leading axes of pieces; kappa is a float
         or has those axes too, one decay rate per state."""
         k, p = np.asarray(self.kappa)[..., None], self.pieces
-        g = self.points[1:] - self.points[:-1]
         a, b = p[..., 1:-1, 0], p[..., 1:-1, 1]
-        e = np.exp(-k * g)
-        gaps = ((np.abs(a) ** 2 + np.abs(b) ** 2) * (1 - e * e) / (2 * k)
-                + 2 * np.real(a * np.conj(b)) * e * g)
+        r, den = _gaps(self.points, k)
+        gaps = ((np.abs(a) ** 2 + np.abs(b) ** 2) * den / (2 * k)
+                + 2 * np.real(a * np.conj(b)) * r * np.diff(self.points))
         c = p[..., (0, -1), (0, 1)]         # c_left, c_right
         # hypot, then pow: |c|^2 rounded as the scalar abs(c) ** 2 rounds it, on any leading axes
         tails = np.float_power(np.hypot(c.real, c.imag), 2)
@@ -473,10 +477,15 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[B
         means += [kappa] * mult
         tables.append(table)
     roots, tables = [kappa for cluster in clusters for kappa, _ in cluster], np.concatenate(tables)
-    raw = BoundState(np.array(means), tables, sys.points, 0.0)
-    (vp, dp), (vm, dm) = raw.one_sided(sys.points, +1), raw.one_sided(sys.points, -1)
+    # on gap i, psi is a_i r_i + b_i at its left end and a_i + b_i r_i at its right end;
+    # on a tail, whose other amplitude is 0, r is 1
+    k = np.array(means)[:, None]
+    r, ones = _gaps(sys.points, k)[0], np.ones_like(k)
+    a, b = tables[..., 0], tables[..., 1]
+    grow, decay = a[:, 1:] * np.hstack((r, ones)), b[:, :-1] * np.hstack((ones, r))
     # (N, 4, states): v+, v-, d+, d-, laid out state by state for the norms' summation order
-    traces = np.ascontiguousarray(np.stack((vp, vm, dp, dm), axis=-1)).transpose(1, 2, 0)
+    traces = np.stack((grow + b[:, 1:], a[:, :-1] + decay,
+                       k * (grow - b[:, 1:]), k * (a[:, :-1] - decay)), axis=-1).transpose(1, 2, 0)
     rows = sys._conditions
     miss = np.einsum("kij,kjm->kim", rows, traces.reshape(len(rows), -1, len(roots)))
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
@@ -521,9 +530,7 @@ def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
     values vp = psi(x_k+0), vm = psi(x_k-0), shape (N, m): the left tail's
     a is vm_1, the right tail's b is vp_N and, on gap i, [[r, 1], [1, r]]
     (a_i, b_i) = (vp_i, vm_{i+1}), r = e^{-kappa g_i}."""
-    g = np.diff(points)[:, None]
-    r = np.exp(-kappa * g)
-    den = -np.expm1(-2.0 * kappa * g)          # 1 - r^2, accurate for small kappa g
+    r, den = (c[:, None] for c in _gaps(points, kappa))
     out = np.zeros((vp.shape[1], points.size + 1, 2), np.result_type(vp, vm))
     out[:, 0, 0], out[:, -1, 1] = vm[0], vp[-1]
     out[:, 1:-1, 0] = ((vm[1:] - r * vp[:-1]) / den).T

@@ -1,8 +1,10 @@
 """Independent reference routes that only the tests compare against."""
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from mpmath import iv
 from scipy.integrate import quad
 
 from deltaprime import line
@@ -52,6 +54,30 @@ def jump_sum_amplitudes(points, betas, kappa: float, u: np.ndarray) -> np.ndarra
     for i in range(len(c) - 2, -1, -1):
         a[i] += r[i] * a[i + 1]
     return np.stack((np.append(a, 0.0), np.insert(b, 0, 0.0)), axis=1)
+
+
+def certified_count(points, betas, kappa: float) -> Optional[int]:
+    """C(kappa) = #{beta < 0} - n_-(T(kappa)), the number of states of a delta'
+    system with decay rate above kappa, proved: the LDL^T pivots of
+    T(kappa) = (2/kappa) E^{-1} + diag(beta) in mpmath.iv interval arithmetic
+    at 30 digits, from the floats as given.  None when a pivot interval
+    contains 0, so its sign is not proved."""
+    keep, iv.dps = iv.dps, 30
+    try:
+        k, x = iv.mpf(kappa), [iv.mpf(float(p)) for p in points]
+        r = [iv.exp(-k * (b - a)) for a, b in zip(x, x[1:])]
+        s = [q * q / (1 - q * q) for q in r]                 # 1/(1 - r^2) - 1
+        off = [-2 / k * q / (1 - q * q) for q in r]
+        negative, pivot = 0, None
+        for i, beta in enumerate(betas):
+            diag = 2 / k * (1 + (s[i - 1] if i else 0) + (s[i] if i < len(r) else 0)) + float(beta)
+            pivot = diag if pivot is None else diag - off[i - 1] ** 2 / pivot
+            if 0 in pivot:
+                return None
+            negative += pivot.b < 0
+    finally:
+        iv.dps = keep
+    return int(np.sum(np.asarray(betas) < 0)) - negative
 
 
 def dense_relation(sys: line.PointSystem, normalized: bool = False) -> np.ndarray:

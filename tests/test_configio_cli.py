@@ -86,7 +86,7 @@ LAPACK_SKIPS = ("scipy.linalg", "scipy.optimize", "scipy._lib._array_api", "nump
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
 # step, so LAPACK is read from the handle tridiagonal._lapack loads once
-PER_KAPPA = {("line", "_tridiagonal"), ("line", "_brent"), ("line", "_brent_steps"),
+PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_brent"), ("line", "_brent_steps"),
              ("line", "_lockstep"), ("line", "_values"), ("tridiagonal", "negatives"),
              ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
 
@@ -437,6 +437,37 @@ class TestCli:
         assert main(["certify", "--positions", "0,1", "--betas=-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --positions and --betas need one entry per point")
+
+    def test_unwritable_out_fails_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the solve ran before --out was checked")
+
+        monkeypatch.setattr("deltaprime.cli.negative_spectrum", solve)
+        missing = tmp_path / "missing" / "x.csv"
+        assert main(["measure", "--cantor-depth", "3", "--beta", "-1",
+                     "--grids", "512,1024", "--out", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_out_may_name_the_system_file(self, tmp_path):
+        # the system is read before --out is written over
+        f = tmp_path / "pair.ini"
+        f.write_text(PAIR_FILE)
+        assert main(["spectrum", "--system", str(f), "--kappa-max", "20", "--out", str(f)]) == 0
+        lines = f.read_text().splitlines()
+        assert f"# config: system_file = {f}" in lines
+        assert len([l for l in lines if l and l[0].isdigit()]) == 2
+
+    def test_failed_solve_leaves_out_unchanged(self, tmp_path, capsys):
+        f = tmp_path / "weak.ini"
+        f.write_text("[system]\npoints = 0 0.5\n" + "".join(
+            f"[condition {i}]\nkind = delta-prime\nbeta = {b}\n"
+            for i, b in enumerate(("-1e-158", "-1.0"), 1)))
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"an earlier report\n")
+        assert main(["spectrum", "--system", str(f), "--out", str(out)]) == 1
+        assert "delta' intensity -1e-158" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier report\n"
 
     def test_measure_bytes_independent_of_blas_threads(self):
         argv = ["-m", "deltaprime.cli", "measure", "--cantor-depth", "3",

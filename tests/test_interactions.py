@@ -324,12 +324,11 @@ class TestUnitaryCharts:
             np.testing.assert_allclose(u_hat_from_u(u), b_to_unitary(b), atol=1e-11)
 
     def test_split_unitary_satisfies_split_conditions(self):
-        from deltaprime.interactions import _plane_basis_from_unitary, _traces_from_plain
+        from deltaprime.interactions import _PLAIN, _traces
 
         ap, am = 0.4, -0.9
         u = split_unitary(Split(ap, am))
-        g1, g2 = _plane_basis_from_unitary(u)
-        v_p, v_m, d_p, d_m = _traces_from_plain(g1, g2)
+        v_p, v_m, d_p, d_m = _traces(_PLAIN, u)
         assert np.abs(v_p * np.cos(ap) - d_p * np.sin(ap)).max() < 1e-12
         assert np.abs(v_m * np.cos(am) - d_m * np.sin(am)).max() < 1e-12
 

@@ -37,7 +37,7 @@ from deltaprime.line import (
     from_kinds,
     nonlocal_example,
 )
-from oracles import dense_relation, jump_sum_amplitudes, secular_values
+from oracles import certified_count, dense_relation, jump_sum_amplitudes, secular_values
 
 # frozen independent oracles (brentq on the matching equations)
 KAPPA_ODD = 1.9611797513715394    # root of k = 1 + tanh k
@@ -320,6 +320,24 @@ class TestEigenfunction:
             # the views name the table's entries
             assert (st.c_left, st.c_right) == (table[0, 0], table[-1, 1])
             np.testing.assert_array_equal(st.interior, table[1:-1])
+
+    @pytest.mark.parametrize("b", [-1e6, -1e7, -1e8])
+    def test_small_kappa_gaps_are_normalized_to_rounding(self, b):
+        # large |beta| binds at kappa ~ 2/|beta|, where 1 - r^2, r = e^{-kappa g},
+        # cancels unless taken as -expm1(-2 kappa g): each table against its
+        # norm in 50-digit arithmetic, the same closed form per piece
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for s in find_bound_states(delta_prime_system([0.0, 0.5, 3.0], [b] * 3)):
+                assert not s.pieces.imag.any()         # delta' states are real
+                k, p = mpmath.mpf(s.kappa), s.pieces.real
+                total = (mpmath.mpf(p[0, 0]) ** 2 + mpmath.mpf(p[-1, 1]) ** 2) / (2 * k)
+                for (x0, x1), (a, c) in zip(zip(s.points, s.points[1:]), p[1:-1]):
+                    g = mpmath.mpf(x1) - mpmath.mpf(x0)
+                    a, c = mpmath.mpf(a), mpmath.mpf(c)
+                    total += (a * a + c * c) * -mpmath.expm1(-2 * k * g) / (2 * k)
+                    total += 2 * a * c * mpmath.exp(-k * g) * g
+                assert abs(mpmath.sqrt(total) - 1) <= 1e-15, s.kappa
 
     def test_single_delta_shape(self):
         # |psi| = sqrt(kappa) e^{-kappa |x|}: a delta (H route) and a delta' (T route)
@@ -712,6 +730,23 @@ class TestTridiagonalRoute:
             states = find_bound_states(delta_prime_system(pts, -rng.uniform(5.0, 50.0, n)))
             assert len(states) == n
             assert max(s.residual for s in states) <= 1e-11
+
+
+class TestProvedBrackets:
+    @pytest.mark.parametrize("sys", [delta_prime_pair(-1.0)] + [
+        measures.atomic_to_point_system(measures.cantor_measure(d), measures.BetaFunction.constant(-1.0))
+        for d in (3, 4, 5)], ids=["pair", "cantor-3", "cantor-4", "cantor-5"])
+    def test_every_root_has_a_proved_bracket(self, sys):
+        # interval counts prove that the (i+1)-th largest decay rate lies
+        # within a relative 1e-13 of the computed one
+        states = find_bound_states(sys)
+        assert len(states) == count_negative(sys)
+        r = 1e-13
+        for i, s in enumerate(states):
+            below = certified_count(sys.points, sys.delta_prime_betas(), s.kappa * (1 - r))
+            above = certified_count(sys.points, sys.delta_prime_betas(), s.kappa * (1 + r))
+            assert below is not None and above is not None, s.kappa
+            assert below >= i + 1 and above <= i, (i, s.kappa, below, above)
 
 
 class TestWeakAttraction:
