@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import (
     SubsetNotNegative,
@@ -37,10 +36,19 @@ from .errors import (
     SupportOverlap,
 )
 
-# quintic smoothstep ramp: C^2, 0 -> 1 on [0, 1], with int_0^1 s = 1/2 exactly
-_RAMP = Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
-_RAMP_INT = _RAMP.integ()            # int_0^u s
-_RAMP_SQ_INT = float((_RAMP * _RAMP).integ()(1.0))   # int_0^1 s^2
+# quintic smoothstep ramp s(u) = 6u^5 - 15u^4 + 10u^3: C^2, 0 -> 1 on [0, 1], with
+# int_0^1 s = 1/2 exactly.  Both polynomials are evaluated in Horner order, highest
+# coefficient first, which is the order of numpy's polyval, so the values are its bits.
+def _ramp(u):
+    return ((6.0 * u - 15.0) * u + 10.0) * u * u * u
+
+
+def _ramp_int(u):
+    """int_0^u s = u^6 - 3u^5 + 2.5u^4."""
+    return ((u - 3.0) * u + 2.5) * u * u * u * u
+
+
+_RAMP_SQ_INT = 0.39177489177489555   # int_0^1 s^2 = 181/462, in numpy polyval's rounding
 
 # measure certificates: smallest closing half-width r, spacing between
 # consecutive closing intervals, and the cap on delta halvings
@@ -248,9 +256,9 @@ class SmoothIndicator:
             m = (x >= lo) & (x <= hi)
             out[m] = 1.0
             m = (x > lo - self.rho) & (x < lo)
-            out[m] = _RAMP((x[m] - lo + self.rho) / self.rho)
+            out[m] = _ramp((x[m] - lo + self.rho) / self.rho)
             m = (x > hi) & (x < hi + self.rho)
-            out[m] = _RAMP((hi + self.rho - x[m]) / self.rho)
+            out[m] = _ramp((hi + self.rho - x[m]) / self.rho)
         return float(out[0]) if scalar else out
 
     def integral(self) -> float:
@@ -267,12 +275,12 @@ class SmoothIndicator:
         for lo, hi in self.cores:
             # up-ramp
             u = np.clip((x - lo + self.rho) / self.rho, 0.0, 1.0)
-            out += self.rho * _RAMP_INT(u)
+            out += self.rho * _ramp_int(u)
             # core
             out += np.clip(x - lo, 0.0, hi - lo)
             # down-ramp: integral of s mirrored
             w = np.clip((x - hi) / self.rho, 0.0, 1.0)
-            out += self.rho * 0.5 - self.rho * _RAMP_INT(1.0 - w)
+            out += self.rho * 0.5 - self.rho * _ramp_int(1.0 - w)
         return float(out[0]) if scalar else out
 
 

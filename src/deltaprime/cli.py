@@ -77,6 +77,7 @@ def _print_matrix(m: np.ndarray, label: str, out) -> None:
 def cmd_interactions(args, out) -> None:
     # --gamma may repeat (compose); every other action reads the first value
     args.gamma = args.gamma_list[0] if args.gamma_list else None
+    b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
     if args.action == "lambda":
         if args.kind not in KIND_PARAMS:
             raise SchemaError(f"unknown kind {args.kind!r}")
@@ -86,10 +87,8 @@ def cmd_interactions(args, out) -> None:
             raise SchemaError(f"kind {args.kind} needs --{pname}")
         _print_matrix(lambda_of(ctor(val)).entries, f"Lambda[{args.kind}]", out)
     elif args.action == "b-to-lambda":
-        b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
         _print_matrix(b_to_lambda(b).entries, "Lambda[B]", out)
     elif args.action == "unitary":
-        b = SelfAdjointB(args.alpha or 0.0, args.beta or 0.0, args.gamma or 0.0, args.mu or 0.0)
         _print_matrix(b_to_unitary(b), "U_hat[B] = (B-i)^(-1)(B+i)", out)
     elif args.action == "compose":
         vals = args.gamma_list or []

@@ -51,7 +51,6 @@ from .interactions import (
     DeltaMagnetic,
     DeltaPrime,
     DeltaPrimePotential,
-    GeneralB,
     SelfAdjointB,
     Transparent,
     TransmissionMatrix,
@@ -69,18 +68,29 @@ KIND_PARAMS = {
 }
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise SchemaError(f"expected numbers, got {text!r}") from exc
+def _numbers(text: str, where: str, parse=float) -> list:
+    """The space- or comma-separated tokens of text, each read by parse; a
+    SchemaError names where (section and key) and the first token parse rejects."""
+    out = []
+    for tok in text.replace(",", " ").split():
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            raise SchemaError(f"{where} needs numbers, got {tok!r}") from None
+    return out
 
 
-def _complexes(text: str) -> list[complex]:
-    try:
-        return [complex(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise SchemaError(f"expected complex numbers, got {text!r}") from exc
+def _scalar(sec: configparser.SectionProxy, key: str, fallback: str | None = None) -> float:
+    """The one number under key in sec, or fallback if the key is absent;
+    without a fallback the key is required."""
+    where = f"[{sec.name}] {key}"
+    text = sec.get(key, fallback)
+    if text is None:
+        raise SchemaError(f"{where} is missing")
+    vals = _numbers(text, where)
+    if len(vals) != 1:
+        raise SchemaError(f"{where} needs one number, got {text!r}")
+    return vals[0]
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -96,7 +106,7 @@ def parse_system(text: str) -> PointSystem:
     cp = _read_ini(text)
     if "system" not in cp:
         raise SchemaError("missing [system] section")
-    points = _floats(cp["system"].get("points", ""))
+    points = _numbers(cp["system"].get("points", ""), "[system] points")
     if not points:
         return PointSystem([])
     n = len(points)
@@ -105,7 +115,8 @@ def parse_system(text: str) -> PointSystem:
 
     if "global" in cp:
         rows_text = cp["global"].get("rows", "").strip()
-        rows = [_complexes(line) for line in rows_text.splitlines() if line.strip()]
+        rows = [_numbers(line, "[global] rows", complex)
+                for line in rows_text.splitlines() if line.strip()]
         if len(rows) != 2 * n or any(len(r) != 4 * n for r in rows):
             raise SchemaError(f"[global] rows must be {2*n} lines of {4*n} entries")
         return PointSystem(points, relation=np.array(rows, dtype=complex))
@@ -118,20 +129,15 @@ def parse_system(text: str) -> PointSystem:
         kind = cp[sec].get("kind", "").strip().lower()
         if kind in KIND_PARAMS:
             pname, ctor = KIND_PARAMS[kind]
-            if pname not in cp[sec]:
-                raise SchemaError(f"[{sec}] needs {pname} for kind {kind}")
-            mats.append(lambda_of(ctor(float(cp[sec][pname]))))
+            mats.append(lambda_of(ctor(_scalar(cp[sec], pname))))
         elif kind == "lambda":
-            vals = _complexes(cp[sec].get("entries", ""))
+            vals = _numbers(cp[sec].get("entries", ""), f"[{sec}] entries", complex)
             if len(vals) != 4:
                 raise SchemaError(f"[{sec}] entries must hold 4 values row-major")
             mats.append(TransmissionMatrix(np.array(vals).reshape(2, 2)))
         elif kind == "b":
-            b = SelfAdjointB(
-                float(cp[sec].get("alpha", 0)), float(cp[sec].get("beta", 0)),
-                float(cp[sec].get("gamma", 0)), float(cp[sec].get("mu", 0)),
-            )
-            mats.append(lambda_of(GeneralB(b)))
+            keys = ("alpha", "beta", "gamma", "mu")
+            mats.append(lambda_of(SelfAdjointB(*(_scalar(cp[sec], k, "0") for k in keys))))
         else:
             raise SchemaError(f"[{sec}] has unknown kind {kind!r}")
     return PointSystem(points, lambdas=mats)
@@ -144,16 +150,17 @@ def parse_measure(text: str) -> tuple[AtomicMeasure, BetaFunction]:
     sec = cp["measure"]
     kind = sec.get("kind", "").strip().lower()
     if kind == "cantor":
-        depth = sec.getint("depth", fallback=-1)
-        if depth < 0:
-            raise SchemaError("[measure] cantor needs depth >= 0")
-        iv = _floats(sec.get("interval", "0 1"))
+        depth = _scalar(sec, "depth")
+        if not (depth >= 0 and depth.is_integer()):
+            raise SchemaError("[measure] cantor needs an integer depth >= 0")
+        iv = _numbers(sec.get("interval", "0 1"), "[measure] interval")
         if len(iv) != 2:
             raise SchemaError("[measure] interval needs two endpoints")
-        mu = cantor_measure(depth, (iv[0], iv[1]))
+        mu = cantor_measure(int(depth), (iv[0], iv[1]))
     elif kind == "atoms":
         pairs = [
-            _floats(line) for line in sec.get("atoms", "").splitlines() if line.strip()
+            _numbers(line, "[measure] atoms") for line in sec.get("atoms", "").splitlines()
+            if line.strip()
         ]
         if not pairs or any(len(p) != 2 for p in pairs):
             raise SchemaError("[measure] atoms needs 'position weight' lines")
@@ -166,9 +173,9 @@ def parse_measure(text: str) -> tuple[AtomicMeasure, BetaFunction]:
     bsec = cp["beta"]
     bkind = bsec.get("kind", "").strip().lower()
     if bkind == "constant":
-        beta = BetaFunction.constant(float(bsec.get("value", "nan")))
+        beta = BetaFunction.constant(_scalar(bsec, "value"))
     elif bkind == "per-atom":
-        vals = _floats(bsec.get("values", ""))
+        vals = _numbers(bsec.get("values", ""), "[beta] values")
         if len(vals) != len(mu):
             raise SchemaError("[beta] values must match the atom count")
         beta = BetaFunction(vals)

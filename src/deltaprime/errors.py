@@ -35,7 +35,8 @@ class SplitHasNoLambda(DomainError):
 
 
 class GammaPole(DomainError):
-    """theta = (2+gamma)/(2-gamma) degenerates at |gamma| = 2."""
+    """theta = (2+gamma)/(2-gamma) degenerates at |gamma| = 2: no delta'-potential,
+    characteristic or family-3d model exists there."""
 
 
 class SingularD(DomainError):
@@ -48,10 +49,6 @@ class PlaneNotGraph(DomainError):
 
 class DegenerateComposition(DomainError):
     """gamma-composition denominator 1 + g1*g2/4 vanishes."""
-
-
-class CharacteristicPole(DomainError):
-    """Additive characteristic undefined at |gamma| = 2."""
 
 
 # -- transfer matrices / approximation families --------------------------
@@ -69,10 +66,6 @@ class AmbiguousClassification(DomainError):
 class NotAnEigenvalue(DomainError):
     """Eigenfunction extraction requested where no eigenvalue of the
     counting matrix (T or H) vanishes: kappa is not a bound state."""
-
-
-class SplitNotSupported(DomainError):
-    """Split conditions are out of scope for full-line systems."""
 
 
 class NotSelfAdjoint(DomainError):

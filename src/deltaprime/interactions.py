@@ -22,7 +22,6 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    CharacteristicPole,
     DegenerateComposition,
     GammaPole,
     PlaneNotGraph,
@@ -117,9 +116,6 @@ class TransmissionMatrix:
         d_real = float(np.abs(r.imag).max())
         return max(d_mod, d_real)
 
-    def is_self_adjoint_plane(self, tol: float = 1e-12) -> bool:
-        return self.phase_defect() <= tol
-
     def apply(self, v_minus: complex, d_minus: complex) -> tuple[complex, complex]:
         out = self.entries @ np.array([v_minus, d_minus], dtype=complex)
         return out[0], out[1]
@@ -177,8 +173,7 @@ class DeltaPrimePotential:
     gamma: float
 
     def __post_init__(self):
-        if abs(abs(self.gamma) - 2.0) < POLE_TOL:
-            raise GammaPole("delta'-potential requires |gamma| != 2")
+        theta_of_gamma(self.gamma)   # GammaPole at |gamma| = 2
 
 
 @dataclass(frozen=True)
@@ -203,27 +198,23 @@ class Split:
     alpha_minus: float
 
 
-@dataclass(frozen=True)
-class GeneralB:
-    b: SelfAdjointB
-
-
 InteractionKind = Union[
     Delta, DeltaPrime, DeltaPrimePotential, DeltaMagnetic,
-    Transparent, Split, GeneralB,
+    Transparent, Split, SelfAdjointB,
 ]
 
 
 def theta_of_gamma(gamma: float) -> float:
-    if abs(2.0 - gamma) < POLE_TOL or abs(2.0 + gamma) < POLE_TOL:
-        raise GammaPole(f"theta pole at gamma = {gamma}")
+    """theta = (2+gamma)/(2-gamma); the one check of the pole at |gamma| = 2."""
+    if abs(abs(gamma) - 2.0) < POLE_TOL:
+        raise GammaPole(f"delta'-potential requires |gamma| != 2, got {gamma}")
     return (2.0 + gamma) / (2.0 - gamma)
 
 
 def lambda_of(kind: InteractionKind) -> TransmissionMatrix:
     """Canonical transmission matrix of a (non-split) interaction kind."""
     if isinstance(kind, Split):
-        raise SplitHasNoLambda("split conditions have no transmission matrix")
+        raise SplitHasNoLambda("split conditions decouple the line: no transmission matrix")
     if isinstance(kind, Delta):
         m = np.array([[1.0, 0.0], [kind.alpha, 1.0]], dtype=complex)
     elif isinstance(kind, DeltaPrime):
@@ -237,8 +228,8 @@ def lambda_of(kind: InteractionKind) -> TransmissionMatrix:
     elif isinstance(kind, Transparent):
         l0 = kind.lambda0
         m = 1j * np.array([[0.0, -1.0 / l0], [l0, 0.0]], dtype=complex)
-    elif isinstance(kind, GeneralB):
-        return b_to_lambda(kind.b)
+    elif isinstance(kind, SelfAdjointB):
+        return b_to_lambda(kind)
     else:
         raise TypeError(f"unknown interaction kind {kind!r}")
     return TransmissionMatrix(m)
@@ -288,11 +279,8 @@ def gamma_compose(gm: float, gp: float) -> float:
 
 def gamma_to_characteristic(gamma: float) -> AdditiveCharacteristic:
     """Additive characteristic (xi, s) with (2+g)/(2-g) = s e^xi."""
-    if abs(abs(gamma) - 2.0) < POLE_TOL:
-        raise CharacteristicPole("characteristic undefined at |gamma| = 2")
-    ratio = (2.0 + gamma) / (2.0 - gamma)
-    s = 1 if abs(gamma) < 2.0 else -1
-    return AdditiveCharacteristic(float(np.log(abs(ratio))), s)
+    theta = theta_of_gamma(gamma)
+    return AdditiveCharacteristic(float(np.log(abs(theta))), 1 if theta > 0 else -1)
 
 
 def characteristic_to_gamma(c: AdditiveCharacteristic) -> float:

@@ -84,15 +84,9 @@ from .errors import (
     GridTooCoarse,
     NotAnEigenvalue,
     NotSelfAdjoint,
-    SplitNotSupported,
     _checked_floats,
 )
-from .interactions import (
-    InteractionKind,
-    Split,
-    TransmissionMatrix,
-    lambda_of,
-)
+from .interactions import InteractionKind, TransmissionMatrix, lambda_of
 
 DEFAULT_GRID = 2048          # unused here; kept because perfbench/workloads.py reads it
 NEAR_THRESHOLD = 1e-6
@@ -139,7 +133,7 @@ class PointSystem:
             if len(lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
             for lam in lambdas:
-                if not lam.is_self_adjoint_plane(1e-9):
+                if not lam.phase_defect() <= 1e-9:     # a NaN defect fails too
                     raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             mats = np.array([lam.entries for lam in lambdas]).reshape(n, 2, 2)
             self._blocks = _per_point_blocks(mats)
@@ -242,11 +236,9 @@ def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
 
 
 def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
-    """Assemble a per-point system from (position, kind) pairs."""
+    """Assemble a per-point system from (position, kind) pairs; lambda_of
+    refuses a split kind (SplitHasNoLambda)."""
     items = sorted(items, key=lambda t: t[0])
-    for _, kind in items:
-        if isinstance(kind, Split):
-            raise SplitNotSupported("split conditions decouple the line")
     return PointSystem(
         [x for x, _ in items], lambdas=[lambda_of(k) for _, k in items]
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -87,9 +87,9 @@ class AtomicMeasure:
 
 
 class BetaFunction:
-    """Real intensity function evaluated on the atoms of a measure."""
+    """Real intensity on the atoms of a measure: one constant, or one value per atom."""
 
-    def __init__(self, rule: Union[float, Sequence[float], Callable[[np.ndarray], np.ndarray]]):
+    def __init__(self, rule: Union[float, Sequence[float]]):
         self._rule = rule
 
     @classmethod
@@ -97,9 +97,7 @@ class BetaFunction:
         return cls(float(value))
 
     def at_atoms(self, mu: AtomicMeasure) -> np.ndarray:
-        if callable(self._rule):
-            vals = np.asarray(self._rule(mu.positions), dtype=float)
-        elif np.ndim(self._rule) == 0:
+        if np.ndim(self._rule) == 0:
             vals = np.full(len(mu), float(self._rule))
         else:
             vals = np.asarray(self._rule, dtype=float)

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousClassification, ComplexCoefficient, GammaPole, _checked_floats
-from .interactions import POLE_TOL, TransmissionMatrix
+from .errors import AmbiguousClassification, ComplexCoefficient, _checked_floats
+from .interactions import TransmissionMatrix, theta_of_gamma
 
 SERIES_CUT = 1e-4  # |lam*eps| below which sin(u)/lam switches to its series
 
@@ -148,8 +148,7 @@ def family_3d(gamma: float, eps: float) -> DeltaComb:
     tends to diag(theta, 1/theta) while the potentials have no
     distributional limit.
     """
-    if abs(abs(gamma) - 2.0) < POLE_TOL:
-        raise GammaPole("family 3d requires |gamma| != 2")
+    theta_of_gamma(gamma)        # GammaPole at |gamma| = 2
     a1 = gamma / (1.0 - 0.5 * gamma)
     a2 = -gamma / (1.0 + 0.5 * gamma)
     return DeltaComb([0.0, eps], [a1 / eps, a2 / eps])

@@ -260,6 +260,15 @@ class TestSmoothIndicator:
             num, _ = quad(chi, -2.0, x, limit=400)
             assert abs(num - chi.cumulative(x)) < 1e-9  # quad's own kink error
 
+    def test_ramp_has_the_bits_of_numpy_polynomial(self):
+        # the Horner forms reproduce polyval's rounding, so certificates keep their bytes
+        from numpy.polynomial import Polynomial
+        ramp = Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
+        u = np.linspace(0.0, 1.0, 100001)
+        assert certify._ramp(u).tobytes() == ramp(u).tobytes()
+        assert certify._ramp_int(u).tobytes() == ramp.integ()(u).tobytes()
+        assert certify._RAMP_SQ_INT == float((ramp * ramp).integ()(1.0))
+
 
 class TestMeasureTrialFunction:
     def test_single_atom_plateau(self):

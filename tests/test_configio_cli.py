@@ -151,6 +151,8 @@ class TestSystemParsing:
         "[system]\npoints = 0.0\n[condition 1]\nkind = delta\n",     # missing param
         "[system]\npoints = 0.0\n[global]\nrows = 1 0 0 0\n",        # wrong shape
         "points = 1",                                                # not ini
+        "[system]\npoints = 0.0\n[condition 1]\nkind = delta\nalpha = abc\n",   # bad number
+        "[system]\npoints = 0.0\n[condition 1]\nkind = b\nmu = 1e\n",            # bad number
     ])
     def test_schema_errors(self, text):
         with pytest.raises(SchemaError):
@@ -173,6 +175,9 @@ class TestMeasureParsing:
         "[measure]\nkind = atoms\natoms = 0.0\n[beta]\nkind = constant\nvalue = -1\n",
         "[measure]\nkind = cantor\ndepth = 1\n[beta]\nkind = per-atom\nvalues = -1\n",
         "[measure]\nkind = cantor\ndepth = 1\n",                             # no beta
+        "[measure]\nkind = cantor\ndepth = two\n[beta]\nkind = constant\nvalue = -1\n",
+        "[measure]\nkind = cantor\ndepth = 1\n[beta]\nkind = constant\nvalue = x\n",
+        "[measure]\nkind = cantor\ndepth = 1\n[beta]\nkind = constant\n",       # no value
     ])
     def test_schema_errors(self, text):
         with pytest.raises(SchemaError):
@@ -433,6 +438,13 @@ class TestCli:
         assert err.startswith(f"error: {option} needs a comma list of ")
         assert err.rstrip().endswith(f"got {token!r}")
 
+    def test_bad_ini_number_names_its_key(self, capsys, tmp_path):
+        path = tmp_path / "m.ini"
+        path.write_text(CANTOR_FILE.replace("value = -1.0", "value = x"))
+        assert main(["measure", "--measure", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [beta] value needs numbers") and err.rstrip().endswith("got 'x'")
+
     def test_certify_lists_of_different_lengths_name_both_options(self, capsys):
         assert main(["certify", "--positions", "0,1", "--betas=-1"]) == 2
         err = capsys.readouterr().err
@@ -483,6 +495,12 @@ class TestCli:
     def test_import_leaves_out_scipy(self):
         # scipy loads inside the solves that call it, so the CLI import floor is numpy's
         proc = fresh_python("-c", f"import sys, deltaprime.cli; print({SCIPY_LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_out_numpy_polynomial(self):
+        # the certificate ramp is Horner arithmetic, not a numpy Polynomial
+        proc = fresh_python("-c", "import sys, deltaprime.cli; print('numpy.polynomial' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

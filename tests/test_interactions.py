@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deltaprime.errors import (
-    CharacteristicPole,
     DegenerateComposition,
     GammaPole,
     SingularD,
@@ -31,10 +30,13 @@ from deltaprime.interactions import (
     lambda_of,
     mu_to_eta,
     split_unitary,
+    theta_of_gamma,
     u_from_u_hat,
     u_hat_from_u,
     unitary_of_lambda,
 )
+from deltaprime.line import from_kinds
+from deltaprime.transfer import family_3d
 
 CANONICAL = [
     Delta(2.5), Delta(-4.0), DeltaPrime(-1.0), DeltaPrime(3.0),
@@ -108,6 +110,23 @@ class TestLambdaOf:
             DeltaPrimePotential(2.0)
         with pytest.raises(GammaPole):
             DeltaPrimePotential(-2.0)
+
+    @pytest.mark.parametrize("gamma", [2.0, -2.0, 2.0 - 1e-13, -2.0 + 1e-13])
+    @pytest.mark.parametrize("entry", [
+        DeltaPrimePotential, theta_of_gamma, gamma_to_characteristic,
+        lambda g: family_3d(g, 1e-3),
+    ], ids=["DeltaPrimePotential", "theta_of_gamma", "gamma_to_characteristic", "family_3d"])
+    def test_every_pole_entry_raises_gamma_pole(self, entry, gamma):
+        # theta_of_gamma is the one check of the pole; every other entry calls it
+        with pytest.raises(GammaPole):
+            entry(gamma)
+
+    def test_b_is_a_kind(self):
+        b = SelfAdjointB(alpha=0.3, beta=-1.2, gamma=0.7, mu=0.4)
+        assert lambda_of(b).entries.tobytes() == b_to_lambda(b).entries.tobytes()
+        # a B point enters a system like any other kind; this B is a pure delta'
+        system = from_kinds([(1.0, SelfAdjointB(beta=-1.5)), (0.0, DeltaPrime(-1.0))])
+        np.testing.assert_array_equal(system.delta_prime_betas(), [-1.0, -1.5])
 
     def test_det_modulus_one(self):
         for kind in CANONICAL:
@@ -250,7 +269,7 @@ class TestCharacteristic:
         assert abs(c.xi - np.log(2.0)) < 1e-15 and c.s == -1
 
     def test_pole(self):
-        with pytest.raises(CharacteristicPole):
+        with pytest.raises(GammaPole):
             gamma_to_characteristic(2.0)
 
     def test_sign_flips_exactly_at_two(self):

@@ -11,7 +11,7 @@ from scipy.linalg import eigh_tridiagonal, null_space
 from scipy.optimize import brentq
 
 from deltaprime import line, measures, tridiagonal
-from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitNotSupported
+from deltaprime.errors import DomainError, NotAnEigenvalue, NotSelfAdjoint, SplitHasNoLambda
 from deltaprime.interactions import (
     BoundaryTraces,
     Delta,
@@ -389,8 +389,8 @@ class TestBuilders:
         k2 = [st.kappa for st in find_bound_states(s2, 5.0)]
         np.testing.assert_allclose(k1, k2, atol=1e-12)
 
-    def test_split_not_supported(self):
-        with pytest.raises(SplitNotSupported):
+    def test_split_has_no_lambda(self):
+        with pytest.raises(SplitHasNoLambda):
             from_kinds([(0.0, Split(0.1, 0.2))])
 
     def test_flat_traces_satisfy_pair(self):
