@@ -18,10 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import KIND_PARAMS, fmt, parse_measure, parse_system, write_csv
+from .configio import KIND_PARAMS, _numbers, fmt, parse_measure, parse_system, write_csv
 from .errors import DomainError, SchemaError
-from . import certify as vc
-from . import deficiency as df
 from .interactions import (
     SelfAdjointB,
     b_to_lambda,
@@ -30,33 +28,9 @@ from .interactions import (
     gamma_to_characteristic,
     lambda_of,
 )
-from .line import (
-    delta_prime_pair,
-    delta_prime_system,
-    find_bound_states,
-    nonlocal_example,
-)
-from .measures import (
-    AtomicMeasure,
-    BetaFunction,
-    GreenKernel,
-    cantor_blocks,
-    cantor_measure,
-    negative_spectrum,
-)
-from .transfer import FAMILY_5D_PRESETS, LIMIT, family_3d, family_4d, family_5d, limit_diagnose
 
-
-def _comma_list(text: str, option: str, parse=float, what: str = "numbers") -> list:
-    """The entries of a comma-list option, each read by parse; a SchemaError
-    names the option and the first entry parse rejects."""
-    out = []
-    for tok in text.split(","):
-        try:
-            out.append(parse(tok))
-        except ValueError:
-            raise SchemaError(f"{option} needs a comma list of {what}, got {tok!r}") from None
-    return out
+# Each subcommand imports its solver modules when it runs, so a command
+# loads only what it calls: `interactions` needs none of them.
 
 
 def _atom(tok: str) -> tuple[float, float]:
@@ -110,6 +84,8 @@ def cmd_interactions(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_approx(args, out) -> None:
+    from .transfer import LIMIT, family_3d, family_4d, family_5d, limit_diagnose
+
     if not args.eps_ratio > 1:
         raise SchemaError("--eps-ratio must be greater than 1")
     eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
@@ -150,6 +126,8 @@ def cmd_approx(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_system(args):
+    from .line import delta_prime_pair, nonlocal_example
+
     if args.builtin == "nonlocal-example":
         return nonlocal_example(), {"builtin": "nonlocal-example"}
     if args.builtin == "delta-prime-pair":
@@ -162,6 +140,8 @@ def _build_system(args):
 
 
 def cmd_spectrum(args, out) -> None:
+    from .line import find_bound_states
+
     sys_, config = _build_system(args)
     config["kappa_max"] = args.kappa_max
     states = find_bound_states(sys_, args.kappa_max)
@@ -177,6 +157,8 @@ def cmd_spectrum(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_measure(args):
+    from .measures import AtomicMeasure, BetaFunction, cantor_measure
+
     if args.measure:
         mu, beta = parse_measure(Path(args.measure).read_text())
         return mu, beta, {"measure_file": args.measure}
@@ -184,13 +166,13 @@ def _build_measure(args):
         mu = cantor_measure(args.cantor_depth, tuple(args.interval))
         config = {"cantor_depth": args.cantor_depth, "interval": tuple(args.interval)}
     elif args.atoms:
-        pairs = _comma_list(args.atoms, "--atoms", _atom, "'position:weight' pairs")
+        pairs = _numbers(args.atoms, "--atoms", _atom, "'position:weight' pairs", comma_list=True)
         mu = AtomicMeasure([p for p, _ in pairs], [w for _, w in pairs])
         config = {"atoms": args.atoms}
     else:
         raise SchemaError("give --measure FILE, --cantor-depth or --atoms")
     if args.beta_values:
-        beta = BetaFunction(_comma_list(args.beta_values, "--beta-values"))
+        beta = BetaFunction(_numbers(args.beta_values, "--beta-values", comma_list=True))
         config["beta_values"] = args.beta_values
     else:
         beta = BetaFunction.constant(args.beta)
@@ -199,8 +181,10 @@ def _build_measure(args):
 
 
 def cmd_measure(args, out) -> None:
+    from .measures import GreenKernel, negative_spectrum
+
     mu, beta, config = _build_measure(args)
-    grids = _comma_list(args.grids, "--grids", int, "integers")
+    grids = _numbers(args.grids, "--grids", int, "integers", comma_list=True)
     rows = []
     for margin in args.box_margin:
         lo, hi = mu.support
@@ -221,6 +205,10 @@ def cmd_measure(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_certify(args, out) -> None:
+    from . import certify as vc
+    from .line import delta_prime_system
+    from .measures import BetaFunction, cantor_blocks, cantor_measure
+
     out_lines = [f"# deltaprime {__version__}"]
     if args.random_trials is not None:
         if args.random_trials < 1:
@@ -245,8 +233,8 @@ def cmd_certify(args, out) -> None:
             )
         out_lines.append(f"agreement {agree}/{args.random_trials}")
     elif args.positions and args.betas:
-        pts = _comma_list(args.positions, "--positions")
-        betas = _comma_list(args.betas, "--betas")
+        pts = _numbers(args.positions, "--positions", comma_list=True)
+        betas = _numbers(args.betas, "--betas", comma_list=True)
         if len(pts) != len(betas):
             raise SchemaError(f"--positions and --betas need one entry per point, "
                               f"got {len(pts)} and {len(betas)}")
@@ -280,9 +268,11 @@ def cmd_certify(args, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_deficiency(args, out) -> None:
+    from . import deficiency as df
+
     z = complex(args.z)
-    pts = _comma_list(args.points, "--points")
-    drop = _comma_list(args.drop_prime_at, "--drop-prime-at") if args.drop_prime_at else []
+    pts = _numbers(args.points, "--points", comma_list=True)
+    drop = _numbers(args.drop_prime_at, "--drop-prime-at", comma_list=True) if args.drop_prime_at else []
     fam = df.point_family(pts, z, drop_prime_at=drop)
     rank = df.gram_rank(fam)
     rows = []
@@ -320,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--family", required=True, choices=["3d", "4d", "5d"])
     pa.add_argument("--gamma", type=float)
     pa.add_argument("--sign", type=int, default=1)
-    pa.add_argument("--preset", choices=list(FAMILY_5D_PRESETS), default="free")
+    pa.add_argument("--preset", default="free", help="family 5d preset")
     pa.add_argument("--lam", default="1.0")
     pa.add_argument("--eps-start", type=float, default=1e-2)
     pa.add_argument("--eps-ratio", type=float, default=10.0)

@@ -38,7 +38,6 @@ configs produce bit-identical files.
 
 from __future__ import annotations
 
-import configparser
 import io
 from typing import Sequence
 
@@ -56,8 +55,6 @@ from .interactions import (
     TransmissionMatrix,
     lambda_of,
 )
-from .line import PointSystem
-from .measures import AtomicMeasure, BetaFunction, cantor_measure
 
 KIND_PARAMS = {
     "delta": ("alpha", Delta),
@@ -68,15 +65,22 @@ KIND_PARAMS = {
 }
 
 
-def _numbers(text: str, where: str, parse=float) -> list:
-    """The space- or comma-separated tokens of text, each read by parse; a
-    SchemaError names where (section and key) and the first token parse rejects."""
+def _numbers(text: str, where: str, parse=float, what: str = "numbers",
+             comma_list: bool = False) -> list:
+    """The tokens of text, each read by parse: the entries of a CLI comma list,
+    else the space- or comma-separated tokens of an INI value.  A SchemaError
+    names where (the option, or the section and key) and the first token parse
+    rejects."""
+    if comma_list:
+        tokens, what = text.split(","), f"a comma list of {what}"
+    else:
+        tokens = text.replace(",", " ").split()
     out = []
-    for tok in text.replace(",", " ").split():
+    for tok in tokens:
         try:
             out.append(parse(tok))
         except ValueError:
-            raise SchemaError(f"{where} needs numbers, got {tok!r}") from None
+            raise SchemaError(f"{where} needs {what}, got {tok!r}") from None
     return out
 
 
@@ -94,6 +98,8 @@ def _scalar(sec: configparser.SectionProxy, key: str, fallback: str | None = Non
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
+    import configparser
+
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
@@ -103,6 +109,8 @@ def _read_ini(text: str) -> configparser.ConfigParser:
 
 
 def parse_system(text: str) -> PointSystem:
+    from .line import PointSystem
+
     cp = _read_ini(text)
     if "system" not in cp:
         raise SchemaError("missing [system] section")
@@ -144,6 +152,8 @@ def parse_system(text: str) -> PointSystem:
 
 
 def parse_measure(text: str) -> tuple[AtomicMeasure, BetaFunction]:
+    from .measures import AtomicMeasure, BetaFunction, cantor_measure
+
     cp = _read_ini(text)
     if "measure" not in cp:
         raise SchemaError("missing [measure] section")

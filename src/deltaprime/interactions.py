@@ -27,6 +27,7 @@ from .errors import (
     PlaneNotGraph,
     SingularD,
     SplitHasNoLambda,
+    _checked_floats,
 )
 
 POLE_TOL = 1e-12
@@ -205,7 +206,9 @@ InteractionKind = Union[
 
 
 def theta_of_gamma(gamma: float) -> float:
-    """theta = (2+gamma)/(2-gamma); the one check of the pole at |gamma| = 2."""
+    """theta = (2+gamma)/(2-gamma); the one check of the pole at |gamma| = 2.
+    A non-finite gamma raises ValueError."""
+    _checked_floats(gamma, "gamma")
     if abs(abs(gamma) - 2.0) < POLE_TOL:
         raise GammaPole(f"delta'-potential requires |gamma| != 2, got {gamma}")
     return (2.0 + gamma) / (2.0 - gamma)
@@ -268,7 +271,9 @@ def compose(left: TransmissionMatrix, right: TransmissionMatrix) -> Transmission
 
 
 def gamma_compose(gm: float, gp: float) -> float:
-    """Total delta'-potential intensity of two merged interactions."""
+    """Total delta'-potential intensity of two merged interactions; a
+    non-finite intensity raises ValueError."""
+    _checked_floats((gm, gp), "gamma")
     den = 1.0 + 0.25 * gm * gp
     if abs(den) < POLE_TOL:
         raise DegenerateComposition(

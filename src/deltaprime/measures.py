@@ -313,12 +313,15 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     (tridiagonal.resolution) costs shallow eigenvalues relative accuracy
     as the node spacing across a negative atom nears |beta_k w_k|, where
     dg_i vanishes.  Raises DomainError when the shallowest of them is not
-    below minus that resolution.
+    below minus that resolution.  Where dg_i is exactly 0, rows i-1 and i
+    of K are equal, so K is singular; its nonzero eigenvalues are those of
+    the grid with node i merged into node i-1, their weights summed.
     """
     grid, h, idx = _cells(k, n)
     dg = np.diff(grid - k.a + k.atom_offsets[idx], prepend=0.0)
-    if np.any(dg == 0.0):
-        raise DomainError(f"kernel matrix is singular on the n = {n} grid")
+    if not dg.all():
+        kept = np.flatnonzero(dg)      # dg[0] = x_0 - a > 0 is always kept
+        h, dg = np.add.reduceat(h, kept), dg[kept]
     count = int(np.count_nonzero(dg < 0.0))
     if count == 0:
         return np.empty(0)
@@ -349,10 +352,9 @@ def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpect
     Matched eigenvalues across the two finest grids are
     Richardson-refined with an error estimate.  Raises
     UnconvergedEigenvalue when matched values disagree beyond 10x the
-    estimated rate, DomainError when some dg vanishes (singular kernel
-    matrix) or a grid's shallowest negative eigenvalue lies below the
-    resolution of the eigenvalue solver, and ValueError unless at least two distinct grid sizes are
-    given.
+    estimated rate, DomainError when a grid's shallowest negative
+    eigenvalue lies below the resolution of the eigenvalue solver, and
+    ValueError unless at least two distinct grid sizes are given.
     """
     sizes = np.asarray(sorted(refine), dtype=int)
     if sizes.size < 2:

@@ -83,6 +83,11 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 # modules the scipy.linalg package init loads and a LAPACK solve must not
 LAPACK_SKIPS = ("scipy.linalg", "scipy.optimize", "scipy._lib._array_api", "numpy.f2py",
                 "numpy.testing")
+# the package's modules that compute; the CLI and its parsers load each only
+# in the subcommand that runs it
+SOLVERS = ("line", "measures", "tridiagonal", "certify", "deficiency", "transfer")
+# the submodules `import deltaprime` resolves on first attribute access
+SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measures", "transfer")
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
 # step, so LAPACK is read from the handle tridiagonal._lapack loads once
@@ -114,6 +119,21 @@ def importers(package: str) -> list[str]:
             found += [f"{path.name}:{n.lineno}" for name in names
                       if name == package or name.startswith(package + ".")]
     return found
+
+
+def package_modules(node: ast.AST) -> list[str]:
+    """The deltaprime modules an import statement names, relative or absolute."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("deltaprime.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 1:
+        path = node.module or ""
+    elif node.level == 0 and (node.module or "").split(".")[0] == "deltaprime":
+        path = node.module.partition(".")[2]
+    else:
+        return []
+    return [path.split(".")[0]] if path else [a.name for a in node.names]
 
 
 def module_scope(node: ast.AST):
@@ -399,6 +419,11 @@ class TestCli:
         (["measure", "--atoms", "0.0"], "'position:weight' pairs, got '0.0'"),
         (["measure", "--atoms", "0.0:1.0:2.0"], "'position:weight' pairs, got '0.0:1.0:2.0'"),
         (["measure", "--atoms", "0.0:1.0,2.0"], "got '2.0'"),
+        (["interactions", "characteristic", "--gamma", "nan"], "finite"),
+        (["interactions", "compose", "--gamma", "nan", "--gamma", "1"], "finite"),
+        (["interactions", "compose", "--gamma", "inf", "--gamma", "1"], "finite"),
+        # the preset is checked by family_5d alone, which names every preset
+        (["approx", "--family", "5d", "--preset", "bogus"], "choose from ['dirichlet', 'free']"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2
@@ -454,7 +479,7 @@ class TestCli:
         def solve(*args, **kwargs):
             raise AssertionError("the solve ran before --out was checked")
 
-        monkeypatch.setattr("deltaprime.cli.negative_spectrum", solve)
+        monkeypatch.setattr("deltaprime.measures.negative_spectrum", solve)
         missing = tmp_path / "missing" / "x.csv"
         assert main(["measure", "--cantor-depth", "3", "--beta", "-1",
                      "--grids", "512,1024", "--out", str(missing)]) == 2
@@ -558,3 +583,46 @@ class TestCli:
         assert seen == PER_KAPPA          # a renamed function must not empty the guard
         assert module_level == [], "module-level scipy import"
         assert per_kappa == [], "import statement in a per-kappa function"
+
+    @pytest.mark.parametrize("argv, solvers", [
+        pytest.param("interactions characteristic --gamma 6", [], id="interactions"),
+        pytest.param("approx --family 5d --preset dirichlet", ["transfer"], id="approx"),
+        pytest.param("spectrum --builtin delta-prime-pair --beta -1", ["line", "tridiagonal"],
+                     id="spectrum"),
+        pytest.param("measure --cantor-depth 3 --beta -1 --grids 512,1024,2048",
+                     ["measures", "tridiagonal"], id="measure"),
+        pytest.param("certify --positions 0,1,2 --betas=-1,1,-3",
+                     ["certify", "line", "measures", "tridiagonal"], id="certify"),
+        pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1",
+                     ["deficiency", "measures", "tridiagonal"], id="deficiency"),
+    ])
+    def test_each_command_loads_only_its_solvers(self, argv, solvers):
+        code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
+                "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('deltaprime.'))); "
+                "sys.exit(status)")
+        proc = fresh_python("-c", code, *argv.split())
+        assert proc.returncode == 0, proc.stderr
+        loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert [m for m in loaded if m in SOLVERS] == solvers
+
+    def test_package_import_loads_no_submodule(self):
+        code = ("import sys, deltaprime; "
+                "print(sorted(m for m in sys.modules if m.startswith('deltaprime.'))); "
+                f"print([getattr(deltaprime, n).__name__ for n in {SUBMODULES}]); "
+                f"print([n for n in {SUBMODULES} if n not in dir(deltaprime)])")
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]", str([f"deltaprime.{n}" for n in SUBMODULES]), "[]"]
+        import deltaprime
+
+        with pytest.raises(AttributeError, match="nosuch"):
+            deltaprime.nosuch
+
+    def test_front_end_imports_no_solver_at_module_scope(self):
+        found = []
+        for name in ("cli.py", "configio.py"):
+            tree = ast.parse((SRC / "deltaprime" / name).read_text(), filename=name)
+            found += [f"{name}:{n.lineno} {m}" for n in module_scope(tree)
+                      for m in package_modules(n) if m in SOLVERS]
+        assert found == []

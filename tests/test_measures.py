@@ -398,11 +398,20 @@ class TestTridiagonalRoute:
 
     def test_singular_kernel_matrix(self):
         # 4 cells of h = 1/8 per segment: the nodes across the atom are h apart,
-        # so beta w = -1/8 makes dg vanish exactly
+        # so beta w = -1/8 makes dg vanish exactly: K is singular, and the grid
+        # with the two nodes merged gives its nonzero eigenvalues
         mu = AtomicMeasure([0.5], [1.0])
         k = GreenKernel(0.0, 1.0, mu, BetaFunction.constant(-0.125))
-        with pytest.raises(DomainError, match="singular"):
-            negative_spectrum(k, [8, 16])
+        dg, _ = diagonal_steps(k, 8)
+        assert np.count_nonzero(dg == 0.0) == 1
+        k2 = GreenKernel(-1.0, 2.0, AtomicMeasure([0.0, 1.0], [0.5, 0.5]), BetaFunction([-0.25, -3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            res, res2 = negative_spectrum(k, [8, 16]), negative_spectrum(k2, [24, 48])
+        assert list(res.counts) == [0, 1] and list(res2.counts) == [1, 2]
+        for size, lam in zip(res.grid_sizes, res.per_grid):
+            np.testing.assert_allclose(lam, dense_negatives(k, int(size)), rtol=1e-10)
+        np.testing.assert_allclose(res2.per_grid[0], dense_negatives(k2, 24), rtol=1e-10)
         # on 16 cells the node spacing across the first atom equals |beta w| = 0.1
         # up to rounding, so ||T|| ~ 1/(h |dg|) swamps bisection: it returned
         # [-36.12, 7.0017, 7.0017] against the dense [-22.59, -6.083, -0.9392]
