@@ -296,9 +296,9 @@ class MeasureTestFunction:
     `positions` holds the subset's atoms in increasing order and `jumps`
     their beta w.  chi is 1 on those atoms and 0 on every other atom,
     so for x <= l the function is int_{-inf}^x chi plus the jumps of the
-    subset atoms below x; it takes the plateau value
-    c_k = int chi + sum(jumps) right of the support and closes through
-    two parabolas on [l, l+2r].
+    subset atoms at or below x (the right limit, which evaluate gives); it
+    takes the plateau value c_k = int chi + sum(jumps) right of the support
+    and closes through two parabolas on [l, l+2r].
     """
 
     chi: SmoothIndicator
@@ -324,7 +324,7 @@ class MeasureTestFunction:
         return (val.item(), der.item()) if x.ndim == 0 else (val, der)
 
     def evaluate(self, x):
-        return self.one_sided(x, -1)[0]
+        return self.one_sided(x, +1)[0]
 
     def jump_points(self) -> list[float]:
         return list(self.positions[self.jumps != 0])

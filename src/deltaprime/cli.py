@@ -207,7 +207,6 @@ def cmd_measure(args, out) -> None:
 def cmd_certify(args, out) -> None:
     from . import certify as vc
     from .line import delta_prime_system
-    from .measures import BetaFunction, cantor_blocks, cantor_measure
 
     out_lines = [f"# deltaprime {__version__}"]
     if args.random_trials is not None:
@@ -247,6 +246,8 @@ def cmd_certify(args, out) -> None:
                           f"eps = {fmt(t.eps)}", f"r = {fmt(t.r)}", f"l = {fmt(t.l)}",
                           f"form = {fmt(g)}"]
     elif args.cantor_depth is not None:
+        from .measures import BetaFunction, cantor_blocks, cantor_measure
+
         mu = cantor_measure(args.cantor_depth)
         beta = BetaFunction.constant(args.beta)
         level = args.blocks if args.blocks is not None else args.cantor_depth

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BranchCut, EvaluationOnAtom, IllConditioned
-from .measures import ATOM_TOL, AtomicMeasure, _atom_distance, mu_derivative
+from .measures import AtomicMeasure, _on_atoms, mu_derivative
 
 GCONV = "g"
 GPRIMECONV = "g_prime"
@@ -89,7 +89,7 @@ class DeficiencyElement:
 def element_eval(e: DeficiencyElement, x):
     """Pointwise value; GPrimeConv refuses evaluation on atoms."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if e.kind == GPRIMECONV and _atom_distance(e.measure.positions, xa).min() < ATOM_TOL:
+    if e.kind == GPRIMECONV and _on_atoms(e.measure.positions, xa).any():
         raise EvaluationOnAtom("derivative family is discontinuous on atoms")
     return e.one_sided(x, +1)[0]
 
@@ -188,12 +188,16 @@ def point_family(
     points: Sequence[float], z: complex, drop_prime_at: Sequence[float] = ()
 ) -> list[DeficiencyElement]:
     """Unit-mass g and g' shifts at isolated points, optionally without
-    the derivative member at selected points."""
+    the derivative member at selected points, each equal to one of them;
+    ValueError names the first that is not."""
+    missing = [q for q in drop_prime_at if q not in points]
+    if missing:
+        raise ValueError(f"drop_prime_at entry {missing[0]} is not one of the points")
     out = []
     for p in points:
         unit = AtomicMeasure([p], [1.0])
         out.append(DeficiencyElement(GCONV, unit, z))
-        if not any(abs(p - q) < 1e-14 for q in drop_prime_at):
+        if p not in drop_prime_at:
             out.append(DeficiencyElement(GPRIMECONV, unit, z))
     return out
 

@@ -588,16 +588,6 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     return 0.0, hi, range(int(np.sum(ends[cap] < 0.0)), total), ends
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b]: _brent_steps driven by one f; the first send starts it."""
-    steps, fx = _brent_steps(a, b, xtol, rtol, maxiter), None
-    while True:
-        try:
-            fx = f(steps.send(fx))
-        except StopIteration as done:
-            return done.value
-
-
 def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 100):
     """Brent's method (Brent 1973, Algorithms for Minimization Without
     Derivatives, ch. 4): yields each x, receives f(x), returns the root, step
@@ -749,14 +739,14 @@ COTH_EQ = "coth"
 
 def characteristic_root(kind: str) -> float:
     """Positive root of k = 1 + tanh(k) (odd mode) or k = 1 + coth(k) (even),
-    by _brent on [1.5, 3], with no scipy."""
+    by _lockstep's Brent on [1.5, 3], with no scipy."""
     if kind == TANH_EQ:
         f = lambda k: k - 1.0 - np.tanh(k)
     elif kind == COTH_EQ:
         f = lambda k: k - 1.0 - 1.0 / np.tanh(k)
     else:
         raise ValueError("kind must be 'tanh' or 'coth'")
-    return _brent(f, 1.5, 3.0, 1e-14, 8.9e-16)
+    return _lockstep(lambda ks, _: [f(k) for k in ks], 1.5, 3.0, range(1))[0][0]
 
 
 # ---------------------------------------------------------------------------

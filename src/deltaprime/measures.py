@@ -50,8 +50,6 @@ from .errors import (
     _checked_floats,
 )
 
-ATOM_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # atomic measures and intensity functions
@@ -108,11 +106,9 @@ class BetaFunction:
         return vals
 
 
-def _atom_distance(xs: np.ndarray, p) -> np.ndarray:
-    """Distance from each point p to the nearest of the sorted atoms xs."""
-    i = np.searchsorted(xs, p)
-    return np.minimum(np.abs(p - xs[np.maximum(i - 1, 0)]),
-                      np.abs(xs[np.minimum(i, xs.size - 1)] - p))
+def _on_atoms(xs: np.ndarray, p) -> np.ndarray:
+    """Whether each point p is one of the sorted atoms xs: equal to its float."""
+    return xs[np.minimum(np.searchsorted(xs, p), xs.size - 1)] == p
 
 
 def cantor_measure(depth: int, interval: tuple[float, float] = (0.0, 1.0)) -> AtomicMeasure:
@@ -166,7 +162,8 @@ class MeasureBoundaryData:
 
 
 def mu_derivative(psi, mu: AtomicMeasure) -> MeasureBoundaryData:
-    """Boundary data of a piecewise function with jumps only on the atoms.
+    """Boundary data of a piecewise function with jumps only on the atoms;
+    a jump anywhere else raises JumpOffSupport.
 
     `psi` implements the one_sided/jump_points protocol of this module.
     On an atom of weight w, dpsi/dmu is the value jump divided by w and
@@ -175,9 +172,9 @@ def mu_derivative(psi, mu: AtomicMeasure) -> MeasureBoundaryData:
     """
     xs, ws = mu.positions, mu.weights
     p = np.asarray(psi.jump_points(), dtype=float)
-    near = _atom_distance(xs, p)
-    if np.any(near > ATOM_TOL):
-        raise JumpOffSupport(f"jump at {p[near > ATOM_TOL][0]} off the measure support")
+    off = ~_on_atoms(xs, p)
+    if off.any():
+        raise JumpOffSupport(f"jump at {p[off][0]} off the measure support")
     vm, dm = psi.one_sided(xs, -1)
     vp, dp = psi.one_sided(xs, +1)
     return MeasureBoundaryData((vp - vm) / ws, (dp - dm) / ws, 0.5 * (vp + vm), 0.5 * (dp + dm))
@@ -244,7 +241,7 @@ class GreenKernel:
 def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
     """G(x,s) = min(x,s) - a + sum of beta*w over atoms strictly below min."""
     xs = k.mu.positions
-    if _atom_distance(xs, np.array([x, s], dtype=float)).min() < ATOM_TOL:
+    if _on_atoms(xs, np.array([x, s], dtype=float)).any():
         raise EvaluationOnAtom("kernel evaluation requested on an atom")
     if not (k.a < x < k.b and k.a < s < k.b):
         raise ValueError("kernel arguments must lie inside the box")
@@ -284,7 +281,7 @@ def _cells(k: GreenKernel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights = np.repeat(lengths / counts, counts)
     within = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     grid = np.repeat(edges[:-1], counts) + (within + 0.5) * weights
-    if _atom_distance(xs, grid).min() < 10 * ATOM_TOL:
+    if _on_atoms(xs, grid).any():
         raise EvaluationOnAtom("grid node collided with an atom")
     return grid, weights, np.searchsorted(xs, grid, side="left")
 

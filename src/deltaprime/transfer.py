@@ -90,35 +90,15 @@ def _jump(a: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [a, 1.0]], dtype=complex)
 
 
-def comb_transfer(
-    comb: DeltaComb,
-    lam: complex,
-    x_from: Optional[float] = None,
-    x_to: Optional[float] = None,
-) -> np.ndarray:
-    """Transfer matrix of a comb from x_from-0 to x_to+0.
-
-    Defaults to the span of the comb (just left of the first atom to
-    just right of the last).  An empty comb propagates freely over the
-    requested span.
-    """
-    if len(comb) == 0:
-        if x_from is None or x_to is None:
-            return np.eye(2, dtype=complex)
-        return free_propagator(x_to - x_from, lam)
-    xs = comb.positions
-    if x_from is None:
-        x_from = xs[0]
-    if x_to is None:
-        x_to = xs[-1]
-    if x_from > xs[0] or x_to < xs[-1]:
-        raise ValueError("span must contain all atoms")
-    m = free_propagator(xs[0] - x_from, lam).astype(complex)
-    m = _jump(comb.strengths[0]) @ m
-    for i in range(1, len(comb)):
-        m = free_propagator(xs[i] - xs[i - 1], lam) @ m
-        m = _jump(comb.strengths[i]) @ m
-    return free_propagator(x_to - xs[-1], lam) @ m
+def comb_transfer(comb: DeltaComb, lam: complex) -> np.ndarray:
+    """Transfer matrix of a comb from just left of its first atom to just
+    right of its last; the identity for an empty comb."""
+    xs, m = comb.positions, np.eye(2, dtype=complex)
+    for i, a in enumerate(comb.strengths):
+        if i:
+            m = free_propagator(xs[i] - xs[i - 1], lam) @ m
+        m = _jump(a) @ m
+    return m
 
 
 def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:

@@ -278,6 +278,15 @@ class TestMeasureTrialFunction:
         assert abs(t.c_k - (t.chi.integral() - 1.0)) < 1e-14
         assert abs(t.evaluate(1.5) - t.c_k) < 1e-12  # plateau before l
 
+    def test_evaluate_is_the_right_limit(self):
+        # as for every other trial function and bound state: at a subset atom,
+        # evaluate takes the atom's jump beta w
+        mu = AtomicMeasure([0.0, 0.3], [0.5, 0.7])
+        t = measure_test_build([0, 1], mu, BetaFunction([-1.0, -2.0]), 0.05, 2.0, 4.0)
+        for x in (0.0, 0.1, 0.3):
+            assert t.evaluate(x) == t.one_sided(x, +1)[0]
+        assert t.evaluate(0.3) - t.one_sided(0.3, -1)[0] == pytest.approx(-2.0 * 0.7)
+
     def test_zero_beta_plateau(self):
         mu = AtomicMeasure([0.0], [1.0])
         t = measure_test_build([0], mu, BetaFunction.constant(0.0), 0.2, 2.0, 5.0)

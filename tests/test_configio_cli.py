@@ -91,9 +91,9 @@ SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measur
 # the functions evaluated once per kappa, by (module, name) as a generic name
 # could match elsewhere: an import statement there would run on every Brent
 # step, so LAPACK is read from the handle tridiagonal._lapack loads once
-PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_brent"), ("line", "_brent_steps"),
-             ("line", "_lockstep"), ("line", "_values"), ("tridiagonal", "negatives"),
-             ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
+PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_brent_steps"), ("line", "_lockstep"),
+             ("line", "_values"), ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"),
+             ("tridiagonal", "_bisect")}
 
 
 def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
@@ -424,6 +424,9 @@ class TestCli:
         (["interactions", "compose", "--gamma", "inf", "--gamma", "1"], "finite"),
         # the preset is checked by family_5d alone, which names every preset
         (["approx", "--family", "5d", "--preset", "bogus"], "choose from ['dirichlet', 'free']"),
+        # a drop point is one of the points by float equality, or refused
+        (["deficiency", "--points", "0,1", "--z", "-1", "--drop-prime-at", "2"],
+         "drop_prime_at entry 2.0 is not one of the points"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2
@@ -566,7 +569,7 @@ class TestCli:
         assert importers("scipy.linalg") == []
 
     def test_no_module_imports_scipy_optimize(self):
-        # Brent's method is line._brent: root finding needs no scipy
+        # Brent's method is line._brent_steps: root finding needs no scipy
         assert importers("scipy.optimize") == []
 
     def test_scipy_imports_sit_in_solves_not_per_kappa(self):
@@ -592,7 +595,7 @@ class TestCli:
         pytest.param("measure --cantor-depth 3 --beta -1 --grids 512,1024,2048",
                      ["measures", "tridiagonal"], id="measure"),
         pytest.param("certify --positions 0,1,2 --betas=-1,1,-3",
-                     ["certify", "line", "measures", "tridiagonal"], id="certify"),
+                     ["certify", "line", "tridiagonal"], id="certify"),
         pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1",
                      ["deficiency", "measures", "tridiagonal"], id="deficiency"),
     ])

@@ -77,6 +77,16 @@ class TestElements:
         with pytest.raises(EvaluationOnAtom):
             element_eval(e, 0.5)
 
+    @pytest.mark.parametrize("side", [-1, +1])
+    def test_prime_next_to_an_atom_is_that_side_limit(self, side):
+        # only the atom's own float is on it: 1e-13 away, the one-sided limit
+        e = DeficiencyElement(GPRIMECONV, AtomicMeasure([0.5], [1.0]), -1.0)
+        x = 0.5 + side * 1e-13
+        assert element_eval(e, x) == e.one_sided(x, side)[0]
+        assert element_eval(e, x) == pytest.approx(e.one_sided(0.5, side)[0], abs=1e-12)
+        with pytest.raises(EvaluationOnAtom):
+            element_eval(e, np.array([0.0, 0.5]))
+
     def test_kernel_residual_off_atoms(self):
         mu = AtomicMeasure([0.0, 0.8], [1.0, 0.5])
         h = 1e-4
@@ -175,6 +185,12 @@ class TestRanks:
         fam = point_family([0.0, 1.0], -1.0, drop_prime_at=[1.0])
         assert len(fam) == 3
         assert gram_rank(fam) == 3
+
+    @pytest.mark.parametrize("drop", [[2.0], [1.0 + 1e-15]])
+    def test_drop_point_must_be_a_point(self, drop):
+        # a drop point is one of the points by float equality, or refused
+        with pytest.raises(ValueError, match=f"drop_prime_at entry {drop[0]!r} is not one of"):
+            point_family([0.0, 1.0], -1.0, drop_prime_at=drop)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dichotomy(self, n):

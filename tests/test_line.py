@@ -851,13 +851,24 @@ class TestCappedSearch:
         assert capped == uncapped[len(uncapped) - m:]
 
 
+def one_root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b]: line._brent_steps driven by one f, a reference
+    for a single root beside the package's one driver, line._lockstep."""
+    steps, fx = line._brent_steps(a, b, xtol, rtol, maxiter), None
+    while True:
+        try:
+            fx = f(steps.send(fx))
+        except StopIteration as done:
+            return done.value
+
+
 @pytest.fixture
 def twin_brent(monkeypatch):
-    """Replays every _brent_steps run of the package, the one-root _brent
-    and the lockstep search alike, into scipy's brentq on the same bracket
-    and tolerances: brentq must ask for the same points, in order, as the
-    generator yielded, and return the same root, bit for bit.  Gives the
-    list of roots compared."""
+    """Replays every _brent_steps run of the package, each driven by
+    _lockstep (find_bound_states and characteristic_root alike), into
+    scipy's brentq on the same bracket and tolerances: brentq must ask for
+    the same points, in order, as the generator yielded, and return the
+    same root, bit for bit.  Gives the list of roots compared."""
     steps, roots = line._brent_steps, []
 
     def twin(a, b, xtol, rtol, maxiter=100):
@@ -932,7 +943,7 @@ class TestBrent:
     ])
     def test_edge_roots_match_brentq(self, f, a, b):
         want = brentq(f, a, b, xtol=line.ROOT_XTOL, rtol=line.ROOT_RTOL)
-        got = line._brent(f, a, b, line.ROOT_XTOL, line.ROOT_RTOL)
+        got = one_root(f, a, b, line.ROOT_XTOL, line.ROOT_RTOL)
         assert type(got) is float and got.hex() == want.hex()
 
     @pytest.mark.parametrize("f, maxiter, error, message", [
@@ -946,7 +957,7 @@ class TestBrent:
         with pytest.raises(error, match=message):
             brentq(f, 0.0, 1.0, xtol=line.ROOT_XTOL, rtol=line.ROOT_RTOL, maxiter=maxiter)
         with pytest.raises(error, match=message):
-            line._brent(f, 0.0, 1.0, line.ROOT_XTOL, line.ROOT_RTOL, maxiter)
+            one_root(f, 0.0, 1.0, line.ROOT_XTOL, line.ROOT_RTOL, maxiter)
 
 
 class TestLockstep:
@@ -991,7 +1002,7 @@ class TestLockstep:
             else:
                 value = lambda k, j: float(k) * float(
                     tridiagonal.eigenvalues(*line._tridiagonal(sys, k), j, j)[0])
-            want = sorted((line._brent(lambda k: value(k, j), lo, hi, line.ROOT_XTOL, line.ROOT_RTOL), j)
+            want = sorted((one_root(lambda k: value(k, j), lo, hi, line.ROOT_XTOL, line.ROOT_RTOL), j)
                           for j in crossing)
             got = line._lockstep(lambda ks, js: line._values(sys, ks, js, ends), lo, hi, crossing)
             assert [(k.hex(), j) for k, j in sorted(got)] == [(k.hex(), j) for k, j in want]

@@ -107,6 +107,16 @@ class TestMuDerivative:
         with pytest.raises(JumpOffSupport):
             mu_derivative(psi, mu)
 
+    def test_jump_next_to_an_atom_is_off_support(self):
+        # a jump 1e-13 right of the atom 0.5 is not on it: refused, not read as zero
+        mu = AtomicMeasure([0.5], [0.25])
+        step = lambda at: PiecewiseFunction(
+            [at], [lambda x: 0.0 * x, lambda x: 1.0 + 0.0 * x],
+            [lambda x: 0.0 * x, lambda x: 0.0 * x])
+        with pytest.raises(JumpOffSupport, match="jump at 0.5000000000001"):
+            mu_derivative(step(0.5 + 1e-13), mu)
+        assert mu_derivative(step(0.5), mu).dpsi_dmu[0] == 4.0
+
 
 def one_sided_implementers():
     """(name, function, measure): one of each one_sided implementer, its
@@ -230,6 +240,17 @@ class TestGreenKernel:
         k = GreenKernel(0.0, 1.0, mu, BetaFunction.constant(-1.0))
         with pytest.raises(EvaluationOnAtom):
             green_kernel_value(k, 0.5, 0.9)
+
+    @pytest.mark.parametrize("side", [-1, +1])
+    def test_next_to_an_atom_is_that_side_limit(self, side):
+        # only the atom's own float is on it; 1e-13 away the kernel takes the
+        # limit from that side, the atom's beta w = -0.25 counted right of it
+        mu = AtomicMeasure([0.5], [0.25])
+        k = GreenKernel(0.0, 1.0, mu, BetaFunction.constant(-1.0))
+        x = 0.5 + side * 1e-13
+        assert green_kernel_value(k, x, 0.9) == x - (0.25 if side > 0 else 0.0)
+        with pytest.raises(EvaluationOnAtom):
+            green_kernel_value(k, 0.9, 0.5)
 
     def test_box_containment(self):
         mu = AtomicMeasure([0.5], [1.0])

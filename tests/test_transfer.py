@@ -56,9 +56,10 @@ class TestCombTransfer:
             comb_transfer(comb, 1.0), lambda_of(Delta(4.0)).entries, atol=1e-15
         )
 
-    def test_empty_comb_is_free(self):
-        m = comb_transfer(DeltaComb([], []), 2.0, x_from=0.0, x_to=0.5)
-        np.testing.assert_allclose(m, free_propagator(0.5, 2.0), atol=1e-15)
+    def test_empty_comb_is_identity(self):
+        m = comb_transfer(DeltaComb([], []), 2.0)
+        assert m.dtype == complex
+        np.testing.assert_array_equal(m, np.eye(2))
 
     def test_family_3d_close_to_limit(self):
         eps = 1e-4
@@ -68,8 +69,9 @@ class TestCombTransfer:
     def test_split_and_compose(self):
         comb = DeltaComb([0.0, 0.4, 1.1, 1.7], [1.0, -2.0, 0.5, 3.0])
         lam = 1.7
-        left = comb_transfer(DeltaComb([0.0, 0.4], [1.0, -2.0]), lam, x_to=0.75)
-        right = comb_transfer(DeltaComb([1.1, 1.7], [0.5, 3.0]), lam, x_from=0.75)
+        # cut at 0.75: each half spans its own atoms, the gap to the cut is free
+        left = free_propagator(0.75 - 0.4, lam) @ comb_transfer(DeltaComb([0.0, 0.4], [1.0, -2.0]), lam)
+        right = comb_transfer(DeltaComb([1.1, 1.7], [0.5, 3.0]), lam) @ free_propagator(1.1 - 0.75, lam)
         np.testing.assert_allclose(
             right @ left, comb_transfer(comb, lam), atol=1e-13
         )
@@ -209,7 +211,7 @@ class TestPiecewisePotential:
             [0.0, w, 0.5, 0.5 + w], [2.0 / w, 0.0, -1.0 / w]
         )
         np.testing.assert_allclose(
-            pc_transfer(pot, 1.0), comb_transfer(comb, 1.0, x_to=0.5 + w), atol=5e-4
+            pc_transfer(pot, 1.0), free_propagator(w, 1.0) @ comb_transfer(comb, 1.0), atol=5e-4
         )
 
 
