@@ -56,9 +56,11 @@ continuous; psi'/kappa is a decaying solution, so the same gap solve on
 -u/kappa gives the state.  This route never builds the frame.
 
 On both routes all roots of a search advance together, one Brent step of
-each per round, and the delta' route builds T once per round.  The states
-of a search are built in one pass: an eigen-solve per cluster of roots,
-whose orthonormal eigenvectors give independent states, then the traces
+each per round, and each route builds its matrix, T or H, once per round
+for all the round's kappas; the H route diagonalizes them in one stacked
+call.  The states of a search are built in one pass: an eigen-solve per
+cluster of roots (one stacked call for H), whose orthonormal eigenvectors
+give independent states, then the traces
 (read off the piece tables with the gap rates r = e^{-kappa g} of the gap
 solve), residuals, norms and parities of all at once.  A
 state is its kappa and one piece table, the (a, b) of every piece; its
@@ -301,30 +303,36 @@ def _gaps(points: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(-kg), -np.expm1(-2.0 * kg)
 
 
-def _krein(sys: PointSystem, kappa: float) -> np.ndarray:
-    """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0."""
+def _krein(sys: PointSystem, kappa) -> np.ndarray:
+    """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0; a
+    column of kappa gives one H per row, shape (B, r, r), each with the bits
+    of its own build."""
     x, xy, defect, _ = sys._plane
     if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
             f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
         )
-    if kappa == 0:
-        kcoth = kcsch = 1.0 / np.diff(sys.points)     # the limits of kappa coth, kappa csch
-    else:
-        r, den = _gaps(sys.points, kappa)
-        # coth and csch of kappa g, finite for large kappa g
-        kcoth, kcsch = kappa * ((1.0 + r * r) / den), kappa * (2.0 * r / den)
+    # kappa coth and kappa csch of kappa g, finite for large kappa g; a kappa = 0 row reads
+    # them at kappa = 1, so kappa times them is 0, and then takes their limits 1/g
+    zero = kappa == 0
+    r, den = _gaps(sys.points, kappa + zero)
+    kcoth, kcsch = kappa * ((1.0 + r * r) / den), kappa * (2.0 * r / den)
+    if np.count_nonzero(zero):
+        lim = zero / np.diff(sys.points)
+        kcoth, kcsch = kcoth + lim, kcsch + lim
     # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
-    m = np.full(x.shape[0], -kappa)
-    m[0:-2:2] = m[3::2] = -kcoth
-    mx = m[:, None] * x
-    off = kcsch[:, None]
-    mx[0:-2:2] += off * x[3::2]
-    mx[3::2] += off * x[0:-2:2]
+    m = np.full(np.shape(kappa)[:-1] + x.shape[:1], -kappa)
+    m[..., 0:-2:2] = m[..., 3::2] = -kcoth
+    mx = m[..., None] * x
+    off = kcsch[..., None]
+    mx[..., 0:-2:2, :] += off * x[3::2]
+    mx[..., 3::2, :] += off * x[0:-2:2]
     return xy - x.conj().T @ mx
 
 
-def _eigenvalues(sys: PointSystem, kappa: float) -> np.ndarray:
+def _eigenvalues(sys: PointSystem, kappa) -> np.ndarray:
+    """The ascending eigenvalues of H(kappa); a column of kappa is diagonalized
+    in one stacked call, a row of eigenvalues per kappa."""
     return np.linalg.eigvalsh(_krein(sys, kappa))
 
 
@@ -450,28 +458,28 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[B
     to largest amplitude 1, so the norm cannot underflow, the norm at each
     root and _parities.  The first failing cluster raises DomainError when
     -kappa^2 is not a float or the eigenvalues vanish only to their route's
-    resolution, else NotAnEigenvalue."""
-    route = _h_amplitudes if sys._betas is None else _t_amplitudes
-    means, tables = [], []
-    for cluster in clusters:
-        kappas = [kappa for kappa, _ in cluster]
-        mult, deepest = len(kappas), max(kappas)
-        if not math.isfinite(deepest * deepest):
-            raise _too_deep(sys, deepest)
-        kappa = float(np.mean(kappas))
-        lam, scale, resolution, table = route(sys, kappa, min(j for _, j in cluster), mult)
+    resolution, else NotAnEigenvalue; the first cluster holds the deepest root."""
+    deepest = clusters[0][0][0]
+    if not math.isfinite(deepest * deepest):
+        raise _too_deep(sys, deepest)
+    means = [float(np.mean([kappa for kappa, _ in cluster])) for cluster in clusters]
+    spans = [(min(j for _, j in cluster), len(cluster)) for cluster in clusters]
+    amplitudes = (_h_amplitudes(sys, means, spans) if sys._betas is None else
+                  (_t_amplitudes(sys, kappa, *span) for kappa, span in zip(means, spans)))
+    tables, root_means = [], []
+    for cluster, kappa, (lam, scale, resolution, table) in zip(clusters, means, amplitudes):
         if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
-            worst, root = np.abs(lam).max(), f"{mult}-fold root at kappa={kappas[0]:.9g}"
+            worst, root = np.abs(lam).max(), f"{len(cluster)}-fold root at kappa={cluster[0][0]:.9g}"
             if worst <= resolution():
                 raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
             raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
                                   f"scale {np.min(scale):.2e} at the {root}")
-        means += [kappa] * mult
         tables.append(table)
+        root_means += [kappa] * len(cluster)
     roots, tables = [kappa for cluster in clusters for kappa, _ in cluster], np.concatenate(tables)
     # on gap i, psi is a_i r_i + b_i at its left end and a_i + b_i r_i at its right end;
     # on a tail, whose other amplitude is 0, r is 1
-    k = np.array(means)[:, None]
+    k = np.array(root_means)[:, None]
     r, ones = _gaps(sys.points, k)[0], np.ones_like(k)
     a, b = tables[..., 0], tables[..., 1]
     grow, decay = a[:, 1:] * np.hstack((r, ones)), b[:, :-1] * np.hstack((ones, r))
@@ -506,15 +514,18 @@ def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tupl
     return lam, np.abs(sys._betas) @ (u * u), lambda: tridiagonal.resolution(diag, off), tables
 
 
-def _h_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of H(kappa), their scale, eps times it (as a
-    function, as for T) and the piece tables of their states, from the point
-    values Gamma0 = X h, (v+_k, v-_k), of the eigenvectors h."""
-    lam, h = np.linalg.eigh(_krein(sys, kappa))
-    scale = max(1.0, np.abs(lam).max())
-    v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
-    return (lam[first:first + mult], scale, lambda: np.finfo(float).eps * scale,
-            _anchored(sys.points, kappa, v[:, 0], v[:, 1]))
+def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, int]]):
+    """Per kappa and span (first, mult): eigenvalues first.. of H(kappa), their
+    scale, eps times it (as a function, as for T) and the piece tables of their
+    states, from the point values Gamma0 = X h, (v+_k, v-_k), of the
+    eigenvectors h; every H is built in one _krein call and diagonalized in one
+    stacked eigh."""
+    lams, hs = np.linalg.eigh(_krein(sys, np.array(kappas)[:, None]))
+    for kappa, lam, h, (first, mult) in zip(kappas, lams, hs, spans):
+        scale = max(1.0, np.abs(lam).max())
+        v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
+        yield (lam[first:first + mult], scale, lambda scale=scale: np.finfo(float).eps * scale,
+               _anchored(sys.points, kappa, v[:, 0], v[:, 1]))
 
 
 def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
@@ -651,8 +662,9 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 10
 def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float, int]]:
     """(kappa, j), the root in [lo, hi] of each eigenvalue j of crossing, by one
     _brent_steps per j in lockstep: a round evaluates every pending kappa in one
-    values(kappas, js) call.  As the counts prove a sign change, a one-sign bracket
-    means it lies below eps ||T|| or eps ||H||: a DomainError."""
+    values(kappas, js) call, so _values builds T or H once per round.  As the
+    counts prove a sign change, a one-sign bracket means it lies below eps ||T||
+    or eps ||H||: a DomainError."""
     steps = {j: _brent_steps(lo, hi, ROOT_XTOL, ROOT_RTOL) for j in crossing}
     pending, roots = {j: next(s) for j, s in steps.items()}, []
     while pending:
@@ -671,11 +683,16 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
 
 
 def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict) -> list:
-    """Eigenvalue js[i] at kappas[i]: of H, diagonalized once per kappa into ends, or
-    of T as kappa lambda_j, from one T build for all: linear in kappa for a lone point
-    (2 + kappa beta), which saves Brent steps, and a Python float, so inf, not a warning."""
+    """Eigenvalue js[i] at kappas[i], each row keeping the bits of its own build: of H,
+    the round's new kappas (each once, in order) built in one _krein call and
+    diagonalized in one stacked eigvalsh into ends, so no kappa is diagonalized twice;
+    or of T as kappa lambda_j, from one T build for all: linear in kappa for a lone
+    point (2 + kappa beta), which saves Brent steps, and a Python float, so inf, not a
+    warning."""
     if sys._betas is None:
-        ends.update((k, _eigenvalues(sys, k)) for k in set(kappas) - ends.keys())
+        new = [k for k in dict.fromkeys(kappas) if k not in ends]
+        if new:
+            ends.update(zip(new, _eigenvalues(sys, np.array(new)[:, None])))
         return [ends[k][j] for k, j in zip(kappas, js)]
     diag, off = _tridiagonal(sys, np.array(kappas)[:, None])
     return [k * float(tridiagonal.eigenvalues(d, o, j, j)[0])
@@ -690,15 +707,18 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     pure delta' system and of H otherwise, all in lockstep (_lockstep), over a
     bracket that does not depend on kappa_max: a capped search returns the
     roots of the uncapped one that the count selects, bit for bit, and one of
-    them may lie a few ulps above kappa_max.  Roots closer than CLUSTER_RTOL
-    (relative) form a cluster whose states come from the orthonormal
-    eigenvectors of one matrix, so they are linearly independent; _states
-    builds every state in one pass.  Exactly as many states as the count are
-    returned: a failed extraction raises NotAnEigenvalue, and a state whose
-    matching residual exceeds STATE_RESIDUAL_TOL is kept and reported via
-    GridTooCoarse.  Raises NotSelfAdjoint when the condition plane is not
-    Lagrangian, and DomainError when -kappa^2 is not a finite float or an
-    eigenvalue lies below the solver's resolution eps ||T|| or eps ||H||.
+    them may lie a few ulps above kappa_max.  Each round builds T or H once
+    for all its kappas, and H's are diagonalized in one stacked call.  Roots
+    closer than CLUSTER_RTOL (relative) form a cluster whose states come from
+    the orthonormal eigenvectors of one matrix, so they are linearly
+    independent; _states builds every state in one pass, the H clusters'
+    matrices in one build and one stacked eigen-solve.  Exactly as many
+    states as the count are returned: a failed extraction raises
+    NotAnEigenvalue, and a state whose matching residual exceeds
+    STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.  Raises
+    NotSelfAdjoint when the condition plane is not Lagrangian, and
+    DomainError when -kappa^2 is not a finite float or an eigenvalue lies
+    below the solver's resolution eps ||T|| or eps ||H||.
     The H route runs on numpy alone; the delta' route runs LAPACK's
     bisection and inverse iteration through the tridiagonal core's handle.
     """

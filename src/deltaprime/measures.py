@@ -78,6 +78,9 @@ class AtomicMeasure:
 
     @property
     def support(self) -> tuple[float, float]:
+        """(first atom, last atom); an empty measure has no support, a ValueError."""
+        if not len(self):
+            raise ValueError("the measure is empty: it has no atoms, so no support")
         return float(self.positions[0]), float(self.positions[-1])
 
     def __len__(self) -> int:
@@ -107,7 +110,10 @@ class BetaFunction:
 
 
 def _on_atoms(xs: np.ndarray, p) -> np.ndarray:
-    """Whether each point p is one of the sorted atoms xs: equal to its float."""
+    """Whether each point p is one of the sorted atoms xs: equal to its float;
+    with no atoms, none is."""
+    if not xs.size:
+        return np.zeros(np.shape(p), dtype=bool)
     return xs[np.minimum(np.searchsorted(xs, p), xs.size - 1)] == p
 
 

@@ -65,39 +65,60 @@ class PiecewisePotential:
         object.__setattr__(self, "values", v)
 
 
-def free_propagator(eps: float, lam: complex) -> np.ndarray:
-    """Free transfer matrix over a gap of length eps at wavenumber lam.
+def free_propagator(eps, lam) -> np.ndarray:
+    """Free transfer matrices over gaps of lengths eps at wavenumber lam,
+    shape (..., 2, 2) for eps and lam broadcast together: a float and a
+    scalar give one matrix.
 
     [[cos(lam eps), sin(lam eps)/lam], [-lam sin(lam eps), cos(lam eps)]];
     the (1,2) entry uses a short series near lam*eps = 0, where it tends
-    to eps.  det = 1 identically.
+    to eps.  det = 1 identically.  The one home of the propagator, so of its
+    checks: a negative gap or a non-finite lam raises ValueError.
     """
-    if eps < 0:
+    lam = np.asarray(lam, dtype=complex)
+    finite = np.isfinite(lam)
+    if np.count_nonzero(finite) < finite.size:
+        raise ValueError(f"lam must be finite, got {lam[~finite].flat[0]}")
+    eps = np.asarray(eps, dtype=float)
+    if np.count_nonzero(eps < 0):
         raise ValueError("gap length must be nonnegative")
-    lam = complex(lam)
     u = lam * eps
-    c = np.cos(u)
     s = np.sin(u)
-    if abs(u) < SERIES_CUT:
-        u2 = u * u
-        e12 = eps * (1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0)
-    else:
-        e12 = s / lam
-    return np.array([[c, e12], [-lam * s, c]])
-
-
-def _jump(a: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [a, 1.0]], dtype=complex)
+    out = np.empty(u.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(u)
+    np.multiply(-lam, s, out=out[..., 1, 0])
+    big = abs(u) >= SERIES_CUT               # lam = 0 gives u = 0: the quotient never divides by 0
+    if np.count_nonzero(big) < big.size:
+        # the series' arguments, 0 where the quotient holds, with a trailing axis of one
+        # value, so each has a view as two floats: a quotient by a float is taken per
+        # component, as Python's complex / float takes it
+        v = np.where(big, 0.0, u)[..., None]
+        u2 = v * v
+        u4 = u2 * u2
+        over = lambda z, d: (z.view(float) / d).view(complex)
+        out[..., 0, 1] = (eps[..., None] * (1.0 - over(u2, 6.0) + over(u4, 120.0)
+                                            - over(u4 * u2, 5040.0)))[..., 0]
+    np.divide(s, lam, out=out[..., 0, 1], where=big)
+    return out
 
 
 def comb_transfer(comb: DeltaComb, lam: complex) -> np.ndarray:
     """Transfer matrix of a comb from just left of its first atom to just
-    right of its last; the identity for an empty comb."""
-    xs, m = comb.positions, np.eye(2, dtype=complex)
-    for i, a in enumerate(comb.strengths):
-        if i:
-            m = free_propagator(xs[i] - xs[i - 1], lam) @ m
-        m = _jump(a) @ m
+    right of its last; the identity for an empty comb.
+
+    The identity, every jump J_i = [[1, 0], [a_i, 1]] and every gap's
+    propagator F_i sit in one array built at once, I, J_1, F_1, J_2, ...,
+    in the order they apply, so the product is taken atom by atom as
+    m = J_i (F_i m).
+    """
+    xs = comb.positions
+    mats = np.zeros((2 * len(comb) or 1, 2, 2), dtype=complex)       # I alone for no atom
+    mats.reshape(-1, 4)[:, ::3] = 1.0         # every diagonal
+    mats[1::2, 1, 0] = comb.strengths
+    mats[2::2] = free_propagator(xs[1:] - xs[:-1], lam)
+    m = mats[0]
+    for f in mats[1:]:
+        m = f @ m
     return m
 
 
@@ -106,14 +127,12 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
 
     Each piece contributes the constant-coefficient propagator at local
     wavenumber sqrt(lam^2 - v); the branch is irrelevant (even entry
-    dependence), det = 1.
+    dependence), det = 1.  The propagators are built at once.
     """
     lam = complex(lam)
     m = np.eye(2, dtype=complex)
-    for i, v in enumerate(pot.values):
-        w = pot.breakpoints[i + 1] - pot.breakpoints[i]
-        k = np.sqrt(lam * lam - v + 0j)
-        m = free_propagator(w, k) @ m
+    for f in free_propagator(np.diff(pot.breakpoints), np.sqrt(lam * lam - pot.values + 0j)):
+        m = f @ m
     return m
 
 
@@ -211,10 +230,9 @@ def limit_diagnose(
     observed order, with first-order fallback.  Dirichlet decoupling:
     |M21| grows without bound while M11/M21 and M22/M21 tend to zero
     (the transfer-matrix signature of separated Dirichlet conditions).
-    Otherwise divergent; mixed signals raise AmbiguousClassification.
+    Otherwise divergent; mixed signals raise AmbiguousClassification.  A
+    non-finite lam raises ValueError, in free_propagator.
     """
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
     eps_seq = np.asarray(eps_seq, dtype=float)
     if eps_seq.size < 3:
         raise ValueError("need at least three eps values")

@@ -7,7 +7,7 @@ import numpy as np
 from mpmath import iv
 from scipy.integrate import quad
 
-from deltaprime import line
+from deltaprime import line, transfer
 from deltaprime.certify import PAD, R_MIN, _neighborhood, measure_test_build, quadratic_form_measure
 from deltaprime.deficiency import GPRIMECONV, DeficiencyElement, _sqrt_upper, element_eval
 from deltaprime.errors import SupportOverlap
@@ -102,6 +102,27 @@ def secular_values(sys: line.PointSystem, kappas) -> np.ndarray:
     if np.any(kappas <= 0):
         raise ValueError("kappa must be positive")
     return np.array([np.linalg.det(line._krein(sys, float(k))).real for k in kappas])
+
+
+def sequential_comb_transfer(comb: transfer.DeltaComb, lam: complex) -> np.ndarray:
+    """A comb's transfer matrix atom by atom, m = J_i (F_i m), from the identity,
+    each gap's propagator F_i and each jump J_i = [[1, 0], [a_i, 1]] built alone
+    in scalar arithmetic: the reference for the batched build of comb_transfer."""
+    lam, xs = complex(lam), comb.positions
+    m = np.eye(2, dtype=complex)
+    for i, a in enumerate(comb.strengths):
+        if i:
+            eps = xs[i] - xs[i - 1]
+            u = lam * eps
+            c, s = np.cos(u), np.sin(u)
+            if abs(u) < transfer.SERIES_CUT:
+                u2 = u * u
+                e12 = eps * (1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0)
+            else:
+                e12 = s / lam
+            m = np.array([[c, e12], [-lam * s, c]]) @ m
+        m = np.array([[1.0, 0.0], [a, 1.0]], dtype=complex) @ m
+    return m
 
 
 @dataclass

@@ -88,12 +88,14 @@ LAPACK_SKIPS = ("scipy.linalg", "scipy.optimize", "scipy._lib._array_api", "nump
 SOLVERS = ("line", "measures", "tridiagonal", "certify", "deficiency", "transfer")
 # the submodules `import deltaprime` resolves on first attribute access
 SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measures", "transfer")
-# the functions evaluated once per kappa, by (module, name) as a generic name
-# could match elsewhere: an import statement there would run on every Brent
-# step, so LAPACK is read from the handle tridiagonal._lapack loads once
-PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_brent_steps"), ("line", "_lockstep"),
-             ("line", "_values"), ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"),
-             ("tridiagonal", "_bisect")}
+# the functions evaluated once per kappa or per Brent round, on both routes, by
+# (module, name) as a generic name could match elsewhere: an import statement
+# there would run on every Brent step, so LAPACK is read from the handle
+# tridiagonal._lapack loads once; _eigenvalues is the H route's batched
+# diagonalization of a round's new kappas
+PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_krein"), ("line", "_eigenvalues"),
+             ("line", "_brent_steps"), ("line", "_lockstep"), ("line", "_values"),
+             ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
 
 
 def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:

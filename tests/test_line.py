@@ -559,7 +559,9 @@ class TestKreinCount:
         for kappa_max, n in ((None, 3), (1.2, 2)):
             _, hi, crossing, _ = line._window(sys, kappa_max)
             seen = []
-            monkeypatch.setattr(line, "_eigenvalues", lambda s, k: seen.append(k) or eigenvalues(s, k))
+            # _eigenvalues takes a float or a round's column of kappa: record every one
+            monkeypatch.setattr(line, "_eigenvalues",
+                                lambda s, k: seen.extend(np.ravel(k)) or eigenvalues(s, k))
             assert len(find_bound_states(sys, kappa_max)) == len(crossing) == n
             monkeypatch.setattr(line, "_eigenvalues", eigenvalues)
             assert seen.count(0.0) == seen.count(hi) == 1
@@ -975,6 +977,26 @@ class TestLockstep:
         for kappa, d, o in zip(kappas, diag, off):
             want_d, want_o = line._tridiagonal(sys, kappa)
             assert d.tobytes() == want_d.tobytes() and o.tobytes() == want_o.tobytes()
+
+    @pytest.mark.parametrize("sys", [
+        from_kinds([(0.0, Delta(-2.0)), (0.4, DeltaPrime(1.3)), (1.5, DeltaPrimePotential(0.7)),
+                    (3.0, Delta(-1.5))]),
+        PointSystem([0.0, 1.2, 2.3], lambdas=[
+            TransmissionMatrix(np.exp(1j * eta) * np.array([[1.0, 0.0], [a, 1.0]]))
+            for eta, a in ((0.9, -2.5), (-1.4, -3.0), (2.1, 1.5))]),
+        nonlocal_example(),
+    ], ids=["mixed-real", "gauged-complex", "nonlocal"])
+    @settings(max_examples=40, deadline=None)
+    @given(kappas=st.lists(st.floats(1e-6, 1e3) | st.floats(1e3, 1e300), max_size=6))
+    def test_krein_rows_are_the_scalar_builds(self, sys, kappas):
+        # kappa = 0 takes the limits 1/g; kappa g past 746 meets the cap of _gaps
+        kappas = [0.0, 800.0 / np.diff(sys.points).min(), *kappas]
+        col = np.array(kappas)[:, None]
+        h, lam = line._krein(sys, col), line._eigenvalues(sys, col)
+        assert h.shape[0] == lam.shape[0] == len(kappas)
+        for kappa, hk, lk in zip(kappas, h, lam):
+            assert np.array_equal(hk, line._krein(sys, kappa))
+            assert np.array_equal(lk, line._eigenvalues(sys, kappa))
 
     @staticmethod
     def systems(rng):

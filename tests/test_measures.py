@@ -117,6 +117,16 @@ class TestMuDerivative:
             mu_derivative(step(0.5 + 1e-13), mu)
         assert mu_derivative(step(0.5), mu).dpsi_dmu[0] == 4.0
 
+    def test_empty_measure_has_no_atoms_and_no_support(self):
+        # with no atoms every jump is off the support, and the support is refused by name
+        mu = AtomicMeasure([], [])
+        step = PiecewiseFunction([0.5], [lambda x: 0.0 * x, lambda x: 1.0 + 0.0 * x],
+                                 [lambda x: 0.0 * x, lambda x: 0.0 * x])
+        with pytest.raises(JumpOffSupport, match="jump at 0.5"):
+            mu_derivative(step, mu)
+        with pytest.raises(ValueError, match="measure is empty"):
+            mu.support
+
 
 def one_sided_implementers():
     """(name, function, measure): one of each one_sided implementer, its

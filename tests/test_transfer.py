@@ -19,6 +19,8 @@ from deltaprime.transfer import (
     pc_transfer,
 )
 
+from oracles import sequential_comb_transfer
+
 EPS_SEQ = [1e-2, 1e-3, 1e-4, 1e-5]
 
 
@@ -47,6 +49,72 @@ class TestFreePropagator:
     def test_lambda_zero(self):
         m = free_propagator(0.37, 0.0)
         np.testing.assert_allclose(m, [[1, 0.37], [0, 1]], atol=1e-16)
+
+    def test_gaps_and_wavenumbers_broadcast(self):
+        # one matrix per gap, per wavenumber or per pair, each the one built alone
+        eps, lams = np.array([0.0, 1e-6, 0.3, 2.0]), np.array([1.3, 0.0, 2.5, 1e-5])
+        assert free_propagator(eps, 1.3).shape == (4, 2, 2)
+        assert free_propagator(0.3, lams).shape == (4, 2, 2)
+        for e, lam, m in zip(eps, lams, free_propagator(eps, lams)):
+            assert np.array_equal(m, free_propagator(e, lam))
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            free_propagator([0.5, -1e-300], 1.0)
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.nan), complex(np.inf, 1.0)])
+class TestNonFiniteLambda:
+    # each entry point refuses it in free_propagator alone, with limit_diagnose's message;
+    # unchecked, inf gives all-NaN matrices and NaN only numpy's RuntimeWarning
+    def test_free_propagator(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite, got"):
+            free_propagator(0.5, lam)
+
+    def test_comb_transfer(self, lam):
+        for xs, a in (([0.0, 0.5], [1.0, -1.0]), ([0.3], [4.0]), ([], [])):
+            with pytest.raises(ValueError, match="lam must be finite, got"):
+                comb_transfer(DeltaComb(xs, a), lam)
+
+    def test_pc_transfer(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite, got"):
+            pc_transfer(PiecewisePotential([0.0, 1.0, 2.5], [1.0, -2.0]), lam)
+
+    def test_limit_diagnose(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite, got"):
+            limit_diagnose(lambda e: family_3d(0.5, e), lam, EPS_SEQ)
+
+
+class TestBatchedCombBuild:
+    """comb_transfer builds every propagator and jump at once and keeps the
+    product order m = J_i (F_i m) of the atom-by-atom reference."""
+
+    @pytest.mark.parametrize("eps", EPS_SEQ)
+    def test_families_keep_the_sequential_bits(self, eps):
+        combs = ([family_3d(g, eps) for g in (-1.2, 0.3, 2.0 / 3.0)]
+                 + [family_4d(g, s, eps) for g in (3.0, 8.0) for s in (1, -1)]
+                 + [family_5d(p, eps) for p in ("free", "dirichlet")])
+        for comb in combs:
+            for lam in (1.0, 0.0, 2.5, -0.7):
+                assert np.array_equal(comb_transfer(comb, lam), sequential_comb_transfer(comb, lam))
+
+    def test_random_combs_keep_the_sequential_bits(self):
+        # up to 200 atoms; gaps from 1e-6, so lam = 1e-3 reads the series on some of them
+        rng = np.random.default_rng(5)
+        for n in [*range(9), 37, 120, 200]:
+            comb = DeltaComb(np.cumsum(rng.uniform(1e-6, 0.3, n)), rng.uniform(-5.0, 5.0, n))
+            for lam in (0.0, 1e-3, float(rng.uniform(-3.0, 3.0)), 2.9):
+                assert np.array_equal(comb_transfer(comb, lam), sequential_comb_transfer(comb, lam))
+
+    def test_complex_lambda_within_rounding(self):
+        # numpy's array complex multiply and abs round apart from the scalar ones, so the
+        # bits may move; 4.1e-15 of the largest entry was the largest change seen
+        rng = np.random.default_rng(6)
+        for n in [*range(1, 9), 64, 200]:
+            comb = DeltaComb(np.cumsum(rng.uniform(1e-6, 0.3, n)), rng.uniform(-5.0, 5.0, n))
+            for lam in (1j, 0.3 + 0.1j, complex(*rng.uniform(-3.0, 3.0, 2)), 1e-3 - 2e-3j):
+                want = sequential_comb_transfer(comb, lam)
+                assert np.abs(comb_transfer(comb, lam) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestCombTransfer:
