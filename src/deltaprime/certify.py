@@ -124,8 +124,10 @@ class TestFunction:
 
 
 def quadratic_form_point(t: TestFunction) -> float:
-    """Closed-form quadratic form beta + (2/3)eps + (2/(3r))(beta+eps)^2."""
-    return t.beta + (2.0 / 3.0) * t.eps + (2.0 / (3.0 * t.r)) * (t.beta + t.eps) ** 2
+    """Closed-form quadratic form beta + (2/3)eps + (2/(3r))(beta+eps)^2, its
+    last term taken without the square, which underflows for a weak beta."""
+    b = t.beta + t.eps
+    return t.beta + (2.0 / 3.0) * t.eps + (2.0 / 3.0) * b * (b / t.r)
 
 
 def choose_params(
@@ -147,7 +149,7 @@ def choose_params(
             raise ValueError("choose_params expects strictly negative intensities")
         eps = min(eps0, -3.0 * b / 8.0)
         den = -0.5 * b - (2.0 / 3.0) * eps    # >= -b/4 > 0 for eps <= -3b/8
-        r = (2.0 / 3.0) * (b + eps) ** 2 / den
+        r = (2.0 / 3.0) * (b + eps) * ((b + eps) / den)    # no square: it underflows for a weak b
         out.append((eps, r, l_next))
         l_next += 2.0 * r + 1.0
     return out

@@ -118,8 +118,6 @@ def parse_system(text: str) -> PointSystem:
     if not points:
         return PointSystem([])
     n = len(points)
-    if not np.all(np.isfinite(points)):
-        raise SchemaError("points must be finite")
 
     if "global" in cp:
         rows_text = cp["global"].get("rows", "").strip()

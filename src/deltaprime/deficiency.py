@@ -111,28 +111,26 @@ def _f_pair(d: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     sig, tau = s.real, s.imag
     ad = np.abs(d)
     damp = np.exp(-tau * ad)
-    # sin(sigma |d|) / sigma, by its Taylor series where sigma |d| is tiny
-    if abs(sig) * (np.max(ad, initial=0.0) + 1.0) < 1e-8:
-        sin_over = ad * (1.0 - (sig * ad) ** 2 / 6.0)
-    else:
-        sin_over = np.sin(sig * ad) / sig
+    sin_over = ad * np.sinc(sig * ad / np.pi)       # sin(sigma |d|) / sigma, |d| at sigma = 0
     mod2 = sig * sig + tau * tau
     f = damp * (np.cos(sig * ad) / tau + sin_over) / (4.0 * mod2)
     fp = -np.sign(d) * damp * sin_over / (4.0 * tau)
     return f, fp
 
 
+def _kernel(prime1, prime2, p: np.ndarray, q: np.ndarray, z: complex) -> np.ndarray:
+    """<shift at p_i, shift at q_j> in L2, closed form, for every pair; prime1
+    and prime2 flag the g' shifts, as scalars or arrays broadcast over the rows
+    and the columns."""
+    d = np.subtract.outer(q, p).T
+    f, fp = _f_pair(d, z)
+    return np.where(prime1 & prime2, np.conj(z) * f + g_z(d, z),
+                    np.where(prime1 == prime2, f, np.where(prime1, fp, -fp)))
+
+
 def pair_inner(kind1: str, kind2: str, p: np.ndarray, q: np.ndarray, z: complex) -> np.ndarray:
     """<kind1 shift at p, kind2 shift at q> in L2, closed form; [i,j] = (p_i, q_j)."""
-    d = np.subtract.outer(np.atleast_1d(q), np.atleast_1d(p)).T
-    f, fp = _f_pair(d, z)
-    if kind1 == GCONV and kind2 == GCONV:
-        return f.astype(complex)
-    if kind1 == GPRIMECONV and kind2 == GCONV:
-        return fp.astype(complex)
-    if kind1 == GCONV and kind2 == GPRIMECONV:
-        return -fp.astype(complex)
-    return np.conj(z) * f + g_z(d, z)
+    return _kernel(kind1 == GPRIMECONV, kind2 == GPRIMECONV, np.atleast_1d(p), np.atleast_1d(q), z)
 
 
 def inner_product(e1: DeficiencyElement, e2: DeficiencyElement) -> complex:
@@ -144,27 +142,19 @@ def inner_product(e1: DeficiencyElement, e2: DeficiencyElement) -> complex:
 
 
 def gram_matrix(elements: Sequence[DeficiencyElement]) -> np.ndarray:
-    """[<e_i, e_j>]: one closed-form block per pair of kinds over all atoms,
-    summed into elements with the atom weights."""
+    """[<e_i, e_j>] = W^T K W: K the closed-form kernel over all atoms, W the
+    one-hot atoms x elements matrix carrying each atom's weight."""
     zs = {e.z for e in elements}
     if len(zs) > 1:
         raise ValueError("elements must share the spectral parameter")
-    z = next(iter(zs), None)
-    groups = []   # (kind, element indices, atom positions, atoms x elements weights)
-    for kind in (GCONV, GPRIMECONV):
-        idx = [i for i, e in enumerate(elements) if e.kind == kind]
-        if idx:
-            ms = [elements[i].measure for i in idx]
-            # one-hot atoms x elements matrix carrying each atom's weight
-            owner = np.repeat(np.arange(len(ms)), [len(m) for m in ms])
-            weights = np.concatenate([m.weights for m in ms])
-            groups.append((kind, idx, np.concatenate([m.positions for m in ms]),
-                           (owner[:, None] == np.arange(len(ms))) * weights[:, None]))
-    g = np.zeros((len(elements), len(elements)), dtype=complex)
-    for k1, idx1, p1, w1 in groups:
-        for k2, idx2, p2, w2 in groups:
-            g[np.ix_(idx1, idx2)] = w1.T @ pair_inner(k1, k2, p1, p2, z) @ w2
-    return g
+    if not elements:
+        return np.zeros((0, 0), dtype=complex)
+    ms = [e.measure for e in elements]
+    owner = np.repeat(np.arange(len(ms)), [len(m) for m in ms])
+    w = (owner[:, None] == np.arange(len(ms))) * np.concatenate([m.weights for m in ms])[:, None]
+    prime = np.array([e.kind == GPRIMECONV for e in elements])[owner]
+    p = np.concatenate([m.positions for m in ms])
+    return w.T @ _kernel(prime[:, None], prime, p, p, zs.pop()) @ w
 
 
 def gram_rank(elements: Sequence[DeficiencyElement]) -> int:

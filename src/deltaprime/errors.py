@@ -8,9 +8,11 @@ poles, infeasible configurations); SchemaError maps to exit code 2
 import numpy as np
 
 
-def _checked_floats(values, name: str, increasing: bool = False) -> np.ndarray:
-    """A read-only 1-d float copy of values; ValueError unless finite and, if asked, increasing."""
-    a = np.array(values, dtype=float, ndmin=1)
+def _checked_floats(values, name: str, increasing: bool = False, dtype=float) -> np.ndarray:
+    """A read-only, at least 1-d copy of values as dtype (float or complex); the one
+    finite check of outside data.  ValueError names the first non-finite value, or
+    says the values are not increasing where asked."""
+    a = np.array(values, dtype=dtype, ndmin=1)
     bad = a[~np.isfinite(a)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0]}")

@@ -94,13 +94,9 @@ class TransmissionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = _checked_floats(self.entries, "transmission matrix entries", dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("transmission matrix must be 2x2")
-        bad = m[~np.isfinite(m)]
-        if bad.size:
-            raise ValueError(f"transmission matrix entries must be finite, got {bad[0]}")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property

@@ -88,7 +88,7 @@ from .errors import (
     NotSelfAdjoint,
     _checked_floats,
 )
-from .interactions import InteractionKind, TransmissionMatrix, lambda_of
+from .interactions import DeltaPrime, InteractionKind, TransmissionMatrix, lambda_of
 
 DEFAULT_GRID = 2048          # unused here; kept because perfbench/workloads.py reads it
 NEAR_THRESHOLD = 1e-6
@@ -141,7 +141,7 @@ class PointSystem:
             self._blocks = _per_point_blocks(mats)
             self._betas = _delta_prime_betas(mats)
         elif relation is not None:
-            relation = np.array(relation, dtype=complex)
+            relation = _checked_floats(relation, "relation", dtype=complex)
             if relation.shape != (2 * n, 4 * n):
                 raise ValueError(f"relation must be {2*n}x{4*n}")
             if np.linalg.matrix_rank(relation, tol=1e-10) < 2 * n:
@@ -247,10 +247,7 @@ def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
 
 
 def delta_prime_system(points: Sequence[float], betas: Sequence[float]) -> PointSystem:
-    mats = [
-        TransmissionMatrix(np.array([[1.0, b], [0.0, 1.0]])) for b in betas
-    ]
-    return PointSystem(points, lambdas=mats)
+    return PointSystem(points, lambdas=[lambda_of(DeltaPrime(b)) for b in betas])
 
 
 def delta_prime_pair(beta: float) -> PointSystem:
@@ -273,20 +270,13 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
     Lagrangian and rejects the odd eigenfunction (kept so the
     discrepancy stays demonstrable).
     """
-    a = np.zeros((4, 8))
-    a[0, 2], a[0, 3] = 1.0, -1.0          # d+(x1) - d-(x1) = 0
-    a[1, 6], a[1, 7] = 1.0, -1.0          # d+(x2) - d-(x2) = 0
-    for j, row in enumerate((2, 3)):
-        a[row, 4 * j + 2] = 1.0           # d+(xj)
-        a[row, 4 * j + 3] += 1.0          # d-(xj)
-        if verbatim:
-            a[row, 2] += 1.0              # d+(x1) - d-(x1)
-            a[row, 3] += -1.0
-        else:
-            a[row, 0] += 1.0              # v+(x1) - v-(x1)
-            a[row, 1] += -1.0
-        a[row, 4] += 1.0                  # v+(x2) - v-(x2)
-        a[row, 5] += -1.0
+    # columns (v+, v-, d+, d-) at x_1, then at x_2
+    a = np.array([[0, 0, 1, -1, 0, 0, 0, 0],     # d+(x1) - d-(x1) = 0
+                  [0, 0, 0, 0, 0, 0, 1, -1],     # d+(x2) - d-(x2) = 0
+                  [1, -1, 1, 1, 1, -1, 0, 0],    # d+(x1) + d-(x1) + jumps of psi at x1, x2
+                  [1, -1, 0, 0, 1, -1, 1, 1]])   # d+(x2) + d-(x2) + the same jumps
+    if verbatim:                                  # the x1 jump of psi' in place of psi's
+        a[2:, :4] += [-1, 1, 1, -1]
     return PointSystem([-1.0, 1.0], relation=a)
 
 

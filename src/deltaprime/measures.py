@@ -98,14 +98,11 @@ class BetaFunction:
         return cls(float(value))
 
     def at_atoms(self, mu: AtomicMeasure) -> np.ndarray:
+        vals = _checked_floats(self._rule, "beta")
         if np.ndim(self._rule) == 0:
-            vals = np.full(len(mu), float(self._rule))
-        else:
-            vals = np.asarray(self._rule, dtype=float)
+            vals = vals.repeat(len(mu))
         if vals.shape != mu.positions.shape:
             raise ValueError("beta values must align with the atoms")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("beta must be finite on the atoms")
         return vals
 
 
@@ -129,15 +126,11 @@ def cantor_measure(depth: int, interval: tuple[float, float] = (0.0, 1.0)) -> At
     c0, c1 = float(interval[0]), float(interval[1])
     if c1 <= c0:
         raise ValueError("interval must be nondegenerate")
-    pieces = [(c0, c1)]
-    for _ in range(depth):
-        nxt = []
-        for lo, hi in pieces:
-            third = (hi - lo) / 3.0
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        pieces = nxt
-    mids = np.array([0.5 * (lo + hi) for lo, hi in pieces])
+    lo, hi = np.array([c0]), np.array([c1])
+    for _ in range(depth):      # each piece splits into its outer thirds, kept in order
+        third = (hi - lo) / 3.0
+        lo, hi = np.column_stack((lo, hi - third)).ravel(), np.column_stack((lo + third, hi)).ravel()
+    mids = 0.5 * (lo + hi)
     return AtomicMeasure(mids, np.full(mids.size, 0.5 ** depth))
 
 
@@ -231,8 +224,7 @@ class GreenKernel:
     beta: BetaFunction
 
     def __post_init__(self):
-        if not np.isfinite([self.a, self.b]).all():
-            raise ValueError(f"box ends must be finite, got a = {self.a}, b = {self.b}")
+        _checked_floats((self.a, self.b), "box ends")
         lo, hi = self.mu.support
         if not (self.a < lo and hi < self.b):
             raise ValueError("the box (a, b) must contain the support")

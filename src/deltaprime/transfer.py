@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousClassification, ComplexCoefficient, _checked_floats
+from .errors import AmbiguousClassification, ComplexCoefficient, DomainError, _checked_floats
 from .interactions import TransmissionMatrix, theta_of_gamma
 
 SERIES_CUT = 1e-4  # |lam*eps| below which sin(u)/lam switches to its series
@@ -75,10 +75,8 @@ def free_propagator(eps, lam) -> np.ndarray:
     to eps.  det = 1 identically.  The one home of the propagator, so of its
     checks: a negative gap or a non-finite lam raises ValueError.
     """
+    _checked_floats(lam, "lam", dtype=complex)
     lam = np.asarray(lam, dtype=complex)
-    finite = np.isfinite(lam)
-    if np.count_nonzero(finite) < finite.size:
-        raise ValueError(f"lam must be finite, got {lam[~finite].flat[0]}")
     eps = np.asarray(eps, dtype=float)
     if np.count_nonzero(eps < 0):
         raise ValueError("gap length must be nonnegative")
@@ -127,11 +125,15 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
 
     Each piece contributes the constant-coefficient propagator at local
     wavenumber sqrt(lam^2 - v); the branch is irrelevant (even entry
-    dependence), det = 1.  The propagators are built at once.
+    dependence), det = 1.  The propagators are built at once.  A non-finite
+    lam raises ValueError, and a lam whose lam^2 - v overflows DomainError.
     """
-    lam = complex(lam)
+    lam = complex(_checked_floats(lam, "lam", dtype=complex)[0])
+    k2 = lam * lam - pot.values + 0j
+    if not np.isfinite(k2).all():
+        raise DomainError(f"lam = {lam} is too large: lam^2 - v overflows")
     m = np.eye(2, dtype=complex)
-    for f in free_propagator(np.diff(pot.breakpoints), np.sqrt(lam * lam - pot.values + 0j)):
+    for f in free_propagator(np.diff(pot.breakpoints), np.sqrt(k2)):
         m = f @ m
     return m
 

@@ -125,6 +125,21 @@ def sequential_comb_transfer(comb: transfer.DeltaComb, lam: complex) -> np.ndarr
     return m
 
 
+def cantor_measure_loop(depth: int, interval: tuple[float, float] = (0.0, 1.0)):
+    """(positions, weights) of the level-depth middle-thirds midpoints, each
+    piece split alone in Python floats: the reference for the level-at-once
+    split of measures.cantor_measure."""
+    pieces = [(float(interval[0]), float(interval[1]))]
+    for _ in range(depth):
+        nxt = []
+        for lo, hi in pieces:
+            third = (hi - lo) / 3.0
+            nxt += [(lo, lo + third), (hi - third, hi)]
+        pieces = nxt
+    mids = np.array([0.5 * (lo + hi) for lo, hi in pieces])
+    return mids, np.full(mids.size, 0.5 ** depth)
+
+
 @dataclass
 class DiscretizedOperator:
     grid: np.ndarray

@@ -115,6 +115,17 @@ class TestChooseParams:
         with pytest.raises(ValueError):
             choose_params([1.0], 0.1, 0.0)
 
+    @pytest.mark.parametrize("k", [1, 100, 150, 160, 162, 200, 300])
+    def test_weak_intensity_keeps_the_calibration(self, k):
+        # (beta + eps)^2 underflows from |beta| ~ 1e-154 on: r and the form
+        # are taken without it, so r = (25/24)|beta| and the form is beta/2
+        beta = -(10.0 ** -k)
+        (eps, r, l), = choose_params([beta], 0.1, 0.0)
+        assert eps == -3.0 * beta / 8.0
+        assert abs(r / -beta - 25.0 / 24.0) < 1e-15
+        form = quadratic_form_point(TestFunction(0.0, eps, beta, l, r))
+        assert abs(form / (beta / 2) - 1.0) < 1e-12
+
 
 @st.composite
 def point_certificates(draw):

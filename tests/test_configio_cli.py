@@ -322,6 +322,19 @@ class TestCli:
         assert main(["spectrum", "--system", str(f)]) == 1
         assert "delta' intensity -1e-158" in capsys.readouterr().err
 
+    def test_spectrum_non_finite_relation_names_it(self, tmp_path, capsys):
+        # a nan token in the global rows is named, not left to the rank's SVD
+        f = tmp_path / "nan.ini"
+        f.write_text(NONLOCAL_FILE.replace("1 -1 0 0  1 -1 1 1", "1 -1 0 0  1 nan 1 1"))
+        assert main(["spectrum", "--system", str(f)]) == 2
+        assert capsys.readouterr().err == "error: relation must be finite, got (nan+0j)\n"
+
+    def test_certify_weak_delta_prime(self, capsys):
+        # the trial radius is taken without (beta + eps)^2, which underflows to 0 here
+        assert main(["certify", "--positions", "0", "--betas=-1e-200"]) == 0
+        out = capsys.readouterr().out
+        assert "count = 1\n" in out and "form = -5e-201\n" in out
+
     def test_spectrum_identical_config_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (a, b):

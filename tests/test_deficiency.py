@@ -10,6 +10,8 @@ from deltaprime.deficiency import (
     GCONV,
     GPRIMECONV,
     DeficiencyElement,
+    _f_pair,
+    _sqrt_upper,
     e_functional,
     element_eval,
     free_pair_check,
@@ -172,6 +174,36 @@ class TestInnerProducts:
         g = gram_matrix(fam)
         assert np.abs(g - g.conj().T).max() < 1e-13
         assert np.linalg.eigvalsh(g).min() > -1e-12
+
+
+class TestSinOverSigma:
+    """sin(sigma |d|) / sigma in F and F' is |d| sinc(sigma |d| / pi)."""
+
+    D = np.concatenate([np.linspace(-3.0, 3.0, 61), [1e-300, -7.5, 40.0]])
+
+    @pytest.mark.parametrize("z", [-1.0, -4.0])
+    def test_sigma_zero_gives_the_distance(self, z):
+        # every z < 0 has sigma = 0, where the quotient is |d| exactly
+        tau = _sqrt_upper(z).imag
+        ad = np.abs(self.D)
+        damp = np.exp(-tau * ad)
+        f, fp = _f_pair(self.D, z)
+        assert np.array_equal(fp, -np.sign(self.D) * damp * ad / (4.0 * tau))
+        assert np.array_equal(f, damp * (1.0 / tau + ad) / (4.0 * (tau * tau)))
+
+    @pytest.mark.parametrize("z", [-1.0 + 1e-9j, -4.0 + 1e-8j, -0.25 - 3e-10j, -9.0 + 1e-300j])
+    def test_tiny_sigma_agrees_with_the_series(self, z):
+        # the series |d| (1 - (sigma d)^2 / 6) of the quotient, where sigma |d| < 1e-8
+        s = _sqrt_upper(z)
+        sig, tau = s.real, s.imag
+        d = self.D[np.abs(sig * self.D) < 1e-8]
+        ad = np.abs(d)
+        damp = np.exp(-tau * ad)
+        series = ad * (1.0 - (sig * ad) ** 2 / 6.0)
+        f, fp = _f_pair(d, z)
+        np.testing.assert_array_max_ulp(
+            f, damp * (np.cos(sig * ad) / tau + series) / (4.0 * (sig * sig + tau * tau)), 2)
+        np.testing.assert_array_max_ulp(fp, -np.sign(d) * damp * series / (4.0 * tau), 2)
 
 
 class TestRanks:

@@ -1,8 +1,17 @@
-"""Every public name of the library has a user: code, the README or a reason."""
+"""Every public name of the library has a user: code, the README or a reason;
+and outside data meet one finite-input rule, which names the first bad value."""
 
 import ast
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from deltaprime.configio import parse_system
+from deltaprime.interactions import TransmissionMatrix
+from deltaprime.measures import AtomicMeasure, BetaFunction, GreenKernel
+from deltaprime.transfer import DeltaComb, comb_transfer, free_propagator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +65,35 @@ def test_every_public_name_has_a_user_or_a_reason():
     # a kept name that gained a user, or is gone, leaves the list
     assert sorted(KEPT.keys() - unused) == []
     assert all(reason.split(": ")[0] in ("paper", "README", "reference") for reason in KEPT.values())
+
+
+MU = AtomicMeasure([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+NAN_POINTS = "[system]\npoints = 0 nan inf\n" + "".join(
+    f"[condition {k}]\nkind = delta\nalpha = 1\n" for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: TransmissionMatrix([[1.0, np.nan], [np.inf, 1.0]]),
+                 "transmission matrix entries must be finite, got (nan+0j)", id="TransmissionMatrix"),
+    pytest.param(lambda: free_propagator(0.5, [1.0, np.inf, np.nan]),
+                 "lam must be finite, got (inf+0j)", id="free_propagator"),
+    pytest.param(lambda: comb_transfer(DeltaComb([0.0, 1.0], [1.0, -1.0]), complex(1.0, np.nan)),
+                 "lam must be finite, got (1+nanj)", id="comb_transfer"),
+    pytest.param(lambda: BetaFunction([-1.0, np.nan, np.inf]).at_atoms(MU),
+                 "beta must be finite, got nan", id="BetaFunction"),
+    pytest.param(lambda: BetaFunction.constant(-np.inf).at_atoms(MU),
+                 "beta must be finite, got -inf", id="BetaFunction-constant"),
+    pytest.param(lambda: GreenKernel(-1.0, np.inf, MU, BetaFunction.constant(-1.0)),
+                 "box ends must be finite, got inf", id="GreenKernel"),
+    pytest.param(lambda: parse_system(NAN_POINTS), "points must be finite, got nan", id="ini-points"),
+])
+def test_non_finite_input_names_its_first_bad_value(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_the_finite_rule_has_one_home():
+    # every finite check of outside data goes through errors._checked_floats
+    homes = [path.name for path in sorted((ROOT / "src" / "deltaprime").glob("*.py"))
+             if "must be finite" in path.read_text()]
+    assert homes == ["errors.py"]

@@ -1,6 +1,7 @@
 """Point systems on the line: secular roots, bound states, counting."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -417,6 +418,33 @@ class TestBuilders:
         assert count_negative(nonlocal_example()) == 1
         assert count_negative(delta_prime_system([0.0, 1.0], [-0.5, 2.0])) == 1
         assert count_negative(delta_prime_system([0.0], [0.0])) == 0
+
+    def test_nonlocal_relations_are_the_literal_tables(self):
+        plain = [[0, 0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, -1],
+                 [1, -1, 1, 1, 1, -1, 0, 0], [1, -1, 0, 0, 1, -1, 1, 1]]
+        verbatim = [[0, 0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, -1],
+                    [0, 0, 2, 0, 1, -1, 0, 0], [0, 0, 1, -1, 1, -1, 1, 1]]
+        for flag, table in ((False, plain), (True, verbatim)):
+            relation = dense_relation(nonlocal_example(verbatim=flag))
+            assert relation.dtype == complex and np.array_equal(relation, table)
+
+    def test_delta_prime_system_is_from_kinds(self):
+        pts, betas = [-1.0, 0.5, 2.0, 3.25], [-1.0, 0.3, 2.5, -1e-200]
+        direct = delta_prime_system(pts, betas)
+        kinds = from_kinds([(x, DeltaPrime(b)) for x, b in zip(pts, betas)])
+        literal = PointSystem(pts, lambdas=[TransmissionMatrix([[1.0, b], [0.0, 1.0]]) for b in betas])
+        assert np.array_equal(direct._blocks, kinds._blocks)
+        assert np.array_equal(direct._blocks, literal._blocks)
+        assert np.array_equal(direct.delta_prime_betas(), betas)
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "(nan+0j)"), (np.inf, "(inf+0j)"),
+                                            (complex(1.0, np.nan), "(1+nanj)")])
+    def test_relation_must_be_finite(self, bad, shown):
+        # checked before the rank, whose SVD fails on NaN and reads inf as a rank defect
+        a = np.array(nonlocal_example()._blocks[0])
+        a[2, 5] = bad
+        with pytest.raises(ValueError, match=re.escape(f"relation must be finite, got {shown}")):
+            PointSystem([-1.0, 1.0], relation=a)
 
     def test_relation_rank_validation(self):
         a = np.zeros((2, 4))

@@ -38,7 +38,7 @@ from deltaprime.measures import (
     mu_derivative,
     negative_spectrum,
 )
-from oracles import dense_relation, discretize, mu_derivative_loop
+from oracles import cantor_measure_loop, dense_relation, discretize, mu_derivative_loop
 
 
 class TestCantor:
@@ -59,6 +59,15 @@ class TestCantor:
     def test_depth_cap(self):
         with pytest.raises(DepthTooLarge):
             cantor_measure(21)
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.3, 2.7)])
+    def test_level_split_keeps_the_per_piece_bits(self, interval):
+        # every piece of a level splits at once, by the per-piece operations
+        for depth in range(13):
+            mu = cantor_measure(depth, interval)
+            positions, weights = cantor_measure_loop(depth, interval)
+            assert np.array_equal(mu.positions, positions)
+            assert np.array_equal(mu.weights, weights)
 
     def test_blocks(self):
         blocks = cantor_blocks(3, 2)

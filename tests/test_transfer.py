@@ -1,9 +1,11 @@
 """Transfer matrices, approximation families, limit classification."""
 
+import re
+
 import numpy as np
 import pytest
 
-from deltaprime.errors import ComplexCoefficient, GammaPole
+from deltaprime.errors import ComplexCoefficient, DomainError, GammaPole
 from deltaprime.interactions import Delta, DeltaPrimePotential, lambda_of, theta_of_gamma
 from deltaprime.transfer import (
     DIRICHLET,
@@ -245,6 +247,12 @@ class TestPiecewisePotential:
         # a non-finite breakpoint or value would give an all-NaN pc_transfer
         with pytest.raises(ValueError, match=message):
             PiecewisePotential(breakpoints, values)
+
+    @pytest.mark.parametrize("lam", [2e154, -2e154, 1e200j, complex(1e154, 1e154)])
+    def test_overflowing_square_names_the_lam_passed(self, lam):
+        # lam is finite but lam^2 - v is not: the error names lam, not the local wavenumber
+        with pytest.raises(DomainError, match=re.escape(f"lam = {complex(lam)} is too large")):
+            pc_transfer(PiecewisePotential([0.0, 1.0], [1.0]), lam)
 
     def test_zero_potential(self):
         pot = PiecewisePotential([0.0, 1.3], [0.0])
