@@ -106,12 +106,7 @@ class TransmissionMatrix:
 
     def phase_defect(self) -> float:
         """Distance from the e^{i eta} * (real, det 1) family."""
-        det = np.linalg.det(self.entries)
-        d_mod = abs(abs(det) - 1.0)
-        r = self.entries * np.exp(-1j * self.eta)
-        # eta is defined mod pi; both branches give R or -R, equally real
-        d_real = float(np.abs(r.imag).max())
-        return max(d_mod, d_real)
+        return float(_phase_defects(self.entries))
 
     def apply(self, v_minus: complex, d_minus: complex) -> tuple[complex, complex]:
         out = self.entries @ np.array([v_minus, d_minus], dtype=complex)
@@ -120,6 +115,17 @@ class TransmissionMatrix:
     def traces(self, v_minus: complex, d_minus: complex) -> BoundaryTraces:
         v_plus, d_plus = self.apply(v_minus, d_minus)
         return BoundaryTraces(v_plus, v_minus, d_plus, d_minus)
+
+
+@np.errstate(invalid="ignore")
+def _phase_defects(m: np.ndarray) -> np.ndarray:
+    """The distance of each matrix of m, shape (..., 2, 2), from the
+    e^{i eta} * (real, det 1) family: the larger of ||det| - 1| and the
+    largest |Im| of e^{-i eta} m, eta = arg(det)/2; NaN, quietly, for a NaN entry."""
+    det = np.linalg.det(m)
+    # eta is defined mod pi; both branches give R or -R, equally real
+    r = m * np.exp(-1j * (0.5 * np.angle(det)))[..., None, None]
+    return np.maximum(np.abs(np.hypot(det.real, det.imag) - 1.0), np.abs(r.imag).max(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,12 @@ continuous; psi'/kappa is a decaying solution, so the same gap solve on
 On both routes all roots of a search advance together, one Brent step of
 each per round, and each route builds its matrix, T or H, once per round
 for all the round's kappas; the H route diagonalizes them in one stacked
-call.  The states of a search are built in one pass: an eigen-solve per
-cluster of roots (one stacked call for H), whose orthonormal eigenvectors
-give independent states, then the traces
-(read off the piece tables with the gap rates r = e^{-kappa g} of the gap
-solve), residuals, norms and parities of all at once.  A
-state is its kappa and one piece table, the (a, b) of every piece; its
+call.  The states of a search are built in one pass: one build of every
+cluster's T or H, an eigen-solve per cluster of roots (one stacked call
+for H), whose orthonormal eigenvectors give independent states, then the
+traces (read off the piece tables with the gap rates r = e^{-kappa g} of
+the gap solve), residuals, norms and parities of all at once.  A state is
+its kappa and one piece table, the (a, b) of every piece; its
 parity on mirror-symmetric points is read off that table, which the
 reflection reverses in both axes.
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
@@ -88,7 +88,7 @@ from .errors import (
     NotSelfAdjoint,
     _checked_floats,
 )
-from .interactions import DeltaPrime, InteractionKind, TransmissionMatrix, lambda_of
+from .interactions import DeltaPrime, InteractionKind, TransmissionMatrix, _phase_defects, lambda_of
 
 DEFAULT_GRID = 2048          # unused here; kept because perfbench/workloads.py reads it
 NEAR_THRESHOLD = 1e-6
@@ -134,10 +134,9 @@ class PointSystem:
         if lambdas is not None:
             if len(lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
-            for lam in lambdas:
-                if not lam.phase_defect() <= 1e-9:     # a NaN defect fails too
-                    raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             mats = np.array([lam.entries for lam in lambdas]).reshape(n, 2, 2)
+            if not np.all(_phase_defects(mats) <= 1e-9):     # a NaN defect fails too
+                raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             self._blocks = _per_point_blocks(mats)
             self._betas = _delta_prime_betas(mats)
         elif relation is not None:
@@ -454,8 +453,7 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[B
         raise _too_deep(sys, deepest)
     means = [float(np.mean([kappa for kappa, _ in cluster])) for cluster in clusters]
     spans = [(min(j for _, j in cluster), len(cluster)) for cluster in clusters]
-    amplitudes = (_h_amplitudes(sys, means, spans) if sys._betas is None else
-                  (_t_amplitudes(sys, kappa, *span) for kappa, span in zip(means, spans)))
+    amplitudes = (_h_amplitudes if sys._betas is None else _t_amplitudes)(sys, means, spans)
     tables, root_means = [], []
     for cluster, kappa, (lam, scale, resolution, table) in zip(clusters, means, amplitudes):
         if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
@@ -489,19 +487,22 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[B
             for i, kappa in enumerate(roots)]
 
 
-def _t_amplitudes(sys: PointSystem, kappa: float, first: int, mult: int) -> tuple:
-    """Eigenvalues first.. of T(kappa), their scales, T's resolution as a
-    function, as only a miss reads it, and the piece tables of their states.
+def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, int]]):
+    """Per kappa and span (first, mult): eigenvalues first.. of T(kappa), their
+    scales, T's resolution as a function, as only a miss reads it, and the
+    piece tables of their states; every T is built in one _tridiagonal call.
     An eigenvector u of T at a root is -psi' at the points, where psi' is
     continuous, so psi'/kappa is the decaying solution with value -u/kappa on
     both sides of every point, whose decay column flips sign as the derivative
     of a decaying exponential."""
-    diag, off = _tridiagonal(sys, kappa)
-    lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1)
-    d = -u / kappa
-    tables = _anchored(sys.points, kappa, d, d)
-    tables[:, 1:, 1] *= -1.0
-    return lam, np.abs(sys._betas) @ (u * u), lambda: tridiagonal.resolution(diag, off), tables
+    diags, offs = _tridiagonal(sys, np.array(kappas)[:, None])
+    for kappa, diag, off, (first, mult) in zip(kappas, diags, offs, spans):
+        lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1)
+        d = -u / kappa
+        tables = _anchored(sys.points, kappa, d, d)
+        tables[:, 1:, 1] *= -1.0
+        yield (lam, np.abs(sys._betas) @ (u * u),
+               lambda diag=diag, off=off: tridiagonal.resolution(diag, off), tables)
 
 
 def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, int]]):
@@ -654,7 +655,7 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
     _brent_steps per j in lockstep: a round evaluates every pending kappa in one
     values(kappas, js) call, so _values builds T or H once per round.  As the
     counts prove a sign change, a one-sign bracket means it lies below eps ||T||
-    or eps ||H||: a DomainError."""
+    or eps ||H||: a DomainError, as is a root that Brent's steps do not reach."""
     steps = {j: _brent_steps(lo, hi, ROOT_XTOL, ROOT_RTOL) for j in crossing}
     pending, roots = {j: next(s) for j, s in steps.items()}, []
     while pending:
@@ -669,6 +670,9 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
                     raise                       # not _brent_steps' one-sign bracket
                 raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies "
                                   "below the resolution of the eigenvalue solver") from None
+            except RuntimeError as e:
+                raise DomainError(f"Brent's method on eigenvalue {j} crossing zero in "
+                                  f"[{lo:.3g}, {hi:.3g}]: {e}") from None
     return roots
 
 
@@ -701,14 +705,15 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     for all its kappas, and H's are diagonalized in one stacked call.  Roots
     closer than CLUSTER_RTOL (relative) form a cluster whose states come from
     the orthonormal eigenvectors of one matrix, so they are linearly
-    independent; _states builds every state in one pass, the H clusters'
-    matrices in one build and one stacked eigen-solve.  Exactly as many
-    states as the count are returned: a failed extraction raises
+    independent; _states builds every state in one pass, all clusters'
+    matrices, T or H, in one build, and H's in one stacked eigen-solve.
+    Exactly as many states as the count are returned: a failed extraction raises
     NotAnEigenvalue, and a state whose matching residual exceeds
     STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.  Raises
     NotSelfAdjoint when the condition plane is not Lagrangian, and
-    DomainError when -kappa^2 is not a finite float or an eigenvalue lies
-    below the solver's resolution eps ||T|| or eps ||H||.
+    DomainError when -kappa^2 is not a finite float, an eigenvalue lies
+    below the solver's resolution eps ||T|| or eps ||H||, or Brent's method
+    does not converge on a root.
     The H route runs on numpy alone; the delta' route runs LAPACK's
     bisection and inverse iteration through the tridiagonal core's handle.
     """

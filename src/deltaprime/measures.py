@@ -323,9 +323,7 @@ def _negative_eigenvalues(k: GreenKernel, n: int) -> np.ndarray:
     r = 1.0 / dg
     diag = (r + np.append(r[1:], 0.0)) / h
     off = -r[1:] / np.sqrt(h[:-1] * h[1:])
-    # dg[0] = x_0 - a > 0, so index count <= n - 1 exists; the range takes it
-    # too, as the range sets the bisection and so the digits the golden files pin
-    lam = tridiagonal.eigenvalues(diag, off, 0, count)[:count]
+    lam = tridiagonal.eigenvalues(diag, off, 0, count - 1)
     if not lam[-1] < -tridiagonal.resolution(diag, off):
         raise DomainError(f"a negative eigenvalue on the n = {n} grid lies below the "
                           "resolution of the eigenvalue solver")

@@ -65,6 +65,7 @@ class PiecewisePotential:
         object.__setattr__(self, "values", v)
 
 
+@np.errstate(over="ignore", invalid="ignore")      # the finite check at the end names an overflow
 def free_propagator(eps, lam) -> np.ndarray:
     """Free transfer matrices over gaps of lengths eps at wavenumber lam,
     shape (..., 2, 2) for eps and lam broadcast together: a float and a
@@ -73,7 +74,8 @@ def free_propagator(eps, lam) -> np.ndarray:
     [[cos(lam eps), sin(lam eps)/lam], [-lam sin(lam eps), cos(lam eps)]];
     the (1,2) entry uses a short series near lam*eps = 0, where it tends
     to eps.  det = 1 identically.  The one home of the propagator, so of its
-    checks: a negative gap or a non-finite lam raises ValueError.
+    checks: a negative gap or a non-finite lam raises ValueError, and a
+    matrix that overflows DomainError naming its lam and gap.
     """
     _checked_floats(lam, "lam", dtype=complex)
     lam = np.asarray(lam, dtype=complex)
@@ -97,6 +99,10 @@ def free_propagator(eps, lam) -> np.ndarray:
         out[..., 0, 1] = (eps[..., None] * (1.0 - over(u2, 6.0) + over(u4, 120.0)
                                             - over(u4 * u2, 5040.0)))[..., 0]
     np.divide(s, lam, out=out[..., 0, 1], where=big)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        bad = ~np.isfinite(out).all(axis=(-2, -1))
+        lam, eps = (np.broadcast_to(a, u.shape)[bad][0] for a in (lam, eps))
+        raise DomainError(f"the free propagator at lam = {lam} over the gap {eps} overflows")
     return out
 
 
@@ -126,7 +132,9 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
     Each piece contributes the constant-coefficient propagator at local
     wavenumber sqrt(lam^2 - v); the branch is irrelevant (even entry
     dependence), det = 1.  The propagators are built at once.  A non-finite
-    lam raises ValueError, and a lam whose lam^2 - v overflows DomainError.
+    lam raises ValueError, and a lam whose lam^2 - v overflows DomainError,
+    as does a piece whose propagator overflows (free_propagator names its
+    local wavenumber).
     """
     lam = complex(_checked_floats(lam, "lam", dtype=complex)[0])
     k2 = lam * lam - pot.values + 0j
@@ -209,7 +217,7 @@ DIVERGENT = "divergent"
 class ConvergenceReport:
     classification: str
     eps_seq: np.ndarray
-    matrices: list[np.ndarray]
+    matrices: np.ndarray                   # shape (E, 2, 2), one per eps
     diffs: np.ndarray                      # per-entry |M_k - M_{k+1}|
     limit: Optional[TransmissionMatrix] = None
     observed_order: Optional[float] = None
@@ -241,16 +249,15 @@ def limit_diagnose(
     if not np.all(np.diff(eps_seq) < 0) or eps_seq[-1] <= 0:
         raise ValueError("eps_seq must decrease strictly to positive values")
 
-    mats = [comb_transfer(family(e), lam) for e in eps_seq]
-    diffs = np.array([np.abs(m2 - m1) for m1, m2 in zip(mats, mats[1:])])
+    mats = np.array([comb_transfer(family(e), lam) for e in eps_seq])
+    diffs = np.abs(mats[1:] - mats[:-1])
     dstep = diffs.max(axis=(1, 2))
     scale = max(1.0, float(np.abs(mats[-1]).max()))
 
-    m21 = np.array([abs(m[1, 0]) for m in mats])
+    mod = np.hypot(mats.real, mats.imag)        # |M_ij|, rounded as the scalar abs rounds it
+    m21 = mod[:, 1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.array(
-            [[abs(m[0, 0]) / abs(m[1, 0]), abs(m[1, 1]) / abs(m[1, 0])] for m in mats]
-        )
+        ratios = np.diagonal(mod, axis1=1, axis2=2) / m21[:, None]       # M11/M21, M22/M21
 
     order = _estimate_order(eps_seq, dstep)
     stable = order is not None and 0.2 < order < 6
@@ -258,10 +265,9 @@ def limit_diagnose(
     fac = (eps_seq[-2] / eps_seq[-1]) ** p - 1.0
     tail = dstep[-1] / fac if stable else dstep[-1]
     cauchy = bool(np.all(dstep[1:] <= dstep[:-1] * 0.9 + 1e-14)) and tail < 1e-3 * scale
-    blowing = bool(np.all(m21[1:] >= m21[:-1] * 1.5)) and m21[-1] > 1e2 * scale_free(mats)
-    ratios_decay = bool(np.all(ratios[-1] < 1e-2)) and bool(
-        np.all(ratios[-1] <= ratios[0] + 1e-14)
-    )
+    free = max(1.0, np.maximum(mod[:, 0].max(), mod[:, 1, 1].max()))    # the scale without M21
+    blowing = bool(np.all(m21[1:] >= m21[:-1] * 1.5)) and m21[-1] > 1e2 * free
+    ratios_decay = bool(np.all(ratios[-1] < 1e-2) and np.all(ratios[-1] <= ratios[0] + 1e-14))
 
     if cauchy:
         extrap = mats[-1] + (mats[-1] - mats[-2]) / fac
@@ -274,21 +280,10 @@ def limit_diagnose(
         if order is None:
             rep.notes.append("order estimate unstable; first-order Richardson used")
         return rep
-    if blowing and ratios_decay:
-        return ConvergenceReport(
-            DIRICHLET, eps_seq, mats, diffs, decoupling_ratios=ratios
-        )
     if blowing != ratios_decay:
-        raise AmbiguousClassification(
-            "M21 growth and off-ratio decay disagree over the eps sequence"
-        )
-    return ConvergenceReport(DIVERGENT, eps_seq, mats, diffs, decoupling_ratios=ratios)
-
-
-def scale_free(mats: list[np.ndarray]) -> float:
-    """Scale reference excluding the blowing entry: max |M11|, |M12|, |M22|."""
-    sel = np.array([[m[0, 0], m[0, 1], m[1, 1]] for m in mats])
-    return max(1.0, float(np.abs(sel).max()))
+        raise AmbiguousClassification("M21 growth and off-ratio decay disagree over the eps sequence")
+    return ConvergenceReport(DIRICHLET if blowing else DIVERGENT, eps_seq, mats, diffs,
+                             decoupling_ratios=ratios)
 
 
 def _estimate_order(eps_seq: np.ndarray, dstep: np.ndarray) -> Optional[float]:

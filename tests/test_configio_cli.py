@@ -322,6 +322,15 @@ class TestCli:
         assert main(["spectrum", "--system", str(f)]) == 1
         assert "delta' intensity -1e-158" in capsys.readouterr().err
 
+    def test_spectrum_unconverged_root_is_a_domain_error(self, tmp_path, capsys):
+        # Brent's method does not converge next to a delta of -1e10: exit 1, no traceback
+        f = tmp_path / "strong.ini"
+        f.write_text("[system]\npoints = 0 1\n" + "".join(
+            f"[condition {i}]\nkind = delta\nalpha = {a}\n"
+            for i, a in enumerate(("-1e10", "-3.0"), 1)))
+        assert main(["spectrum", "--system", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("domain error: Brent's method on eigenvalue ")
+
     def test_spectrum_non_finite_relation_names_it(self, tmp_path, capsys):
         # a nan token in the global rows is named, not left to the rank's SVD
         f = tmp_path / "nan.ini"

@@ -8,12 +8,15 @@ bytes are stdout, or the `--out` file when the invocation writes one.
 LAPACK results depend in their last bits on the BLAS thread count, so
 the invocations run in one child process with BLAS on a single thread.
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
-only when an output change is intended and explained.
+only when an output change is intended and explained.  The script prints,
+for each file whose bytes change, how many numeric fields moved and the
+worst relative change against the old bytes.
 """
 
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +28,7 @@ import pytest
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 SRC = Path(__file__).parent.parent / "src"
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # (golden file, README invocation, file written by --out or None for stdout)
@@ -64,7 +68,21 @@ def render(outdir: Path) -> None:
                 os.chdir(home)
         if code != 0:
             raise SystemExit(f"{cmdline!r} exited {code}")
-        (outdir / f"{name}.txt").write_bytes(out)
+        path = outdir / f"{name}.txt"
+        if path.exists() and path.read_bytes() != out:
+            print(f"{name}.txt: {moved(path.read_bytes(), out)}")
+        path.write_bytes(out)
+
+
+def moved(old: bytes, new: bytes) -> str:
+    """How many numeric fields of old changed in new, and the worst relative
+    change; or that the text around the numbers changed."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if len(a) != len(b) or NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return "the text around the numbers changed"
+    pairs = [(x, y) for x, y in zip(map(float, a), map(float, b)) if x != y]
+    worst = max((abs(y - x) / max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+    return f"{len(pairs)} of {len(a)} numeric fields changed, worst relative change {worst:.3g}"
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,9 @@ from deltaprime.interactions import (
     DeltaPrimePotential,
     SelfAdjointB,
     Split,
+    TransmissionMatrix,
     Transparent,
+    _phase_defects,
     b_to_lambda,
     b_to_unitary,
     boundary_form,
@@ -142,6 +144,19 @@ class TestLambdaOf:
     def test_phase_defect(self):
         for kind in CANONICAL:
             assert lambda_of(kind).phase_defect() < 1e-12
+
+    def test_stacked_phase_defects_are_the_per_matrix_ones(self):
+        # random gauged delta, delta' and B matrices, on and just off the family,
+        # in one call over any leading axes
+        rng = np.random.default_rng(12)
+        mats = np.array([lambda_of(kind).entries * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                         for a, b, g, m in rng.uniform(-3.0, 3.0, (100, 4))
+                         for kind in (Delta(a), DeltaPrime(b), SelfAdjointB(a, b, g, m))])
+        mats = np.concatenate((mats, mats + 1e-9 * rng.standard_normal(mats.shape)))
+        want = [TransmissionMatrix(m).phase_defect() for m in mats]
+        assert np.array_equal(_phase_defects(mats), want)
+        assert np.array_equal(_phase_defects(mats.reshape(30, 20, 2, 2)), np.reshape(want, (30, 20)))
+        assert max(want[:300]) < 1e-12 < min(want[300:])
 
     def test_planes_annihilate_boundary_form(self):
         # traces satisfying col(v+,d+) = Lambda col(v-,d-) must be Lagrangian

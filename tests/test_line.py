@@ -394,6 +394,18 @@ class TestBuilders:
         with pytest.raises(SplitHasNoLambda):
             from_kinds([(0.0, Split(0.1, 0.2))])
 
+    @pytest.mark.parametrize("entries", [
+        [[2.0, 0.0], [0.0, 1.0]], [[1.0, 1j], [0.0, 1.0]],
+        [[1.0, np.nan], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+    ], ids=["det-2", "not-real", "nan-off", "nan-diag"])
+    def test_phase_check_refuses_a_matrix(self, entries):
+        # one check over all points; TransmissionMatrix refuses a NaN, so it is set
+        # past that check, and a NaN defect fails quietly
+        lam = lambda_of(DeltaPrime(-1.0))
+        object.__setattr__(lam, "entries", np.array(entries, complex))
+        with pytest.raises(ValueError, match=re.escape("violates the e^{i eta} R, det R = 1 form")):
+            PointSystem([0.0, 1.0, 2.0], lambdas=[lambda_of(Delta(1.0)), lam, lambda_of(Delta(2.0))])
+
     def test_flat_traces_satisfy_pair(self):
         # constant-1 function: traces (1, 1, 0, 0) at each point
         pair = delta_prime_pair(-1.0)
@@ -687,7 +699,7 @@ class TestTridiagonalRoute:
             j = int(np.argmin(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True))))
             _, u = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
             want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
-            got = line._t_amplitudes(sys, s.kappa, j, 1)[3][0]
+            got = next(line._t_amplitudes(sys, [s.kappa], [(j, 1)]))[3][0]
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("sys", [
@@ -994,6 +1006,18 @@ class TestLockstep:
     # a search advances all its roots together, on one batched T(kappa) per
     # round, and builds all its states in one pass: both keep the bits of the
     # one-root runs and of the per-cluster builds
+
+    def test_unconverged_root_is_a_domain_error(self):
+        # a sign step at 0.5 in [0, 1.52e19]: the ROOT_RTOL bracket takes more than
+        # 100 steps, and the error names the eigenvalue and the bracket
+        with pytest.raises(DomainError, match=re.escape("eigenvalue 0 crossing zero in [0, 1.52e+19]: "
+                                                        "Failed to converge after 100 iterations")):
+            line._lockstep(lambda ks, js: [1.0 if k > 0.5 else -1.0 for k in ks], 0.0, 1.52e19, range(1))
+
+    def test_strong_delta_search_is_a_domain_error(self):
+        # the H route's Brent does not converge next to a delta of -1e10
+        with pytest.raises(DomainError, match="Failed to converge"):
+            find_bound_states(from_kinds([(0.0, Delta(-1e10)), (1.0, Delta(-3.0))]))
 
     @settings(max_examples=200, deadline=None)
     @given(case=delta_prime_systems(),

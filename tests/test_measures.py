@@ -419,6 +419,24 @@ class TestTridiagonalRoute:
             assert lam.size == oracle.size == np.count_nonzero(dg < 0)
             np.testing.assert_allclose(lam, oracle, rtol=1e-10)
 
+    @pytest.mark.parametrize("mu, margins, grids", [
+        pytest.param(cantor_measure(3), [2.0], [512, 1024, 2048], id="golden-cantor"),
+        pytest.param(AtomicMeasure([0.0], [1.0]), [2.0, 4.0, 8.0], [256, 512, 1024], id="golden-atoms"),
+    ])
+    def test_counted_values_are_the_wider_solve(self, monkeypatch, mu, margins, grids):
+        # each grid asks the bisection for its count of values, no more; one more,
+        # as the golden files once pinned, moves them within 2e-11 relative
+        solve, seen = tridiagonal.eigenvalues, []
+        monkeypatch.setattr(tridiagonal, "eigenvalues", lambda diag, off, first, last:
+                            seen.append((diag, off, last)) or solve(diag, off, first, last))
+        lo, hi = mu.support
+        got = [lam for margin in margins for lam in negative_spectrum(
+            GreenKernel(lo - margin, hi + margin, mu, BetaFunction.constant(-1.0)), grids).per_grid]
+        assert len(seen) == len(got)
+        for (diag, off, last), lam in zip(seen, got):
+            assert lam.size == last + 1
+            np.testing.assert_allclose(lam, solve(diag, off, 0, last + 1)[:-1], rtol=2e-11, atol=0)
+
     def test_cantor_depth_8_at_scale(self):
         # 16384^2 doubles are 2 GiB per dense copy; the tridiagonal route needs O(n)
         k = GreenKernel(-2.0, 3.0, cantor_measure(8), BetaFunction.constant(-1.0))

@@ -64,6 +64,20 @@ class TestFreePropagator:
         with pytest.raises(ValueError, match="nonnegative"):
             free_propagator([0.5, -1e-300], 1.0)
 
+    @pytest.mark.parametrize("call, lam, gap", [
+        pytest.param(lambda: free_propagator(2.0, 1e308), "(1e+308+0j)", "2.0", id="lam-eps"),
+        pytest.param(lambda: free_propagator(1.0, 1000j), "1000j", "1.0", id="cosh"),
+        pytest.param(lambda: comb_transfer(DeltaComb([0.0, 2.0], [1.0, 1.0]), 1e308),
+                     "(1e+308+0j)", "2.0", id="comb"),
+        # the barrier's local wavenumber sqrt(0.25 - 1e6), about 1000j
+        pytest.param(lambda: pc_transfer(PiecewisePotential([0.0, 1.0], [1e6]), 0.5),
+                     "999.99987", "1.0", id="barrier"),
+    ])
+    def test_overflow_names_lam_and_gap(self, call, lam, gap):
+        # a finite lam whose propagator overflows: a typed error, not NaN and numpy's warnings
+        with pytest.raises(DomainError, match=rf"at lam = {re.escape(lam)}\S* over the gap {gap} overflows"):
+            call()
+
 
 @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.nan), complex(np.inf, 1.0)])
 class TestNonFiniteLambda:
@@ -292,6 +306,24 @@ class TestPiecewisePotential:
 
 
 class TestLimitDiagnose:
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda e: family_3d(2.0 / 3.0, e), id="3d"),
+        pytest.param(lambda e: family_4d(8.0, -1, e), id="4d"),
+        pytest.param(lambda e: family_5d("free", e), id="5d-free"),
+        pytest.param(lambda e: family_5d("dirichlet", e), id="5d-dirichlet"),
+    ])
+    @pytest.mark.parametrize("lam", [1.0, 0.0, 2.5, 1j])
+    def test_stacked_fields_are_the_per_matrix_ones(self, family, lam):
+        # one (E, 2, 2) array for the family's matrices; its steps and |M21| ratios
+        # keep the bits of the per-matrix expressions, the scalar abs included
+        rep = limit_diagnose(family, lam, EPS_SEQ)
+        mats = [comb_transfer(family(e), lam) for e in EPS_SEQ]
+        assert rep.matrices.shape == (len(EPS_SEQ), 2, 2) and np.array_equal(rep.matrices, mats)
+        assert np.array_equal(rep.diffs, [np.abs(m2 - m1) for m1, m2 in zip(mats, mats[1:])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = [[abs(m[0, 0]) / abs(m[1, 0]), abs(m[1, 1]) / abs(m[1, 0])] for m in mats]
+        assert np.array_equal(rep.decoupling_ratios, ratios, equal_nan=True)
+
     def test_family_3d_limit(self):
         rep = limit_diagnose(lambda e: family_3d(2.0 / 3.0, e), 1.0, EPS_SEQ)
         assert rep.classification == LIMIT
