@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -547,16 +548,38 @@ def krein_oracle(pts, c, prime):
     and is singular exactly at bound states; the count is #{alpha < 0} +
     #delta' - n_-(K).  With no delta' point it is the M-matrix count of
     delta systems, with no delta point n_-(Q), Q = diag(1/beta) + (kappa/2) E.
+    K is built at 40 digits and n_-(K) is its number of negative LDL^T
+    pivots (Sylvester), or of negative eigenvalues when an inner pivot is 0:
+    near threshold E/(2 kappa) is nearly a multiple of the all-ones matrix,
+    and in double precision the inertia misplaces such a root by ~eps/kappa
+    relative.
     """
-    v, d = pts[~prime], pts[prime]
-    base = int(np.sum(c[~prime] < 0)) + int(d.size)
+    order = np.argsort(prime, kind="stable")          # delta points, then delta'
+    x, w, p = pts[order], c[order], prime[order]
+    base = int(np.sum(c[~prime] < 0)) + int(np.sum(prime))
 
     def count(k):
-        e = lambda a, b: np.exp(-k * np.abs(a[:, None] - b[None, :]))
-        s = np.sign(v[:, None] - d[None, :]) * e(v, d) / 2.0
-        m = np.block([[np.diag(1.0 / c[~prime]) + e(v, v) / (2.0 * k), s],
-                      [s.T, -np.diag(1.0 / c[prime]) - 0.5 * k * e(d, d)]])
-        return base - int(np.sum(np.linalg.eigvalsh(m) < 0))
+        with mpmath.workdps(40):
+            k, xs = mpmath.mpf(k), [mpmath.mpf(float(t)) for t in x]
+
+            def entry(i, j):
+                e = mpmath.exp(-k * abs(xs[i] - xs[j]))
+                if p[i] != p[j]:                       # S/2 and S^T/2
+                    return mpmath.sign(xs[j] - xs[i] if p[i] else xs[i] - xs[j]) * e / 2
+                jump = 1 / mpmath.mpf(float(w[i])) if i == j else 0
+                return -jump - k * e / 2 if p[i] else jump + e / (2 * k)
+
+            m = mpmath.matrix([[entry(i, j) for j in range(len(x))] for i in range(len(x))])
+            rows, negative = m.tolist(), 0
+            try:
+                for i, row in enumerate(rows):
+                    negative += row[i] < 0
+                    for r in rows[i + 1:]:
+                        f = r[i] / row[i]
+                        r[i + 1:] = [a - f * b for a, b in zip(r[i + 1:], row[i + 1:])]
+            except ZeroDivisionError:
+                negative = sum(lam < 0 for lam in mpmath.eigsy(m, eigvals_only=True))
+        return base - negative
 
     return count
 
