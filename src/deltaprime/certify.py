@@ -194,7 +194,7 @@ def certify_count_points(sys, verify_secular: bool = True) -> PointCertificate:
                                       (t.x0 + t.l, t.x0 + t.l + 2 * t.r))]
         + [(p, p) for p in pts.tolist()])
 
-    gram = np.diag([0.5 * betas[k] for k in neg])
+    gram = np.diag(0.5 * betas[neg])
     cert = PointCertificate(n, pts[neg], betas[neg], funcs, gram)
     if verify_secular:
         cert.secular_count = count_negative(sys)
@@ -250,18 +250,19 @@ class SmoothIndicator:
     def support_measure(self) -> float:
         return sum(hi - lo + 2 * self.rho for lo, hi in self.cores)
 
+    def _ramps(self, x):
+        """x with a trailing core axis, the cores' ends, and each core's rising and
+        falling ramp arguments at x clipped to [0, 1].  Merged cores lie at least
+        2 rho apart, so at each x one core at most has both arguments nonzero."""
+        x = np.asarray(x, dtype=float)[..., None]
+        lo, hi = np.array(self.cores).T
+        up = np.clip((x - lo + self.rho) / self.rho, 0.0, 1.0)
+        return x, lo, hi, up, np.clip((hi + self.rho - x) / self.rho, 0.0, 1.0)
+
     def __call__(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for lo, hi in self.cores:
-            m = (x >= lo) & (x <= hi)
-            out[m] = 1.0
-            m = (x > lo - self.rho) & (x < lo)
-            out[m] = _ramp((x[m] - lo + self.rho) / self.rho)
-            m = (x > hi) & (x < hi + self.rho)
-            out[m] = _ramp((hi + self.rho - x[m]) / self.rho)
-        return float(out[0]) if scalar else out
+        *_, up, down = self._ramps(x)
+        out = (_ramp(up) * _ramp(down)).sum(axis=-1)
+        return float(out) if np.ndim(x) == 0 else out
 
     def integral(self) -> float:
         return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * 0.5 * len(self.cores)
@@ -270,20 +271,12 @@ class SmoothIndicator:
         return sum(hi - lo for lo, hi in self.cores) + 2 * self.rho * _RAMP_SQ_INT * len(self.cores)
 
     def cumulative(self, x) -> np.ndarray:
-        """int_{-inf}^x chi, exact per polynomial piece."""
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for lo, hi in self.cores:
-            # up-ramp
-            u = np.clip((x - lo + self.rho) / self.rho, 0.0, 1.0)
-            out += self.rho * _ramp_int(u)
-            # core
-            out += np.clip(x - lo, 0.0, hi - lo)
-            # down-ramp: integral of s mirrored
-            w = np.clip((x - hi) / self.rho, 0.0, 1.0)
-            out += self.rho * 0.5 - self.rho * _ramp_int(1.0 - w)
-        return float(out[0]) if scalar else out
+        """int_{-inf}^x chi, exact per polynomial piece: per core, the rising
+        ramp's integral, the clipped core length and the falling ramp's integral."""
+        y, lo, hi, up, down = self._ramps(x)
+        out = (self.rho * _ramp_int(up) + np.clip(y - lo, 0.0, hi - lo)
+               + self.rho * (0.5 - _ramp_int(down))).sum(axis=-1)
+        return float(out) if np.ndim(x) == 0 else out
 
 
 def _neighborhood(points: np.ndarray, delta: float) -> SmoothIndicator:
@@ -364,7 +357,7 @@ def measure_test_build(
     """
     subset = np.sort(np.asarray(subset, dtype=int))
     xs = mu.positions
-    jumps = beta.at_atoms(mu)[subset] * mu.weights[subset]
+    jumps = beta.jumps(mu)[subset]
     if _outside_gaps(xs, [subset])[0] <= delta:
         raise NeighborhoodOverlap("delta-neighborhood touches atoms outside the subset")
     if l <= xs[-1] + delta:
@@ -410,8 +403,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     subsets.
     """
     xs, ws = mu.positions, mu.weights
-    bs = beta.at_atoms(mu)
-    bw = bs * ws
+    bs, bw = beta.at_atoms(mu), beta.jumps(mu)
     subsets = [np.asarray(s, dtype=int) for s in subsets]
     seen = np.concatenate(subsets) if subsets else np.array([], dtype=int)
     if seen.size != np.unique(seen).size or not all(s.size for s in subsets):

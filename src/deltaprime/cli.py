@@ -11,6 +11,7 @@ usage/schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .configio import KIND_PARAMS, _numbers, fmt, parse_measure, parse_system, write_csv
+from .configio import KIND_PARAMS, _numbers, _one, fmt, parse_measure, parse_system, write_csv
 from .errors import DomainError, SchemaError
 from .interactions import (
     SelfAdjointB,
@@ -36,6 +37,11 @@ from .interactions import (
 def _atom(tok: str) -> tuple[float, float]:
     position, weight = tok.split(":")      # ValueError unless exactly one ':'
     return float(position), float(weight)
+
+
+def _section(title: str, **fields) -> list[str]:
+    """The lines of one report section: its [title], then one key = value per field."""
+    return [f"[{title}]"] + [f"{key} = {fmt(v)}" for key, v in fields.items()]
 
 
 def _print_matrix(m: np.ndarray, label: str, out) -> None:
@@ -68,10 +74,7 @@ def cmd_interactions(args, out) -> None:
         vals = args.gamma_list or []
         if len(vals) < 2:
             raise SchemaError("compose needs at least two --gamma values")
-        total = vals[0]
-        for g in vals[1:]:
-            total = gamma_compose(total, g)
-        print(f"gamma = {fmt(total)}", file=out)
+        print(f"gamma = {fmt(functools.reduce(gamma_compose, vals))}", file=out)
     else:   # characteristic: argparse admits no other action
         if args.gamma is None:
             raise SchemaError("characteristic needs --gamma")
@@ -89,7 +92,7 @@ def cmd_approx(args, out) -> None:
     if not args.eps_ratio > 1:
         raise SchemaError("--eps-ratio must be greater than 1")
     eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
-    lam = complex(args.lam)
+    lam = _one(args.lam, "--lam", complex)
     if args.family in ("3d", "4d") and args.gamma is None:
         raise SchemaError(f"family {args.family} needs --gamma")
     if args.family == "3d":
@@ -239,12 +242,11 @@ def cmd_certify(args, out) -> None:
                               f"got {len(pts)} and {len(betas)}")
         sysd = delta_prime_system(pts, betas)
         cert = vc.certify_count_points(sysd)
-        out_lines += ["[certificate]", "mode = points", f"count = {cert.count}",
-                      f"secular_count = {cert.secular_count}"]
+        out_lines += _section("certificate", mode="points", count=cert.count,
+                              secular_count=cert.secular_count)
         for i, (t, g) in enumerate(zip(cert.functions, np.diag(cert.gram))):
-            out_lines += [f"[trial {i + 1}]", f"x0 = {fmt(t.x0)}", f"beta = {fmt(t.beta)}",
-                          f"eps = {fmt(t.eps)}", f"r = {fmt(t.r)}", f"l = {fmt(t.l)}",
-                          f"form = {fmt(g)}"]
+            out_lines += _section(f"trial {i + 1}", x0=t.x0, beta=t.beta, eps=t.eps, r=t.r, l=t.l,
+                                  form=g)
     elif args.cantor_depth is not None:
         from .measures import BetaFunction, cantor_blocks, cantor_measure
 
@@ -253,12 +255,11 @@ def cmd_certify(args, out) -> None:
         level = args.blocks if args.blocks is not None else args.cantor_depth
         blocks = cantor_blocks(args.cantor_depth, level)
         cert = vc.certify_count_measure(mu, beta, blocks)
-        out_lines += ["[certificate]", "mode = measure", f"count = {cert.count}",
-                      f"epsilon = {fmt(cert.epsilon)}"]
+        out_lines += _section("certificate", mode="measure", count=cert.count,
+                              epsilon=cert.epsilon)
         for i, (t, f, b) in enumerate(zip(cert.functions, cert.forms, cert.bounds)):
-            out_lines += [f"[subset {i + 1}]", f"delta = {fmt(t.delta)}", f"r = {fmt(t.r)}",
-                          f"l = {fmt(t.l)}", f"plateau = {fmt(t.c_k)}", f"form = {fmt(f)}",
-                          f"bound = {fmt(b)}"]
+            out_lines += _section(f"subset {i + 1}", delta=t.delta, r=t.r, l=t.l, plateau=t.c_k,
+                                  form=f, bound=b)
     else:
         raise SchemaError("give --positions/--betas, --cantor-depth, or --random-trials")
     out.write("\n".join(out_lines) + "\n")
@@ -271,7 +272,7 @@ def cmd_certify(args, out) -> None:
 def cmd_deficiency(args, out) -> None:
     from . import deficiency as df
 
-    z = complex(args.z)
+    z = _one(args.z, "--z", complex)
     pts = _numbers(args.points, "--points", comma_list=True)
     drop = _numbers(args.drop_prime_at, "--drop-prime-at", comma_list=True) if args.drop_prime_at else []
     fam = df.point_family(pts, z, drop_prime_at=drop)
@@ -316,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--eps-start", type=float, default=1e-2)
     pa.add_argument("--eps-ratio", type=float, default=10.0)
     pa.add_argument("--eps-count", type=int, default=4)
-    pa.add_argument("--out")
     pa.set_defaults(func=cmd_approx)
 
     ps = sub.add_parser("spectrum", help="bound states of a point system")
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--beta", type=float)
     ps.add_argument("--kappa-max", type=float,
                     help="report only states with kappa <= this (default: every state)")
-    ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)
 
     pm = sub.add_parser("measure", help="negative spectra over atomic measures")
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--beta-values", help="comma list, one per atom")
     pm.add_argument("--box-margin", type=float, nargs="+", default=[2.0])
     pm.add_argument("--grids", default="256,512,1024")
-    pm.add_argument("--out")
     pm.set_defaults(func=cmd_measure)
 
     pc = sub.add_parser("certify", help="variational certificates")
@@ -349,15 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--random-trials", type=int)
     pc.add_argument("--n-max", type=int, default=6)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_certify)
 
     pd = sub.add_parser("deficiency", help="deficiency-family diagnostics")
     pd.add_argument("--points", required=True, help="comma list of points")
     pd.add_argument("--z", default="-1")
     pd.add_argument("--drop-prime-at", help="comma list of points")
-    pd.add_argument("--out")
     pd.set_defaults(func=cmd_deficiency)
+    for reporter in (pa, ps, pm, pc, pd):       # interactions prints to stdout alone
+        reporter.add_argument("--out")
     return p
 
 

@@ -84,6 +84,14 @@ def _numbers(text: str, where: str, parse=float, what: str = "numbers",
     return out
 
 
+def _one(text: str, where: str, parse=float):
+    """The one token of text, read by parse; a SchemaError names where otherwise."""
+    vals = _numbers(text, where, parse)
+    if len(vals) != 1:
+        raise SchemaError(f"{where} needs one number, got {text!r}")
+    return vals[0]
+
+
 def _scalar(sec: configparser.SectionProxy, key: str, fallback: str | None = None) -> float:
     """The one number under key in sec, or fallback if the key is absent;
     without a fallback the key is required."""
@@ -91,10 +99,7 @@ def _scalar(sec: configparser.SectionProxy, key: str, fallback: str | None = Non
     text = sec.get(key, fallback)
     if text is None:
         raise SchemaError(f"{where} is missing")
-    vals = _numbers(text, where)
-    if len(vals) != 1:
-        raise SchemaError(f"{where} needs one number, got {text!r}")
-    return vals[0]
+    return _one(text, where)
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -189,7 +194,6 @@ def parse_measure(text: str) -> tuple[AtomicMeasure, BetaFunction]:
         beta = BetaFunction(vals)
     else:
         raise SchemaError(f"[beta] unknown kind {bkind!r}")
-    beta.at_atoms(mu)  # validates finiteness now
     return mu, beta
 
 

@@ -128,16 +128,12 @@ def _kernel(prime1, prime2, p: np.ndarray, q: np.ndarray, z: complex) -> np.ndar
                     np.where(prime1 == prime2, f, np.where(prime1, fp, -fp)))
 
 
-def pair_inner(kind1: str, kind2: str, p: np.ndarray, q: np.ndarray, z: complex) -> np.ndarray:
-    """<kind1 shift at p, kind2 shift at q> in L2, closed form; [i,j] = (p_i, q_j)."""
-    return _kernel(kind1 == GPRIMECONV, kind2 == GPRIMECONV, np.atleast_1d(p), np.atleast_1d(q), z)
-
-
 def inner_product(e1: DeficiencyElement, e2: DeficiencyElement) -> complex:
     """L2 inner product <e1, e2> (second slot conjugated)."""
     if e1.z != e2.z:
         raise ValueError("elements must share the spectral parameter")
-    k = pair_inner(e1.kind, e2.kind, e1.measure.positions, e2.measure.positions, e1.z)
+    k = _kernel(e1.kind == GPRIMECONV, e2.kind == GPRIMECONV, e1.measure.positions,
+                e2.measure.positions, e1.z)
     return complex(e1.measure.weights @ k @ e2.measure.weights)
 
 

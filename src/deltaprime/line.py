@@ -597,8 +597,9 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 10
     are Python floats, a sign is C's signbit (-0.0 is negative), and a zero
     divisor, inf or nan in C, fails the step test and bisects.
 
-    Raises ValueError when f(a) and f(b) have one sign or f returns NaN,
-    and RuntimeError after maxiter steps without convergence.
+    Raises DomainError, a ValueError with scipy's message, when f(a) and
+    f(b) have one sign; ValueError when f returns NaN; and RuntimeError
+    after maxiter steps without convergence.
     """
     def value(x: float):
         fx = float((yield x))
@@ -615,7 +616,7 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 10
     if fcur == 0.0:
         return xcur
     if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise DomainError("f(a) and f(b) must have different signs")
     # the root stays between xcur and xblk; xpre is the previous iterate
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
@@ -665,9 +666,7 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
             except StopIteration as done:
                 roots.append((done.value, j))
                 del pending[j]
-            except ValueError:
-                if not math.prod(values([lo, hi], [j, j])) > 0:
-                    raise                       # not _brent_steps' one-sign bracket
+            except DomainError:             # _brent_steps' one-sign bracket
                 raise DomainError(f"an eigenvalue crossing zero in [{lo:.3g}, {hi:.3g}] lies "
                                   "below the resolution of the eigenvalue solver") from None
             except RuntimeError as e:

@@ -88,22 +88,26 @@ class AtomicMeasure:
 
 
 class BetaFunction:
-    """Real intensity on the atoms of a measure: one constant, or one value per atom."""
+    """Real intensity on the atoms of a measure: one constant, or one value per atom.
+    Its values are checked finite when it is built."""
 
     def __init__(self, rule: Union[float, Sequence[float]]):
-        self._rule = rule
+        self._values = _checked_floats(rule, "beta")
+        self._constant = np.ndim(rule) == 0
 
     @classmethod
     def constant(cls, value: float) -> "BetaFunction":
         return cls(float(value))
 
     def at_atoms(self, mu: AtomicMeasure) -> np.ndarray:
-        vals = _checked_floats(self._rule, "beta")
-        if np.ndim(self._rule) == 0:
-            vals = vals.repeat(len(mu))
+        vals = self._values.repeat(len(mu)) if self._constant else self._values
         if vals.shape != mu.positions.shape:
             raise ValueError("beta values must align with the atoms")
         return vals
+
+    def jumps(self, mu: AtomicMeasure) -> np.ndarray:
+        """beta_k w_k per atom: the delta' intensity an atom carries as a point."""
+        return self.at_atoms(mu) * mu.weights
 
 
 def _on_atoms(xs: np.ndarray, p) -> np.ndarray:
@@ -232,8 +236,7 @@ class GreenKernel:
     @cached_property
     def atom_offsets(self) -> np.ndarray:
         """[0, cumsum(beta*w)]: entry i is the kernel's atomic part above i atoms."""
-        bw = self.beta.at_atoms(self.mu) * self.mu.weights
-        return np.concatenate(([0.0], np.cumsum(bw)))
+        return np.concatenate(([0.0], np.cumsum(self.beta.jumps(self.mu))))
 
 
 def green_kernel_value(k: GreenKernel, x: float, s: float) -> float:
@@ -354,7 +357,7 @@ def negative_spectrum(kern: GreenKernel, refine: Sequence[int]) -> NegativeSpect
         raise ValueError("refine must contain at least two grid sizes")
     if np.any(np.diff(sizes) == 0):
         raise ValueError("grid sizes must be distinct")
-    bw = kern.beta.at_atoms(kern.mu) * kern.mu.weights
+    bw = kern.beta.jumps(kern.mu)
     neg_bw = -bw[bw < 0.0]
     per_grid = [_negative_eigenvalues(kern, int(n)) for n in sizes]
     counts = np.array([lam.size for lam in per_grid])
@@ -404,5 +407,4 @@ def atomic_to_point_system(mu: AtomicMeasure, beta: BetaFunction):
     """
     from .line import delta_prime_system
 
-    bw = beta.at_atoms(mu) * mu.weights
-    return delta_prime_system(mu.positions, bw)
+    return delta_prime_system(mu.positions, beta.jumps(mu))

@@ -133,15 +133,19 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
     wavenumber sqrt(lam^2 - v); the branch is irrelevant (even entry
     dependence), det = 1.  The propagators are built at once.  A non-finite
     lam raises ValueError, and a lam whose lam^2 - v overflows DomainError,
-    as does a piece whose propagator overflows (free_propagator names its
-    local wavenumber).
+    as does a piece whose propagator overflows: it names lam, then the
+    piece's local wavenumber and gap.
     """
     lam = complex(_checked_floats(lam, "lam", dtype=complex)[0])
     k2 = lam * lam - pot.values + 0j
     if not np.isfinite(k2).all():
         raise DomainError(f"lam = {lam} is too large: lam^2 - v overflows")
+    try:
+        props = free_propagator(np.diff(pot.breakpoints), np.sqrt(k2))
+    except DomainError as e:
+        raise DomainError(f"lam = {lam}: {e}") from None
     m = np.eye(2, dtype=complex)
-    for f in free_propagator(np.diff(pot.breakpoints), np.sqrt(k2)):
+    for f in props:
         m = f @ m
     return m
 

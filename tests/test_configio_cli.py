@@ -451,6 +451,10 @@ class TestCli:
         # a drop point is one of the points by float equality, or refused
         (["deficiency", "--points", "0,1", "--z", "-1", "--drop-prime-at", "2"],
          "drop_prime_at entry 2.0 is not one of the points"),
+        # --lam and --z name themselves and the token, as every other CLI number does
+        (["approx", "--family", "3d", "--gamma", "0.5", "--lam", "abc"], "--lam needs numbers, got 'abc'"),
+        (["approx", "--family", "3d", "--gamma", "0.5", "--lam", "1,2"], "--lam needs one number, got '1,2'"),
+        (["deficiency", "--points", "0,1", "--z", "x1"], "--z needs numbers, got 'x1'"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2

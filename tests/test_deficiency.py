@@ -21,7 +21,7 @@ from deltaprime.deficiency import (
     inner_product,
     point_family,
 )
-from deltaprime.errors import BranchCut, EvaluationOnAtom
+from deltaprime.errors import BranchCut, EvaluationOnAtom, IllConditioned
 from deltaprime.measures import AtomicMeasure
 from oracles import e_functional_numeric
 
@@ -229,6 +229,11 @@ class TestRanks:
         pts = list(np.linspace(0.0, 1.0 * (n - 1) if n > 1 else 0.0, n))
         assert gram_rank(point_family(pts, -1.0)) == 2 * n
         assert gram_rank(point_family(pts, -1.0, drop_prime_at=[pts[-1]])) == 2 * n - 1
+
+    def test_near_coincident_points_warn(self):
+        # two g elements 2e-4 apart: a singular value falls within a decade of the cut
+        with pytest.warns(IllConditioned, match="cluster at the rank tolerance"):
+            gram_rank(point_family([0.0, 2e-4], -1.0, drop_prime_at=[0.0, 2e-4]))
 
     def test_rank_invariances(self):
         pts = [0.0, 0.9, 2.2]

@@ -6,6 +6,7 @@ import pytest
 from deltaprime.errors import (
     DegenerateComposition,
     GammaPole,
+    PlaneNotGraph,
     SingularD,
     SplitHasNoLambda,
 )
@@ -365,6 +366,11 @@ class TestUnitaryCharts:
         v_p, v_m, d_p, d_m = _traces(_PLAIN, u)
         assert np.abs(v_p * np.cos(ap) - d_p * np.sin(ap)).max() < 1e-12
         assert np.abs(v_m * np.cos(am) - d_m * np.sin(am)).max() < 1e-12
+
+    def test_swap_plane_is_not_a_graph(self):
+        # Lambda = [[0, 1], [1, 0]] swaps value and derivative: no Cayley unitary exists
+        with pytest.raises(PlaneNotGraph):
+            unitary_of_lambda(TransmissionMatrix([[0, 1], [1, 0]]))
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)

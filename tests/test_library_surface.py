@@ -13,6 +13,8 @@ from deltaprime.interactions import TransmissionMatrix
 from deltaprime.measures import AtomicMeasure, BetaFunction, GreenKernel
 from deltaprime.transfer import DeltaComb, comb_transfer, free_propagator
 
+from code_lines import code_lines
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names that no code in src/ or perfbench/ calls and the README does
@@ -79,9 +81,10 @@ NAN_POINTS = "[system]\npoints = 0 nan inf\n" + "".join(
                  "lam must be finite, got (inf+0j)", id="free_propagator"),
     pytest.param(lambda: comb_transfer(DeltaComb([0.0, 1.0], [1.0, -1.0]), complex(1.0, np.nan)),
                  "lam must be finite, got (1+nanj)", id="comb_transfer"),
-    pytest.param(lambda: BetaFunction([-1.0, np.nan, np.inf]).at_atoms(MU),
+    # beta is checked once, when it is built
+    pytest.param(lambda: BetaFunction([-1.0, np.nan, np.inf]),
                  "beta must be finite, got nan", id="BetaFunction"),
-    pytest.param(lambda: BetaFunction.constant(-np.inf).at_atoms(MU),
+    pytest.param(lambda: BetaFunction.constant(-np.inf),
                  "beta must be finite, got -inf", id="BetaFunction-constant"),
     pytest.param(lambda: GreenKernel(-1.0, np.inf, MU, BetaFunction.constant(-1.0)),
                  "box ends must be finite, got inf", id="GreenKernel"),
@@ -97,3 +100,17 @@ def test_the_finite_rule_has_one_home():
     homes = [path.name for path in sorted((ROOT / "src" / "deltaprime").glob("*.py"))
              if "must be finite" in path.read_text()]
     assert homes == ["errors.py"]
+
+
+def test_code_lines_count_token_lines_only():
+    # the figure quoted for simplicity changes: a docstring, a comment and a blank
+    # line count nothing; each line of a continued statement counts once
+    snippet = ('"""Module docstring,\nover two lines."""\n'
+               "# a comment\n"
+               "\n"
+               "def f(x):\n"
+               '    """Docstring."""\n'
+               "    return (x +   # a trailing comment\n"
+               "            1)\n"
+               's = """a string\nthat is no docstring"""\n')
+    assert code_lines(snippet) == 5

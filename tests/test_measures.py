@@ -19,6 +19,7 @@ from deltaprime.errors import (
     EvaluationOnAtom,
     GridTooCoarse,
     JumpOffSupport,
+    UnconvergedEigenvalue,
 )
 from deltaprime.line import (
     CLUSTER_RTOL,
@@ -363,6 +364,12 @@ class TestNegativeSpectrum:
         for sizes in ([512, 512], [128, 256, 256], [256, 128, 256]):
             with pytest.raises(ValueError, match="distinct"):
                 negative_spectrum(k, sizes)
+
+    def test_differences_growing_under_refinement_raise(self):
+        # 1000 and 1001 cells nearly agree by chance; 4000 then moves 500x further
+        k = GreenKernel(-2.0, 3.0, AtomicMeasure([0.5], [1.0]), BetaFunction.constant(-1.0))
+        with pytest.raises(UnconvergedEigenvalue, match="grew under refinement: 1.99334e-07 -> 9.35532e-05"):
+            negative_spectrum(k, [1000, 1001, 4000])
 
 
 # the dense eigenvalues carry rounding of about eps ||M||; below this

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from deltaprime.errors import ComplexCoefficient, DomainError, GammaPole
+from deltaprime.errors import AmbiguousClassification, ComplexCoefficient, DomainError, GammaPole
 from deltaprime.interactions import Delta, DeltaPrimePotential, lambda_of, theta_of_gamma
 from deltaprime.transfer import (
     DIRICHLET,
@@ -77,6 +77,11 @@ class TestFreePropagator:
         # a finite lam whose propagator overflows: a typed error, not NaN and numpy's warnings
         with pytest.raises(DomainError, match=rf"at lam = {re.escape(lam)}\S* over the gap {gap} overflows"):
             call()
+
+    def test_piece_overflow_names_the_lam_passed(self):
+        # the barrier's local wavenumber follows the lam pc_transfer was given
+        with pytest.raises(DomainError, match=re.escape("lam = (0.5+0j): the free propagator at lam = 999.")):
+            pc_transfer(PiecewisePotential([0.0, 1.0], [1e6]), 0.5)
 
 
 @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.nan), complex(np.inf, 1.0)])
@@ -323,6 +328,12 @@ class TestLimitDiagnose:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = [[abs(m[0, 0]) / abs(m[1, 0]), abs(m[1, 1]) / abs(m[1, 0])] for m in mats]
         assert np.array_equal(rep.decoupling_ratios, ratios, equal_nan=True)
+
+    def test_undecided_family_is_ambiguous(self):
+        # one atom of strength 1/eps over a short eps sequence: M21 grows too slowly
+        # to decouple while the off-ratios fail to settle to a limit
+        with pytest.raises(AmbiguousClassification):
+            limit_diagnose(lambda e: DeltaComb([0.0], [1.0 / e]), 1.0, [1e-2, 9e-3, 8.5e-3, 8.2e-3])
 
     def test_family_3d_limit(self):
         rep = limit_diagnose(lambda e: family_3d(2.0 / 3.0, e), 1.0, EPS_SEQ)
