@@ -368,7 +368,7 @@ class TestUnitaryCharts:
         assert np.abs(v_m * np.cos(am) - d_m * np.sin(am)).max() < 1e-12
 
     def test_swap_plane_is_not_a_graph(self):
-        # Lambda = [[0, 1], [1, 0]] swaps value and derivative: no Cayley unitary exists
+        # Lambda = [[0, 1], [1, 0]] swaps value and derivative: it admits no unitary parametrization
         with pytest.raises(PlaneNotGraph):
             unitary_of_lambda(TransmissionMatrix([[0, 1], [1, 0]]))
 

@@ -366,7 +366,7 @@ class TestNegativeSpectrum:
                 negative_spectrum(k, sizes)
 
     def test_differences_growing_under_refinement_raise(self):
-        # 1000 and 1001 cells nearly agree by chance; 4000 then moves 500x further
+        # 1000 and 1001 cells barely move the eigenvalue, so the step to 4000 reads as growth
         k = GreenKernel(-2.0, 3.0, AtomicMeasure([0.5], [1.0]), BetaFunction.constant(-1.0))
         with pytest.raises(UnconvergedEigenvalue, match="grew under refinement: 1.99334e-07 -> 9.35532e-05"):
             negative_spectrum(k, [1000, 1001, 4000])

@@ -330,8 +330,8 @@ class TestLimitDiagnose:
         assert np.array_equal(rep.decoupling_ratios, ratios, equal_nan=True)
 
     def test_undecided_family_is_ambiguous(self):
-        # one atom of strength 1/eps over a short eps sequence: M21 grows too slowly
-        # to decouple while the off-ratios fail to settle to a limit
+        # one atom of strength 1/eps over closely spaced eps: M21's growth and the
+        # off-ratios' decay disagree, so neither criterion decides
         with pytest.raises(AmbiguousClassification):
             limit_diagnose(lambda e: DeltaComb([0.0], [1.0 / e]), 1.0, [1e-2, 9e-3, 8.5e-3, 8.2e-3])
 
