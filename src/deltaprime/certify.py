@@ -406,7 +406,7 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     bs, bw = beta.at_atoms(mu), beta.jumps(mu)
     subsets = [np.asarray(s, dtype=int) for s in subsets]
     seen = np.concatenate(subsets) if subsets else np.array([], dtype=int)
-    if seen.size != np.unique(seen).size or not all(s.size for s in subsets):
+    if seen.size != len(set(seen.tolist())) or not all(s.size for s in subsets):
         raise ValueError("subsets must be nonempty and disjoint")
 
     epsilon = -float(bs[seen].max()) if seen.size else 1.0

@@ -188,6 +188,8 @@ def cmd_measure(args, out) -> None:
 
     mu, beta, config = _build_measure(args)
     grids = _numbers(args.grids, "--grids", int, "integers", comma_list=True)
+    if len(set(grids)) < max(2, len(grids)):
+        raise SchemaError(f"--grids needs at least two distinct grid sizes, got {args.grids!r}")
     rows = []
     for margin in args.box_margin:
         lo, hi = mu.support

@@ -175,7 +175,12 @@ def point_family(
 ) -> list[DeficiencyElement]:
     """Unit-mass g and g' shifts at isolated points, optionally without
     the derivative member at selected points, each equal to one of them;
-    ValueError names the first that is not."""
+    ValueError names the first point given twice, or the first drop entry
+    that is not a point."""
+    values = np.asarray(points, dtype=float).tolist()
+    if len(set(values)) < len(values):
+        repeated = next(p for i, p in enumerate(values) if p in values[:i])
+        raise ValueError(f"point {repeated} is given twice: the points must be distinct")
     missing = [q for q in drop_prime_at if q not in points]
     if missing:
         raise ValueError(f"drop_prime_at entry {missing[0]} is not one of the points")

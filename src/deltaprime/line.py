@@ -55,6 +55,16 @@ T (LAPACK inverse iteration) is minus psi' at the points, where psi' is
 continuous; psi'/kappa is a decaying solution, so the same gap solve on
 -u/kappa gives the state.  This route never builds the frame.
 
+A mirror-symmetric delta' system, whose points mirror about their midpoint
+to within 4 eps max|x| and whose intensities equal their mirror images' to
+within 4 ulps (decided once, when the system is built), has a T that
+commutes with the reversal J, so T splits into an even and an odd
+tridiagonal of sizes ceil(N/2) and floor(N/2) (_halves), read off each
+round's one T build.  Their counts add, Brent runs on both halves' roots in
+one lockstep, clusters form within a half, and each state's u is lifted as
+(v, +-Jv), so it is even or odd by construction.  The symmetric pair's
+halves are 1 x 1, so it runs without LAPACK.
+
 On both routes all roots of a search advance together, one Brent step of
 each per round, and each route builds its matrix, T or H, once per round
 for all the round's kappas; the H route diagonalizes them in one stacked
@@ -63,9 +73,9 @@ cluster's T or H, an eigen-solve per cluster of roots (one stacked call
 for H), whose orthonormal eigenvectors give independent states, then the
 traces (read off the piece tables with the gap rates r = e^{-kappa g} of
 the gap solve), residuals, norms and parities of all at once.  A state is
-its kappa and one piece table, the (a, b) of every piece; its
-parity on mirror-symmetric points is read off that table, which the
-reflection reverses in both axes.
+its kappa and one piece table, the (a, b) of every piece.  Its parity is
+its half's on a mirror-symmetric delta' system; on other mirror-symmetric
+points it is read off that table, which the reflection reverses in both axes.
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
 marks an energy -kappa^2 beyond the floats and eigenvalues below eps ||T||.
 """
@@ -130,7 +140,7 @@ class PointSystem:
         n = self.points.size
         if (lambdas is None) == (relation is None) and n > 0:
             raise ValueError("give exactly one of per-point lambdas or a global relation")
-        self._betas = None
+        self._betas, self._mirrored = None, False
         if lambdas is not None:
             if len(lambdas) != n:
                 raise ValueError("need one transmission matrix per point")
@@ -139,6 +149,7 @@ class PointSystem:
                 raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             self._blocks = _per_point_blocks(mats)
             self._betas = _delta_prime_betas(mats)
+            self._mirrored = self._betas is not None and _is_mirrored(self.points, self._betas)
         elif relation is not None:
             relation = _checked_floats(relation, "relation", dtype=complex)
             if relation.shape != (2 * n, 4 * n):
@@ -196,6 +207,18 @@ def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
     if max(rest.max(initial=0.0), np.abs(m[:, 0, 1].imag).max(initial=0.0)) > 1e-12:
         return None
     return m[:, 0, 1].real
+
+
+def _is_mirrored(points: np.ndarray, betas: np.ndarray) -> bool:
+    """Whether delta' points mirror about their midpoint to within 4 eps max|x|
+    and each intensity equals its mirror image's to within 4 ulps, so that T(kappa)
+    commutes with the reversal J and splits into even and odd halves (_halves)."""
+    if points.size < 2:
+        return False                    # a lone point's T is its own even half
+    drift = np.abs(points + points[::-1] - (points[0] + points[-1]))
+    ulps = np.spacing(np.maximum(np.abs(betas), np.abs(betas[::-1])))
+    return bool(np.all(drift <= 4.0 * np.finfo(float).eps * np.abs(points).max())
+                and np.all(np.abs(betas - betas[::-1]) <= 4.0 * ulps))
 
 
 def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -341,6 +364,46 @@ def _tridiagonal(sys: PointSystem, kappa) -> tuple[np.ndarray, np.ndarray]:
     return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
 
 
+def _t_blocks(sys: PointSystem, kappa) -> list[tuple[np.ndarray, np.ndarray]]:
+    """T(kappa) as tridiagonals whose spectra together are T's: T itself, or the
+    even and odd halves of a mirror-symmetric system, all from one _tridiagonal
+    build; a column of kappa gives the rows of each."""
+    t = _tridiagonal(sys, kappa)
+    return _halves(*t) if sys._mirrored else [t]
+
+
+def _halves(diag: np.ndarray, off: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The even and odd halves (Cantoni and Butler, LAA 13, 1976) of the mirror
+    average (T + JTJ)/2 of a tridiagonal T that commutes with the reversal J to
+    rounding, whose eigenvalues differ from T's only at second order in T - JTJ;
+    T's left half alone would differ at first order, as mirrored gaps g agree
+    only to eps max|x|, a relative eps max|x| / g.  In the basis (e_i +- e_{N-1-i})/sqrt 2, with e_m
+    for the middle point of odd N: for even N the entry o joining the two middle
+    points adds +-o to the last diagonal entry; for odd N the middle point joins
+    the even half, its off-diagonal entry scaled by sqrt 2."""
+    n = diag.shape[-1]
+    m = n // 2
+    d = 0.5 * (diag[..., :n - m] + diag[..., ::-1][..., :n - m])
+    o = 0.5 * (off[..., :m] + off[..., ::-1][..., :m])
+    if n % 2:
+        o[..., m - 1:] *= math.sqrt(2.0)
+        return [(d, o), (d[..., :m], o[..., :m - 1])]
+    even, odd = d.copy(), d
+    even[..., -1] += o[..., -1]
+    odd[..., -1] -= o[..., -1]
+    return [(even, o[..., :-1]), (odd, o[..., :-1])]
+
+
+def _lift(v: np.ndarray, n: int, block: int) -> np.ndarray:
+    """Eigenvectors of T, shape (n, k), from eigenvectors v of its even (block 0)
+    or odd (block 1) half: (v, +-Jv)/sqrt 2, and for odd n the middle entry of v,
+    or 0 in the odd half."""
+    m = n // 2
+    pair = math.sqrt(0.5) * v[:m]
+    middle = v[m:] if len(v) > m else np.zeros((n % 2, v.shape[1]))
+    return np.concatenate((pair, middle, (1.0, -1.0)[block] * pair[::-1]))
+
+
 def _exact_window(sys: PointSystem) -> tuple[float, float]:
     """(lo, hi) outside which a delta' system with some beta < 0 has no
     state, from closed-form bounds that do not use the count.
@@ -437,22 +500,24 @@ class BoundState:
         return (tails[..., 0] + tails[..., 1]) / (2 * k[..., 0]) + gaps.sum(axis=-1)
 
 
-def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[BoundState]:
-    """Every state of a search, clusters of (kappa, j) by descending kappa:
-    the one builder of BoundState.  Per cluster, eigenvectors j.. of T (pure
-    delta') or H at its mean kappa give the tables; their eigenvalues must
-    vanish relative to sum |beta| u^2 for T, where the two terms of u^T T u
-    cancel at a root, or max(1, ||H||), as in _window.  Then once for all: the
-    residual of the one-sided traces in the row-normalized blocks, a scaling
-    to largest amplitude 1, so the norm cannot underflow, the norm at each
-    root and _parities.  The first failing cluster raises DomainError when
-    -kappa^2 is not a float or the eigenvalues vanish only to their route's
-    resolution, else NotAnEigenvalue; the first cluster holds the deepest root."""
+def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]]) -> list[BoundState]:
+    """Every state of a search, clusters of (kappa, (b, j)) of one block b each,
+    by descending first kappa: the one builder of BoundState.  Per cluster,
+    eigenvectors j.. of block b of T (pure delta', _t_blocks) or of H at its
+    mean kappa give the tables; their eigenvalues must vanish relative to
+    sum |beta| u^2 for T, where the two terms of u^T T u cancel at a root, or
+    max(1, ||H||), as in _window.  Then once for all: the residual of the
+    one-sided traces in the row-normalized blocks, a scaling to largest
+    amplitude 1, so the norm cannot underflow, the norm at each root and the
+    parities, the halves' or _parities'.  The first failing cluster raises
+    DomainError when -kappa^2 is not a float or the eigenvalues vanish only to
+    their route's resolution, else NotAnEigenvalue; the first cluster holds
+    the deepest root."""
     deepest = clusters[0][0][0]
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
     means = [float(np.mean([kappa for kappa, _ in cluster])) for cluster in clusters]
-    spans = [(min(j for _, j in cluster), len(cluster)) for cluster in clusters]
+    spans = [(min(key for _, key in cluster), len(cluster)) for cluster in clusters]
     amplitudes = (_h_amplitudes if sys._betas is None else _t_amplitudes)(sys, means, spans)
     tables, root_means = [], []
     for cluster, kappa, (lam, scale, resolution, table) in zip(clusters, means, amplitudes):
@@ -482,22 +547,28 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, int]]]) -> list[B
     pieces /= np.sqrt(BoundState(np.array(roots), pieces, sys.points, 0.0).norm_squared())[:, None, None]
     pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
     pieces.setflags(write=False)
-    parities = _parities(sys.points, pieces)
+    # psi' = -u at the points, so an even u of the even half of T is an odd psi
+    parities = ([("odd", "even")[b] for cluster in clusters for _, (b, _) in cluster] if sys._mirrored
+                else _parities(sys.points, pieces))
     return [BoundState(kappa, pieces[i], sys.points, float(res[i]), parities[i])
             for i, kappa in enumerate(roots)]
 
 
-def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, int]]):
-    """Per kappa and span (first, mult): eigenvalues first.. of T(kappa), their
-    scales, T's resolution as a function, as only a miss reads it, and the
-    piece tables of their states; every T is built in one _tridiagonal call.
-    An eigenvector u of T at a root is -psi' at the points, where psi' is
-    continuous, so psi'/kappa is the decaying solution with value -u/kappa on
-    both sides of every point, whose decay column flips sign as the derivative
-    of a decaying exponential."""
-    diags, offs = _tridiagonal(sys, np.array(kappas)[:, None])
-    for kappa, diag, off, (first, mult) in zip(kappas, diags, offs, spans):
+def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
+    """Per kappa and span ((block, first), mult): eigenvalues first.. of that
+    block of T(kappa) (_t_blocks), their scales, the block's resolution as a
+    function, as only a miss reads it, and the piece tables of their states;
+    every T is built in one _tridiagonal call.  An eigenvector u of T at a root,
+    lifted from a half (_lift) for a mirror-symmetric system, is -psi' at the
+    points, where psi' is continuous, so psi'/kappa is the decaying solution
+    with value -u/kappa on both sides of every point, whose decay column flips
+    sign as the derivative of a decaying exponential."""
+    blocks = _t_blocks(sys, np.array(kappas)[:, None])
+    for i, (kappa, ((b, first), mult)) in enumerate(zip(kappas, spans)):
+        diag, off = blocks[b][0][i], blocks[b][1][i]
         lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1)
+        if sys._mirrored:
+            u = _lift(u, sys.n_points, b)
         d = -u / kappa
         tables = _anchored(sys.points, kappa, d, d)
         tables[:, 1:, 1] *= -1.0
@@ -505,14 +576,14 @@ def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, 
                lambda diag=diag, off=off: tridiagonal.resolution(diag, off), tables)
 
 
-def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[int, int]]):
-    """Per kappa and span (first, mult): eigenvalues first.. of H(kappa), their
+def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
+    """Per kappa and span ((0, first), mult): eigenvalues first.. of H(kappa), their
     scale, eps times it (as a function, as for T) and the piece tables of their
     states, from the point values Gamma0 = X h, (v+_k, v-_k), of the
     eigenvectors h; every H is built in one _krein call and diagonalized in one
     stacked eigh."""
     lams, hs = np.linalg.eigh(_krein(sys, np.array(kappas)[:, None]))
-    for kappa, lam, h, (first, mult) in zip(kappas, lams, hs, spans):
+    for kappa, lam, h, ((_, first), mult) in zip(kappas, lams, hs, spans):
         scale = max(1.0, np.abs(lam).max())
         v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
         yield (lam[first:first + mult], scale, lambda scale=scale: np.finfo(float).eps * scale,
@@ -554,12 +625,13 @@ def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
                        f"is not a finite float{weakest}")
 
 
-def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, range, dict]:
-    """[lo, hi] holding every bound state, from closed-form bounds, the
-    indices of the ordered eigenvalues (of T for a pure delta' system, of H
-    otherwise) that cross zero in it at the states with kappa <= kappa_max,
-    selected by the count at min(hi, kappa_max), and the eigenvalues of H
-    at each kappa where the counts diagonalized it (none for delta').
+def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, list, dict]:
+    """[lo, hi] holding every bound state, from closed-form bounds, the keys
+    (block, j) of the ordered eigenvalues j that cross zero in it at the states
+    with kappa <= kappa_max, selected by the count at min(hi, kappa_max), and
+    the eigenvalues of H at each kappa where the counts diagonalized it (none
+    for delta').  The blocks are _t_blocks' for a pure delta' system, whose
+    counts add, and H alone (block 0) otherwise.
 
     Pure delta': _exact_window, and hi = kappa_max where that overflows.
     Otherwise lo = 0, where C(0+) is the total, and hi = 0 when that is 0.
@@ -572,22 +644,23 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         raise ValueError("kappa_max must be positive")
     if sys._betas is not None:
         if not np.any(sys._betas < 0):
-            return 0.0, 0.0, range(0), {}    # T(kappa) > 0 for every kappa when beta >= 0
+            return 0.0, 0.0, [], {}    # T(kappa) > 0 for every kappa when beta >= 0
         lo, hi = _exact_window(sys)
         hi = hi if math.isfinite(hi) else kappa_max    # the selected branches cross below a cap
         # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
-        return lo, hi, range(tridiagonal.negatives(*_tridiagonal(sys, min(hi, kappa_max)))), {}
+        blocks = _t_blocks(sys, min(hi, kappa_max))
+        return lo, hi, [(b, j) for b, t in enumerate(blocks) for j in range(tridiagonal.negatives(*t))], {}
     ends = {0.0: _eigenvalues(sys, 0.0)}
     # an eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero
     # is a zero-energy resonance, not a state
     total = int(np.sum(ends[0.0] < -THRESHOLD_RTOL * max(1.0, np.abs(ends[0.0]).max(initial=0.0))))
     if total == 0:
-        return 0.0, 0.0, range(0), ends
+        return 0.0, 0.0, [], ends
     c = sys._plane[3] / np.tanh(1.0)
     hi = max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf)))
     cap = min(hi, kappa_max)
     ends[cap] = _eigenvalues(sys, cap)
-    return 0.0, hi, range(int(np.sum(ends[cap] < 0.0)), total), ends
+    return 0.0, hi, [(0, j) for j in range(int(np.sum(ends[cap] < 0.0)), total)], ends
 
 
 def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 100):
@@ -651,7 +724,7 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
-def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float, int]]:
+def _lockstep(values, lo: float, hi: float, crossing) -> list[tuple[float, object]]:
     """(kappa, j), the root in [lo, hi] of each eigenvalue j of crossing, by one
     _brent_steps per j in lockstep: a round evaluates every pending kappa in one
     values(kappas, js) call, so _values builds T or H once per round.  As the
@@ -675,21 +748,21 @@ def _lockstep(values, lo: float, hi: float, crossing: range) -> list[tuple[float
     return roots
 
 
-def _values(sys: PointSystem, kappas: list[float], js: list[int], ends: dict) -> list:
-    """Eigenvalue js[i] at kappas[i], each row keeping the bits of its own build: of H,
-    the round's new kappas (each once, in order) built in one _krein call and
-    diagonalized in one stacked eigvalsh into ends, so no kappa is diagonalized twice;
-    or of T as kappa lambda_j, from one T build for all: linear in kappa for a lone
-    point (2 + kappa beta), which saves Brent steps, and a Python float, so inf, not a
-    warning."""
+def _values(sys: PointSystem, kappas: list[float], keys: list[tuple[int, int]], ends: dict) -> list:
+    """Eigenvalue j of block b at kappas[i], (b, j) = keys[i], each row keeping the
+    bits of its own build: of H, the round's new kappas (each once, in order) built in
+    one _krein call and diagonalized in one stacked eigvalsh into ends, so no kappa is
+    diagonalized twice; or of a block of T as kappa lambda_j, from one T build for all:
+    linear in kappa for a lone point (2 + kappa beta), which saves Brent steps, and a
+    Python float, so inf, not a warning."""
     if sys._betas is None:
         new = [k for k in dict.fromkeys(kappas) if k not in ends]
         if new:
             ends.update(zip(new, _eigenvalues(sys, np.array(new)[:, None])))
-        return [ends[k][j] for k, j in zip(kappas, js)]
-    diag, off = _tridiagonal(sys, np.array(kappas)[:, None])
-    return [k * float(tridiagonal.eigenvalues(d, o, j, j)[0])
-            for k, d, o, j in zip(kappas, diag, off, js)]
+        return [ends[k][j] for k, (_, j) in zip(kappas, keys)]
+    blocks = _t_blocks(sys, np.array(kappas)[:, None])
+    return [k * float(tridiagonal.eigenvalues(blocks[b][0][i], blocks[b][1][i], j, j)[0])
+            for i, (k, (b, j)) in enumerate(zip(kappas, keys))]
 
 
 def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> list[BoundState]:
@@ -714,21 +787,25 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     below the solver's resolution eps ||T|| or eps ||H||, or Brent's method
     does not converge on a root.
     The H route runs on numpy alone; the delta' route runs LAPACK's
-    bisection and inverse iteration through the tridiagonal core's handle.
+    bisection and inverse iteration through the tridiagonal core's handle,
+    on the halves of T for a mirror-symmetric system, which for the pair are
+    1 x 1 and need no LAPACK.
     """
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
         raise _too_deep(sys, hi)
     if not crossing:
         return []
-    roots = _lockstep(lambda kappas, js: _values(sys, kappas, js, ends), lo, hi, crossing)
-    clusters = []
-    for kappa, j in sorted(roots, reverse=True):
-        if clusters and clusters[-1][-1][0] - kappa <= CLUSTER_RTOL * kappa:
-            clusters[-1].append((kappa, j))
+    roots = _lockstep(lambda kappas, keys: _values(sys, kappas, keys, ends), lo, hi, crossing)
+    clusters, last = [], {}         # last: each block's latest cluster
+    for kappa, key in sorted(roots, reverse=True):
+        cluster = last.get(key[0])
+        if cluster and cluster[-1][0] - kappa <= CLUSTER_RTOL * kappa:
+            cluster.append((kappa, key))
         else:
-            clusters.append([(kappa, j)])
-    states = _states(sys, clusters)
+            last[key[0]] = [(kappa, key)]
+            clusters.append(last[key[0]])
+    states = sorted(_states(sys, clusters), key=lambda st: -st.kappa)
     for st in states:
         if st.residual > STATE_RESIDUAL_TOL:
             warnings.warn(f"root kappa={st.kappa:.6g} has residual {st.residual:.2e}", GridTooCoarse)
@@ -739,7 +816,8 @@ def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     """Number of bound states, or of those with kappa <= kappa_max, from the
     exact counts of _window, the total and the count at min(hi, kappa_max),
     with no root search.  For a pure delta' system the total is the number
-    of points with negative intensity, by Haynsworth's inertia additivity."""
+    of points with negative intensity, by Haynsworth's inertia additivity,
+    and a mirror-symmetric one adds the counts of the halves of T."""
     return len(_window(sys, kappa_max)[2])
 
 

@@ -56,8 +56,17 @@ def eigenvectors(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tu
 
 def _bisect(diag, off, first, last, order: str):
     """dstebz's eigenvalues first..last in `order` ("E" sorted, "B" by block), with
-    the block and split indices dstein reads."""
+    the block and split indices dstein reads.  Where dstebz cannot bracket the index
+    range (INFO = 2, as for eigenvalues equal to the last bit in two blocks of a T
+    that splits), it bisects them all and first..last of them are kept."""
     m, w, iblock, isplit, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, order)
+    if info == 2:
+        m, w, iblock, isplit, info = _lapack().dstebz(diag, off, 0, 0.0, 0.0, 0, 0, 0.0, order)
+        rank = np.argsort(np.argsort(w, kind="stable"), kind="stable")
+        # all N were found: the kept ones go first, in their order, as dstein reads
+        # the first m eigenvalues and blocks
+        kept_first = np.argsort((rank < first) | (rank > last), kind="stable")
+        w, iblock, m = w[kept_first], iblock[kept_first], last - first + 1
     if info:
         raise np.linalg.LinAlgError(f"bisection on T failed (LAPACK info={info})")
     return w[:m], iblock, isplit

@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from deltaprime.cli import main
 from deltaprime.configio import parse_measure, parse_system, write_csv
 from deltaprime.errors import SchemaError
 from deltaprime.line import find_bound_states
+from test_golden import GOLDEN, INVOCATIONS
 
 PAIR_FILE = """
 [system]
@@ -77,6 +79,11 @@ kind = per-atom
 values = -1.0 2.0
 """
 
+# four delta' points of the pair's strength: each half of T holds two, so the states
+# need LAPACK's bisection, where the pair's 1 x 1 halves need none
+FOUR_FILE = "[system]\npoints = -3.0 -1.0 1.0 3.0\n" + "".join(
+    f"[condition {i}]\nkind = delta-prime\nbeta = -1.0\n" for i in range(1, 5))
+
 SRC = Path(__file__).parent.parent / "src"
 # the expression a fresh interpreter prints to say whether any scipy module loaded
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
@@ -92,17 +99,19 @@ SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measur
 # (module, name) as a generic name could match elsewhere: an import statement
 # there would run on every Brent step, so LAPACK is read from the handle
 # tridiagonal._lapack loads once; _eigenvalues is the H route's batched
-# diagonalization of a round's new kappas
+# diagonalization of a round's new kappas, _t_blocks and _halves the delta'
+# route's split of each round's T
 PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_krein"), ("line", "_eigenvalues"),
+             ("line", "_t_blocks"), ("line", "_halves"),
              ("line", "_brent_steps"), ("line", "_lockstep"), ("line", "_values"),
              ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
 
 
-def fresh_python(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
-    """Run a new interpreter on `args`, importing the package from src/, with `env` added."""
+def fresh_python(*args: str, text: bool = True, cwd=None, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on `args` in `cwd`, importing the package from src/, with `env` added."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
-                          capture_output=True, text=text, timeout=120)
+                          capture_output=True, text=text, timeout=120, cwd=cwd)
 
 
 def imports_scipy(node: ast.AST) -> bool:
@@ -455,6 +464,10 @@ class TestCli:
         (["approx", "--family", "3d", "--gamma", "0.5", "--lam", "abc"], "--lam needs numbers, got 'abc'"),
         (["approx", "--family", "3d", "--gamma", "0.5", "--lam", "1,2"], "--lam needs one number, got '1,2'"),
         (["deficiency", "--points", "0,1", "--z", "x1"], "--z needs numbers, got 'x1'"),
+        # a repeated point is named, not reported as a rank deficiency
+        (["deficiency", "--points", "0,0", "--z", "-1"], "point 0.0 is given twice"),
+        # --grids names itself, not the library's parameter
+        (["measure", "--atoms", "0:1", "--grids", "8"], "--grids needs at least two distinct grid sizes, got '8'"),
     ])
     def test_library_value_error_exit_two(self, capsys, argv, message):
         assert main(argv) == 2
@@ -566,31 +579,50 @@ class TestCli:
         pytest.param("certify --positions 0,1,2 --betas=-1,1,-3", False, id="certify-points"),
         pytest.param("certify --cantor-depth 2 --beta -1 --blocks 2", False, id="certify-cantor"),
         pytest.param("deficiency --points 0,1 --z -1 --drop-prime-at 1", False, id="deficiency"),
-        # positive control: LAPACK bisection finds the pair's states
-        pytest.param("spectrum --builtin delta-prime-pair --beta -1", True, id="spectrum"),
+        # positive control: LAPACK bisection finds the states on the halves of T
+        pytest.param("spectrum --system {tmp}/four.ini", True, id="spectrum"),
+        # the README pair and its system file: 1 x 1 halves, no LAPACK
+        pytest.param("spectrum --builtin delta-prime-pair --beta -1", False, id="spectrum-pair"),
+        pytest.param("spectrum --system {tmp}/mysystem.ini --kappa-max 20", False, id="spectrum-system"),
         # positive control: LAPACK bisection finds the Nystrom eigenvalues
         pytest.param("measure --cantor-depth 3 --beta -1 --grids 512,1024,2048", True, id="measure"),
         # H-route states come from numpy's eigh and the package's Brent
         pytest.param("spectrum --builtin nonlocal-example", False, id="spectrum-nonlocal"),
     ])
-    def test_only_solves_load_scipy(self, argv, loads_scipy):
+    def test_only_solves_load_scipy(self, argv, loads_scipy, tmp_path):
+        (tmp_path / "four.ini").write_text(FOUR_FILE)
+        shutil.copy(GOLDEN / "mysystem.ini", tmp_path)
         code = ("import sys; from deltaprime.cli import main; status = main(sys.argv[1:]); "
                 f"print({SCIPY_LOADED}); sys.exit(status)")
-        proc = fresh_python("-c", code, *argv.split())
+        proc = fresh_python("-c", code, *argv.format(tmp=tmp_path).split())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(loads_scipy)
 
-    def test_lapack_solves_load_the_core_handle_alone(self):
+    def test_lapack_solves_load_the_core_handle_alone(self, tmp_path):
         # the handle is loaded (LAPACK ran), and none of the package inits it skips
+        (tmp_path / "four.ini").write_text(FOUR_FILE)
         code = ("import sys; from deltaprime.cli import main; from deltaprime import tridiagonal; "
                 "status = main(sys.argv[1:]); "
                 f"print(tridiagonal._LAPACK is not None, [m for m in {LAPACK_SKIPS} if m in sys.modules]); "
                 "sys.exit(status)")
-        for argv in ("spectrum --builtin delta-prime-pair --beta -1",
+        for argv in (f"spectrum --system {tmp_path}/four.ini",
                      "measure --cantor-depth 3 --beta -1 --grids 512,1024,2048"):
             proc = fresh_python("-c", code, *argv.split())
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.splitlines()[-1] == "True []", argv
+
+    def test_readme_invocations_leave_out_numpy_ma(self, tmp_path):
+        # numpy.ma loads lazily, in np.median or np.unique: no README run calls either;
+        # prints the first invocation after which it is loaded
+        shutil.copy(GOLDEN / "mysystem.ini", tmp_path)
+        code = ("import contextlib, io, sys; from deltaprime.cli import main\n"
+                f"for cmd in {[cmd for _, cmd, _ in INVOCATIONS]}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(cmd.split()) == 0, cmd\n"
+                "    if 'numpy.ma' in sys.modules:\n"
+                "        sys.exit(cmd)\n")
+        proc = fresh_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
     def test_no_module_imports_scipy_linalg(self):
         # LAPACK comes from tridiagonal._lapack, which loads the extension by its file

@@ -224,6 +224,11 @@ class TestRanks:
         with pytest.raises(ValueError, match=f"drop_prime_at entry {drop[0]!r} is not one of"):
             point_family([0.0, 1.0], -1.0, drop_prime_at=drop)
 
+    def test_repeated_point_is_refused(self):
+        # a point given twice is an input error, not a rank deficiency of the family
+        with pytest.raises(ValueError, match="point 0.0 is given twice"):
+            point_family([0.0, 1.0, 0.0], -1.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dichotomy(self, n):
         pts = list(np.linspace(0.0, 1.0 * (n - 1) if n > 1 else 0.0, n))

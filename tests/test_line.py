@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, null_space
 from scipy.optimize import brentq
@@ -359,7 +359,7 @@ class TestEigenfunction:
         # the builder refuses a kappa whose eigenvalue of T or H is not zero
         for kind in (Delta(-2.0), DeltaPrime(-1.0)):
             with pytest.raises(NotAnEigenvalue):
-                line._states(from_kinds([(0.0, kind)]), [[(1.5, 0)]])
+                line._states(from_kinds([(0.0, kind)]), [[(1.5, (0, 0))]])
 
     def test_symmetric_systems_have_definite_parity(self):
         for beta in (-0.6, -1.7):
@@ -714,15 +714,23 @@ class TestTridiagonalRoute:
     @given(case=delta_prime_systems())
     def test_gap_solve_matches_the_jump_sums(self, case):
         # the state with psi' = -u at the points, u an eigenvector of T at a
-        # root: one 2 x 2 solve per gap against sums of the jumps -beta u
+        # root (of a half of T, lifted, on mirror-symmetric points): one 2 x 2
+        # solve per gap against sums of the jumps -beta u
         pts, betas = case
         sys = delta_prime_system(pts, betas)
         for s in find_bound_states(sys):
+            blocks = line._t_blocks(sys, s.kappa)
+            b, j = min(((b, j) for b, t in enumerate(blocks) for j in range(t[0].size)),
+                       key=lambda bj: abs(eigh_tridiagonal(*blocks[bj[0]], eigvals_only=True)[bj[1]]))
+            _, u = eigh_tridiagonal(*blocks[b], select="i", select_range=(j, j))
+            if sys._mirrored:
+                u = line._lift(u, sys.n_points, b)
             diag, off = line._tridiagonal(sys, s.kappa)
-            j = int(np.argmin(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True))))
-            _, u = eigh_tridiagonal(diag, off, select="i", select_range=(j, j))
+            tu = diag * u[:, 0] + np.append(off * u[1:, 0], 0.0) + np.append(0.0, off * u[:-1, 0])
+            assert np.linalg.norm(u) == pytest.approx(1.0)
+            assert np.abs(tu).max() <= 1e-6 * np.abs(betas) @ (u[:, 0] ** 2)
             want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
-            got = next(line._t_amplitudes(sys, [s.kappa], [(j, 1)]))[3][0]
+            got = next(line._t_amplitudes(sys, [s.kappa], [((b, j), 1)]))[3][0]
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("sys", [
@@ -795,6 +803,104 @@ class TestTridiagonalRoute:
             states = find_bound_states(delta_prime_system(pts, -rng.uniform(5.0, 50.0, n)))
             assert len(states) == n
             assert max(s.residual for s in states) <= 1e-11
+
+
+@st.composite
+def mirrored_delta_prime_systems(draw):
+    """1-12 delta' points mirrored about a center, gaps down to 0.01, free
+    points (beta = 0) allowed; the middle point of odd N on the center."""
+    n = draw(st.integers(1, 12))
+    half = np.cumsum(draw(st.lists(st.floats(0.005, 0.5), min_size=n // 2, max_size=n // 2)))
+    if n % 2 == 0:
+        half = half - half[0] + draw(st.floats(0.005, 0.5))
+    betas = [m * s for m, s in zip(draw(st.lists(st.floats(0.2, 5.0), min_size=(n + 1) // 2,
+                                                 max_size=(n + 1) // 2)),
+                                   draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=(n + 1) // 2,
+                                                 max_size=(n + 1) // 2)))]
+    center = draw(st.sampled_from([0.0, 1.0, -7.25]) | st.floats(-10.0, 10.0))
+    pts = center + np.concatenate((-half[::-1], [0.0] * (n % 2), half))
+    return pts, np.array(betas[::-1] + betas[n % 2:])
+
+
+def root_resolution(sys: PointSystem, kappa: float) -> float:
+    """eps ||T|| / |lambda'(kappa)|: the error in a root kappa of the eigenvalue lambda
+    of T nearest 0 that an error of eps ||T|| in lambda makes; lambda' by central
+    difference on the dense T."""
+    dense = lambda k: (lambda d, o: np.diag(d) + np.diag(o, 1) + np.diag(o, -1))(*line._tridiagonal(sys, k))
+    j, h = np.argmin(np.abs(np.linalg.eigvalsh(dense(kappa)))), 1e-6 * kappa
+    slope = (np.linalg.eigvalsh(dense(kappa + h))[j] - np.linalg.eigvalsh(dense(kappa - h))[j]) / (2.0 * h)
+    return tridiagonal.resolution(*line._tridiagonal(sys, kappa)) / abs(slope)
+
+
+class TestMirrorHalves:
+    """A mirror-symmetric delta' system counts, finds roots and builds states on
+    the even and odd halves of T; each state is even or odd by construction."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=mirrored_delta_prime_systems(), log_kappa=st.floats(-4.0, 3.0))
+    # the full T at kappa ~ 140 splits into blocks sharing eigenvalues to the last
+    # bit, where dstebz cannot bracket one index (INFO = 2)
+    @example(case=(np.array([5.495, 5.5, 6.0, 6.5, 7.5, 8.0, 8.5, 8.504999999999999]),
+                   np.array([-0.2, -0.2, -0.3953744435377363, 0.0, 0.0, -0.3953744435377363, -0.2, -0.2])),
+             log_kappa=0.0)
+    def test_halves_are_the_full_route(self, case, log_kappa):
+        pts, betas = case
+        sys = delta_prime_system(pts, betas)
+        assert sys._mirrored == (pts.size > 1)      # a lone point's T is its own even half
+        full = delta_prime_system(pts, betas)
+        full._mirrored = False                  # the unsplit T, as for asymmetric points
+        kappa = float(np.exp(log_kappa))
+        diag, off = line._tridiagonal(sys, kappa)
+        # an eigenvalue within rounding of 0 has its sign, so the counts, set by rounding
+        if np.abs(eigh_tridiagonal(diag, off, eigvals_only=True)).min() > 4.0 * tridiagonal.resolution(diag, off):
+            assert sum(tridiagonal.negatives(*t) for t in line._t_blocks(sys, kappa)) == \
+                tridiagonal.negatives(diag, off)
+            assert count_negative(sys, kappa) == count_negative(full, kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = find_bound_states(sys), find_bound_states(full)
+        assert len(got) == len(want) == count_negative(sys) == int(np.sum(betas < 0))
+        # within 1e-13, or within the roots' own resolution where an eigenvalue error
+        # of eps ||T|| moves them further: gaps of 0.005 reach 1e-12 at kappa ~ 1
+        for s, w in zip(got, want):
+            assert abs(s.kappa - w.kappa) <= 1e-13 * w.kappa + 4.0 * root_resolution(sys, w.kappa)
+        assert all(s.parity in ("even", "odd") for s in got)
+        # a simple root's state is the full route's, and labelled as _parities labels it
+        for s, w in zip(got, want):
+            if sum(abs(o.kappa - s.kappa) <= 1e-4 * s.kappa for o in got) == 1:
+                assert line._parities(sys.points, s.pieces[None]) == [s.parity]
+                assert min(np.abs(s.pieces - w.pieces).max(), np.abs(s.pieces + w.pieces).max()) <= 1e-9
+
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_bridges_label_every_state(self, depth):
+        sys = measures.atomic_to_point_system(measures.cantor_measure(depth),
+                                              measures.BetaFunction.constant(-1.0))
+        assert sys._mirrored
+        states = find_bound_states(sys)
+        assert len(states) == count_negative(sys) == 2 ** depth
+        assert {s.parity for s in states} <= {"even", "odd"}
+        for kappa in (1.0, 30.0, 200.0, 3e3):
+            assert sum(tridiagonal.negatives(*t) for t in line._t_blocks(sys, kappa)) == \
+                tridiagonal.negatives(*line._tridiagonal(sys, kappa))
+
+    def test_symmetric_pair_needs_no_lapack(self, monkeypatch):
+        # the pair's halves are 1 x 1: no bisection, no inverse iteration
+        monkeypatch.setattr(tridiagonal, "_lapack", lambda: pytest.fail("LAPACK called"))
+        states = find_bound_states(delta_prime_pair(-1.0), 10.0)
+        assert [s.kappa for s in states] == [KAPPA_EVEN, KAPPA_ODD]
+        assert [s.parity for s in states] == ["even", "odd"]
+
+    def test_asymmetry_past_the_tolerance_keeps_the_full_route(self):
+        # points 4 eps max|x| off their mirror images, or an intensity 4 ulps off, split;
+        # a step beyond either does not
+        eps, x = np.finfo(float).eps, np.array([-2.0, -1.0, 1.0, 2.0])
+        assert delta_prime_system(x, [-1.0] * 4)._mirrored
+        assert delta_prime_system(x + [0, 0, 0, 8 * eps], [-1.0] * 4)._mirrored
+        assert not delta_prime_system(x + [0, 0, 0, 16 * eps], [-1.0] * 4)._mirrored
+        beta = np.nextafter(-1.0, -2.0)
+        assert delta_prime_system(x, [-1.0, -1.0, -1.0, beta])._mirrored
+        assert not delta_prime_system(x, [-1.0, -1.0, -1.0, -1.0 - 8 * eps])._mirrored
+        assert not from_kinds([(p, Delta(-1.0)) for p in x])._mirrored
 
 
 class TestProvedBrackets:
@@ -1083,8 +1189,12 @@ class TestLockstep:
             out.append(delta_prime_system(pts, rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n)))
         out.append(measures.atomic_to_point_system(measures.cantor_measure(5),
                                                    measures.BetaFunction.constant(-1.0)))
-        # far-apart copies of one well: roots within CLUSTER_RTOL form clusters
+        # far-apart copies of one well: roots within CLUSTER_RTOL form clusters, on T
+        # itself when the copies are not mirror-symmetric, and within each half of T
+        # when they are (the two copies of two mirror-symmetric wells are not clusters)
         out.append(delta_prime_system([0.0, 1.0, 40.0, 41.0], [-1.0] * 4))
+        out.append(delta_prime_system([0.0, 1.0, 40.0, 41.0, 90.0, 91.0], [-1.0] * 6))
+        out.append(delta_prime_system([0.0, 1.0, 40.0, 41.0, 80.0, 81.0, 120.0, 121.0], [-1.0] * 8))
         out.append(delta_prime_system([-2.0, -1.0, 1.0, 2.0], [-0.7, -1.3, -1.3, -0.7]))
         out.append(from_kinds([(0.0, Delta(-2.0)), (30.0, Delta(-2.0))]))
         out.append(from_kinds([(-1.0, DeltaPrime(-1.5)), (0.0, Delta(-1.0)), (1.0, DeltaPrime(-1.5))]))
@@ -1095,12 +1205,12 @@ class TestLockstep:
         for sys in self.systems(np.random.default_rng(19)):
             lo, hi, crossing, ends = line._window(sys, None)
             if sys.delta_prime_betas() is None:
-                value = lambda k, j: line._eigenvalues(sys, k)[j]
+                value = lambda k, key: line._eigenvalues(sys, k)[key[1]]
             else:
-                value = lambda k, j: float(k) * float(
-                    tridiagonal.eigenvalues(*line._tridiagonal(sys, k), j, j)[0])
-            want = sorted((one_root(lambda k: value(k, j), lo, hi, line.ROOT_XTOL, line.ROOT_RTOL), j)
-                          for j in crossing)
+                value = lambda k, key: float(k) * float(
+                    tridiagonal.eigenvalues(*line._t_blocks(sys, k)[key[0]], key[1], key[1])[0])
+            want = sorted((one_root(lambda k: value(k, key), lo, hi, line.ROOT_XTOL, line.ROOT_RTOL), key)
+                          for key in crossing)
             got = line._lockstep(lambda ks, js: line._values(sys, ks, js, ends), lo, hi, crossing)
             assert [(k.hex(), j) for k, j in sorted(got)] == [(k.hex(), j) for k, j in want]
             kappas = [s.kappa for s in find_bound_states(sys)]

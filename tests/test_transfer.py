@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from deltaprime import transfer
 from deltaprime.errors import AmbiguousClassification, ComplexCoefficient, DomainError, GammaPole
 from deltaprime.interactions import Delta, DeltaPrimePotential, lambda_of, theta_of_gamma
 from deltaprime.transfer import (
@@ -126,6 +127,17 @@ class TestBatchedCombBuild:
             comb = DeltaComb(np.cumsum(rng.uniform(1e-6, 0.3, n)), rng.uniform(-5.0, 5.0, n))
             for lam in (0.0, 1e-3, float(rng.uniform(-3.0, 3.0)), 2.9):
                 assert np.array_equal(comb_transfer(comb, lam), sequential_comb_transfer(comb, lam))
+
+    def test_families_of_any_lengths_keep_the_comb_bits(self):
+        # limit_diagnose's one stacked build pads shorter combs with identities in front
+        rng = np.random.default_rng(9)
+        combs = [DeltaComb(np.cumsum(rng.uniform(1e-6, 0.3, n)), rng.uniform(-5.0, 5.0, n))
+                 for n in (3, 0, 1, 7, 2, 7)]
+        for lam in (0.0, 1e-3, 2.9, 1j, 0.3 + 0.1j):
+            got = transfer._family_transfers(combs, lam)
+            assert got.shape == (len(combs), 2, 2)
+            for m, comb in zip(got, combs):
+                assert m.tobytes() == comb_transfer(comb, lam).tobytes()
 
     def test_complex_lambda_within_rounding(self):
         # numpy's array complex multiply and abs round apart from the scalar ones, so the

@@ -34,6 +34,39 @@ def float_tridiagonals(draw):
             np.array(draw(st.lists(floats, min_size=n - 1, max_size=n - 1))))
 
 
+# a split T whose two blocks share eigenvalues to the last bit: dstebz cannot bracket
+# index 5 alone (INFO = 2); from a delta' T(kappa) at kappa ~ 140
+SPLIT_TWINS = (np.array([-0.1804041435811921, -0.1804041435811921, -0.38076372161217575, 0.014610721925560562,
+                         0.014610721925560562, -0.38076372161217575, -0.18040414358119047, -0.18040414358119047]),
+               np.array([-9.883722970526929e-03, -2.7561523533429306e-32, -2.7561523533429306e-32,
+                         -5.199178954702011e-62, -2.7561523533429306e-32, -2.7561523533429306e-32,
+                         -9.883722970528948e-03]))
+
+
+def assert_true_eigenpairs(diag, off, first, last, lam, vectors=None):
+    """lam are eigenvalues first..last of T within 4 eps ||T||, and the columns of
+    vectors, if given, orthonormal eigenvectors with residuals within it."""
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    tol = 4.0 * tridiagonal.resolution(diag, off)
+    assert lam.shape == (last - first + 1,)
+    assert np.abs(lam - np.linalg.eigvalsh(t)[first:last + 1]).max() <= tol
+    if vectors is not None:
+        assert np.abs(vectors.T @ vectors - np.eye(lam.size)).max() <= 1e-12
+        assert np.abs(t @ vectors - vectors * lam).max() <= tol
+
+
+class TestUnbracketedRange:
+    def test_every_index_range_of_split_twins(self):
+        diag, off = SPLIT_TWINS
+        infos = [tridiagonal._lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, "E")[4]
+                 for first in range(8) for last in range(first, 8)]
+        assert 2 in infos                   # the fallback runs
+        for first in range(8):
+            for last in range(first, 8):
+                assert_true_eigenpairs(diag, off, first, last, tridiagonal.eigenvalues(diag, off, first, last))
+                assert_true_eigenpairs(diag, off, first, last, *tridiagonal.eigenvectors(diag, off, first, last))
+
+
 class TestNegatives:
     @settings(max_examples=300, deadline=None)
     @given(t=integer_tridiagonals())
@@ -65,9 +98,8 @@ class TestEigenvalues:
             want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                     select_range=(first, last))
         except np.linalg.LinAlgError:
-            # dstebz failed: so must the direct call
-            with pytest.raises(np.linalg.LinAlgError):
-                tridiagonal.eigenvalues(diag, off, first, last)
+            # dstebz could not bracket the range (INFO = 2): the core bisects all N
+            assert_true_eigenpairs(diag, off, first, last, tridiagonal.eigenvalues(diag, off, first, last))
             return
         got = tridiagonal.eigenvalues(diag, off, first, last)
         assert got.tobytes() == want.tobytes()
@@ -84,9 +116,14 @@ class TestEigenvectors:
         try:
             want = eigh_tridiagonal(diag, off, select="i", select_range=(first, last))
         except np.linalg.LinAlgError:
-            # dstebz or dstein failed: so must the direct calls
-            with pytest.raises(np.linalg.LinAlgError):
-                tridiagonal.eigenvectors(diag, off, first, last)
+            # dstebz could not bracket the range, so the core bisects all N, or dstein
+            # failed, and so must the core
+            try:
+                got = tridiagonal.eigenvectors(diag, off, first, last)
+            except np.linalg.LinAlgError as e:
+                assert "inverse iteration" in str(e)
+                return
+            assert_true_eigenpairs(diag, off, first, last, *got)
             return
         got = tridiagonal.eigenvectors(diag, off, first, last)
         for g, w in zip(got, want):
@@ -102,14 +139,15 @@ class TestResolution:
         assert tridiagonal.resolution(diag, off) >= np.finfo(float).eps * radius
 
 
-# a fresh interpreter: a delta' solve loads the core's handle, then scipy.linalg
+# a fresh interpreter: a delta' solve loads the core's handle (a mirror-symmetric
+# pair would not: its halves are 1 x 1), then scipy.linalg
 # inits its own copy of the extension, and the two give the same bytes
 REVERSE_ORDER = """
 import sys
 import numpy as np
 from deltaprime import tridiagonal
 from deltaprime.line import delta_prime_system, find_bound_states
-assert len(find_bound_states(delta_prime_system([0.0, 1.0], [-1.0, -1.0]))) == 2
+assert len(find_bound_states(delta_prime_system([0.0, 1.0], [-1.0, -2.0]))) == 2
 assert tridiagonal._LAPACK is not None and 'scipy.linalg' not in sys.modules
 from scipy.linalg import eigh_tridiagonal
 rng = np.random.default_rng(20)
