@@ -436,7 +436,11 @@ def certify_count_measure(mu, beta, subsets: Sequence[Sequence[int]]) -> Measure
     for chi, sel, jumps, mu_k, delta in specs:
         tf = MeasureTestFunction(chi, sel, jumps, l=l_next, r=R_MIN, delta=delta)
         # the plateau c_k does not depend on r
-        tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
+        try:
+            tf.r = max(R_MIN, 16.0 * tf.c_k ** 2 / (epsilon * mu_k))
+        except OverflowError:
+            raise DomainError(f"the plateau c_k = {tf.c_k:.3g} of beta's jumps needs a closing "
+                              "ramp beyond the floats") from None
         funcs.append(tf)
         l_next += 2.0 * tf.r + PAD
 

@@ -91,7 +91,11 @@ def cmd_approx(args, out) -> None:
 
     if not args.eps_ratio > 1:
         raise SchemaError("--eps-ratio must be greater than 1")
-    eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
+    try:
+        eps_seq = [args.eps_start / args.eps_ratio**i for i in range(args.eps_count)]
+    except OverflowError:
+        raise SchemaError(f"--eps-ratio {args.eps_ratio:g} raised to --eps-count - 1 = "
+                          f"{args.eps_count - 1} is beyond the floats") from None
     lam = _one(args.lam, "--lam", complex)
     if args.family in ("3d", "4d") and args.gamma is None:
         raise SchemaError(f"family {args.family} needs --gamma")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateComposition,
+    DomainError,
     GammaPole,
     PlaneNotGraph,
     SingularD,
@@ -248,12 +249,20 @@ def b_to_lambda(b: SelfAdjointB) -> TransmissionMatrix:
     th_pm = (1 +- gamma/2)^2 + alpha beta/4 + mu^2/4.
     """
     a, be, g, m = b.alpha, b.beta, b.gamma, b.mu
-    d = (1.0 - 0.5j * m) ** 2 - 0.25 * a * be - 0.25 * g * g
+    try:
+        d = (1.0 - 0.5j * m) ** 2 - 0.25 * a * be - 0.25 * g * g
+        th_p = (1.0 + 0.5 * g) ** 2 + 0.25 * a * be + 0.25 * m * m
+        th_m = (1.0 - 0.5 * g) ** 2 + 0.25 * a * be + 0.25 * m * m
+    except OverflowError:       # a power beyond the floats
+        d = th_p = th_m = np.nan
     if abs(d) < POLE_TOL:
         raise SingularD("decoupling limit: D = 0")
-    th_p = (1.0 + 0.5 * g) ** 2 + 0.25 * a * be + 0.25 * m * m
-    th_m = (1.0 - 0.5 * g) ** 2 + 0.25 * a * be + 0.25 * m * m
-    return TransmissionMatrix(np.array([[th_p, be], [a, th_m]], dtype=complex) / d)
+    with np.errstate(all="ignore"):
+        lam = np.array([[th_p, be], [a, th_m]], dtype=complex) / d
+    if not np.all(np.isfinite(lam)):
+        raise DomainError(f"B = (alpha, beta, gamma, mu) = ({a:g}, {be:g}, {g:g}, {m:g}) "
+                          "takes the transmission matrix beyond the floats")
+    return TransmissionMatrix(lam)
 
 
 def b_to_unitary(b: SelfAdjointB) -> np.ndarray:

@@ -73,11 +73,18 @@ cluster's T or H, an eigen-solve per cluster of roots (one stacked call
 for H), whose orthonormal eigenvectors give independent states, then the
 traces (read off the piece tables with the gap rates r = e^{-kappa g} of
 the gap solve), residuals, norms and parities of all at once.  A state is
-its kappa and one piece table, the (a, b) of every piece.  Its parity is
-its half's on a mirror-symmetric delta' system; on other mirror-symmetric
-points it is read off that table, which the reflection reverses in both axes.
+its kappa and one piece table, the (a, b) of every piece.
+
+Both routes share one mirror rule for points (_is_mirrored) and one parity
+rule: a state's parity is the mirror block it was found in.  On the delta'
+route that is its half of T (a lone point's T is its own even half).  On the
+H route, a plane on mirrored points that the reflection maps to itself is
+decided once, in _frame, whose frame is then turned so that H(kappa) splits
+into odd and even blocks; one stacked eigh returns each eigenvector on one
+block.  Every state of a system that is not mirror-invariant is "none".
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
-marks an energy -kappa^2 beyond the floats and eigenvalues below eps ||T||.
+marks an energy -kappa^2 beyond the floats, a delta' intensity so strong that
+T overflows at the window's lower end, and eigenvalues below eps ||T||.
 """
 
 from __future__ import annotations
@@ -105,8 +112,7 @@ NEAR_THRESHOLD = 1e-6
 THRESHOLD_RTOL = 1e-10       # relative eigenvalue of H(0) taken as a zero-energy resonance
 RESIDUAL_TOL = 1e-6          # relative eigenvalue of T or H accepted as a root
 STATE_RESIDUAL_TOL = 1e-8    # matching residual above which a state is flagged
-PARITY_TOL = 1e-8
-FRAME_RANK_TOL = 1e-12       # relative singular value of X kept in the frame
+FRAME_RANK_TOL = 1e-12       # relative singular value of X kept; mirror residual of an invariant frame
 DEFECT_TOL = 1e-8            # boundary-form defect above which a plane is rejected
 CLUSTER_RTOL = 1e-10         # roots closer than this (relative) form one cluster
 # ROOT_RTOL bounds Brent's bracket, not the error in kappa: the eps ||T|| resolution
@@ -148,8 +154,11 @@ class PointSystem:
             if not np.all(_phase_defects(mats) <= 1e-9):     # a NaN defect fails too
                 raise ValueError("per-point matrix violates the e^{i eta} R, det R = 1 form")
             self._blocks = _per_point_blocks(mats)
-            self._betas = _delta_prime_betas(mats)
-            self._mirrored = self._betas is not None and _is_mirrored(self.points, self._betas)
+            b = self._betas = _delta_prime_betas(mats)
+            # T splits when the intensities also mirror, to within 4 ulps; a lone
+            # point's T is its own even half
+            self._mirrored = b is not None and n > 1 and _is_mirrored(self.points) and bool(np.all(
+                np.abs(b - b[::-1]) <= 4.0 * np.spacing(np.maximum(np.abs(b), np.abs(b[::-1])))))
         elif relation is not None:
             relation = _checked_floats(relation, "relation", dtype=complex)
             if relation.shape != (2 * n, 4 * n):
@@ -171,13 +180,14 @@ class PointSystem:
         return a
 
     @cached_property
-    def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """X, X^H Y, the defect of the frame and the decay bound constant c
-        of _frame: the delta' route needs none of them."""
-        x, xy, defect, c = _frame(self._blocks)
-        x.setflags(write=False)
-        xy.setflags(write=False)
-        return x, xy, defect, c
+    def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
+        """X, X^H Y, the defect of the frame, the decay bound constant c and
+        the mirror sign of each column of _frame: the delta' route needs none
+        of them."""
+        frame = _frame(self._blocks, self.points)
+        for a in frame[:2] + frame[4:]:
+            a.setflags(write=False)
+        return frame
 
     @property
     def n_points(self) -> int:
@@ -209,22 +219,19 @@ def _delta_prime_betas(m: np.ndarray) -> Optional[np.ndarray]:
     return m[:, 0, 1].real
 
 
-def _is_mirrored(points: np.ndarray, betas: np.ndarray) -> bool:
-    """Whether delta' points mirror about their midpoint to within 4 eps max|x|
-    and each intensity equals its mirror image's to within 4 ulps, so that T(kappa)
-    commutes with the reversal J and splits into even and odd halves (_halves)."""
-    if points.size < 2:
-        return False                    # a lone point's T is its own even half
+def _is_mirrored(points: np.ndarray) -> bool:
+    """Whether points mirror about their midpoint to within 4 eps max|x|: the one
+    point rule of both routes, for the halves of T (_halves) and the mirror
+    blocks of the frame (_frame)."""
     drift = np.abs(points + points[::-1] - (points[0] + points[-1]))
-    ulps = np.spacing(np.maximum(np.abs(betas), np.abs(betas[::-1])))
-    return bool(np.all(drift <= 4.0 * np.finfo(float).eps * np.abs(points).max())
-                and np.all(np.abs(betas - betas[::-1]) <= 4.0 * ulps))
+    return bool(np.all(drift <= 4.0 * np.finfo(float).eps * np.abs(points).max()))
 
 
-def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _frame(blocks: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
     """X, X^H Y, the boundary-form defect of the plane cut out by the stack
-    of condition blocks, shape (K, R, C), and
-    c = max(0, -lambda_min(X^H Y)) / s_min(X)^2.
+    of condition blocks, shape (K, R, C), on the points,
+    c = max(0, -lambda_min(X^H Y)) / s_min(X)^2, and the mirror sign of each
+    column: +1 even, -1 odd, or 0 throughout a frame that is not mirror-invariant.
 
     One batched SVD gives the null space of every block; placed on the
     diagonal, they are an orthonormal basis (X; Y) of the plane in the
@@ -234,11 +241,18 @@ def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     the plane: zero iff the plane is Lagrangian.  X and X^H Y are then
     restricted to (ker X)^perp, on which the form does not vanish
     identically; c is taken there and bounds the decay rates (_window).
+
+    On mirrored points (_is_mirrored) the reflection x -> 2c - x reverses the
+    rows of X and of Y, so the plane is invariant when X[::-1] = XS and
+    Y[::-1] = YS to within FRAME_RANK_TOL, S = X^H X[::-1] + Y^H Y[::-1], a
+    Hermitian involution.  Such a frame is turned by S's eigenvectors, odd
+    (S = -1) first, whose eigenvalues are the signs, so that H(kappa) is block
+    diagonal (_krein).
     """
     k, rank, width = blocks.shape
     dim = k * width
     if dim == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, 0.0
+        return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, 0.0, np.zeros(0)
     if not blocks.imag.any():
         blocks = blocks.real
     null = np.linalg.svd(blocks)[2][:, rank:].conj().transpose(0, 2, 1)
@@ -251,12 +265,18 @@ def _frame(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     defect = float(np.linalg.norm(form - form.conj().T, 2))
     _, s, vh = np.linalg.svd(x)
     s = s[s > FRAME_RANK_TOL * s[0]]
-    keep = vh[: s.size].conj().T
+    keep, signs = vh[: s.size].conj().T, np.zeros(s.size)
+    if _is_mirrored(points):
+        xk, yk = x @ keep, y @ keep
+        mirror = xk.conj().T @ xk[::-1] + yk.conj().T @ yk[::-1]
+        if max(np.abs(xk[::-1] - xk @ mirror).max(), np.abs(yk[::-1] - yk @ mirror).max()) <= FRAME_RANK_TOL:
+            signs, turn = np.linalg.eigh(mirror)
+            keep, signs = keep @ turn, np.sign(signs)
     xy = keep.conj().T @ form @ keep
     xy = 0.5 * (xy + xy.conj().T)
     # min(lambda_min, 0) and s_min, both 0-safe: singular values of X are at most 1
     lam = np.linalg.eigvalsh(xy).min(initial=0.0)
-    return x @ keep, xy, defect, -float(lam) / s.min(initial=1.0) ** 2
+    return x @ keep, xy, defect, -float(lam) / s.min(initial=1.0) ** 2, signs
 
 
 def from_kinds(items: Sequence[tuple[float, InteractionKind]]) -> PointSystem:
@@ -318,8 +338,10 @@ def _gaps(points: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
 def _krein(sys: PointSystem, kappa) -> np.ndarray:
     """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0; a
     column of kappa gives one H per row, shape (B, r, r), each with the bits
-    of its own build."""
-    x, xy, defect, _ = sys._plane
+    of its own build.  In a mirror-invariant frame (_frame) M commutes with
+    the reflection, so the blocks joining odd and even columns vanish to
+    rounding; they are set to 0, the mirror average that _halves takes for T."""
+    x, xy, defect, _, signs = sys._plane
     if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
             f"condition plane is not Lagrangian (boundary-form defect {defect:.2e})"
@@ -339,7 +361,10 @@ def _krein(sys: PointSystem, kappa) -> np.ndarray:
     off = kcsch[..., None]
     mx[..., 0:-2:2, :] += off * x[3::2]
     mx[..., 3::2, :] += off * x[0:-2:2]
-    return xy - x.conj().T @ mx
+    h = xy - x.conj().T @ mx
+    if signs.any():
+        h[..., signs[:, None] != signs] = 0.0
+    return h
 
 
 def _eigenvalues(sys: PointSystem, kappa) -> np.ndarray:
@@ -508,19 +533,19 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     sum |beta| u^2 for T, where the two terms of u^T T u cancel at a root, or
     max(1, ||H||), as in _window.  Then once for all: the residual of the
     one-sided traces in the row-normalized blocks, a scaling to largest
-    amplitude 1, so the norm cannot underflow, the norm at each root and the
-    parities, the halves' or _parities'.  The first failing cluster raises
-    DomainError when -kappa^2 is not a float or the eigenvalues vanish only to
-    their route's resolution, else NotAnEigenvalue; the first cluster holds
-    the deepest root."""
+    amplitude 1, so the norm cannot underflow, and the norm at each root; the
+    parity is the mirror block each state was found in.  The first failing
+    cluster raises DomainError when -kappa^2 is not a float or the eigenvalues
+    vanish only to their route's resolution, else NotAnEigenvalue; the first
+    cluster holds the deepest root."""
     deepest = clusters[0][0][0]
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
     means = [float(np.mean([kappa for kappa, _ in cluster])) for cluster in clusters]
     spans = [(min(key for _, key in cluster), len(cluster)) for cluster in clusters]
     amplitudes = (_h_amplitudes if sys._betas is None else _t_amplitudes)(sys, means, spans)
-    tables, root_means = [], []
-    for cluster, kappa, (lam, scale, resolution, table) in zip(clusters, means, amplitudes):
+    tables, root_means, parities = [], [], []
+    for cluster, kappa, (lam, scale, resolution, table, parity) in zip(clusters, means, amplitudes):
         if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
             worst, root = np.abs(lam).max(), f"{len(cluster)}-fold root at kappa={cluster[0][0]:.9g}"
             if worst <= resolution():
@@ -529,6 +554,7 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
                                   f"scale {np.min(scale):.2e} at the {root}")
         tables.append(table)
         root_means += [kappa] * len(cluster)
+        parities += parity
     roots, tables = [kappa for cluster in clusters for kappa, _ in cluster], np.concatenate(tables)
     # on gap i, psi is a_i r_i + b_i at its left end and a_i + b_i r_i at its right end;
     # on a tail, whose other amplitude is 0, r is 1
@@ -547,9 +573,6 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     pieces /= np.sqrt(BoundState(np.array(roots), pieces, sys.points, 0.0).norm_squared())[:, None, None]
     pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
     pieces.setflags(write=False)
-    # psi' = -u at the points, so an even u of the even half of T is an odd psi
-    parities = ([("odd", "even")[b] for cluster in clusters for _, (b, _) in cluster] if sys._mirrored
-                else _parities(sys.points, pieces))
     return [BoundState(kappa, pieces[i], sys.points, float(res[i]), parities[i])
             for i, kappa in enumerate(roots)]
 
@@ -557,12 +580,14 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
 def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
     """Per kappa and span ((block, first), mult): eigenvalues first.. of that
     block of T(kappa) (_t_blocks), their scales, the block's resolution as a
-    function, as only a miss reads it, and the piece tables of their states;
-    every T is built in one _tridiagonal call.  An eigenvector u of T at a root,
-    lifted from a half (_lift) for a mirror-symmetric system, is -psi' at the
-    points, where psi' is continuous, so psi'/kappa is the decaying solution
-    with value -u/kappa on both sides of every point, whose decay column flips
-    sign as the derivative of a decaying exponential."""
+    function, as only a miss reads it, the piece tables of their states and
+    their parities; every T is built in one _tridiagonal call.  An eigenvector
+    u of T at a root, lifted from a half (_lift) for a mirror-symmetric system,
+    is -psi' at the points, where psi' is continuous, so psi'/kappa is the
+    decaying solution with value -u/kappa on both sides of every point, whose
+    decay column flips sign as the derivative of a decaying exponential.  So
+    the even half, or a lone point's T, gives odd states, the odd half even
+    ones, and the full T of an asymmetric system none."""
     blocks = _t_blocks(sys, np.array(kappas)[:, None])
     for i, (kappa, ((b, first), mult)) in enumerate(zip(kappas, spans)):
         diag, off = blocks[b][0][i], blocks[b][1][i]
@@ -572,22 +597,29 @@ def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple
         d = -u / kappa
         tables = _anchored(sys.points, kappa, d, d)
         tables[:, 1:, 1] *= -1.0
+        parity = ("odd", "even")[b] if sys._mirrored or sys.n_points == 1 else "none"
         yield (lam, np.abs(sys._betas) @ (u * u),
-               lambda diag=diag, off=off: tridiagonal.resolution(diag, off), tables)
+               lambda diag=diag, off=off: tridiagonal.resolution(diag, off), tables, [parity] * mult)
 
 
 def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
     """Per kappa and span ((0, first), mult): eigenvalues first.. of H(kappa), their
-    scale, eps times it (as a function, as for T) and the piece tables of their
+    scale, eps times it (as a function, as for T), the piece tables of their
     states, from the point values Gamma0 = X h, (v+_k, v-_k), of the
-    eigenvectors h; every H is built in one _krein call and diagonalized in one
-    stacked eigh."""
+    eigenvectors h, and their parities; every H is built in one _krein call and
+    diagonalized in one stacked eigh.  In a mirror-invariant frame H is block
+    diagonal, so eigh returns each h on one block, odd or even, which names
+    its parity; other frames give none."""
     lams, hs = np.linalg.eigh(_krein(sys, np.array(kappas)[:, None]))
     for kappa, lam, h, ((_, first), mult) in zip(kappas, lams, hs, spans):
         scale = max(1.0, np.abs(lam).max())
-        v = (sys._plane[0] @ h[:, first:first + mult]).reshape(-1, 2, mult)
+        h = h[:, first:first + mult]
+        v = (sys._plane[0] @ h).reshape(-1, 2, mult)
+        # the mirror sign of h's block, +1 even or -1 odd; a frame that is not turned gives none
+        parity = ([("odd", "even")[int(p > 0)] for p in sys._plane[4] @ np.abs(h) ** 2]
+                  if sys._plane[4].any() else ["none"] * mult)
         yield (lam[first:first + mult], scale, lambda scale=scale: np.finfo(float).eps * scale,
-               _anchored(sys.points, kappa, v[:, 0], v[:, 1]))
+               _anchored(sys.points, kappa, v[:, 0], v[:, 1]), parity)
 
 
 def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
@@ -601,19 +633,6 @@ def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
     out[:, 1:-1, 0] = ((vm[1:] - r * vp[:-1]) / den).T
     out[:, 1:-1, 1] = ((vp[:-1] - r * vm[1:]) / den).T
     return out
-
-
-def _parities(points: np.ndarray, pieces: np.ndarray) -> list[str]:
-    """Even, odd or none for each state of pieces, shape (m, N+1, 2), under
-    the reflection x -> 2c - x of mirror-symmetric points, which maps a
-    table to pieces[..., ::-1, ::-1]."""
-    if np.abs(points + points[::-1] - (points[0] + points[-1])).max() > 1e-12 * np.abs(points).max():
-        return ["none"] * len(pieces)
-    mirror = pieces[..., ::-1, ::-1]
-    tol = PARITY_TOL * np.abs(pieces).max(axis=(-2, -1))
-    even = np.abs(pieces - mirror).max(axis=(-2, -1)) <= tol
-    odd = np.abs(pieces + mirror).max(axis=(-2, -1)) <= tol
-    return ["even" if e else "odd" if o else "none" for e, o in zip(even, odd)]
 
 
 def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
@@ -783,7 +802,8 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     NotAnEigenvalue, and a state whose matching residual exceeds
     STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.  Raises
     NotSelfAdjoint when the condition plane is not Lagrangian, and
-    DomainError when -kappa^2 is not a finite float, an eigenvalue lies
+    DomainError when -kappa^2 is not a finite float, a delta' T(kappa)
+    overflows at the window's lower end, an eigenvalue lies
     below the solver's resolution eps ||T|| or eps ||H||, or Brent's method
     does not converge on a root.
     The H route runs on numpy alone; the delta' route runs LAPACK's
@@ -794,6 +814,12 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     lo, hi, crossing, ends = _window(sys, kappa_max)
     if not math.isfinite(hi):
         raise _too_deep(sys, hi)
+    if crossing and sys._betas is not None:
+        # T(lo) <= (2/lo)(1 + 1/(lo g_min)) entrywise, and bisection squares its off-diagonal
+        peak = 2.0 / lo * (1.0 + 1.0 / lo / float(np.diff(sys.points).min(initial=np.inf)))
+        if not math.isfinite(peak * peak if sys.n_points > 1 + sys._mirrored else peak):
+            raise DomainError(f"the delta' intensity {sys._betas.min():.3g} is too strong: T(kappa) "
+                              f"overflows at the window's lower end kappa = {lo:.3g}")
     if not crossing:
         return []
     roots = _lockstep(lambda kappas, keys: _values(sys, kappas, keys, ends), lo, hi, crossing)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,32 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["interactions", "b-to-lambda", "--mu", "1e200"], 1, "(0, 0, 0, 1e+200)"),
+        (["interactions", "b-to-lambda", "--gamma", "1e200"], 1, "(0, 0, 1e+200, 0)"),
+        (["interactions", "b-to-lambda", "--alpha", "1e200", "--beta", "1e200"], 1, "(1e+200, 1e+200, 0, 0)"),
+        (["certify", "--cantor-depth", "2", "--beta=-1e300"], 1, "c_k = -2.5e+299"),
+        (["approx", "--family", "3d", "--gamma", "0.5", "--eps-count", "3", "--eps-ratio", "1e300"], 2,
+         "--eps-ratio 1e+300 raised to --eps-count - 1 = 2"),
+        (["approx", "--family", "5d", "--eps-count", "400"], 2, "--eps-ratio 10 raised to --eps-count - 1 = 399"),
+        (["spectrum", "--builtin", "delta-prime-pair", "--beta=-1e160"], 1, "delta' intensity -1e+160"),
+    ])
+    def test_inputs_beyond_the_floats_fail_in_one_line(self, capsys, argv, code, message):
+        # each once gave an OverflowError traceback, a NaN or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert err.startswith("domain error: " if code == 1 else "error: ")
+
+    def test_ini_b_kind_beyond_the_floats_is_a_domain_error(self, tmp_path, capsys):
+        f = tmp_path / "b.ini"
+        f.write_text("[system]\npoints = 0\n[condition 1]\nkind = b\nmu = 1e200\n")
+        assert main(["spectrum", "--system", str(f)]) == 1
+        assert capsys.readouterr().err == ("domain error: B = (alpha, beta, gamma, mu) = (0, 0, 0, 1e+200) "
+                                           "takes the transmission matrix beyond the floats\n")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["spectrum", "--system", "{missing}/pair.ini"], id="system"),

@@ -283,9 +283,23 @@ class TestCounting:
         with pytest.raises(AssertionError, match="extracted"):
             find_bound_states(nonlocal_example())
 
+    def test_strong_delta_prime_is_a_domain_error(self):
+        # T(kappa) overflows at the window's lower end 1/(N max|beta|): a DomainError
+        # naming the intensity and no warning, while the count needs only T(hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sys in (delta_prime_system([0.0, 1.0, 3.0], [-1e200, 2.0, -1.0]), delta_prime_pair(-1e160)):
+                with pytest.raises(DomainError, match="intensity -1e\\+(200|160) is too strong"):
+                    find_bound_states(sys)
+                assert count_negative(sys) == 2
+            assert [s.kappa for s in find_bound_states(delta_prime_pair(-1e150))] == [1e-75, 5e-151]
+
     def test_extraction_failure_raises(self, monkeypatch):
-        # every counted root yields a state or the search fails loudly
-        monkeypatch.setattr(line, "RESIDUAL_TOL", 0.0)
+        # every counted root yields a state or the search fails loudly: roots
+        # moved 1e-3 off make the eigenvalue at each a real miss, on both routes
+        lockstep = line._lockstep
+        monkeypatch.setattr(line, "_lockstep",
+                            lambda *args: [(1.001 * k, j) for k, j in lockstep(*args)])
         for sys in (delta_prime_pair(-1.0), nonlocal_example()):
             with pytest.raises(NotAnEigenvalue):
                 find_bound_states(sys, 10.0)
@@ -367,17 +381,15 @@ class TestEigenfunction:
             assert {st.parity for st in states} == {"even", "odd"}
 
     def test_parity_needs_exactly_mirrored_points(self):
-        # a palindrome of amplitudes is even only on mirror-symmetric points;
-        # points 1e-5 off their mirror image are not, at any scale
-        table = np.array([[1.0, 0.0], [0.5, 0.2], [0.3, 0.3], [0.2, 0.5], [0.0, 1.0]])
-        for pts, parity in (([-2.0, -1.0, 1.0, 2.0], "even"), ([-2.0, -1.0, 1.00001, 2.0], "none"),
-                            ([1e3, 1e3 + 1.0, 1e3 + 2.0, 1e3 + 3.0], "even")):
-            assert line._parities(np.array(pts), table[None]) == [parity]
-        # the odd mirror, and a cluster of both, labelled state by state
-        odd = np.array([[1.0, 0.0], [0.5, 0.2], [0.3, -0.3], [-0.2, -0.5], [0.0, -1.0]])
-        assert line._parities(np.array([-2.0, -1.0, 1.0, 2.0]), np.stack((odd, table))) == ["odd", "even"]
-        states = find_bound_states(delta_prime_system([-2.0, -1.0, 1.00001, 2.0], [-1.0] * 4))
-        assert len(states) == 4 and {st.parity for st in states} == {"none"}
+        # a state has a parity only on points that mirror to within 4 eps max|x|,
+        # at any scale: points 1e-5 off their mirror images give none
+        for pts, labelled in (([-2.0, -1.0, 1.0, 2.0], True), ([-2.0, -1.0, 1.00001, 2.0], False),
+                              ([1e3, 1e3 + 1.0, 1e3 + 2.0, 1e3 + 3.0], True)):
+            for sys in (delta_prime_system(pts, [-1.0] * 4), from_kinds([(p, Delta(-1.0)) for p in pts])):
+                for s in (sys, PointSystem(sys.points, relation=dense_relation(sys))):
+                    states = find_bound_states(s)
+                    assert len(states) == count_negative(s) > 0
+                    assert {st.parity for st in states} == ({"even", "odd"} if labelled else {"none"})
 
 
 class TestBuilders:
@@ -633,38 +645,54 @@ class TestKreinCount:
 
 @st.composite
 def mirror_systems(draw):
-    """delta and delta' points mirrored about 0, with an optional one at 0."""
+    """delta, delta' and delta'-potential points mirrored about a center, with an
+    optional delta or delta' point on it; the reflection maps a delta'-potential
+    gamma to -gamma."""
     m = draw(st.integers(1, 3))
     half = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
-    kind = st.builds(lambda prime, c: DeltaPrime(c) if prime else Delta(c),
-                     st.booleans(), st.floats(0.2, 5.0) | st.floats(-5.0, -0.2))
-    right = draw(st.lists(kind, min_size=m, max_size=m))
+    strength = st.floats(0.2, 5.0) | st.floats(-5.0, -0.2)
+    kind = st.sampled_from([Delta, DeltaPrime]).flatmap(lambda k: strength.map(k))
+    right = draw(st.lists(kind | st.floats(-1.5, 1.5).map(DeltaPrimePotential), min_size=m, max_size=m))
     middle = draw(st.lists(kind, max_size=1))
-    pts = np.concatenate((-half[::-1], [0.0] * len(middle), half))
-    return from_kinds(list(zip(pts, right[::-1] + middle + right)))
+    left = [DeltaPrimePotential(-k.gamma) if isinstance(k, DeltaPrimePotential) else k for k in right[::-1]]
+    pts = draw(st.sampled_from([0.0, -7.25]) | st.floats(-10.0, 10.0)) + np.concatenate(
+        (-half[::-1], [0.0] * len(middle), half))
+    return from_kinds(list(zip(pts, left + middle + right)))
 
 
 class TestParity:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(sys=mirror_systems())
-    def test_simple_roots_of_mirror_systems_have_exact_parity(self, sys):
-        # per point (T or H) and as a global relation (H); the reflection
-        # x -> -x is checked on psi itself, off the points
-        span = sys.points[-1] - sys.points[0]
-        ys = np.linspace(0.013, 1.71, 37) * max(span, 1.0)
-        ys = ys[np.abs(ys[:, None] - sys.points[None, :]).min(axis=1) > 1e-6]
+    def test_every_state_of_a_mirror_system_has_exact_parity(self, sys):
+        # per point (T or H) and as a global relation (H), clusters included; the
+        # reflection about the center c is checked on psi itself, off the points
+        c = 0.5 * (sys.points[0] + sys.points[-1])
+        ys = np.linspace(0.013, 1.71, 37) * max(sys.points[-1] - c, 1.0)
+        ys = ys[np.abs(c + ys[:, None] - sys.points[None, :]).min(axis=1) > 1e-6]
         for s in (sys, PointSystem(sys.points, relation=dense_relation(sys))):
             states = find_bound_states(s)
-            kappas = np.array([st_.kappa for st_ in states])
+            assert len(states) == count_negative(s)
             for st_ in states:
-                others = np.delete(kappas, np.flatnonzero(kappas == st_.kappa)[0])
-                if np.any(np.abs(others - st_.kappa) <= 1e-4 * st_.kappa):
-                    continue          # not a simple root: any basis of the cluster will do
                 assert st_.parity in ("even", "odd")
                 sign = 1.0 if st_.parity == "even" else -1.0
-                fp, fm = st_.evaluate(ys), st_.evaluate(-ys)
+                fp, fm = st_.evaluate(c + ys), st_.evaluate(c - ys)
                 scale = max(np.abs(fp).max(), np.abs(fm).max())
-                assert np.abs(fm - sign * fp).max() <= 1e-7 * scale
+                assert np.abs(fm - sign * fp).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kinds", [
+        [Delta(-1.0), DeltaPrime(-1.0)],
+        [DeltaPrime(-1.0), DeltaPrime(-2.0)],
+        [DeltaPrimePotential(0.5), Delta(-2.0), DeltaPrimePotential(0.5)],
+        [Delta(-1.0), Delta(-2.0), Delta(-1.0), Delta(-1.5)],
+        [DeltaPrime(-1.0), Delta(-1.0), DeltaPrime(-2.0)],
+    ])
+    def test_mirrored_points_of_unmirrored_kinds_have_no_parity(self, kinds):
+        pts = np.linspace(-1.5, 1.5, len(kinds))
+        sys = from_kinds(list(zip(pts, kinds)))
+        for s in (sys, PointSystem(sys.points, relation=dense_relation(sys))):
+            states = find_bound_states(s)
+            assert len(states) == count_negative(s) > 0
+            assert {st_.parity for st_ in states} == {"none"}
 
 
 @st.composite
@@ -751,7 +779,7 @@ class TestTridiagonalRoute:
     def test_search_leaves_the_dense_relation_unbuilt(self, monkeypatch):
         # the route reads the intensities and the per-point blocks: the
         # frame of the condition plane is never built
-        def refuse(blocks):
+        def refuse(blocks, points):
             raise AssertionError("the delta' search built the frame")
 
         monkeypatch.setattr(line, "_frame", refuse)
@@ -865,10 +893,12 @@ class TestMirrorHalves:
         for s, w in zip(got, want):
             assert abs(s.kappa - w.kappa) <= 1e-13 * w.kappa + 4.0 * root_resolution(sys, w.kappa)
         assert all(s.parity in ("even", "odd") for s in got)
-        # a simple root's state is the full route's, and labelled as _parities labels it
+        # a simple root's state is the full route's, and its table is its own
+        # mirror image, reversed in both axes, times its parity's sign
         for s, w in zip(got, want):
             if sum(abs(o.kappa - s.kappa) <= 1e-4 * s.kappa for o in got) == 1:
-                assert line._parities(sys.points, s.pieces[None]) == [s.parity]
+                sign = 1.0 if s.parity == "even" else -1.0
+                assert np.abs(s.pieces - sign * s.pieces[::-1, ::-1]).max() <= 1e-9 * np.abs(s.pieces).max()
                 assert min(np.abs(s.pieces - w.pieces).max(), np.abs(s.pieces + w.pieces).max()) <= 1e-9
 
     @pytest.mark.parametrize("depth", range(3, 9))
