@@ -32,7 +32,8 @@ kappa tanh(kappa g_min / 2), H(kappa) > 0 above a closed-form hi, so
 kappa, so the counts at the two ends of the window name the eigenvalues
 that cross zero inside it, each exactly once, and Brent's method finds
 every crossing however close two roots lie.  kappa_max never moves the
-window: it selects branches by the count at min(hi, kappa_max).  Each
+window: it selects branches by the count at min(hi, kappa_max), and none
+below the lower end of a delta' window, where T > 0.  Each
 state comes from the eigenvector h of H whose eigenvalue vanishes at its
 root: the point values Gamma0 = X h fix the decaying solution on every
 piece, as amplitudes of exponentials anchored at the interval ends,
@@ -68,12 +69,16 @@ halves are 1 x 1, so it runs without LAPACK.
 On both routes all roots of a search advance together, one Brent step of
 each per round, and each route builds its matrix, T or H, once per round
 for all the round's kappas; the H route diagonalizes them in one stacked
-call.  The states of a search are built in one pass: one build of every
-cluster's T or H, an eigen-solve per cluster of roots (one stacked call
-for H), whose orthonormal eigenvectors give independent states, then the
-traces (read off the piece tables with the gap rates r = e^{-kappa g} of
-the gap solve), residuals, norms and parities of all at once.  A state is
-its kappa and one piece table, the (a, b) of every piece.
+call.  Each matrix reads the gap table r = e^{-kappa g}, 1 - r^2 at its
+kappas (_gaps), and the table reads the system's gaps g and their cap
+1e3/g, computed once per system, on first use, and kept read-only.  The
+states of a search are built in one pass on one gap table, with a row at
+every cluster's mean kappa and at each root that is not its cluster's mean:
+from it one build of every cluster's T or H, an eigen-solve per cluster of
+roots (one stacked call for H), whose orthonormal eigenvectors give
+independent states, then in one call each the piece tables of every state
+(_anchored), their traces, residuals and norms, and the parities.  A state
+is its kappa and one piece table, the (a, b) of every piece.
 
 Both routes share one mirror rule for points (_is_mirrored) and one parity
 rule: a state's parity is the mirror block it was found in.  On the delta'
@@ -178,6 +183,11 @@ class PointSystem:
         a = self._blocks / np.linalg.norm(self._blocks, axis=-1, keepdims=True)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def _spacing(self) -> np.ndarray:
+        """The gaps g of the points and the cap 1e3/g of _gaps (_spacing_of)."""
+        return _spacing_of(self.points)
 
     @cached_property
     def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
@@ -326,21 +336,32 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 # Krein-Weyl counting function
 # ---------------------------------------------------------------------------
 
-def _gaps(points: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """r = e^{-kappa g} and 1 - r^2 for every gap g of points, the latter
-    accurate for small kappa g; kappa is a float or a column of floats."""
+def _spacing_of(points: np.ndarray) -> np.ndarray:
+    """The rows (g, 1e3/g), read-only: the gaps g of points and the cap of
+    _gaps' kappa."""
     g = points[1:] - points[:-1]
+    spacing = np.array((g, 1e3 / g))
+    spacing.setflags(write=False)
+    return spacing
+
+
+def _gaps(spacing: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """The gap table: r = e^{-kappa g} and 1 - r^2 for every gap g of a
+    spacing (g, 1e3/g) (_spacing_of), the latter accurate for small kappa g;
+    kappa is a float or a column of floats, a row of the table per kappa."""
+    g, cap = spacing
     # the cap changes no value (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
-    kg = np.minimum(kappa, 1e3 / g) * g
+    kg = np.minimum(kappa, cap) * g
     return np.exp(-kg), -np.expm1(-2.0 * kg)
 
 
-def _krein(sys: PointSystem, kappa) -> np.ndarray:
+def _krein(sys: PointSystem, kappa, table=None) -> np.ndarray:
     """H(kappa) = X^H Y - X^H M(kappa) X, shape (r, r), for kappa >= 0; a
     column of kappa gives one H per row, shape (B, r, r), each with the bits
-    of its own build.  In a mirror-invariant frame (_frame) M commutes with
-    the reflection, so the blocks joining odd and even columns vanish to
-    rounding; they are set to 0, the mirror average that _halves takes for T."""
+    of its own build, read off the gap table at kappa > 0 when it is given.
+    In a mirror-invariant frame (_frame) M commutes with the reflection, so
+    the blocks joining odd and even columns vanish to rounding; they are set
+    to 0, the mirror average that _halves takes for T."""
     x, xy, defect, _, signs = sys._plane
     if defect > DEFECT_TOL:
         raise NotSelfAdjoint(
@@ -349,10 +370,10 @@ def _krein(sys: PointSystem, kappa) -> np.ndarray:
     # kappa coth and kappa csch of kappa g, finite for large kappa g; a kappa = 0 row reads
     # them at kappa = 1, so kappa times them is 0, and then takes their limits 1/g
     zero = kappa == 0
-    r, den = _gaps(sys.points, kappa + zero)
+    r, den = _gaps(sys._spacing, kappa + zero) if table is None else table
     kcoth, kcsch = kappa * ((1.0 + r * r) / den), kappa * (2.0 * r / den)
     if np.count_nonzero(zero):
-        lim = zero / np.diff(sys.points)
+        lim = zero / sys._spacing[0]
         kcoth, kcsch = kcoth + lim, kcsch + lim
     # rows of X: v+_1, v-_1, ..., v+_N, v-_N; gap j joins v+_j and v-_{j+1}
     m = np.full(np.shape(kappa)[:-1] + x.shape[:1], -kappa)
@@ -377,10 +398,11 @@ def _eigenvalues(sys: PointSystem, kappa) -> np.ndarray:
 # Krein-Sturm route for pure delta' systems
 # ---------------------------------------------------------------------------
 
-def _tridiagonal(sys: PointSystem, kappa) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(sys: PointSystem, kappa, table=None) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
-    E_ij = e^{-kappa |x_i - x_j|}; a column of kappa gives the rows of each."""
-    r, den = _gaps(sys.points, kappa)
+    E_ij = e^{-kappa |x_i - x_j|}; a column of kappa gives the rows of each,
+    read off the gap table at kappa when it is given."""
+    r, den = _gaps(sys._spacing, kappa) if table is None else table
     t = r / den                                 # r / (1 - r^2), finite for small kappa g
     s = r * t                                   # 1/(1 - r^2) - 1
     diag = np.ones(r.shape[:-1] + (sys.n_points,))
@@ -389,11 +411,11 @@ def _tridiagonal(sys: PointSystem, kappa) -> tuple[np.ndarray, np.ndarray]:
     return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
 
 
-def _t_blocks(sys: PointSystem, kappa) -> list[tuple[np.ndarray, np.ndarray]]:
+def _t_blocks(sys: PointSystem, kappa, table=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """T(kappa) as tridiagonals whose spectra together are T's: T itself, or the
     even and odd halves of a mirror-symmetric system, all from one _tridiagonal
-    build; a column of kappa gives the rows of each."""
-    t = _tridiagonal(sys, kappa)
+    build (on the gap table, if given); a column of kappa gives the rows of each."""
+    t = _tridiagonal(sys, kappa, table)
     return _halves(*t) if sys._mirrored else [t]
 
 
@@ -443,7 +465,7 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
     attract = -sys._betas[sys._betas < 0]
     # Python floats overflow to inf without a warning, as hi does for a weak intensity
     weakest = float(attract.min())
-    g = float(np.diff(sys.points).min(initial=np.inf))
+    g = float(sys._spacing[0].min(initial=np.inf))
     lo = 1.0 / (sys.n_points * float(attract.max()))
     # (2/kappa)(1 + 2/(kappa g)) equals min|beta_-| at half of hi
     hi = 2.0 * (1.0 + math.sqrt(1.0 + 4.0 * weakest / g)) / weakest
@@ -514,54 +536,72 @@ class BoundState:
     def norm_squared(self):
         """||psi||^2, shaped like the leading axes of pieces; kappa is a float
         or has those axes too, one decay rate per state."""
-        k, p = np.asarray(self.kappa)[..., None], self.pieces
-        a, b = p[..., 1:-1, 0], p[..., 1:-1, 1]
-        r, den = _gaps(self.points, k)
-        gaps = ((np.abs(a) ** 2 + np.abs(b) ** 2) * den / (2 * k)
-                + 2 * np.real(a * np.conj(b)) * r * np.diff(self.points))
-        c = p[..., (0, -1), (0, 1)]         # c_left, c_right
-        # hypot, then pow: |c|^2 rounded as the scalar abs(c) ** 2 rounds it, on any leading axes
-        tails = np.float_power(np.hypot(c.real, c.imag), 2)
-        return (tails[..., 0] + tails[..., 1]) / (2 * k[..., 0]) + gaps.sum(axis=-1)
+        k, spacing = np.asarray(self.kappa)[..., None], _spacing_of(self.points)
+        return _norm_squared(k, self.pieces, *_gaps(spacing, k), spacing[0])
+
+
+def _norm_squared(k: np.ndarray, pieces: np.ndarray, r: np.ndarray, den: np.ndarray, g: np.ndarray):
+    """||psi||^2 of piece tables of shape S + (N+1, 2) at decay rates k of
+    shape S + (1,), from the gap table r, den at k and the gaps g: shape S."""
+    a, b = pieces[..., 1:-1, 0], pieces[..., 1:-1, 1]
+    gaps = (np.abs(a) ** 2 + np.abs(b) ** 2) * den / (2 * k) + 2 * np.real(a * np.conj(b)) * r * g
+    c = pieces[..., (0, -1), (0, 1)]         # c_left, c_right
+    # hypot, then pow: |c|^2 rounded as the scalar abs(c) ** 2 rounds it, on any leading axes
+    tails = np.float_power(np.hypot(c.real, c.imag), 2)
+    return (tails[..., 0] + tails[..., 1]) / (2 * k[..., 0]) + gaps.sum(axis=-1)
 
 
 def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]]) -> list[BoundState]:
     """Every state of a search, clusters of (kappa, (b, j)) of one block b each,
-    by descending first kappa: the one builder of BoundState.  Per cluster,
+    by descending first kappa: the one builder of BoundState.  One gap table
+    (_gaps) serves the pass: a row at each cluster's mean kappa (a lone
+    root's is the root) for the cluster's T or H, its piece tables and
+    traces, and a row at each other root for its norm.  Per cluster,
     eigenvectors j.. of block b of T (pure delta', _t_blocks) or of H at its
-    mean kappa give the tables; their eigenvalues must vanish relative to
-    sum |beta| u^2 for T, where the two terms of u^T T u cancel at a root, or
-    max(1, ||H||), as in _window.  Then once for all: the residual of the
-    one-sided traces in the row-normalized blocks, a scaling to largest
-    amplitude 1, so the norm cannot underflow, and the norm at each root; the
-    parity is the mirror block each state was found in.  The first failing
-    cluster raises DomainError when -kappa^2 is not a float or the eigenvalues
-    vanish only to their route's resolution, else NotAnEigenvalue; the first
-    cluster holds the deepest root."""
+    mean, every cluster's matrix built in one call, give the states' point
+    values; their eigenvalues must vanish relative to sum |beta| u^2 for T,
+    where the two terms of u^T T u cancel at a root, or max(1, ||H||), as in
+    _window.  Then once for all: the piece tables (_anchored), the residual
+    of the one-sided traces in the row-normalized blocks, a scaling to
+    largest amplitude 1, so the norm cannot underflow, and the norm at each
+    root; the parity is the mirror block each state was found in.  The first
+    failing cluster raises DomainError when -kappa^2 is not a float or the
+    eigenvalues vanish only to their route's resolution, else
+    NotAnEigenvalue; the first cluster holds the deepest root."""
     deepest = clusters[0][0][0]
     if not math.isfinite(deepest * deepest):
         raise _too_deep(sys, deepest)
-    means = [float(np.mean([kappa for kappa, _ in cluster])) for cluster in clusters]
+    roots = [kappa for cluster in clusters for kappa, _ in cluster]
+    means = [c[0][0] if len(c) == 1 else float(np.mean([kappa for kappa, _ in c])) for c in clusters]
     spans = [(min(key for _, key in cluster), len(cluster)) for cluster in clusters]
-    amplitudes = (_h_amplitudes if sys._betas is None else _t_amplitudes)(sys, means, spans)
-    tables, root_means, parities = [], [], []
-    for cluster, kappa, (lam, scale, resolution, table, parity) in zip(clusters, means, amplitudes):
+    # the gap table's rows: the cluster means, then each root that is not its cluster's mean
+    at_mean = [i for i, cluster in enumerate(clusters) for _ in cluster]
+    column = np.array(means + [kappa for kappa, i in zip(roots, at_mean) if kappa != means[i]])
+    extra = iter(range(len(means), len(column)))
+    at_root = [i if kappa == means[i] else next(extra) for kappa, i in zip(roots, at_mean)]
+    r, den = _gaps(sys._spacing, column[:, None])
+    route = _h_amplitudes if sys._betas is None else _t_amplitudes
+    values, parities = [], []
+    for cluster, (lam, scale, resolution, vp, vm, parity) in zip(
+            clusters, route(sys, column[:len(means)], spans, (r[:len(means)], den[:len(means)]))):
         if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
             worst, root = np.abs(lam).max(), f"{len(cluster)}-fold root at kappa={cluster[0][0]:.9g}"
             if worst <= resolution():
                 raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
             raise NotAnEigenvalue(f"eigenvalue {worst:.2e} exceeds {RESIDUAL_TOL:g} times its "
                                   f"scale {np.min(scale):.2e} at the {root}")
-        tables.append(table)
-        root_means += [kappa] * len(cluster)
+        values.append((vp, vm))
         parities += parity
-    roots, tables = [kappa for cluster in clusters for kappa, _ in cluster], np.concatenate(tables)
+    k = column[at_mean][:, None]
     # on gap i, psi is a_i r_i + b_i at its left end and a_i + b_i r_i at its right end;
-    # on a tail, whose other amplitude is 0, r is 1
-    k = np.array(root_means)[:, None]
-    r, ones = _gaps(sys.points, k)[0], np.ones_like(k)
+    # on a tail, whose other amplitude is 0, r is 1: the columns of r padded by 1 on each side
+    padded = np.ones((len(roots), sys.n_points + 1))
+    padded[:, 1:-1] = r[at_mean]
+    tables = _anchored(*(np.hstack(v) for v in zip(*values)), padded[:, 1:-1].T, den[at_mean].T)
+    if sys._betas is not None:
+        tables[:, 1:, 1] *= -1.0      # the derivative of a decaying exponential (_t_amplitudes)
     a, b = tables[..., 0], tables[..., 1]
-    grow, decay = a[:, 1:] * np.hstack((r, ones)), b[:, :-1] * np.hstack((ones, r))
+    grow, decay = a[:, 1:] * padded[:, 1:], b[:, :-1] * padded[:, :-1]
     # (N, 4, states): v+, v-, d+, d-, laid out state by state for the norms' summation order
     traces = np.stack((grow + b[:, 1:], a[:, :-1] + decay,
                        k * (grow - b[:, 1:]), k * (a[:, :-1] - decay)), axis=-1).transpose(1, 2, 0)
@@ -570,48 +610,49 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
     flat = tables.reshape(len(roots), -1).astype(complex)
     pieces = (flat / flat[np.arange(len(roots)), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
-    pieces /= np.sqrt(BoundState(np.array(roots), pieces, sys.points, 0.0).norm_squared())[:, None, None]
+    pieces /= np.sqrt(_norm_squared(np.array(roots)[:, None], pieces, r[at_root], den[at_root],
+                                    sys._spacing[0]))[:, None, None]
     pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
     pieces.setflags(write=False)
     return [BoundState(kappa, pieces[i], sys.points, float(res[i]), parities[i])
             for i, kappa in enumerate(roots)]
 
 
-def _t_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
+def _t_amplitudes(sys: PointSystem, kappas: np.ndarray, spans: list[tuple[tuple[int, int], int]], table):
     """Per kappa and span ((block, first), mult): eigenvalues first.. of that
     block of T(kappa) (_t_blocks), their scales, the block's resolution as a
-    function, as only a miss reads it, the piece tables of their states and
-    their parities; every T is built in one _tridiagonal call.  An eigenvector
-    u of T at a root, lifted from a half (_lift) for a mirror-symmetric system,
-    is -psi' at the points, where psi' is continuous, so psi'/kappa is the
-    decaying solution with value -u/kappa on both sides of every point, whose
-    decay column flips sign as the derivative of a decaying exponential.  So
-    the even half, or a lone point's T, gives odd states, the odd half even
-    ones, and the full T of an asymmetric system none."""
-    blocks = _t_blocks(sys, np.array(kappas)[:, None])
+    function, as only a miss reads it, the values (vp, vm), shape (N, mult),
+    at the points of the solutions the states derive from, and their
+    parities; every T is built in one _tridiagonal call on the gap table at
+    kappas.  An eigenvector u of T at a root, lifted from a half (_lift) for
+    a mirror-symmetric system, is -psi' at the points, where psi' is
+    continuous, so psi'/kappa is the decaying solution with value -u/kappa on
+    both sides of every point, and the state's decay column is that
+    solution's with its sign flipped, as the derivative of a decaying
+    exponential.  So the even half, or a lone point's T, gives odd states,
+    the odd half even ones, and the full T of an asymmetric system none."""
+    blocks = _t_blocks(sys, kappas[:, None], table)
     for i, (kappa, ((b, first), mult)) in enumerate(zip(kappas, spans)):
         diag, off = blocks[b][0][i], blocks[b][1][i]
         lam, u = tridiagonal.eigenvectors(diag, off, first, first + mult - 1)
         if sys._mirrored:
             u = _lift(u, sys.n_points, b)
         d = -u / kappa
-        tables = _anchored(sys.points, kappa, d, d)
-        tables[:, 1:, 1] *= -1.0
         parity = ("odd", "even")[b] if sys._mirrored or sys.n_points == 1 else "none"
         yield (lam, np.abs(sys._betas) @ (u * u),
-               lambda diag=diag, off=off: tridiagonal.resolution(diag, off), tables, [parity] * mult)
+               lambda diag=diag, off=off: tridiagonal.resolution(diag, off), d, d, [parity] * mult)
 
 
-def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple[int, int], int]]):
+def _h_amplitudes(sys: PointSystem, kappas: np.ndarray, spans: list[tuple[tuple[int, int], int]], table):
     """Per kappa and span ((0, first), mult): eigenvalues first.. of H(kappa), their
-    scale, eps times it (as a function, as for T), the piece tables of their
-    states, from the point values Gamma0 = X h, (v+_k, v-_k), of the
-    eigenvectors h, and their parities; every H is built in one _krein call and
+    scale, eps times it (as a function, as for T), the point values
+    Gamma0 = X h, (v+_k, v-_k), of the eigenvectors h, and their parities;
+    every H is built in one _krein call on the gap table at kappas and
     diagonalized in one stacked eigh.  In a mirror-invariant frame H is block
     diagonal, so eigh returns each h on one block, odd or even, which names
     its parity; other frames give none."""
-    lams, hs = np.linalg.eigh(_krein(sys, np.array(kappas)[:, None]))
-    for kappa, lam, h, ((_, first), mult) in zip(kappas, lams, hs, spans):
+    lams, hs = np.linalg.eigh(_krein(sys, kappas[:, None], table))
+    for lam, h, ((_, first), mult) in zip(lams, hs, spans):
         scale = max(1.0, np.abs(lam).max())
         h = h[:, first:first + mult]
         v = (sys._plane[0] @ h).reshape(-1, 2, mult)
@@ -619,16 +660,17 @@ def _h_amplitudes(sys: PointSystem, kappas: list[float], spans: list[tuple[tuple
         parity = ([("odd", "even")[int(p > 0)] for p in sys._plane[4] @ np.abs(h) ** 2]
                   if sys._plane[4].any() else ["none"] * mult)
         yield (lam[first:first + mult], scale, lambda scale=scale: np.finfo(float).eps * scale,
-               _anchored(sys.points, kappa, v[:, 0], v[:, 1]), parity)
+               v[:, 0], v[:, 1], parity)
 
 
-def _anchored(points: np.ndarray, kappa: float, vp, vm) -> np.ndarray:
+def _anchored(vp, vm, r: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Piece tables, shape (m, N+1, 2), of the decaying solutions with
-    values vp = psi(x_k+0), vm = psi(x_k-0), shape (N, m): the left tail's
-    a is vm_1, the right tail's b is vp_N and, on gap i, [[r, 1], [1, r]]
-    (a_i, b_i) = (vp_i, vm_{i+1}), r = e^{-kappa g_i}."""
-    r, den = (c[:, None] for c in _gaps(points, kappa))
-    out = np.zeros((vp.shape[1], points.size + 1, 2), np.result_type(vp, vm))
+    values vp = psi(x_k+0), vm = psi(x_k-0), shape (N, m), one kappa per
+    column, from the gap table at those kappas with a column per state, r
+    and 1 - r^2 of shape (N-1, m): the left tail's a is vm_1, the right
+    tail's b is vp_N and, on gap i, [[r, 1], [1, r]] (a_i, b_i) =
+    (vp_i, vm_{i+1}), r = e^{-kappa g_i}."""
+    out = np.zeros((vp.shape[1], vp.shape[0] + 1, 2), np.result_type(vp, vm))
     out[:, 0, 0], out[:, -1, 1] = vm[0], vp[-1]
     out[:, 1:-1, 0] = ((vm[1:] - r * vp[:-1]) / den).T
     out[:, 1:-1, 1] = ((vp[:-1] - r * vm[1:]) / den).T
@@ -652,7 +694,9 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     for delta').  The blocks are _t_blocks' for a pure delta' system, whose
     counts add, and H alone (block 0) otherwise.
 
-    Pure delta': _exact_window, and hi = kappa_max where that overflows.
+    Pure delta': _exact_window, and hi = kappa_max where that overflows; a
+    kappa_max below lo selects nothing, with no count of T at it, which
+    rounding would lose at a tiny kappa_max.
     Otherwise lo = 0, where C(0+) is the total, and hi = 0 when that is 0.
     Else, with c from _frame, H(kappa) >= (kappa tanh(kappa g_min/2)
     s_min(X)^2 + lambda_min(X^H Y)) I, and tanh u >= tanh(1) min(u, 1)
@@ -666,8 +710,8 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
             return 0.0, 0.0, [], {}    # T(kappa) > 0 for every kappa when beta >= 0
         lo, hi = _exact_window(sys)
         hi = hi if math.isfinite(hi) else kappa_max    # the selected branches cross below a cap
-        # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo
-        blocks = _t_blocks(sys, min(hi, kappa_max))
+        # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo, and none below lo
+        blocks = _t_blocks(sys, min(hi, kappa_max)) if kappa_max >= lo else []
         return lo, hi, [(b, j) for b, t in enumerate(blocks) for j in range(tridiagonal.negatives(*t))], {}
     ends = {0.0: _eigenvalues(sys, 0.0)}
     # an eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero
@@ -676,7 +720,7 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     if total == 0:
         return 0.0, 0.0, [], ends
     c = sys._plane[3] / np.tanh(1.0)
-    hi = max(c, np.sqrt(2.0 * c / np.diff(sys.points).min(initial=np.inf)))
+    hi = max(c, np.sqrt(2.0 * c / sys._spacing[0].min(initial=np.inf)))
     cap = min(hi, kappa_max)
     ends[cap] = _eigenvalues(sys, cap)
     return 0.0, hi, [(0, j) for j in range(int(np.sum(ends[cap] < 0.0)), total)], ends
@@ -796,8 +840,9 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     for all its kappas, and H's are diagonalized in one stacked call.  Roots
     closer than CLUSTER_RTOL (relative) form a cluster whose states come from
     the orthonormal eigenvectors of one matrix, so they are linearly
-    independent; _states builds every state in one pass, all clusters'
-    matrices, T or H, in one build, and H's in one stacked eigen-solve.
+    independent; _states builds every state in one pass on one gap table,
+    all clusters' matrices, T or H, in one build, and H's in one stacked
+    eigen-solve.
     Exactly as many states as the count are returned: a failed extraction raises
     NotAnEigenvalue, and a state whose matching residual exceeds
     STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.  Raises
@@ -816,7 +861,7 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         raise _too_deep(sys, hi)
     if crossing and sys._betas is not None:
         # T(lo) <= (2/lo)(1 + 1/(lo g_min)) entrywise, and bisection squares its off-diagonal
-        peak = 2.0 / lo * (1.0 + 1.0 / lo / float(np.diff(sys.points).min(initial=np.inf)))
+        peak = 2.0 / lo * (1.0 + 1.0 / lo / float(sys._spacing[0].min(initial=np.inf)))
         if not math.isfinite(peak * peak if sys.n_points > 1 + sys._mirrored else peak):
             raise DomainError(f"the delta' intensity {sys._betas.min():.3g} is too strong: T(kappa) "
                               f"overflows at the window's lower end kappa = {lo:.3g}")

@@ -101,11 +101,16 @@ SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measur
 # there would run on every Brent step, so LAPACK is read from the handle
 # tridiagonal._lapack loads once; _eigenvalues is the H route's batched
 # diagonalization of a round's new kappas, _t_blocks and _halves the delta'
-# route's split of each round's T
+# route's split of each round's T; the state pass solves each cluster's kappa
+# (_t_amplitudes, _h_amplitudes, _lift, tridiagonal.eigenvectors) and builds
+# the tables and norms of all its kappas at once (_anchored, _norm_squared)
 PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_krein"), ("line", "_eigenvalues"),
              ("line", "_t_blocks"), ("line", "_halves"),
              ("line", "_brent_steps"), ("line", "_lockstep"), ("line", "_values"),
-             ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect")}
+             ("line", "_t_amplitudes"), ("line", "_h_amplitudes"), ("line", "_lift"),
+             ("line", "_anchored"), ("line", "_norm_squared"),
+             ("tridiagonal", "negatives"), ("tridiagonal", "eigenvalues"), ("tridiagonal", "_bisect"),
+             ("tridiagonal", "eigenvectors")}
 
 
 def fresh_python(*args: str, text: bool = True, cwd=None, **env: str) -> subprocess.CompletedProcess:

@@ -758,7 +758,11 @@ class TestTridiagonalRoute:
             assert np.linalg.norm(u) == pytest.approx(1.0)
             assert np.abs(tu).max() <= 1e-6 * np.abs(betas) @ (u[:, 0] ** 2)
             want = jump_sum_amplitudes(pts, betas, s.kappa, u[:, 0])
-            got = next(line._t_amplitudes(sys, [s.kappa], [((b, j), 1)]))[3][0]
+            kappa = np.array([s.kappa])
+            r, den = line._gaps(sys._spacing, kappa[:, None])
+            ((*_, vp, vm, _),) = line._t_amplitudes(sys, kappa, [((b, j), 1)], (r, den))
+            got = line._anchored(vp, vm, r.T, den.T)[0]
+            got[1:, 1] *= -1.0          # the state's decay column, as _states turns it
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("sys", [
@@ -1051,6 +1055,19 @@ class TestCappedSearch:
         capped = [s.kappa for s in find_bound_states(sys, kappa_max)]
         assert capped == uncapped[len(uncapped) - m:]
 
+    @pytest.mark.parametrize("sys", [
+        delta_prime_pair(-1.0), delta_prime_system([0.0, 1.0, 2.5], [-1.0, 0.5, -2.0]),
+    ], ids=["pair", "asymmetric"])
+    def test_cap_below_the_window_selects_nothing(self, sys):
+        # T > 0 up to the window's lower end lo, so no state decays at a smaller kappa_max;
+        # a count of T at such a cap is lost to rounding or overflows
+        lo = line._exact_window(sys)[0]
+        for kappa_max in (1e-300, 1e-200, 1e-100, 1e-20, lo / 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert count_negative(sys, kappa_max) == 0
+                assert find_bound_states(sys, kappa_max) == []
+
 
 def one_root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """A root of f in [a, b]: line._brent_steps driven by one f, a reference
@@ -1208,6 +1225,35 @@ class TestLockstep:
         for kappa, hk, lk in zip(kappas, h, lam):
             assert np.array_equal(hk, line._krein(sys, kappa))
             assert np.array_equal(lk, line._eigenvalues(sys, kappa))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=delta_prime_systems(), complex_values=st.booleans(), data=st.data())
+    def test_anchored_columns_are_the_one_column_builds(self, case, complex_values, data):
+        # one call on a kappa per column keeps the bits of one call per column on its own row
+        # of the gap table, for real values (T) and complex ones (H)
+        sys = delta_prime_system(*case)
+        kappas = np.array(data.draw(st.lists(st.floats(1e-6, 1e3) | st.floats(1e3, 1e300), min_size=1,
+                                             max_size=5)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        vp, vm = rng.standard_normal((2, sys.n_points, kappas.size))
+        if complex_values:
+            vp, vm = vp + 1j * rng.standard_normal(vp.shape), vm + 1j * rng.standard_normal(vm.shape)
+        r, den = line._gaps(sys._spacing, kappas[:, None])
+        tables = line._anchored(vp, vm, r.T, den.T)
+        assert tables.shape == (kappas.size, sys.n_points + 1, 2) and tables.dtype == vp.dtype
+        for i, kappa in enumerate(kappas):
+            r1, den1 = (c[:, None] for c in line._gaps(sys._spacing, kappa))
+            assert tables[i].tobytes() == line._anchored(vp[:, i:i + 1], vm[:, i:i + 1], r1, den1)[0].tobytes()
+
+    def test_gap_constants_are_read_only(self):
+        sys = delta_prime_system([0.0, 0.5, 2.0], [-1.0, 1.0, -2.0])
+        g, cap = spacing = sys._spacing
+        assert sys._spacing is spacing          # built once, on first use
+        np.testing.assert_array_equal(g, [0.5, 1.5])
+        np.testing.assert_array_equal(cap, [2e3, 1e3 / 1.5])
+        for a in (spacing, g, cap):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     @staticmethod
     def systems(rng):
