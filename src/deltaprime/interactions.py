@@ -282,9 +282,11 @@ def compose(left: TransmissionMatrix, right: TransmissionMatrix) -> Transmission
 
 
 def gamma_compose(gm: float, gp: float) -> float:
-    """Total delta'-potential intensity of two merged interactions; a
-    non-finite intensity raises ValueError."""
-    _checked_floats((gm, gp), "gamma")
+    """Total delta'-potential intensity of two merged interactions; an
+    intensity at the pole |gamma| = 2 raises GammaPole and a non-finite one
+    ValueError (theta_of_gamma)."""
+    theta_of_gamma(gm)
+    theta_of_gamma(gp)
     den = 1.0 + 0.25 * gm * gp
     if abs(den) < POLE_TOL:
         raise DegenerateComposition(

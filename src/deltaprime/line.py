@@ -73,12 +73,12 @@ call.  Each matrix reads the gap table r = e^{-kappa g}, 1 - r^2 at its
 kappas (_gaps), and the table reads the system's gaps g and their cap
 1e3/g, computed once per system, on first use, and kept read-only.  The
 states of a search are built in one pass on one gap table, with a row at
-every cluster's mean kappa and at each root that is not its cluster's mean:
-from it one build of every cluster's T or H, an eigen-solve per cluster of
-roots (one stacked call for H), whose orthonormal eigenvectors give
-independent states, then in one call each the piece tables of every state
-(_anchored), their traces, residuals and norms, and the parities.  A state
-is its kappa and one piece table, the (a, b) of every piece.
+every cluster's mean kappa followed by a row at every root: from it one
+build of every cluster's T or H, an eigen-solve per cluster of roots (one
+stacked call for H), whose orthonormal eigenvectors give independent
+states, then in one call each the piece tables of every state (_anchored),
+their traces, residuals and norms, and the parities.  A state is its kappa
+and one piece table, the (a, b) of every piece.
 
 Both routes share one mirror rule for points (_is_mirrored) and one parity
 rule: a state's parity is the mirror block it was found in.  On the delta'
@@ -88,8 +88,10 @@ decided once, in _frame, whose frame is then turned so that H(kappa) splits
 into odd and even blocks; one stacked eigh returns each eigenvector on one
 block.  Every state of a system that is not mirror-invariant is "none".
 A weak attractive delta' intensity binds at kappa ~ 2/|beta|; DomainError
-marks an energy -kappa^2 beyond the floats, a delta' intensity so strong that
-T overflows at the window's lower end, and eigenvalues below eps ||T||.
+marks an energy -kappa^2 beyond the floats, a delta' intensity so strong or a
+gap so small that T overflows at the window's lower end or at a count's kappa,
+and eigenvalues below eps ||T||.  An error that a gap causes names the
+smallest gap and its two points.
 """
 
 from __future__ import annotations
@@ -188,6 +190,11 @@ class PointSystem:
     def _spacing(self) -> np.ndarray:
         """The gaps g of the points and the cap 1e3/g of _gaps (_spacing_of)."""
         return _spacing_of(self.points)
+
+    @cached_property
+    def _min_gap(self) -> float:
+        """The smallest gap of the points, inf for fewer than two."""
+        return float(self._spacing[0].min(initial=np.inf))
 
     @cached_property
     def _plane(self) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
@@ -336,6 +343,7 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 # Krein-Weyl counting function
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")      # a subnormal g's cap is inf, which leaves kappa g as it is
 def _spacing_of(points: np.ndarray) -> np.ndarray:
     """The rows (g, 1e3/g), read-only: the gaps g of points and the cap of
     _gaps' kappa."""
@@ -465,7 +473,7 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
     attract = -sys._betas[sys._betas < 0]
     # Python floats overflow to inf without a warning, as hi does for a weak intensity
     weakest = float(attract.min())
-    g = float(sys._spacing[0].min(initial=np.inf))
+    g = sys._min_gap
     lo = 1.0 / (sys.n_points * float(attract.max()))
     # (2/kappa)(1 + 2/(kappa g)) equals min|beta_-| at half of hi
     hi = 2.0 * (1.0 + math.sqrt(1.0 + 4.0 * weakest / g)) / weakest
@@ -480,11 +488,9 @@ def _exact_window(sys: PointSystem) -> tuple[float, float]:
 class BoundState:
     """Decaying solution at energy -kappa^2 with its matching data.
 
-    pieces, shape S + (N+1, 2), holds on piece i the (a, b) of
+    pieces, shape (N+1, 2), holds on piece i the (a, b) of
     psi = a e^{kappa(x - hi)} + b e^{-kappa(x - lo)}, lo and hi the piece's
-    end points; the left tail's b and the right tail's a are 0.  Leading
-    axes S serve only norm_squared, which normalizes the states of a search
-    at once; every other method reads one state.
+    end points; the left tail's b and the right tail's a are 0.
     """
 
     kappa: float
@@ -503,26 +509,25 @@ class BoundState:
 
     @property
     def c_left(self):
-        return self.pieces[..., 0, 0][()]
+        return self.pieces[0, 0]
 
     @property
     def c_right(self):
-        return self.pieces[..., -1, 1][()]
+        return self.pieces[-1, 1]
 
     @property
     def interior(self) -> np.ndarray:
-        """The (a_i, b_i) of the N - 1 gaps, shape S + (N-1, 2)."""
-        return self.pieces[..., 1:-1, :]
+        """The (a_i, b_i) of the N - 1 gaps, shape (N-1, 2)."""
+        return self.pieces[1:-1]
 
     def one_sided(self, x, side: int):
         """(psi, psi') limit at x from the right (+1) or left (-1)."""
         x = np.asarray(x, dtype=float)
         pts, k = self.points, self.kappa
         idx = pts.searchsorted(x, side="right" if side > 0 else "left")
-        ab = self.pieces[idx]
         # the clamps keep the tails' zero terms finite
-        grow = ab[..., 0] * np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
-        decay = ab[..., 1] * np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
+        grow = self.pieces[idx, 0] * np.exp(np.minimum(k * (x - pts[np.minimum(idx, pts.size - 1)]), 0.0))
+        decay = self.pieces[idx, 1] * np.exp(np.minimum(-k * (x - pts[np.maximum(idx - 1, 0)]), 0.0))
         val, der = grow + decay, k * (grow - decay)
         return (val.item(), der.item()) if val.ndim == 0 else (val, der)
 
@@ -534,9 +539,8 @@ class BoundState:
         return self.points.tolist()
 
     def norm_squared(self):
-        """||psi||^2, shaped like the leading axes of pieces; kappa is a float
-        or has those axes too, one decay rate per state."""
-        k, spacing = np.asarray(self.kappa)[..., None], _spacing_of(self.points)
+        """||psi||^2, by the state pass's formula (_norm_squared)."""
+        k, spacing = np.array([self.kappa]), _spacing_of(self.points)
         return _norm_squared(k, self.pieces, *_gaps(spacing, k), spacing[0])
 
 
@@ -556,7 +560,7 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     by descending first kappa: the one builder of BoundState.  One gap table
     (_gaps) serves the pass: a row at each cluster's mean kappa (a lone
     root's is the root) for the cluster's T or H, its piece tables and
-    traces, and a row at each other root for its norm.  Per cluster,
+    traces, then a row at every root for its norm.  Per cluster,
     eigenvectors j.. of block b of T (pure delta', _t_blocks) or of H at its
     mean, every cluster's matrix built in one call, give the states' point
     values; their eigenvalues must vanish relative to sum |beta| u^2 for T,
@@ -574,16 +578,15 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     roots = [kappa for cluster in clusters for kappa, _ in cluster]
     means = [c[0][0] if len(c) == 1 else float(np.mean([kappa for kappa, _ in c])) for c in clusters]
     spans = [(min(key for _, key in cluster), len(cluster)) for cluster in clusters]
-    # the gap table's rows: the cluster means, then each root that is not its cluster's mean
+    # the gap table's rows: the cluster means, then every root
+    n_means = len(means)
     at_mean = [i for i, cluster in enumerate(clusters) for _ in cluster]
-    column = np.array(means + [kappa for kappa, i in zip(roots, at_mean) if kappa != means[i]])
-    extra = iter(range(len(means), len(column)))
-    at_root = [i if kappa == means[i] else next(extra) for kappa, i in zip(roots, at_mean)]
+    column = np.array(means + roots)
     r, den = _gaps(sys._spacing, column[:, None])
     route = _h_amplitudes if sys._betas is None else _t_amplitudes
     values, parities = [], []
     for cluster, (lam, scale, resolution, vp, vm, parity) in zip(
-            clusters, route(sys, column[:len(means)], spans, (r[:len(means)], den[:len(means)]))):
+            clusters, route(sys, column[:n_means], spans, (r[:n_means], den[:n_means]))):
         if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
             worst, root = np.abs(lam).max(), f"{len(cluster)}-fold root at kappa={cluster[0][0]:.9g}"
             if worst <= resolution():
@@ -610,7 +613,7 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
     flat = tables.reshape(len(roots), -1).astype(complex)
     pieces = (flat / flat[np.arange(len(roots)), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
-    pieces /= np.sqrt(_norm_squared(np.array(roots)[:, None], pieces, r[at_root], den[at_root],
+    pieces /= np.sqrt(_norm_squared(column[n_means:, None], pieces, r[n_means:], den[n_means:],
                                     sys._spacing[0]))[:, None, None]
     pieces[:, 0, 1] = pieces[:, -1, 0] = 0.0      # +0 again where a complex pivot flipped a sign
     pieces.setflags(write=False)
@@ -679,11 +682,34 @@ def _anchored(vp, vm, r: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _too_deep(sys: PointSystem, kappa: float) -> DomainError:
     """The error for a state at decay rate kappa whose energy -kappa^2 is not
-    a finite float, naming a delta' system's weakest attractive intensity."""
-    weakest = "" if sys._betas is None else (
-        f": the delta' intensity {sys._betas[sys._betas < 0].max():.3g} binds at kappa ~ 2/|beta|")
+    a finite float.  For a delta' system it names the weakest attractive
+    intensity, which binds at kappa ~ 2/|beta|, or, when that kappa^2 is a
+    float, the smallest gap, whose two points bind as one."""
+    cause = ""
+    if sys._betas is not None:
+        weakest = float(sys._betas[sys._betas < 0].max())
+        lone = 2.0 / weakest          # Python floats: inf, not a warning
+        cause = (f": {_closest(sys)} is too small" if math.isfinite(lone * lone)
+                 else f": the delta' intensity {weakest:.3g} binds at kappa ~ 2/|beta|")
     return DomainError(f"a bound state decays at kappa = {kappa:.3g}, so its energy -kappa^2 "
-                       f"is not a finite float{weakest}")
+                       f"is not a finite float{cause}")
+
+
+def _overflow(sys: PointSystem, lo: float, kappa: float, where: str) -> DomainError:
+    """The error for a delta' T(kappa) beyond the floats, at the window's lower
+    end lo or a count's kappa.  T(lo) ~ 2 L^2/g for L = 1/lo = N max|beta| and
+    the smallest gap g, so it names that gap when its factor 1/g exceeds the
+    intensities' L^2, else the strongest intensity."""
+    cause = (f"{_closest(sys)} is too small" if sys._min_gap < lo * lo
+             else f"the delta' intensity {sys._betas.min():.3g} is too strong")
+    return DomainError(f"{cause}: T(kappa) overflows at {where} kappa = {kappa:.3g}")
+
+
+def _closest(sys: PointSystem) -> str:
+    """The smallest gap of a system and its two points, for the errors it causes."""
+    i = int(np.argmin(sys._spacing[0]))
+    a, b = sys.points[i:i + 2].tolist()
+    return f"the gap {b - a:.3g} between the points {a!r} and {b!r}"
 
 
 def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float, list, dict]:
@@ -696,7 +722,9 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
 
     Pure delta': _exact_window, and hi = kappa_max where that overflows; a
     kappa_max below lo selects nothing, with no count of T at it, which
-    rounding would lose at a tiny kappa_max.
+    rounding would lose at a tiny kappa_max.  A count whose pivots' signs are
+    lost, as T or a square of its off-diagonal is beyond the floats, raises
+    DomainError (_overflow).
     Otherwise lo = 0, where C(0+) is the total, and hi = 0 when that is 0.
     Else, with c from _frame, H(kappa) >= (kappa tanh(kappa g_min/2)
     s_min(X)^2 + lambda_min(X^H Y)) I, and tanh u >= tanh(1) min(u, 1)
@@ -711,8 +739,13 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
         lo, hi = _exact_window(sys)
         hi = hi if math.isfinite(hi) else kappa_max    # the selected branches cross below a cap
         # T > 0 up to lo, so every eigenvalue negative at kappa crossed above lo, and none below lo
-        blocks = _t_blocks(sys, min(hi, kappa_max)) if kappa_max >= lo else []
-        return lo, hi, [(b, j) for b, t in enumerate(blocks) for j in range(tridiagonal.negatives(*t))], {}
+        kappa = min(hi, kappa_max)
+        with np.errstate(over="ignore", invalid="ignore"):     # negatives refuses a T beyond the floats
+            try:
+                counts = [tridiagonal.negatives(*t) for t in _t_blocks(sys, kappa)] if kappa_max >= lo else []
+            except DomainError:
+                raise _overflow(sys, lo, kappa, "the count's") from None
+        return lo, hi, [(b, j) for b, n in enumerate(counts) for j in range(n)], {}
     ends = {0.0: _eigenvalues(sys, 0.0)}
     # an eigenvalue of H(0) within THRESHOLD_RTOL * max(1, ||H(0)||) of zero
     # is a zero-energy resonance, not a state
@@ -720,7 +753,7 @@ def _window(sys: PointSystem, kappa_max: Optional[float]) -> tuple[float, float,
     if total == 0:
         return 0.0, 0.0, [], ends
     c = sys._plane[3] / np.tanh(1.0)
-    hi = max(c, np.sqrt(2.0 * c / sys._spacing[0].min(initial=np.inf)))
+    hi = max(c, np.sqrt(2.0 * c / sys._min_gap))
     cap = min(hi, kappa_max)
     ends[cap] = _eigenvalues(sys, cap)
     return 0.0, hi, [(0, j) for j in range(int(np.sum(ends[cap] < 0.0)), total)], ends
@@ -848,7 +881,8 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
     STATE_RESIDUAL_TOL is kept and reported via GridTooCoarse.  Raises
     NotSelfAdjoint when the condition plane is not Lagrangian, and
     DomainError when -kappa^2 is not a finite float, a delta' T(kappa)
-    overflows at the window's lower end, an eigenvalue lies
+    overflows at the window's lower end or at the count's kappa, naming
+    the intensity or the smallest gap that causes it, an eigenvalue lies
     below the solver's resolution eps ||T|| or eps ||H||, or Brent's method
     does not converge on a root.
     The H route runs on numpy alone; the delta' route runs LAPACK's
@@ -861,10 +895,9 @@ def find_bound_states(sys: PointSystem, kappa_max: Optional[float] = None) -> li
         raise _too_deep(sys, hi)
     if crossing and sys._betas is not None:
         # T(lo) <= (2/lo)(1 + 1/(lo g_min)) entrywise, and bisection squares its off-diagonal
-        peak = 2.0 / lo * (1.0 + 1.0 / lo / float(sys._spacing[0].min(initial=np.inf)))
+        peak = 2.0 / lo * (1.0 + 1.0 / lo / sys._min_gap)
         if not math.isfinite(peak * peak if sys.n_points > 1 + sys._mirrored else peak):
-            raise DomainError(f"the delta' intensity {sys._betas.min():.3g} is too strong: T(kappa) "
-                              f"overflows at the window's lower end kappa = {lo:.3g}")
+            raise _overflow(sys, lo, lo, "the window's lower end")
     if not crossing:
         return []
     roots = _lockstep(lambda kappas, keys: _values(sys, kappas, keys, ends), lo, hi, crossing)
@@ -888,7 +921,9 @@ def count_negative(sys: PointSystem, kappa_max: Optional[float] = None) -> int:
     exact counts of _window, the total and the count at min(hi, kappa_max),
     with no root search.  For a pure delta' system the total is the number
     of points with negative intensity, by Haynsworth's inertia additivity,
-    and a mirror-symmetric one adds the counts of the halves of T."""
+    and a mirror-symmetric one adds the counts of the halves of T.  A delta'
+    T beyond the floats at min(hi, kappa_max) raises DomainError, never a
+    count its lost pivots would give."""
     return len(_window(sys, kappa_max)[2])
 
 

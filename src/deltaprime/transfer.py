@@ -3,12 +3,14 @@
 A comb of delta scatterers is crossed by multiplying jump factors
 [[1,0],[a,1]] with free propagators over the gaps; piecewise-constant
 potentials use the constant-coefficient propagator at the local
-wavenumber sqrt(lam^2 - v).  The approximation families reproduce the
-short-range models whose transfer matrices converge (or fail to) as the
-spacing goes to zero: two atoms limiting to a delta'-potential, three
-atoms limiting to a delta'-potential while the potential itself tends
-to a multiple of delta', and the four-atom presets with free and
-Dirichlet-decoupled limits.
+wavenumber sqrt(lam^2 - v).  One builder stacks the factors of one comb
+or of a family of combs (_factors), and one ordered product multiplies
+them and a potential's propagators (_product).  The approximation
+families reproduce the short-range models whose transfer matrices
+converge (or fail to) as the spacing goes to zero: two atoms limiting to
+a delta'-potential, three atoms limiting to a delta'-potential while the
+potential itself tends to a multiple of delta', and the four-atom
+presets with free and Dirichlet-decoupled limits.
 """
 
 from __future__ import annotations
@@ -106,45 +108,48 @@ def free_propagator(eps, lam) -> np.ndarray:
     return out
 
 
-def comb_transfer(comb: DeltaComb, lam: complex) -> np.ndarray:
-    """Transfer matrix of a comb from just left of its first atom to just
-    right of its last; the identity for an empty comb.
-
-    The identity, every jump J_i = [[1, 0], [a_i, 1]] and every gap's
-    propagator F_i sit in one array built at once, I, J_1, F_1, J_2, ...,
-    in the order they apply, so the product is taken atom by atom as
-    m = J_i (F_i m).
-    """
-    xs = comb.positions
-    mats = np.zeros((2 * len(comb) or 1, 2, 2), dtype=complex)       # I alone for no atom
+def _factors(strengths: np.ndarray, gaps: np.ndarray, lam: complex) -> np.ndarray:
+    """The factors of combs' transfer matrices in the order they apply, the
+    identity, J_1, F_1, J_2, ..., along the first axis: every jump
+    J_i = [[1, 0], [a_i, 1]] of strengths, shape (n,) + S, and every gap's
+    propagator F_i of gaps, shape (n-1,) + S, from one free_propagator call,
+    for combs with any leading axes S; the identity alone for n = 0."""
+    mats = np.zeros((2 * len(strengths) or 1,) + strengths.shape[1:] + (2, 2), dtype=complex)
     mats.reshape(-1, 4)[:, ::3] = 1.0         # every diagonal
-    mats[1::2, 1, 0] = comb.strengths
-    mats[2::2] = free_propagator(xs[1:] - xs[:-1], lam)
-    m = mats[0]
-    for f in mats[1:]:
+    mats[1::2, ..., 1, 0] = strengths
+    mats[2::2] = free_propagator(gaps, lam)
+    return mats
+
+
+def _product(factors) -> np.ndarray:
+    """The ordered product of factors along their first axis, m = f @ m from the first."""
+    m = factors[0]
+    for f in factors[1:]:
         m = f @ m
     return m
 
 
+def comb_transfer(comb: DeltaComb, lam: complex) -> np.ndarray:
+    """Transfer matrix of a comb from just left of its first atom to just
+    right of its last; the identity for an empty comb.  Its factors
+    (_factors) are built at once, so the product is taken atom by atom as
+    m = J_i (F_i m)."""
+    xs = comb.positions
+    return _product(_factors(comb.strengths, xs[1:] - xs[:-1], lam))
+
+
 def _family_transfers(combs: Sequence[DeltaComb], lam: complex) -> np.ndarray:
-    """comb_transfer of every comb, shape (E, 2, 2), from one stacked array of the
-    factors of comb_transfer, so with one free_propagator call, and the product
-    m = f @ m taken factor by factor for all combs at once.  A comb with fewer
-    atoms than the longest leads with jumps of strength 0 over gaps of length 0,
-    identities to the last bit, so every matrix keeps comb_transfer's bits."""
+    """comb_transfer of every comb, shape (E, 2, 2), from one stack of their
+    factors (_factors), so with one free_propagator call, and one product for
+    all combs at once.  A comb with fewer atoms than the longest leads with
+    jumps of strength 0 over gaps of length 0, identities to the last bit, so
+    every matrix keeps comb_transfer's bits."""
     n = max(len(c) for c in combs)
-    strengths, gaps = np.zeros((len(combs), n)), np.zeros((len(combs), max(n - 1, 0)))
-    for row, c in enumerate(combs):
-        strengths[row, n - len(c):] = c.strengths
-        gaps[row, n - len(c):] = np.diff(c.positions)
-    mats = np.zeros((len(combs), 2 * n or 1, 2, 2), dtype=complex)
-    mats.reshape(len(combs), -1, 4)[..., ::3] = 1.0
-    mats[:, 1::2, 1, 0] = strengths
-    mats[:, 2::2] = free_propagator(gaps, lam)
-    m = mats[:, 0]
-    for i in range(1, mats.shape[1]):
-        m = mats[:, i] @ m
-    return m
+    strengths, gaps = np.zeros((n, len(combs))), np.zeros((max(n - 1, 0), len(combs)))
+    for col, c in enumerate(combs):
+        strengths[n - len(c):, col] = c.strengths
+        gaps[n - len(c):, col] = np.diff(c.positions)
+    return _product(_factors(strengths, gaps, lam))
 
 
 def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
@@ -152,7 +157,8 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
 
     Each piece contributes the constant-coefficient propagator at local
     wavenumber sqrt(lam^2 - v); the branch is irrelevant (even entry
-    dependence), det = 1.  The propagators are built at once.  A non-finite
+    dependence), det = 1.  The propagators are built at once and multiplied,
+    from the identity, by the combs' product (_product).  A non-finite
     lam raises ValueError, and a lam whose lam^2 - v overflows DomainError,
     as does a piece whose propagator overflows: it names lam, then the
     piece's local wavenumber and gap.
@@ -165,10 +171,7 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
         props = free_propagator(np.diff(pot.breakpoints), np.sqrt(k2))
     except DomainError as e:
         raise DomainError(f"lam = {lam}: {e}") from None
-    m = np.eye(2, dtype=complex)
-    for f in props:
-        m = f @ m
-    return m
+    return _product((np.eye(2, dtype=complex), *props))
 
 
 # ---------------------------------------------------------------------------

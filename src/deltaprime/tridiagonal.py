@@ -9,6 +9,7 @@ one handle to scipy's compiled LAPACK, so no caller imports scipy.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from importlib.machinery import PathFinder
@@ -16,18 +17,26 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
+from .errors import DomainError
+
 _LAPACK = None   # scipy's compiled LAPACK extension, once _lapack has loaded it
 
 
 def negatives(diag: np.ndarray, off: np.ndarray) -> int:
     """Number of negative eigenvalues, the signs of the LDL^T pivots.  A
-    zero pivot counts as negative, as in LAPACK's bisection."""
-    count, pivot = 0, 1.0
-    for a, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+    zero pivot counts as negative, as in LAPACK's bisection.  A square of the
+    off-diagonal beyond the floats can flip the next pivot's sign, and an
+    entry beyond them a NaN pivot, which reads as non-negative and makes
+    every later pivot NaN: either raises DomainError."""
+    count, pivot, squares = 0, 1.0, [0.0] + (off * off).tolist()
+    for a, b2 in zip(diag.tolist(), squares):
         pivot = a - b2 / pivot
         if pivot == 0.0:
             pivot = -sys.float_info.min   # a Python float: the next b2 / pivot is -inf, no warning
         count += pivot < 0.0
+    if math.isnan(pivot) or math.inf in squares:
+        raise DomainError("the signs of the LDL^T pivots are lost: the matrix or a square "
+                          "of its off-diagonal is beyond the floats")
     return count
 
 

@@ -258,6 +258,11 @@ class TestCli:
         rc = main(["interactions", "compose", "--gamma", "2", "--gamma", "-2"])
         assert rc == 1
 
+    def test_compose_pole_exits_one(self, capsys):
+        assert main(["interactions", "compose", "--gamma", "2", "--gamma", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "|gamma| != 2" in captured.err and "gamma =" not in captured.out
+
     def test_compose_regular(self, capsys):
         assert main(["interactions", "compose", "--gamma", "1.5",
                      "--gamma", "-1.5"]) == 0

@@ -266,9 +266,18 @@ class TestComposition:
         assert gamma_compose(1.5, -1.5) == 0.0
 
     def test_gamma_degenerate(self):
-        # (2, -2) hits 1 + gm*gp/4 = 0, a genuine 0/0 (theta poles at both ends)
+        # (1, -4) hits 1 + gm*gp/4 = 0: theta = 3 and -1/3 multiply to -1, no gamma
         with pytest.raises(DegenerateComposition):
+            gamma_compose(1.0, -4.0)
+        # (2, -2) is 0/0 too, but each input is already a pole of theta
+        with pytest.raises(GammaPole):
             gamma_compose(2.0, -2.0)
+
+    @pytest.mark.parametrize("pair", [(2.0, 1.0), (1.0, -2.0), (-2.0, 0.0)])
+    def test_gamma_pole_is_refused(self, pair):
+        # theta_of_gamma's one pole rule: |gamma| = 2 is no delta'-potential
+        with pytest.raises(GammaPole, match="requires \\|gamma\\| != 2"):
+            gamma_compose(*pair)
 
 
 class TestCharacteristic:

@@ -294,6 +294,38 @@ class TestCounting:
                 assert count_negative(sys) == 2
             assert [s.kappa for s in find_bound_states(delta_prime_pair(-1e150))] == [1e-75, 5e-151]
 
+    @pytest.mark.parametrize("g", [1e-310, 1e-315, 5e-324])
+    def test_subnormal_gap_count_is_never_a_silent_zero(self, g):
+        # T(20) holds inf entries, whose NaN pivots the count read as non-negative:
+        # it gave 0 where the merged system, beta -2 at 0 and -1 at 1, binds twice
+        merged = find_bound_states(delta_prime_system([0.0, 1.0], [-2.0, -1.0]), 20.0)
+        assert [round(s.kappa, 3) for s in merged] == [2.064, 0.881]
+        sys = delta_prime_system([0.0, g, 1.0], [-1.0, -1.0, -1.0])
+        gap = re.escape(f"the gap {g:.3g} between the points 0.0 and {g!r} is too small")
+        for search in (count_negative, find_bound_states):
+            with pytest.raises(DomainError, match=gap):
+                search(sys, 20.0)
+        assert count_negative(sys) == 3
+
+    @pytest.mark.parametrize("g, kappa_max", [(1e-300, None), (1e-300, 0.34), (1e-300, 20.0),
+                                              (1e-300, 1e200), (5e-324, None)])
+    def test_close_points_errors_name_the_gap(self, g, kappa_max):
+        # the two close points bind as one, too deep for the floats: the error names
+        # their gap, not the intensity -1, and the gap's cap 1e3/g builds with no warning
+        sys = delta_prime_system([0.0, g, 1.0], [-1.0, -1.0, -1.0])
+        with pytest.raises(DomainError, match=re.escape(f"the gap {g:.3g} between the points 0.0 and {g!r}")):
+            find_bound_states(sys, kappa_max)
+
+    @pytest.mark.parametrize("search, pts, betas, message", [
+        # T(hi) is finite but a square of its off-diagonal is not: the pivots counted 1 of 2
+        (count_negative, [0.0, 2.0], [-1e160, -1.1e160], "intensity -1.1e\\+160 is too strong"),
+        # unit gaps: T(lo) ~ 2 L^2/g overflows through L = N max|beta|, so the intensity is named
+        (find_bound_states, [0.0, 1.0, 2.0], [-1e100, -1e100, -2e100], "intensity -2e\\+100 is too strong"),
+    ])
+    def test_overflow_names_the_intensity(self, search, pts, betas, message):
+        with pytest.raises(DomainError, match=message):
+            search(delta_prime_system(pts, betas))
+
     def test_extraction_failure_raises(self, monkeypatch):
         # every counted root yields a state or the search fails loudly: roots
         # moved 1e-3 off make the eigenvalue at each a real miss, on both routes
@@ -342,7 +374,6 @@ class TestEigenfunction:
         # large |beta| binds at kappa ~ 2/|beta|, where 1 - r^2, r = e^{-kappa g},
         # cancels unless taken as -expm1(-2 kappa g): each table against its
         # norm in 50-digit arithmetic, the same closed form per piece
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             for s in find_bound_states(delta_prime_system([0.0, 0.5, 3.0], [b] * 3)):
                 assert not s.pieces.imag.any()         # delta' states are real

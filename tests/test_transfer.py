@@ -311,6 +311,19 @@ class TestPiecewisePotential:
         for lam in (0.5, 2.0, 1j):
             assert abs(np.linalg.det(pc_transfer(pot, lam)) - 1.0) < 1e-12
 
+    def test_pieces_keep_the_sequential_bits(self):
+        # the one batched propagator build and the shared product against one
+        # free_propagator call per piece, multiplied from the identity piece by piece
+        rng = np.random.default_rng(12)
+        for p in [*range(6), 17, 60]:
+            b = np.cumsum(np.concatenate(([rng.uniform(-2.0, 2.0)], rng.uniform(1e-6, 1.0, p))))
+            pot = PiecewisePotential(b, rng.uniform(-30.0, 30.0, p))
+            for lam in (0.0, 1e-3, float(rng.uniform(-4.0, 4.0)), 1j, complex(*rng.uniform(-4.0, 4.0, 2))):
+                m = np.eye(2, dtype=complex)
+                for g, v in zip(np.diff(b), pot.values):
+                    m = free_propagator(g, np.sqrt(complex(lam) * complex(lam) - v + 0j)) @ m
+                assert pc_transfer(pot, lam).tobytes() == m.tobytes()
+
     def test_mollified_comb_agrees(self):
         w = 1e-4
         comb = DeltaComb([0.0, 0.5], [2.0, -1.0])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from deltaprime import tridiagonal
+from deltaprime.errors import DomainError
 from test_configio_cli import fresh_python
 
 
@@ -81,6 +82,18 @@ class TestNegatives:
 
     def test_lone_zero_is_negative(self):
         assert tridiagonal.negatives(np.zeros(1), np.zeros(0)) == 1
+
+    @pytest.mark.parametrize("diag, off", [
+        ([np.inf, np.inf, 1.0], [-np.inf, -1.0]),      # the delta' T at a subnormal gap
+        ([1.0, 1.0, 1.0], [1e200, 1e200]),             # finite, but two squares overflow
+        ([1.0, np.nan], [0.5]),
+        # one square overflows: the second pivot reads +inf, though -1e200 - 1e320/-1e200 < 0
+        ([-1e200, -1e200], [1e160]),
+    ])
+    def test_lost_pivots_are_refused(self, diag, off):
+        # inf / inf or inf - inf makes a pivot NaN, which compares as non-negative
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="signs of the LDL\\^T pivots are lost"):
+            tridiagonal.negatives(np.array(diag), np.array(off))
 
 
 class TestEigenvalues:
