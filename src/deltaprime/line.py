@@ -69,16 +69,20 @@ halves are 1 x 1, so it runs without LAPACK.
 On both routes all roots of a search advance together, one Brent step of
 each per round, and each route builds its matrix, T or H, once per round
 for all the round's kappas; the H route diagonalizes them in one stacked
-call.  Each matrix reads the gap table r = e^{-kappa g}, 1 - r^2 at its
-kappas (_gaps), and the table reads the system's gaps g and their cap
-1e3/g, computed once per system, on first use, and kept read-only.  The
-states of a search are built in one pass on one gap table, with a row at
-every cluster's mean kappa followed by a row at every root: from it one
-build of every cluster's T or H, an eigen-solve per cluster of roots (one
-stacked call for H), whose orthonormal eigenvectors give independent
-states, then in one call each the piece tables of every state (_anchored),
-their traces, residuals and norms, and the parities.  A state is its kappa
-and one piece table, the (a, b) of every piece.
+call.  Every root's Brent run reads both ends of the window before its first
+step, so the first round takes both.  A delta' search thus builds T once for
+the window's count, once for both bracket ends, once per later Brent round
+and once for the state pass.  Each matrix reads the gap table
+r = e^{-kappa g}, 1 - r^2 at its kappas (_gaps), or for T the exact negation
+r^2 - 1 (_decays), and both read the system's gaps g and their cap 1e3/g,
+computed once per system, on first use, and kept read-only.  The states of
+a search are built in one pass on one gap table, with a row at every
+cluster's mean kappa followed by a row at every root: from it one build of
+every cluster's T or H, an eigen-solve per cluster of roots (one stacked
+call for H), whose orthonormal eigenvectors give independent states, then
+in one call each the piece tables of every state (_anchored), their traces,
+residuals and norms, and the parities.  A state is its kappa and one piece
+table, the (a, b) of every piece.
 
 Both routes share one mirror rule for points (_is_mirrored) and one parity
 rule: a state's parity is the mirror block it was found in.  On the delta'
@@ -188,7 +192,7 @@ class PointSystem:
 
     @cached_property
     def _spacing(self) -> np.ndarray:
-        """The gaps g of the points and the cap 1e3/g of _gaps (_spacing_of)."""
+        """The gaps g of the points, the cap 1e3/g of _decays and -g (_spacing_of)."""
         return _spacing_of(self.points)
 
     @cached_property
@@ -345,22 +349,29 @@ def nonlocal_example(verbatim: bool = False) -> PointSystem:
 
 @np.errstate(over="ignore")      # a subnormal g's cap is inf, which leaves kappa g as it is
 def _spacing_of(points: np.ndarray) -> np.ndarray:
-    """The rows (g, 1e3/g), read-only: the gaps g of points and the cap of
-    _gaps' kappa."""
+    """The rows (g, 1e3/g, -g), read-only: the gaps g of points, the cap of
+    _decays' kappa and the negated gaps it multiplies."""
     g = points[1:] - points[:-1]
-    spacing = np.array((g, 1e3 / g))
+    spacing = np.array((g, 1e3 / g, -g))
     spacing.setflags(write=False)
     return spacing
 
 
-def _gaps(spacing: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """The gap table: r = e^{-kappa g} and 1 - r^2 for every gap g of a
-    spacing (g, 1e3/g) (_spacing_of), the latter accurate for small kappa g;
-    kappa is a float or a column of floats, a row of the table per kappa."""
-    g, cap = spacing
+def _decays(spacing: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """r = e^{-kappa g} and r^2 - 1 for every gap g of a spacing (g, 1e3/g, -g)
+    (_spacing_of), the latter accurate for small kappa g; kappa is a float or a
+    column of floats, a row per kappa.  T reads them as they are, the gap table
+    (_gaps) negates r^2 - 1."""
+    _, cap, ng = spacing
     # the cap changes no value (r = 0 from kappa g = 746 on) and keeps 2 kappa g finite
-    kg = np.minimum(kappa, cap) * g
-    return np.exp(-kg), -np.expm1(-2.0 * kg)
+    nkg = np.minimum(kappa, cap) * ng
+    return np.exp(nkg), np.expm1(2.0 * nkg)
+
+
+def _gaps(spacing: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """The gap table: r = e^{-kappa g} and 1 - r^2 at kappa (_decays)."""
+    r, m = _decays(spacing, kappa)
+    return r, np.negative(m, out=m)
 
 
 def _krein(sys: PointSystem, kappa, table=None) -> np.ndarray:
@@ -408,15 +419,22 @@ def _eigenvalues(sys: PointSystem, kappa) -> np.ndarray:
 
 def _tridiagonal(sys: PointSystem, kappa, table=None) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of T(kappa) = (2/kappa) E^{-1} + diag(beta),
-    E_ij = e^{-kappa |x_i - x_j|}; a column of kappa gives the rows of each,
-    read off the gap table at kappa when it is given."""
-    r, den = _gaps(sys._spacing, kappa) if table is None else table
-    t = r / den                                 # r / (1 - r^2), finite for small kappa g
-    s = r * t                                   # 1/(1 - r^2) - 1
+    E_ij = e^{-kappa |x_i - x_j|}, for kappa > 0; a column of kappa gives the
+    rows of each, read off the gap table at kappa when it is given.  With
+    t = r/(1 - r^2) and s = r t, diag_i = (2/kappa)(1 + s_i + s_{i-1}) + beta_i
+    and off_i = -(2/kappa) t_i, built from r and r^2 - 1 (_decays): each step
+    is the exact negation of the one from 1 - r^2, so T keeps those bits."""
+    r, nden = _decays(sys._spacing, kappa) if table is None else (table[0], -table[1])
+    nt = r / nden                               # -t, finite for small kappa g
+    ns = r * nt                                 # -s = 1 - 1/(1 - r^2)
     diag = np.ones(r.shape[:-1] + (sys.n_points,))
-    diag[..., :-1] += s
-    diag[..., 1:] += s
-    return (2.0 / kappa) * diag + sys._betas, (-2.0 / kappa) * t
+    diag[..., :-1] -= ns
+    diag[..., 1:] -= ns
+    two = 2.0 / kappa
+    diag *= two
+    diag += sys._betas
+    nt *= two
+    return diag, nt
 
 
 def _t_blocks(sys: PointSystem, kappa, table=None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -587,7 +605,7 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     values, parities = [], []
     for cluster, (lam, scale, resolution, vp, vm, parity) in zip(
             clusters, route(sys, column[:n_means], spans, (r[:n_means], den[:n_means]))):
-        if not np.all(np.abs(lam) <= RESIDUAL_TOL * scale):
+        if not (np.abs(lam) <= RESIDUAL_TOL * scale).all():
             worst, root = np.abs(lam).max(), f"{len(cluster)}-fold root at kappa={cluster[0][0]:.9g}"
             if worst <= resolution():
                 raise DomainError(f"the {root} lies below the resolution of the eigenvalue solver")
@@ -600,7 +618,8 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
     # on a tail, whose other amplitude is 0, r is 1: the columns of r padded by 1 on each side
     padded = np.ones((len(roots), sys.n_points + 1))
     padded[:, 1:-1] = r[at_mean]
-    tables = _anchored(*(np.hstack(v) for v in zip(*values)), padded[:, 1:-1].T, den[at_mean].T)
+    vp, vm = (np.concatenate(v, axis=1) for v in zip(*values))
+    tables = _anchored(vp, vm, padded[:, 1:-1].T, den[at_mean].T)
     if sys._betas is not None:
         tables[:, 1:, 1] *= -1.0      # the derivative of a decaying exponential (_t_amplitudes)
     a, b = tables[..., 0], tables[..., 1]
@@ -610,7 +629,9 @@ def _states(sys: PointSystem, clusters: list[list[tuple[float, tuple[int, int]]]
                        k * (grow - b[:, 1:]), k * (a[:, :-1] - decay)), axis=-1).transpose(1, 2, 0)
     rows = sys._conditions
     miss = np.einsum("kij,kjm->kim", rows, traces.reshape(len(rows), -1, len(roots)))
-    res = np.linalg.norm(miss, axis=(0, 1)) / np.linalg.norm(traces, axis=(0, 1))
+    # the Frobenius norms over the first two axes as np.linalg.norm takes them, to the bit
+    frobenius = lambda x: np.sqrt(np.add.reduce((x.conj() * x).real, axis=(0, 1)))
+    res = frobenius(miss) / frobenius(traces)
     flat = tables.reshape(len(roots), -1).astype(complex)
     pieces = (flat / flat[np.arange(len(roots)), np.abs(flat).argmax(axis=1)][:, None]).reshape(tables.shape)
     pieces /= np.sqrt(_norm_squared(column[n_means:, None], pieces, r[n_means:], den[n_means:],
@@ -823,13 +844,17 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int = 10
 def _lockstep(values, lo: float, hi: float, crossing) -> list[tuple[float, object]]:
     """(kappa, j), the root in [lo, hi] of each eigenvalue j of crossing, by one
     _brent_steps per j in lockstep: a round evaluates every pending kappa in one
-    values(kappas, js) call, so _values builds T or H once per round.  As the
-    counts prove a sign change, a one-sign bracket means it lies below eps ||T||
-    or eps ||H||: a DomainError, as is a root that Brent's steps do not reach."""
+    values(kappas, js) call, so _values builds T or H once per round, and the
+    first round takes both ends of every bracket.  As the counts prove a sign
+    change, a one-sign bracket means it lies below eps ||T|| or eps ||H||: a
+    DomainError, as is a root that Brent's steps do not reach."""
     steps = {j: _brent_steps(lo, hi, ROOT_XTOL, ROOT_RTOL) for j in crossing}
     pending, roots = {j: next(s) for j, s in steps.items()}, []
+    # every run reads f at its a = lo and then at its b = hi before it steps, so the
+    # first round evaluates both ends and sends each run f(lo), then f(hi)
+    kappas, js = [*pending.values(), *[float(hi)] * len(pending)], [*pending, *pending]
     while pending:
-        for j, fx in zip(list(pending), values(list(pending.values()), list(pending))):
+        for j, fx in zip(js, values(kappas, js)):
             try:
                 pending[j] = steps[j].send(fx)
             except StopIteration as done:
@@ -841,6 +866,7 @@ def _lockstep(values, lo: float, hi: float, crossing) -> list[tuple[float, objec
             except RuntimeError as e:
                 raise DomainError(f"Brent's method on eigenvalue {j} crossing zero in "
                                   f"[{lo:.3g}, {hi:.3g}]: {e}") from None
+        kappas, js = list(pending.values()), list(pending)
     return roots
 
 

@@ -121,11 +121,16 @@ def _factors(strengths: np.ndarray, gaps: np.ndarray, lam: complex) -> np.ndarra
     return mats
 
 
-def _product(factors) -> np.ndarray:
-    """The ordered product of factors along their first axis, m = f @ m from the first."""
+@np.errstate(over="ignore", invalid="ignore")      # the finite check names an overflow
+def _product(factors, lam) -> np.ndarray:
+    """The ordered product of factors along their first axis, m = f @ m from the
+    first: transfer matrices at lam, so a product that overflows raises
+    DomainError naming lam."""
     m = factors[0]
     for f in factors[1:]:
         m = f @ m
+    if not np.isfinite(m).all():
+        raise DomainError(f"lam = {complex(lam)}: the product of the transfer matrices overflows")
     return m
 
 
@@ -133,9 +138,9 @@ def comb_transfer(comb: DeltaComb, lam: complex) -> np.ndarray:
     """Transfer matrix of a comb from just left of its first atom to just
     right of its last; the identity for an empty comb.  Its factors
     (_factors) are built at once, so the product is taken atom by atom as
-    m = J_i (F_i m)."""
+    m = J_i (F_i m); one that overflows raises DomainError naming lam."""
     xs = comb.positions
-    return _product(_factors(comb.strengths, xs[1:] - xs[:-1], lam))
+    return _product(_factors(comb.strengths, xs[1:] - xs[:-1], lam), lam)
 
 
 def _family_transfers(combs: Sequence[DeltaComb], lam: complex) -> np.ndarray:
@@ -149,7 +154,7 @@ def _family_transfers(combs: Sequence[DeltaComb], lam: complex) -> np.ndarray:
     for col, c in enumerate(combs):
         strengths[n - len(c):, col] = c.strengths
         gaps[n - len(c):, col] = np.diff(c.positions)
-    return _product(_factors(strengths, gaps, lam))
+    return _product(_factors(strengths, gaps, lam), lam)
 
 
 def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
@@ -161,7 +166,7 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
     from the identity, by the combs' product (_product).  A non-finite
     lam raises ValueError, and a lam whose lam^2 - v overflows DomainError,
     as does a piece whose propagator overflows: it names lam, then the
-    piece's local wavenumber and gap.
+    piece's local wavenumber and gap, and a product that overflows.
     """
     lam = complex(_checked_floats(lam, "lam", dtype=complex)[0])
     k2 = lam * lam - pot.values + 0j
@@ -171,7 +176,7 @@ def pc_transfer(pot: PiecewisePotential, lam: complex) -> np.ndarray:
         props = free_propagator(np.diff(pot.breakpoints), np.sqrt(k2))
     except DomainError as e:
         raise DomainError(f"lam = {lam}: {e}") from None
-    return _product((np.eye(2, dtype=complex), *props))
+    return _product((np.eye(2, dtype=complex), *props), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +274,8 @@ def limit_diagnose(
     |M21| grows without bound while M11/M21 and M22/M21 tend to zero
     (the transfer-matrix signature of separated Dirichlet conditions).
     Otherwise divergent; mixed signals raise AmbiguousClassification.  A
-    non-finite lam raises ValueError, in free_propagator.
+    non-finite lam raises ValueError, in free_propagator, and a transfer
+    matrix of the family that overflows DomainError naming lam.
     """
     eps_seq = np.asarray(eps_seq, dtype=float)
     if eps_seq.size < 3:

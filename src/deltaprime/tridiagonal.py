@@ -43,22 +43,30 @@ def negatives(diag: np.ndarray, off: np.ndarray) -> int:
 def eigenvalues(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> np.ndarray:
     """Ordered eigenvalues first..last (from 0, inclusive) by dstebz, called as scipy's
     tridiagonal eigensolver calls it for values by index, so with the same digits, but
-    without the input checks that cost more than the bisection on a few points."""
+    without the input checks that cost more than the bisection on a few points: one
+    LAPACK call, and _bisect's handling only where it fails."""
     if diag.size == 1:
         return diag.copy()                      # dstebz takes no empty off
-    return _bisect(diag, off, first, last, "E")[0]
+    m, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, first + 1, last + 1, 0.0, "E")
+    return w[:m] if info == 0 else _bisect(diag, off, first, last, "E")[0]
 
 
 def eigenvectors(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered eigenvalues first..last and their orthonormal eigenvectors as columns,
     by dstebz in block order, dstein and a sort, as scipy's tridiagonal eigensolver
-    computes them for vectors by index, so with the same digits and without its checks."""
+    computes them for vectors by index, so with the same digits and without its checks.
+    Where inverse iteration does not converge (INFO > 0, as on eigenvalues equal to the
+    last bit in one block), the vectors are columns first..last of a dense symmetric
+    eigensolve, an orthonormal basis of the same space."""
     if diag.size == 1:
         return diag.copy(), np.ones((1, 1))
     w, iblock, isplit = _bisect(diag, off, first, last, "B")
     v, info = _lapack().dstein(diag, off, w, iblock, isplit)
-    if info:
+    if info < 0:
         raise np.linalg.LinAlgError(f"inverse iteration on T failed (LAPACK info={info})")
+    if info > 0:
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        return np.sort(w), np.linalg.eigh(dense)[1][:, first:last + 1]
     order = np.argsort(w)
     return w[order], v[:, order]
 

@@ -80,6 +80,28 @@ def certified_count(points, betas, kappa: float) -> Optional[int]:
     return int(np.sum(np.asarray(betas) < 0)) - negative
 
 
+def explicit_tridiagonal(sys: line.PointSystem, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """T(kappa) = (2/kappa) E^{-1} + diag(beta) of a delta' system entry by entry,
+    in float64 scalars on _gaps' table r, 1 - r^2 at one kappa: with t = r/(1 - r^2)
+    and s = r t, diag_i = (2/kappa)((1 + s_i) + s_{i-1}) + beta_i, s_i the gap to
+    the point's right and s_{i-1} the one to its left, each where the point has
+    it, and off_i = -(2/kappa) t_i."""
+    r, den = line._gaps(sys._spacing, kappa)
+    two, n = np.float64(2.0) / kappa, sys.n_points
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = [ri / di for ri, di in zip(r, den)]
+        s = [ri * ti for ri, ti in zip(r, t)]
+        diag = []
+        for i, beta in enumerate(sys.delta_prime_betas()):
+            sum_ = np.float64(1.0)
+            if i < n - 1:
+                sum_ = sum_ + s[i]
+            if i > 0:
+                sum_ = sum_ + s[i - 1]
+            diag.append(two * sum_ + beta)
+        return np.array(diag), np.array([-(two * ti) for ti in t])
+
+
 def dense_relation(sys: line.PointSystem, normalized: bool = False) -> np.ndarray:
     """The 2N x 4N relation of sys: its condition blocks on the diagonal,
     or with normalized=True the row-normalized blocks the residuals read.

@@ -104,7 +104,7 @@ SUBMODULES = ("certify", "deficiency", "errors", "interactions", "line", "measur
 # route's split of each round's T; the state pass solves each cluster's kappa
 # (_t_amplitudes, _h_amplitudes, _lift, tridiagonal.eigenvectors) and builds
 # the tables and norms of all its kappas at once (_anchored, _norm_squared)
-PER_KAPPA = {("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_krein"), ("line", "_eigenvalues"),
+PER_KAPPA = {("line", "_decays"), ("line", "_gaps"), ("line", "_tridiagonal"), ("line", "_krein"), ("line", "_eigenvalues"),
              ("line", "_t_blocks"), ("line", "_halves"),
              ("line", "_brent_steps"), ("line", "_lockstep"), ("line", "_values"),
              ("line", "_t_amplitudes"), ("line", "_h_amplitudes"), ("line", "_lift"),

@@ -1,6 +1,7 @@
 """Transfer matrices, approximation families, limit classification."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,23 @@ class TestFreePropagator:
         # the barrier's local wavenumber follows the lam pc_transfer was given
         with pytest.raises(DomainError, match=re.escape("lam = (0.5+0j): the free propagator at lam = 999.")):
             pc_transfer(PiecewisePotential([0.0, 1.0], [1e6]), 0.5)
+
+    @pytest.mark.parametrize("call", [
+        # sixty barriers of height 1e3, each a finite cosh(31.6) ~ 2.6e13
+        pytest.param(lambda: pc_transfer(PiecewisePotential(np.arange(61.0), [1e3] * 60), 1.0),
+                     id="barriers"),
+        pytest.param(lambda: comb_transfer(DeltaComb(np.arange(100.0), [1e5] * 100), 1.0), id="comb"),
+        pytest.param(lambda: limit_diagnose(lambda e: DeltaComb(e * np.arange(100.0), [1e5] * 100), 1.0,
+                                            [0.4, 0.2, 0.1]), id="family"),
+    ])
+    def test_overflowing_product_names_lam(self, call):
+        # every factor is finite but their product is not: a typed error naming lam, not
+        # NaN matrices with numpy's warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    "lam = (1+0j): the product of the transfer matrices overflows")):
+                call()
 
 
 @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.nan), complex(np.inf, 1.0)])
